@@ -13,6 +13,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -82,7 +83,8 @@ class CampaignSpec:
             desc = {"kind": "band", "N": ens.N, "alpha": ens.law.alpha,
                     "family": ens.law.family,
                     "profile": ens.profile.to_json(),
-                    "truncation": list(ens.truncation) if ens.truncation else None}
+                    "truncation": list(ens.truncation) if ens.truncation else None,
+                    "diagonal": ens.diagonal.to_json() if ens.diagonal else None}
         else:
             desc = {"kind": "covariance", "N": ens.n, "M": ens.m,
                     "alpha": ens.law.alpha, "family": ens.law.family}
@@ -166,6 +168,9 @@ def run_campaign(spec: CampaignSpec,
     report = None
     per_ks = ()
     if theory_cdf is not None:
+        # every distance below uses the same grid, so each point's theory
+        # value is computed once and reused
+        theory_cdf = lru_cache(maxsize=None)(theory_cdf)
         report = distribution_distance(pooled, theory_cdf, spec.window,
                                        excluded0=spec.excluded0)
         per_ks = tuple(

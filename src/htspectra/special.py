@@ -10,6 +10,11 @@ quadrature is catastrophically ill-conditioned near the cone boundary
 (the integrand peaks exponentially before cancelling), so for arguments
 with negative real part the contour is rotated onto a ray where every
 factor decays; see ``_rotation_angle``.
+
+With no explicit rule, g is evaluated by one path: nested tanh-sinh
+quadrature on the rotated, power-substituted integral, refined level by
+level until two successive levels agree, with adaptive subdivision as the
+fallback when the level cap is reached.
 """
 
 from __future__ import annotations
@@ -204,7 +209,7 @@ def _gl_eval(alpha: float, beta: float, y: complex, n: int) -> complex:
 
 def _transformed_setup(alpha: float, beta: float, y: complex):
     """Rotated form plus the power substitution u = v^p and a truncation
-    point; shared by the vectorized panel rule and adaptive subdivision."""
+    point; shared by the nested tanh-sinh rule and adaptive subdivision."""
     pref, tanpsi, y_eff = _rotated_form(alpha, beta, y)
     # u = v^p removes the endpoint singularity when beta < 2.
     p = max(1.0, 2.0 / beta)
@@ -236,14 +241,23 @@ def _transformed_setup(alpha: float, beta: float, y: complex):
     return pref, tanpsi, y_eff, p, u_max ** (1.0 / p)
 
 
+# Levels of the nested tanh-sinh rule, coarsest first.
+_DE_LEVELS = range(3, 12)
+
+
 @lru_cache(maxsize=16)
 def _tanh_sinh_nodes(level: int):
-    # Nodes/weights of the tanh-sinh rule on (0, 1) with step 2^-level.
-    # The transform concentrates nodes double-exponentially at both ends,
-    # which restores spectral convergence in the presence of endpoint
-    # branch singularities such as the u^(a/2) factor here.
+    # Nodes/weights of the tanh-sinh rule on (0, 1) with step h = 2^-level
+    # on the grid t = -3.8 + i h.  The transform concentrates nodes
+    # double-exponentially at both ends, which restores spectral
+    # convergence in the presence of endpoint branch singularities such as
+    # the u^(a/2) factor here.  Each level's grid holds every node of the
+    # level below at even i, so above the coarsest level only the new
+    # odd-i nodes are returned; see ``_nested_de_sums``.
     h = 0.5**level
     t = np.arange(-3.8 / h, 3.8 / h + 1) * h
+    if level > _DE_LEVELS[0]:
+        t = t[1::2]
     s = 0.5 * math.pi * np.sinh(t)
     x = 0.5 * (1.0 + np.tanh(s))
     w = h * 0.25 * math.pi * np.cosh(t) / np.cosh(s) ** 2
@@ -254,29 +268,38 @@ def _tanh_sinh_nodes(level: int):
     return x[keep], w[keep]
 
 
-def _de_integral(alpha, beta, pref, tanpsi, y_eff, p, v_max, level):
-    x, w = _tanh_sinh_nodes(level)
-    v = v_max * x
-    u = v**p
-    vals = v ** (p * beta / 2.0 - 1.0) * np.exp(
-        -u - 1j * tanpsi * u - u ** (alpha / 2.0) * y_eff
-    )
+def _nested_de_sums(alpha: float, beta: float, y: complex):
+    """Yield (value, mass) of the tanh-sinh rule at each level of
+    ``_DE_LEVELS`` on the transformed integral.
+
+    Halving the step keeps every old node, so level k is half the level
+    k-1 sum plus the sum over the new nodes alone.  ``mass`` is the L1 mass
+    of the summed terms; its ratio to |value| measures how much
+    cancellation occurred and bounds the attainable roundoff floor.
+    """
+    pref, tanpsi, y_eff, p, v_max = _transformed_setup(alpha, beta, y)
     scale = p * v_max
-    value = pref * scale * np.dot(w, vals)
-    # L1 mass of the summed terms; the ratio to |value| measures how much
-    # cancellation occurred and bounds the attainable roundoff floor.
-    mass = abs(pref) * scale * np.dot(w, np.abs(vals))
-    return value, mass
+    rate = complex(-1.0, -tanpsi)
+    total = 0j
+    total_abs = 0.0
+    for level in _DE_LEVELS:
+        x, w = _tanh_sinh_nodes(level)
+        v = v_max * x
+        u = v**p
+        vals = v ** (p * beta / 2.0 - 1.0) * np.exp(
+            rate * u - u ** (alpha / 2.0) * y_eff
+        )
+        total = 0.5 * total + np.dot(w, vals)
+        total_abs = 0.5 * total_abs + np.dot(w, np.abs(vals))
+        yield pref * scale * total, abs(pref) * scale * total_abs
 
 
 def _de_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule):
-    """Vectorized tanh-sinh quadrature on the transformed integral, with
-    step halving until two levels agree.  Returns None when the level cap
-    is hit (strong oscillation) so the caller can fall back."""
-    setup = _transformed_setup(alpha, beta, y)
+    """Nested tanh-sinh quadrature, refined until two successive levels
+    agree.  Returns None when the level cap is hit (strong oscillation) so
+    the caller can fall back."""
     prev = None
-    for level in (3, 4, 5, 6, 7, 8, 9, 10, 11):
-        cur, mass = _de_integral(alpha, beta, *setup, level)
+    for cur, mass in _nested_de_sums(alpha, beta, y):
         floor = 2e-15 * mass
         if prev is not None and abs(cur - prev) <= floor + 0.5 * (
             rule.abs_tol + rule.rel_tol * abs(cur)
@@ -343,14 +366,8 @@ _AUTO_ADAPTIVE = QuadratureRule(kind="adaptive-subdivision")
 
 
 def _auto_eval(alpha: float, beta: float, y: complex) -> complex:
-    # Fast path: fixed-order Gauss-Laguerre with an embedded lower-order
-    # companion as error estimate.  For large |y| the integrand mass sits
-    # below the first node, so skip straight to the panel rule.
-    if abs(y) <= 10.0:
-        v_hi = _gl_eval(alpha, beta, y, 96)
-        v_lo = _gl_eval(alpha, beta, y, 64)
-        if abs(v_hi - v_lo) <= 1e-11 * (1.0 + abs(v_hi)):
-            return v_hi
+    # The single default path: nested tanh-sinh, then adaptive subdivision
+    # when the tanh-sinh levels do not settle before the cap.
     value = _de_eval(alpha, beta, y, _AUTO_ADAPTIVE)
     if value is not None:
         return value

@@ -5,7 +5,8 @@ import pytest
 
 from htspectra import montecarlo
 from htspectra.eig import EigenDecompositionError, EmpiricalSpectrum
-from htspectra.matrices import EnsembleSpec, SigmaProfile
+from htspectra.eig import distribution_distance
+from htspectra.matrices import DiagonalLaw, EnsembleSpec, SigmaProfile
 from htspectra.montecarlo import (
     CampaignSpec,
     CovarianceParams,
@@ -46,6 +47,16 @@ def test_echo_describes_ensemble():
     assert cov.echo()["ensemble"]["kind"] == "covariance"
 
 
+def test_echo_round_trips_diagonal_law():
+    diag = DiagonalLaw(((-1.0, 0.25), (2.0, 0.75)))
+    ens = EnsembleSpec(N=40, law=StableTailLaw(1.5), profile=CONST,
+                       diagonal=diag)
+    spec = CampaignSpec(ensemble=ens, trials=1, window=(-5.0, 5.0))
+    d = spec.echo()["ensemble"]
+    assert DiagonalLaw.from_json(d["diagonal"]) == diag
+    assert band_spec().echo()["ensemble"]["diagonal"] is None
+
+
 def test_deterministic_across_thread_counts():
     spec = band_spec(trials=4)
     r1 = run_campaign(spec, threads=1)
@@ -72,6 +83,22 @@ def test_report_and_per_trial_ks():
     assert all(0.0 <= k <= 1.0 for k in r.per_trial_ks)
     j = r.to_json()
     assert "pooled_ks" in j and j["aborted_trials"] == 0
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_theory_cdf_evaluated_once_per_grid_point(trials):
+    calls = []
+
+    def cdf(t):
+        calls.append(t)
+        return min(1.0, max(0.0, 0.5 + t / 10.0))
+
+    spec = band_spec(trials=trials)
+    r = run_campaign(spec, theory_cdf=cdf)
+    assert len(calls) == 2001          # distribution_distance's grid size
+    assert r.report == distribution_distance(r.pooled, cdf, spec.window)
+    assert r.per_trial_ks == tuple(
+        distribution_distance(s, cdf, spec.window).ks for s in r.spectra)
 
 
 def test_abort_threshold(monkeypatch):

@@ -5,11 +5,13 @@ quadrature on the defining integral and frozen here.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from htspectra import special
 from htspectra.special import (
     AlphaParam,
     K_ALPHA,
@@ -174,3 +176,63 @@ def test_rule_validation():
         QuadratureRule(kind="monte-carlo")
     with pytest.raises(ValueError):
         QuadratureRule(abs_tol=0.0)
+
+
+def _scratch_level_sum(alpha, beta, y, level):
+    """Level-k tanh-sinh sum over the full grid t = -3.8 + i 2^-k, built
+    from scratch with no reuse of coarser levels."""
+    pref, tanpsi, y_eff, p, v_max = special._transformed_setup(alpha, beta, y)
+    h = 0.5**level
+    t = np.arange(-3.8 / h, 3.8 / h + 1) * h
+    s = 0.5 * math.pi * np.sinh(t)
+    x = 0.5 * (1.0 + np.tanh(s))
+    w = h * 0.25 * math.pi * np.cosh(t) / np.cosh(s) ** 2
+    keep = (w > 1e-20) & (x > 0.0)
+    v = v_max * x[keep]
+    u = v**p
+    vals = v ** (p * beta / 2.0 - 1.0) * np.exp(
+        -u - 1j * tanpsi * u - u ** (alpha / 2.0) * y_eff)
+    return pref * p * v_max * np.dot(w[keep], vals)
+
+
+@pytest.mark.parametrize("alpha,beta,y", [
+    (0.5, 0.5, 0.3 + 0.2j),
+    (1.0, 2.0, 5.0 - 4.0j),
+    (1.5, 3.0, 0.05 + 0.01j),
+    (1.5, 1.5, 2.0 * cmath.exp(0.95j * 1.5 * math.pi / 2.0)),
+    (1.9, 2.0, 30.0 * cmath.exp(-0.6j * 1.9 * math.pi / 2.0)),
+])
+def test_nested_levels_match_scratch_sums(alpha, beta, y):
+    nested = itertools.islice(special._nested_de_sums(alpha, beta, y), 4)
+    for level, (value, _) in zip((3, 4, 5, 6), nested):
+        ref = _scratch_level_sum(alpha, beta, y, level)
+        assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+def test_default_path_agrees_with_adaptive_rule():
+    # At alpha=1.9, beta=2 alpha near the cone edge the adaptive rule cannot
+    # certify its default 1e-12; 5e-12 keeps its own error within half the
+    # bound asserted below.
+    oracle = QuadratureRule(kind="adaptive-subdivision", abs_tol=5e-12,
+                            rel_tol=5e-12)
+    for al in (0.5, 1.0, 1.5, 1.9):
+        a = AlphaParam(al)
+        for beta in (al, 2.0, 2.0 * al):
+            for r in (0.01, 0.5, 5.0, 30.0):
+                for frac in (-0.95, -0.5, 0.0, 0.5, 0.95):
+                    y = r * cmath.exp(1j * frac * al * math.pi / 2.0)
+                    auto = g_alpha_beta(a, beta, y)
+                    ref = g_alpha_beta(a, beta, y, oracle)
+                    assert abs(auto - ref) <= 1e-11 * (1.0 + abs(ref)), (
+                        al, beta, y)
+
+
+def test_default_path_builds_no_laguerre_nodes():
+    special._laguerre_nodes.cache_clear()
+    for al in (0.7, 1.6):
+        a = AlphaParam(al)
+        for y in (0.02 + 0.01j, 0.8 - 0.3j, 4.0 + 2.0j):
+            g_alpha(a, y)
+            h_alpha(a, y)
+            g_alpha_prime(a, y)
+    assert special._laguerre_nodes.cache_info().currsize == 0
