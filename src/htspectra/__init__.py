@@ -35,6 +35,7 @@ from .matrices import (
     SigmaProfile,
     alpha_kernel,
     assemble_band_matrix,
+    band_alpha_integral,
     block_embed,
     build_band_matrix,
     build_covariance_matrix,

@@ -14,12 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
-
-import numpy as np
 
 from .density import (
     DensityCurve,
@@ -29,20 +26,13 @@ from .density import (
     density_band,
     density_wigner_formula,
     density_wishart,
-    semicircle_cdf,
 )
 from .eig import distribution_distance, spectra_from_csv, spectra_to_csv
 from .matrices import DiagonalLaw, EnsembleSpec, SigmaProfile
-from .montecarlo import (
-    CampaignSpec,
-    CovarianceParams,
-    atom_fraction,
-    run_campaign,
-    truncated_moment_experiment,
-)
+from .montecarlo import CampaignSpec, CovarianceParams, run_campaign
 from .sampling import StableTailLaw
 from .solver import SolverError, find_critical_set
-from .special import AlphaParam, QuadratureError, c_alpha, g_alpha, h_alpha
+from .special import AlphaParam, QuadratureError
 
 __all__ = ["main"]
 
@@ -223,36 +213,27 @@ def cmd_theory(args) -> int:
     eps = args.eps_floor
     if eps < EPS_FLOOR:
         raise ConfigError(f"--eps-floor must be >= {EPS_FLOOR}")
+    if args.model == "perturbed":
+        raise ConfigError("--model perturbed exposes transforms, not "
+                          "densities; use wigner/band/wishart")
     schedule = default_eps_schedule(floor=eps)
+    profile = _load_profile(args) if args.model == "band" else None
+    gamma = _gamma(args) if args.model == "wishart" else 1.0
     if args.t is not None:
         t = args.t
         if args.model == "wigner":
             rho = density_wigner_formula(a, t, eps_schedule=schedule)
         elif args.model == "band":
-            rho = density_band(a, _load_profile(args), t, eps_schedule=schedule)
-        elif args.model == "wishart":
-            rho = density_wishart(a, _gamma(args), t, eps_schedule=schedule)
+            rho = density_band(a, profile, t, eps_schedule=schedule)
         else:
-            raise ConfigError("--model perturbed exposes transforms, not "
-                              "densities; use wigner/band/wishart")
+            rho = density_wishart(a, gamma, t, eps_schedule=schedule)
         _write(os.path.join(out, "density.csv"), f"t,rho\n{t!r},{rho!r}\n")
         _write(os.path.join(out, "density.plt"), _gnuplot_curve("density.csv"))
         print(f"rho({t}) = {rho:.10g}")
         return 0
-    if args.model == "wigner":
-        curve = build_density_curve(a, "wigner", t_min=args.t_min,
-                                    t_max=args.t_max, points=args.points)
-    elif args.model == "band":
-        curve = build_density_curve(a, "band", profile=_load_profile(args),
-                                    t_min=args.t_min, t_max=args.t_max,
-                                    points=args.points)
-    elif args.model == "wishart":
-        curve = build_density_curve(a, "wishart", gamma=_gamma(args),
-                                    t_min=args.t_min, t_max=args.t_max,
-                                    points=args.points)
-    else:
-        raise ConfigError("--model perturbed exposes transforms, not "
-                          "densities; use wigner/band/wishart")
+    curve = build_density_curve(a, args.model, profile=profile, gamma=gamma,
+                                t_min=args.t_min, t_max=args.t_max,
+                                points=args.points, eps_schedule=schedule)
     _write(os.path.join(out, "density.csv"), curve.to_csv())
     _write(os.path.join(out, "density.json"),
            json.dumps(curve.sidecar(), indent=2, sort_keys=True) + "\n")
@@ -319,11 +300,15 @@ def cmd_compare(args) -> int:
                                  "campaign.json")
     if os.path.exists(campaign_path):
         with open(campaign_path) as fh:
-            sim_alpha = json.load(fh).get("spec", {}) \
-                                     .get("ensemble", {}).get("alpha")
+            ens = json.load(fh).get("spec", {}).get("ensemble", {})
+        sim_alpha, kind = ens.get("alpha"), ens.get("kind")
         if sim_alpha is not None and abs(sim_alpha - curve.alpha) > 1e-12:
             print(f"warning: theory alpha {curve.alpha} != simulation "
                   f"alpha {sim_alpha}", file=sys.stderr)
+        if kind is not None and \
+                (kind == "covariance") != (curve.model == "wishart"):
+            print(f"warning: theory model {curve.model} does not match "
+                  f"simulated {kind} ensemble", file=sys.stderr)
     report = distribution_distance(spectra, curve.cdf(), window,
                                    excluded0=args.exclude_zero)
     _write(os.path.join(out, "distance.json"),
@@ -348,97 +333,14 @@ def cmd_critical_set(args) -> int:
 # selftest: the acceptance suite at reduced sizes
 
 
-def _selftest_checks():
-    import cmath
-
-    def identity():
-        worst = 0.0
-        for al in (0.5, 1.0, 1.5):
-            a = AlphaParam(al)
-            for r in np.geomspace(1e-2, 30.0, 8):
-                for frac in (-0.9, 0.0, 0.9):
-                    y = r * cmath.exp(1j * frac * al * math.pi / 2.0)
-                    worst = max(worst, abs(
-                        h_alpha(a, y) - (1.0 - 0.5 * al * y * g_alpha(a, y))))
-        return worst <= 1e-9, f"max identity error {worst:.2e}"
-
-    def semicircle():
-        a = AlphaParam(2.0, alpha_two_mode=True)
-        worst = max(abs(density_wigner_formula(a, float(t))
-                        - math.sqrt(max(4.0 - t * t, 0.0)) / (2.0 * math.pi))
-                    for t in np.linspace(-1.9, 1.9, 10))
-        return worst <= 1e-6, f"max semicircle error {worst:.2e}"
-
-    def heavy_tail():
-        a = AlphaParam(1.0)
-        c = 50.0 ** 2 * density_wigner_formula(a, 50.0)
-        r0 = density_wigner_formula(a, 1e-3)
-        ok = abs(c - 0.5) <= 0.05 * 0.5 and abs(r0 * math.pi - 1.0) <= 0.01
-        return ok, f"t^2 rho(50) = {c:.4f}, pi rho(0+) = {r0 * math.pi:.4f}"
-
-    def band_equivalence():
-        a = AlphaParam(1.5)
-        prof = SigmaProfile("band", breakpoints=(0.0, 0.25, 0.75, 1.0),
-                            values=(1.0, 0.0, 1.0))
-        sig = 0.5 ** (1.0 / 1.5)
-        worst = max(abs(density_band(a, prof, float(t))
-                        - density_wigner_formula(a, float(t) / sig) / sig)
-                    for t in np.linspace(0.3, 2.5, 5))
-        return worst <= 1e-6, f"max band equivalence gap {worst:.2e}"
-
-    def wigner_mc():
-        a = AlphaParam(1.5)
-        curve = build_density_curve(a, "wigner", t_min=0.05, t_max=100.0,
-                                    points=60)
-        ens = EnsembleSpec(N=400, law=StableTailLaw(1.5),
-                           profile=SigmaProfile("constant", c=1.0))
-        spec = CampaignSpec(ensemble=ens, trials=3, window=(-10.0, 10.0),
-                            excluded0=0.2, master_seed=1)
-        res = run_campaign(spec, theory_cdf=curve.cdf())
-        return res.report.ks <= 0.08, f"pooled ks {res.report.ks:.4f}"
-
-    def wishart_mc():
-        cov = CovarianceParams(law=StableTailLaw(1.2), n=400, m=200)
-        spec = CampaignSpec(ensemble=cov, trials=3, window=(0.1, 20.0),
-                            master_seed=1)
-        res = run_campaign(spec)
-        frac = float(np.mean([atom_fraction(s) for s in res.spectra]))
-        return abs(frac - 0.5) <= 0.05, f"atom fraction {frac:.4f}"
-
-    def truncated_moment():
-        v = truncated_moment_experiment(
-            StableTailLaw(1.0), SigmaProfile("constant", c=1.0),
-            2.0, 1000, 5, master_seed=1)
-        return abs(v - 2.0) <= 0.2, f"moment {v:.4f}"
-
-    def alpha_two_continuity():
-        a = AlphaParam(1.95)
-        s = abs(c_alpha(a)) ** (1.0 / 1.95)
-        curve = build_density_curve(a, "wigner", t_min=1e-2, t_max=50.0,
-                                    points=40)
-        cdf = curve.cdf()
-        ks = max(abs(cdf(float(t) * s) - semicircle_cdf(float(t)))
-                 for t in np.linspace(-3.0, 3.0, 121))
-        return ks <= 0.08, f"scaled ks vs semicircle {ks:.4f}"
-
-    return [
-        ("special-function identity", identity),
-        ("alpha=2 semicircle", semicircle),
-        ("alpha=1 tail and center", heavy_tail),
-        ("band equivalence", band_equivalence),
-        ("wigner monte carlo", wigner_mc),
-        ("wishart atom", wishart_mc),
-        ("truncated moment", truncated_moment),
-        ("alpha->2 continuity", alpha_two_continuity),
-    ]
-
-
 def cmd_selftest(args) -> int:
+    from . import acceptance   # imported here so other commands start faster
+
     failures = 0
-    for name, check in _selftest_checks():
+    for name, check, sizes in acceptance.SELFTEST:
         start = time.perf_counter()
         try:
-            ok, detail = check()
+            ok, detail = check(**sizes)
         except Exception as exc:   # honest red, never a crash
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         took = time.perf_counter() - start

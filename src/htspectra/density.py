@@ -1,27 +1,25 @@
 """Spectral measures from fixed-point solutions.
 
-Stieltjes transforms, densities as Plemelj boundary values (with the last
-continuation steps Richardson-extrapolated in eps and a Newton polish at
-the real axis), the Wishart atom at zero, exact tail constants, and the
-closed-form reductions: alpha=2 semicircle, constant-profile scaling,
-band-to-constant equivalence, and the gamma=1 covariance identity.
+Stieltjes transforms, densities as boundary values (an eps continuation
+towards the real axis and a Newton polish on it; only
+``density_band_detail`` also Richardson-extrapolates Im G over the last
+continuation steps, as an independent check), the Wishart atom at zero,
+exact tail constants, and the closed-form reductions: alpha=2 semicircle,
+constant-profile scaling, band-to-constant equivalence, and the gamma=1
+covariance identity.
 """
 
 from __future__ import annotations
 
-import cmath
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .matrices import DiagonalLaw, SigmaProfile
+from .matrices import DiagonalLaw, SigmaProfile, band_alpha_integral
 from .solver import (
     FixedPointConfig,
-    FixedPointSolution,
-    SolverError,
     band_system,
     continue_to_real_axis,
     perturbed_system,
@@ -126,35 +124,36 @@ def _richardson_at_zero(eps: np.ndarray, vals: np.ndarray) -> float:
 def _boundary_solution(system, t: float, cfg: FixedPointConfig,
                        eps_schedule: Optional[Sequence[float]],
                        critical_points: Sequence[float] = ()):
-    """(extrapolated Im G sample list, polished unknowns at real t).
-
-    Returns (plemelj_imG, y_polished, quality) where quality is the
-    smallest eps actually reached (the eps floor on success).
-    """
+    """(eps continuation path, polished unknowns at real t)."""
     if eps_schedule is None:
         eps_schedule = default_eps_schedule()
     path = continue_to_real_axis(system, t, eps_schedule, cfg,
                                  critical_points=critical_points)
-    tail = path[-3:] if len(path) >= 3 else path
-    eps = np.array([p.z.imag for p in tail])
-    weights = getattr(system, "weights", np.array([1.0]))
-    im_g = np.array([_band_G(system.a, p.z, p.unknowns, weights).imag
-                     for p in tail])
-    plemelj = _richardson_at_zero(eps, im_g)
     y = polish_on_axis(system, abs(t), path[-1].unknowns
                        if t > 0 else np.conj(path[-1].unknowns))
     if t < 0:
         y = np.conj(y)
-    return plemelj, y, float(eps[-1])
+    return path, y
+
+
+def _band_boundary(a, profile, t, eps_schedule, cfg, critical_points):
+    """(system, eps path, density) of a band profile at real t != 0."""
+    if t == 0:
+        raise ValueError("t must be nonzero")
+    system = band_system(a, profile)
+    path, y = _boundary_solution(system, t, cfg, eps_schedule,
+                                 critical_points)
+    hs = np.array([h_alpha(a, yi) for yi in y])
+    return system, path, \
+        -float(np.sum(system.weights * hs.imag)) / (math.pi * t)
 
 
 def density_band(a: AlphaParam, profile: SigmaProfile, t: float,
                  eps_schedule: Optional[Sequence[float]] = None,
                  cfg: FixedPointConfig = _DENSITY_CFG,
                  critical_points: Sequence[float] = ()) -> float:
-    value, _, _ = density_band_detail(a, profile, t, eps_schedule, cfg,
-                                      critical_points)
-    return value
+    return _band_boundary(a, profile, t, eps_schedule, cfg,
+                          critical_points)[2]
 
 
 def density_band_detail(a: AlphaParam, profile: SigmaProfile, t: float,
@@ -167,15 +166,13 @@ def density_band_detail(a: AlphaParam, profile: SigmaProfile, t: float,
     at the polished real-axis solution; the second value is the independent
     -(1/pi) Im G(t + i eps) extrapolation, kept for consistency checking.
     """
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    system = band_system(a, profile)
-    plemelj_im_g, y, eps_reached = _boundary_solution(
-        system, t, cfg, eps_schedule, critical_points)
-    hs = np.array([h_alpha(a, yi) for yi in y])
-    value = -float(np.sum(system.weights * hs.imag)) / (math.pi * t)
-    plemelj = -plemelj_im_g / math.pi
-    return value, plemelj, eps_reached
+    system, path, value = _band_boundary(a, profile, t, eps_schedule, cfg,
+                                         critical_points)
+    tail = path[-3:]
+    eps = np.array([p.z.imag for p in tail])
+    im_g = np.array([_band_G(a, p.z, p.unknowns, system.weights).imag
+                     for p in tail])
+    return value, -_richardson_at_zero(eps, im_g) / math.pi, float(eps[-1])
 
 
 def density_wigner_formula(a: AlphaParam, t: float,
@@ -187,7 +184,7 @@ def density_wigner_formula(a: AlphaParam, t: float,
     if t == 0:
         raise ValueError("t must be nonzero")
     system = wigner_system(a)
-    _, y, _ = _boundary_solution(system, abs(t), cfg, eps_schedule)
+    _, y = _boundary_solution(system, abs(t), cfg, eps_schedule)
     yv = y[0]
     al = a.alpha
     expr1 = -h_alpha(a, yv).imag / (math.pi * abs(t))
@@ -221,7 +218,7 @@ def density_wishart(a: AlphaParam, gamma: float, t: float,
         return s / math.sqrt(t) * density_wigner_formula(
             a, s * math.sqrt(t), eps_schedule, cfg)
     system = wishart_system(a, gamma)
-    _, y, _ = _boundary_solution(system, math.sqrt(t), cfg, eps_schedule)
+    _, y = _boundary_solution(system, math.sqrt(t), cfg, eps_schedule)
     return -h_alpha(a, y[0]).imag / (math.pi * t)
 
 
@@ -266,9 +263,7 @@ def tail_constant(a: AlphaParam, profile: SigmaProfile,
     """
     al = a.alpha
     if profile.variant == "band":
-        b = np.asarray(profile.breakpoints, dtype=float)
-        v = np.asarray(profile.values, dtype=float)
-        integral = float(np.sum(np.abs(v) ** al * np.diff(b)))
+        integral = band_alpha_integral(profile, al)
     else:
         _, m, w = profile.cells()
         integral = float(w @ (np.abs(m) ** al) @ w)
@@ -330,17 +325,12 @@ class DensityCurve:
         return c / ((p - 1.0) * T ** (p - 1.0))
 
     def total_mass(self) -> float:
+        # a symmetric grid's trapezoid already spans the gap around 0
         body = float(np.trapezoid(self.rho, self.grid))
         tails = self._tail_mass_beyond(float(self.grid[-1]))
-        if self.symmetric:
-            tails += self._tail_mass_beyond(float(-self.grid[0]))
-        # symmetric grids exclude a neighborhood of 0: close it linearly
         gap = 0.0
         if self.symmetric:
-            i = int(np.searchsorted(self.grid, 0.0))
-            if 0 < i < self.grid.size:
-                gap = (self.grid[i] - self.grid[i - 1]) \
-                    * 0.5 * (self.rho[i] + self.rho[i - 1])
+            tails += self._tail_mass_beyond(float(-self.grid[0]))
         elif self.grid[0] > 0:
             gap = self.grid[0] * self.rho[0]
         return self.atom_at_zero + body + tails + gap
@@ -356,10 +346,9 @@ class DensityCurve:
 
         def f(t: float) -> float:
             if t < g[0]:
-                if not self.symmetric:
+                if not self.symmetric or total <= 0:
                     return 0.0
-                return max(0.0, left_tail - self._tail_mass_beyond(-t)
-                           if t < 0 else left_tail)
+                return self._tail_mass_beyond(-t) / total
             acc = left_tail
             if not self.symmetric and t >= 0:
                 acc += atom_pos
@@ -432,16 +421,23 @@ def build_density_curve(a: AlphaParam, model: str,
                         t_min: float = 1e-3, t_max: float = 1e3,
                         points: int = 400,
                         cfg: FixedPointConfig = _DENSITY_CFG,
-                        critical_points: Sequence[float] = ()) -> DensityCurve:
+                        critical_points: Sequence[float] = (),
+                        eps_schedule: Optional[Sequence[float]] = None
+                        ) -> DensityCurve:
     """Compute a density curve over a log-spaced grid.
 
     model is one of wigner | band | wishart; symmetric models are computed
     on t > 0 and mirrored.  (Perturbed ensembles expose transforms, not
-    densities, at this surface.)
+    densities, at this surface.)  Every point follows ``eps_schedule``
+    (default: ``default_eps_schedule()``), whose last step is recorded as
+    the curve's ``eps_floor``.
     """
+    if eps_schedule is None:
+        eps_schedule = default_eps_schedule()
     ts = _log_grid(t_min, t_max, points)
     if model == "wigner":
-        rho = np.array([density_wigner_formula(a, t, cfg=cfg) for t in ts])
+        rho = np.array([density_wigner_formula(a, t, eps_schedule, cfg)
+                        for t in ts])
         tail_c = 0.5 * a.alpha
         tail_p = a.alpha + 1.0
         atom = 0.0
@@ -451,9 +447,8 @@ def build_density_curve(a: AlphaParam, model: str,
     elif model == "band":
         if profile is None:
             raise ValueError("band model needs a profile")
-        rho = np.array([density_band(a, profile, t, cfg=cfg,
-                                     critical_points=critical_points)
-                        for t in ts])
+        rho = np.array([density_band(a, profile, t, eps_schedule, cfg,
+                                     critical_points) for t in ts])
         tail_c = tail_constant(a, profile)
         tail_p = a.alpha + 1.0
         atom = 0.0
@@ -461,7 +456,8 @@ def build_density_curve(a: AlphaParam, model: str,
         rho = np.concatenate([rho[::-1], rho])
         symmetric = True
     elif model == "wishart":
-        rho = np.array([density_wishart(a, gamma, t, cfg=cfg) for t in ts])
+        rho = np.array([density_wishart(a, gamma, t, eps_schedule, cfg)
+                        for t in ts])
         tail_c = _wishart_tail_constant(a, gamma)
         tail_p = 1.0 + 0.5 * a.alpha
         atom = 0.0 if gamma >= 1.0 else atom_at_zero_wishart(a, gamma, cfg)
@@ -471,4 +467,6 @@ def build_density_curve(a: AlphaParam, model: str,
         raise ValueError(f"unknown model {model!r}")
     return DensityCurve(alpha=a.alpha, model=model, grid=grid, rho=rho,
                         atom_at_zero=atom, tail_constant_estimate=tail_c,
-                        tail_exponent=tail_p, symmetric=symmetric)
+                        tail_exponent=tail_p,
+                        eps_floor=float(eps_schedule[-1]),
+                        symmetric=symmetric)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,12 +27,18 @@ __all__ = [
     "assemble_band_matrix",
     "build_covariance_matrix",
     "block_embed",
+    "band_alpha_integral",
     "profile_alpha_norm",
     "equivalent_constant",
     "covariance_profile",
 ]
 
 _VARIANTS = ("constant", "piecewise", "band", "grid")
+
+
+def _step_index(b: np.ndarray, x):
+    """Index of the interval [b_k, b_{k+1}) holding x, clipped to the ends."""
+    return np.clip(np.searchsorted(b, x, side="right") - 1, 0, b.size - 2)
 
 
 @dataclass(frozen=True)
@@ -77,9 +83,9 @@ class SigmaProfile:
                 raise ValueError("need one value per breakpoint interval")
             # phi must be even: phi(1 - x) = phi(-x) = phi(x) by periodicity.
             xs = 0.5 * (b[:-1] + b[1:])
-            for x, val in zip(xs, v):
-                if abs(self._band_phi(1.0 - x) - val) > 1e-12:
-                    raise ValueError("band profile phi must be even")
+            mirrored = v[_step_index(b, (1.0 - xs) % 1.0)]
+            if np.any(np.abs(mirrored - v) > 1e-12):
+                raise ValueError("band profile phi must be even")
         elif self.variant == "grid":
             v = np.asarray(self.values, dtype=float)
             p = self.resolution
@@ -90,12 +96,6 @@ class SigmaProfile:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _band_phi(self, x: float) -> float:
-        x = x % 1.0
-        b = np.asarray(self.breakpoints, dtype=float)
-        idx = min(int(np.searchsorted(b, x, side="right")) - 1, b.size - 2)
-        return float(np.asarray(self.values, dtype=float)[max(idx, 0)])
-
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """sigma at arbitrary points of [0,1]^2 (vectorized)."""
         x = np.asarray(x, dtype=float)
@@ -105,15 +105,11 @@ class SigmaProfile:
         if self.variant == "piecewise":
             b = np.asarray(self.breaks, dtype=float)
             m = np.asarray(self.matrix, dtype=float)
-            r = np.clip(np.searchsorted(b, x, side="right") - 1, 0, b.size - 2)
-            s = np.clip(np.searchsorted(b, y, side="right") - 1, 0, b.size - 2)
-            return m[r, s]
+            return m[_step_index(b, x), _step_index(b, y)]
         if self.variant == "band":
-            d = np.mod(x - y, 1.0)
             b = np.asarray(self.breakpoints, dtype=float)
             v = np.asarray(self.values, dtype=float)
-            idx = np.clip(np.searchsorted(b, d, side="right") - 1, 0, b.size - 2)
-            return v[idx]
+            return v[_step_index(b, np.mod(x - y, 1.0))]
         p = self.resolution
         v = np.asarray(self.values, dtype=float)
         r = np.clip((np.asarray(x) * p).astype(int), 0, p - 1)
@@ -336,10 +332,7 @@ def _tent_integral(psi_breaks: np.ndarray, psi_values: np.ndarray,
     pts = sorted(set(pts))
     for u1, u2 in zip(pts[:-1], pts[1:]):
         mid = 0.5 * (u1 + u2)
-        d = mid % 1.0
-        idx = min(int(np.searchsorted(psi_breaks, d, side="right")) - 1,
-                  psi_breaks.size - 2)
-        v = psi_values[max(idx, 0)]
+        v = psi_values[_step_index(psi_breaks, mid % 1.0)]
         # triangle weight integrated exactly on [u1, u2]
         if mid <= center:
             w = (h * (u2 - u1) - 0.5 * ((center - u1) ** 2 - (center - u2) ** 2))
@@ -373,6 +366,14 @@ def alpha_kernel(profile: SigmaProfile, alpha: float, cells: int = 6):
     return np.full(q, h), k
 
 
+def band_alpha_integral(profile: SigmaProfile, alpha: float) -> float:
+    """int_0^1 |phi(v)|^alpha dv of a band profile, exactly from its
+    breakpoints; also the double integral of |sigma|^alpha."""
+    b = np.asarray(profile.breakpoints, dtype=float)
+    v = np.asarray(profile.values, dtype=float)
+    return float(np.sum(np.abs(v) ** alpha * np.diff(b)))
+
+
 def profile_alpha_norm(profile: SigmaProfile, alpha: float, N: int = 2000):
     """(k_sigma, star_norm) where
 
@@ -380,11 +381,8 @@ def profile_alpha_norm(profile: SigmaProfile, alpha: float, N: int = 2000):
     star_norm = sqrt((1/N^2) sum_ij sigma(i/N, j/N)^2)       (lattice L2)
     """
     if profile.variant == "band":
-        # int |phi(x - v)|^alpha dv is x-independent and exactly the
-        # breakpoint sum.
-        bb = np.asarray(profile.breakpoints, dtype=float)
-        vv = np.asarray(profile.values, dtype=float)
-        k_sigma = float(np.sum(np.abs(vv) ** alpha * np.diff(bb)))
+        # int |phi(x - v)|^alpha dv is x-independent
+        k_sigma = band_alpha_integral(profile, alpha)
     else:
         b, m, w = profile.cells()
         k_sigma = float(np.max(np.abs(m) ** alpha @ w))
@@ -398,10 +396,8 @@ def equivalent_constant(profile: SigmaProfile, alpha: float) -> SigmaProfile:
     sigma~ = (int_0^1 |phi(v)|^alpha dv)^(1/alpha)."""
     if profile.variant != "band":
         raise ValueError("equivalent_constant needs a band profile")
-    b = np.asarray(profile.breakpoints, dtype=float)
-    v = np.asarray(profile.values, dtype=float)
-    integral = float(np.sum(np.abs(v) ** alpha * np.diff(b)))
-    return SigmaProfile("constant", c=integral ** (1.0 / alpha))
+    return SigmaProfile("constant",
+                        c=band_alpha_integral(profile, alpha) ** (1.0 / alpha))
 
 
 def covariance_profile(gamma: float) -> SigmaProfile:

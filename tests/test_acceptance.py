@@ -1,48 +1,27 @@
 """End-to-end acceptance suite.
 
 Each test prints a single PASS/FAIL line with the measured quantity and
-its runtime, then asserts the stated tolerance and time budget.
+its runtime, then asserts the stated tolerance and time budget.  The
+criteria that ``htspectra selftest`` also runs call the check bodies in
+``htspectra.acceptance`` with the full sizes and gates listed here.
 """
 
-import cmath
-import math
 import time
 
 import numpy as np
-import pytest
 
+from htspectra import acceptance
 from htspectra.density import (
     atom_at_zero_wishart,
-    build_density_curve,
-    density_band,
-    density_wigner_formula,
     density_wishart,
-    semicircle_cdf,
-    semicircle_density,
     stieltjes_band,
     stieltjes_perturbed,
 )
-from htspectra.matrices import (
-    DiagonalLaw,
-    EnsembleSpec,
-    SigmaProfile,
-    covariance_profile,
-)
-from htspectra.montecarlo import (
-    CampaignSpec,
-    CovarianceParams,
-    atom_fraction,
-    run_campaign,
-    truncated_moment_experiment,
-)
-from htspectra.sampling import StableTailLaw
+from htspectra.matrices import DiagonalLaw, SigmaProfile, covariance_profile
 from htspectra.solver import (
     continue_to_real_axis,
-    perturbed_system,
     solve_band,
-    solve_wigner,
     solve_wishart_pair,
-    wigner_system,
 )
 from htspectra.special import (
     AlphaParam,
@@ -70,44 +49,26 @@ def _finish(num, name, ok, detail, start, budget):
     assert in_time, f"criterion {num} {name}: {took:.1f}s over budget {budget}s"
 
 
-def test_criterion_01_special_function_identity():
+def _check(num, name, budget, body, **sizes):
     start = time.perf_counter()
-    worst = 0.0
-    for al in (0.5, 1.0, 1.5):
-        a = AlphaParam(al)
-        for r in np.geomspace(1e-2, 50.0, 20):
-            for frac in np.linspace(-0.95, 0.95, 10):
-                y = r * cmath.exp(1j * frac * al * math.pi / 2.0)
-                err = abs(h_alpha(a, y) - (1.0 - 0.5 * al * y * g_alpha(a, y)))
-                worst = max(worst, err)
-    _finish(1, "special-function identity", worst <= 1e-9,
-            f"max error {worst:.2e} over 200-point grids", start, 5.0)
+    ok, detail = body(**sizes)
+    _finish(num, name, ok, detail, start, budget)
+
+
+def test_criterion_01_special_function_identity():
+    _check(1, "special-function identity", 5.0, acceptance.identity,
+           radii=np.geomspace(1e-2, 50.0, 20),
+           fracs=np.linspace(-0.95, 0.95, 10), tol=1e-9)
 
 
 def test_criterion_02_alpha_two_oracle():
-    start = time.perf_counter()
-    a = AlphaParam(2.0, alpha_two_mode=True)
-    worst = max(abs(density_wigner_formula(a, float(t))
-                    - semicircle_density(float(t)))
-                for t in np.linspace(-1.9, 1.9, 50))
-    g_ref = 1j * (3.0 - math.sqrt(13.0)) / 2.0   # (z - sqrt(z^2-4))/2 at z=3i
-    g_err = abs(stieltjes_band(a, CONST, 3j) - g_ref)
-    ok = worst <= 1e-6 and g_err <= 1e-10
-    _finish(2, "semicircle mode", ok,
-            f"max density error {worst:.2e}, G(3i) error {g_err:.2e}",
-            start, 10.0)
+    _check(2, "semicircle mode", 10.0, acceptance.semicircle,
+           points=50, tol=1e-6, g_tol=1e-10)
 
 
 def test_criterion_03_wigner_heavy_tail():
-    start = time.perf_counter()
-    a = AlphaParam(1.0)
-    tails = [t ** 2 * density_wigner_formula(a, float(t)) for t in (50.0, 100.0)]
-    tail_ok = all(abs(v - 0.5) <= 0.05 * 0.5 for v in tails)
-    center = density_wigner_formula(a, 1e-3)
-    center_ok = abs(center * math.pi - 1.0) <= 0.01
-    _finish(3, "heavy-tail constants", tail_ok and center_ok,
-            f"t^2 rho = {tails[0]:.4f}/{tails[1]:.4f}, "
-            f"pi rho(0+) = {center * math.pi:.5f}", start, 30.0)
+    _check(3, "heavy-tail constants", 30.0, acceptance.heavy_tail,
+           tail_ts=(50.0, 100.0), rel_tol=0.05, center_tol=0.01)
 
 
 def test_criterion_04_wishart_structure():
@@ -132,18 +93,8 @@ def test_criterion_04_wishart_structure():
 
 
 def test_criterion_05_band_equivalence():
-    start = time.perf_counter()
-    a = AlphaParam(1.5)
-    prof = SigmaProfile("band", breakpoints=(0.0, 0.25, 0.75, 1.0),
-                        values=(1.0, 0.0, 1.0))
-    sig = 0.5 ** (1.0 / 1.5)
-    worst = 0.0
-    for t in np.linspace(0.1, 3.0, 50):
-        lhs = density_band(a, prof, float(t))
-        rhs = density_wigner_formula(a, float(t) / sig) / sig
-        worst = max(worst, abs(lhs - rhs))
-    _finish(5, "band equivalence", worst <= 1e-6,
-            f"max gap {worst:.2e} over 50 points", start, 60.0)
+    _check(5, "band equivalence", 60.0, acceptance.band_equivalence,
+           ts=np.linspace(0.1, 3.0, 50), tol=1e-6)
 
 
 def test_criterion_06_perturbation_reduction():
@@ -175,44 +126,20 @@ def test_criterion_06_perturbation_reduction():
 
 
 def test_criterion_07_wigner_monte_carlo():
-    start = time.perf_counter()
-    a = AlphaParam(1.5)
-    curve = build_density_curve(a, "wigner", t_min=0.05, t_max=200.0,
-                                points=80)
-    ens = EnsembleSpec(N=2000, law=StableTailLaw(1.5), profile=CONST)
-    spec = CampaignSpec(ensemble=ens, trials=10, window=(-10.0, 10.0),
-                        excluded0=0.2, master_seed=0)
-    res = run_campaign(spec, theory_cdf=curve.cdf(), threads=4)
-    ks = res.report.ks
-    _finish(7, "wigner monte carlo", ks <= 0.05,
-            f"pooled KS {ks:.4f} over 10 trials at N=2000", start, 600.0)
+    _check(7, "wigner monte carlo", 600.0, acceptance.wigner_monte_carlo,
+           t_max=200.0, points=80, n=2000, trials=10, seed=0, ks_tol=0.05,
+           threads=4)
 
 
 def test_criterion_08_wishart_monte_carlo():
-    start = time.perf_counter()
-    a = AlphaParam(1.2)
-    curve = build_density_curve(a, "wishart", gamma=0.5, t_min=0.02,
-                                t_max=100.0, points=60)
-    spec = CampaignSpec(
-        ensemble=CovarianceParams(law=StableTailLaw(1.2), n=1500, m=750),
-        trials=10, window=(0.1, 20.0), master_seed=0)
-    res = run_campaign(spec, theory_cdf=curve.cdf(), threads=4)
-    # the zero-mode count is a per-matrix quantity; pooling first would let
-    # one trial's extreme top eigenvalue set the threshold for all others
-    frac = float(np.mean([atom_fraction(s) for s in res.spectra]))
-    ks = res.report.ks
-    ok = abs(frac - 0.5) <= 0.05 and ks <= 0.07
-    _finish(8, "wishart monte carlo", ok,
-            f"atom fraction {frac:.4f}, positive-part KS {ks:.4f}",
-            start, 600.0)
+    _check(8, "wishart monte carlo", 600.0, acceptance.wishart_monte_carlo,
+           n=1500, m=750, trials=10, seed=0, atom_tol=0.05, threads=4,
+           points=60, ks_tol=0.07)
 
 
 def test_criterion_09_truncated_moment():
-    start = time.perf_counter()
-    v = truncated_moment_experiment(StableTailLaw(1.0), CONST,
-                                    2.0, 4000, 20, master_seed=0)
-    _finish(9, "truncated moment", abs(v - 2.0) <= 0.2,
-            f"mean (1/N)tr(A^2) = {v:.4f} vs 2.0", start, 120.0)
+    _check(9, "truncated moment", 120.0, acceptance.truncated_moment,
+           n=4000, trials=20, seed=0, tol=0.2)
 
 
 def test_criterion_10_solver_contracts():
@@ -259,16 +186,5 @@ def test_criterion_10_solver_contracts():
 
 
 def test_criterion_11_alpha_to_two_continuity():
-    start = time.perf_counter()
-    a = AlphaParam(1.95)
-    # compare in the compensated scale: the family is normalized so that
-    # its width grows like |C_alpha|^(1/alpha) as alpha -> 2, so the CDF is
-    # evaluated at s*t against the unit-scale semicircle
-    s = abs(c_alpha(a)) ** (1.0 / 1.95)
-    curve = build_density_curve(a, "wigner", t_min=1e-2, t_max=50.0,
-                                points=80)
-    cdf = curve.cdf()
-    ks = max(abs(cdf(float(t) * s) - semicircle_cdf(float(t)))
-             for t in np.linspace(-3.0, 3.0, 121))
-    _finish(11, "alpha->2 continuity", ks <= 0.08,
-            f"scaled KS vs semicircle {ks:.4f}", start, 120.0)
+    _check(11, "alpha->2 continuity", 120.0, acceptance.alpha_two_continuity,
+           points=80, tol=0.08)

@@ -127,6 +127,56 @@ def test_compare_warns_on_alpha_mismatch(capsys, tmp_path):
     assert "warning" in capsys.readouterr().err
 
 
+def test_compare_warns_on_model_mismatch(capsys, tmp_path):
+    theory_dir = tmp_path / "theory"
+    assert run(["theory", "--alpha", "1.2", "--t-min", "0.05",
+                "--t-max", "50", "--points", "20",
+                "--out", str(theory_dir)]) == 0
+    for model in ("wishart", "wigner"):
+        assert run(["simulate", "--model", model, "--alpha", "1.2",
+                    "--n", "40", "--trials", "1",
+                    "--out", str(tmp_path / model)]) == 0
+    capsys.readouterr()
+    compare = ["compare", "--theory", str(theory_dir / "density.csv"),
+               "--window=0.1:5", "--out", str(tmp_path)]
+    spectra = str(tmp_path / "wishart" / "eigenvalues.csv")
+    assert run(compare + ["--spectra", spectra]) == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and "covariance" in err and "alpha" not in err
+    spectra = str(tmp_path / "wigner" / "eigenvalues.csv")
+    assert run(compare + ["--spectra", spectra]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_theory_grid_records_eps_floor(tmp_path):
+    assert run(["theory", "--alpha", "1.5", "--t-min", "0.5", "--t-max", "2",
+                "--points", "3", "--eps-floor", "1e-4",
+                "--out", str(tmp_path)]) == 0
+    side = json.loads((tmp_path / "density.json").read_text())
+    assert side["eps_floor"] == 1e-4
+
+
+def test_selftest_exit_codes(capsys, monkeypatch):
+    from htspectra import acceptance
+
+    def raising():
+        raise ArithmeticError("boom")
+
+    passing = ("passes", lambda n: (n == 3, f"n = {n}"), {"n": 3})
+    monkeypatch.setattr(acceptance, "SELFTEST", (passing,))
+    assert run(["selftest"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS  passes" in out and "all checks passed" in out
+    failing = ("fails", lambda: (False, "off"), {})
+    monkeypatch.setattr(acceptance, "SELFTEST", (passing, failing))
+    assert run(["selftest"]) == 2
+    assert "FAIL  fails" in capsys.readouterr().out
+    monkeypatch.setattr(acceptance, "SELFTEST", (("boom", raising, {}),))
+    assert run(["selftest"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  boom" in out and "raised ArithmeticError: boom" in out
+
+
 def test_compare_missing_inputs(capsys, tmp_path):
     code = run(["compare", "--theory", str(tmp_path / "no.csv"),
                 "--spectra", str(tmp_path / "no2.csv"),

@@ -19,7 +19,12 @@ from htspectra.density import (
     semicircle_density,
     tail_constant,
 )
-from htspectra.matrices import SigmaProfile
+from htspectra.matrices import (
+    SigmaProfile,
+    band_alpha_integral,
+    equivalent_constant,
+    profile_alpha_norm,
+)
 from htspectra.special import AlphaParam
 
 
@@ -187,3 +192,58 @@ def test_curve_csv_round_trip():
 def test_build_curve_rejects_unknown_model():
     with pytest.raises(ValueError):
         build_density_curve(AlphaParam(1.5), "perturbed")
+
+
+def _mirrored_curve(ts, rho, **closure):
+    return DensityCurve(alpha=1.0, model="wigner",
+                        grid=np.concatenate([-ts[::-1], ts]),
+                        rho=np.concatenate([rho[::-1], rho]), **closure)
+
+
+# trapezoid mass exactly 1 on +-[0.1, 10]; no tail closure
+FLAT = _mirrored_curve(np.linspace(0.1, 10.0, 100), np.full(100, 0.05))
+# Cauchy density closed by its 1/(pi t^2) tails beyond +-[0.1, 10]
+_TS = np.geomspace(0.1, 10.0, 200)
+CAUCHY = _mirrored_curve(_TS, 1.0 / (math.pi * (1.0 + _TS ** 2)),
+                         tail_constant_estimate=1.0 / math.pi,
+                         tail_exponent=2.0)
+
+
+def test_symmetric_mass_counts_the_central_gap_once():
+    assert abs(FLAT.total_mass() - 1.0) < 1e-12
+    cdf = FLAT.cdf()
+    assert cdf(-10.0) == 0.0
+    assert abs(cdf(0.0) - 0.5) < 1e-12
+    assert abs(cdf(10.0) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("curve", [FLAT, CAUCHY],
+                         ids=["known-mass", "tail-closure"])
+def test_curve_cdf_is_a_distribution(curve):
+    cdf = curve.cdf()
+    ts = np.geomspace(1e-3, 1e12, 400)
+    ts = np.concatenate([-ts[::-1], [0.0], ts])
+    vals = np.array([cdf(float(t)) for t in ts])
+    assert np.all(np.diff(vals) >= 0.0)
+    assert vals.min() >= 0.0 and vals.max() <= 1.0
+    assert vals[0] < 1e-9 and vals[-1] > 1.0 - 1e-9
+
+
+def test_cdf_below_grid_is_left_tail_mass():
+    cdf = CAUCHY.cdf()
+    total = CAUCHY.total_mass()
+    for t in (-10.5, -100.0, -1e4):
+        assert abs(cdf(t) - 1.0 / (math.pi * -t) / total) < 1e-15
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+def test_band_alpha_integral_single_definition(alpha):
+    uneven = SigmaProfile("band", breakpoints=(0.0, 0.1, 0.3, 0.7, 0.9, 1.0),
+                          values=(2.0, -0.5, 0.3, -0.5, 2.0))
+    for prof in (BAND, uneven):
+        want = band_alpha_integral(prof, alpha)
+        assert abs(tail_constant(AlphaParam(alpha), prof) * 2.0 / alpha
+                   - want) <= 1e-14
+        assert abs(profile_alpha_norm(prof, alpha, N=200)[0] - want) <= 1e-14
+        assert abs(equivalent_constant(prof, alpha).c ** alpha
+                   - want) <= 1e-14
