@@ -324,34 +324,40 @@ class DensityCurve:
             return 0.0
         return c / ((p - 1.0) * T ** (p - 1.0))
 
+    def _gap_mass(self) -> float:
+        """Mass of a one-sided grid's gap [0, grid[0]) at density
+        rho(grid[0]); a symmetric grid's trapezoid already spans the gap
+        around 0."""
+        if self.symmetric:
+            return 0.0
+        return max(float(self.grid[0]), 0.0) * float(self.rho[0])
+
     def total_mass(self) -> float:
-        # a symmetric grid's trapezoid already spans the gap around 0
         body = float(np.trapezoid(self.rho, self.grid))
         tails = self._tail_mass_beyond(float(self.grid[-1]))
-        gap = 0.0
         if self.symmetric:
             tails += self._tail_mass_beyond(float(-self.grid[0]))
-        elif self.grid[0] > 0:
-            gap = self.grid[0] * self.rho[0]
-        return self.atom_at_zero + body + tails + gap
+        return self.atom_at_zero + body + tails + self._gap_mass()
 
     def cdf(self) -> Callable[[float], float]:
         """Piecewise-linear CDF with atom and analytic tail closure."""
         g, r = self.grid, self.rho
         cum = np.concatenate([[0.0], np.cumsum(
             0.5 * (r[1:] + r[:-1]) * np.diff(g))])
-        left_tail = self._tail_mass_beyond(float(-g[0])) if self.symmetric else 0.0
-        atom_pos = 0.0 if self.symmetric else self.atom_at_zero
+        # continuous mass below grid[0]: a symmetric curve's left tail, a
+        # one-sided curve's gap
+        below = self._tail_mass_beyond(float(-g[0])) if self.symmetric \
+            else self._gap_mass()
         total = self.total_mass()
 
         def f(t: float) -> float:
             if t < g[0]:
-                if not self.symmetric or total <= 0:
+                if total <= 0:
                     return 0.0
-                return self._tail_mass_beyond(-t) / total
-            acc = left_tail
-            if not self.symmetric and t >= 0:
-                acc += atom_pos
+                if self.symmetric:
+                    return self._tail_mass_beyond(-t) / total
+                return 0.0 if t < 0 else (self.atom_at_zero + t * r[0]) / total
+            acc = below + (self.atom_at_zero if t >= 0 else 0.0)
             if t >= g[-1]:
                 acc += cum[-1]
                 acc += self._tail_mass_beyond(float(g[-1])) \
@@ -361,8 +367,6 @@ class DensityCurve:
                 frac = (t - g[j]) / (g[j + 1] - g[j])
                 rho_t = r[j] + frac * (r[j + 1] - r[j])
                 acc += cum[j] + 0.5 * (r[j] + rho_t) * (t - g[j])
-            if self.symmetric and t >= 0:
-                acc += self.atom_at_zero
             return min(acc / total, 1.0) if total > 0 else 0.0
 
         return f

@@ -4,10 +4,13 @@ Every system has the shape  unknowns = F(z, unknowns)  with F contractive
 for large |z| (band/Wigner/Wishart) or large Im z (diagonally perturbed).
 The solver therefore always starts on the imaginary axis at a radius where
 a 1/3-contraction is guaranteed by explicit bounds on g_alpha and its
-derivative, iterates damped Picard there from 0, and continues the solution
-geometrically toward the requested z, warm-starting each step.  This keeps
-the iteration on the branch that tends to zero at infinity, which is the
-one describing the spectral measure.
+derivative, and iterates damped Picard there from 0.  It then continues the
+solution geometrically toward the requested z by predictor-corrector
+continuation: a secant predictor through the last two solutions, Newton's
+method as the corrector, and damped Picard from the last solution whenever
+Newton fails.  The eps path towards the real axis takes the same steps.
+This keeps the iteration on the branch that tends to zero at infinity,
+which is the one describing the spectral measure.
 """
 
 from __future__ import annotations
@@ -105,6 +108,10 @@ class _System:
             fy = self.apply(z, y)
         za = abs(principal_power(z, self._alpha()))
         return za * float(np.max(np.abs(y - fy)))
+
+    def jacobian(self, z: complex, y: np.ndarray) -> np.ndarray:
+        """Derivative of y - apply(z, y) with respect to y."""
+        raise NotImplementedError
 
     def start_radius(self) -> float:
         raise NotImplementedError
@@ -218,6 +225,12 @@ class _PerturbedSystem(_System):
             fx = self.apply(z, x)
         return float(np.max(np.abs(x - fx)))
 
+    def jacobian(self, z, x):
+        ph = self._phases(z)
+        d = np.array([sum(w * p * p * g_alpha_prime(self.a, p * xs)
+                          for w, p in ph) for xs in x])
+        return np.eye(self.q) - self.cbar * self.kw * d[None, :]
+
     def start_radius(self):
         # contraction in Im z: |(lam - z)^(-alpha/2)|^2 <= Im(z)^-alpha
         k = float(np.max(np.sum(self.kw, axis=1))) if self.q else 0.0
@@ -274,10 +287,11 @@ def _newton_warm(system: _System, z: complex, y0: np.ndarray,
                  cfg: FixedPointConfig):
     """Newton iteration from a warm start; None on any sign of trouble.
 
-    A solution at a nearby z is close enough for quadratic convergence,
-    which beats the linear Picard rate when the contraction factor is near
-    one (deep inside the bulk or close to the real axis).  Divergence,
-    singular Jacobians or cone exits simply hand back to damped Picard.
+    The corrector of the continuation: a predicted solution at z, or one at
+    a nearby z, is close enough for quadratic convergence, which beats the
+    linear Picard rate when the contraction factor is near one (deep inside
+    the bulk or close to the real axis).  Divergence, singular Jacobians or
+    cone exits return None, and the caller falls back to damped Picard.
     """
     y = np.array(y0, dtype=complex)
     best = math.inf
@@ -306,6 +320,26 @@ def _newton_warm(system: _System, z: complex, y0: np.ndarray,
     return None
 
 
+def _secant(z: complex, last: FixedPointSolution,
+            before: FixedPointSolution) -> np.ndarray:
+    """Secant predictor at z through the last two solutions of a path."""
+    ratio = (z - last.z) / (last.z - before.z)
+    return last.unknowns + ratio * (last.unknowns - before.unknowns)
+
+
+def _continuation_step(system: _System, z: complex, y: np.ndarray,
+                       cfg: FixedPointConfig,
+                       guess: Optional[np.ndarray] = None
+                       ) -> FixedPointSolution:
+    """One continuation step to z from the solution y at a nearby point:
+    Newton from guess (y when None), else damped Picard from y."""
+    sol = _newton_warm(system, z, y if guess is None else guess, cfg)
+    if sol is None:
+        sol = _picard(system, z, y, cfg)
+    _check_cone(system, sol.unknowns)
+    return sol
+
+
 def _check_cone(system: _System, y: np.ndarray, slack: float = 1e-9):
     a = system.a
     for yi in y:
@@ -316,31 +350,32 @@ def _check_cone(system: _System, y: np.ndarray, slack: float = 1e-9):
 
 
 def _solve(system: _System, z: complex, cfg: FixedPointConfig,
-           warm: Optional[np.ndarray] = None) -> FixedPointSolution:
-    """Contraction startup at large |z| plus geometric continuation to z."""
+           warm: Optional[np.ndarray] = None,
+           guess: Optional[np.ndarray] = None) -> FixedPointSolution:
+    """The decaying-branch solution at z.
+
+    With ``warm`` (a solution at a nearby point) this is one continuation
+    step: Newton from ``guess`` (default ``warm``), then damped Picard from
+    ``warm`` if Newton fails.  Without it, damped Picard from 0 runs at the
+    contraction radius only, and geometric steps toward z each take that
+    same continuation step, predicted by the secant through the last two.
+    """
     if z.imag <= 0:
         raise ValueError("z must lie in the open upper half-plane")
     if warm is not None:
-        sol = None
-        if hasattr(system, "jacobian"):
-            sol = _newton_warm(system, z, warm, cfg)
-        if sol is None:
-            sol = _picard(system, z, warm, cfg)
-        _check_cone(system, sol.unknowns)
-        return sol
-    z0 = system.start_z(z)
-    y = np.zeros(system.q, dtype=complex)
-    zc = z0
-    while True:
-        sol = _picard(system, zc, y, cfg)
-        y = sol.unknowns
-        _check_cone(system, y)
-        if zc == z:
-            return sol
-        step = z + cfg.continuation_factor * (zc - z)
+        return _continuation_step(system, z, warm, cfg, guess)
+    sol = _picard(system, system.start_z(z), np.zeros(system.q, dtype=complex),
+                  cfg)
+    _check_cone(system, sol.unknowns)
+    before = None
+    while sol.z != z:
+        step = z + cfg.continuation_factor * (sol.z - z)
         if abs(step - z) < 0.05 * abs(z):
             step = z
-        zc = step
+        guess = None if before is None else _secant(step, sol, before)
+        before, sol = sol, _continuation_step(system, step, sol.unknowns,
+                                              cfg, guess)
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +433,8 @@ def continue_to_real_axis(system: _System, t: float,
                           critical_points: Sequence[float] = ()) -> list:
     """Solutions at z = t + i eps for a decreasing eps schedule.
 
-    Each solve warm-starts from the previous one; negative t uses the
+    Each solve is one continuation step from the previous solution,
+    predicted by the secant through the last two; negative t uses the
     conjugation symmetry Y(-conj z) = conj Y(z) of the unique decaying
     branch.  Near a known critical point the schedule is refined and the
     iteration budget raised, since analyticity of the boundary value may
@@ -430,17 +466,17 @@ def continue_to_real_axis(system: _System, t: float,
                                continuation_factor=cfg.continuation_factor)
 
     out = []
-    warm = None
     for i, eps in enumerate(eps_list):
         z = t + 1j * eps
+        warm = out[-1].unknowns if out else None
+        guess = _secant(z, out[-1], out[-2]) if len(out) > 1 else None
         try:
-            sol = _solve(system, z, cfg, warm=warm)
+            sol = _solve(system, z, cfg, warm=warm, guess=guess)
         except SolverError as exc:
             exc.failure_index = i
             exc.partial_path = out
             raise
         out.append(sol)
-        warm = sol.unknowns
     return out
 
 
@@ -453,8 +489,6 @@ def polish_on_axis(system, t: float, y: np.ndarray,
     machine-precision fixed point, making the algebraically equivalent
     density formulas agree at full accuracy.
     """
-    if not hasattr(system, "jacobian"):
-        raise ValueError("polish requires a system with a jacobian")
     z = complex(t)
     y = np.array(y, dtype=complex)
     for _ in range(max_iter):

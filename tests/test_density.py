@@ -209,6 +209,34 @@ CAUCHY = _mirrored_curve(_TS, 1.0 / (math.pi * (1.0 + _TS ** 2)),
                          tail_exponent=2.0)
 
 
+# one-sided: atom 1/2 at zero and rho = 0.05 on [0, 10], the gap [0, 0.1)
+# carried by rho(grid[0]); total mass exactly 1
+ONE_SIDED = DensityCurve(alpha=1.0, model="wishart",
+                         grid=np.linspace(0.1, 10.0, 100),
+                         rho=np.full(100, 0.05), atom_at_zero=0.5,
+                         symmetric=False)
+# atom 0.3 plus 0.7 times the half-Cauchy law, closed by its tail
+_HALF = np.geomspace(0.01, 10.0, 200)
+HALF_CAUCHY = DensityCurve(alpha=1.0, model="wishart", grid=_HALF,
+                           rho=1.4 / (math.pi * (1.0 + _HALF ** 2)),
+                           atom_at_zero=0.3,
+                           tail_constant_estimate=1.4 / math.pi,
+                           tail_exponent=2.0, symmetric=False)
+
+
+def test_one_sided_cdf_carries_atom_and_gap():
+    assert abs(ONE_SIDED.total_mass() - 1.0) < 1e-12
+    cdf = ONE_SIDED.cdf()
+    assert cdf(-1e-9) == 0.0
+    assert abs(cdf(0.0) - 0.5) < 1e-15
+    # linear through the gap up to the first grid point
+    for t in (0.02, 0.05, 0.0999, 0.1, 0.3):
+        assert abs(cdf(t) - (0.5 + 0.05 * t)) < 1e-12
+    assert abs(cdf(10.0) - 1.0) < 1e-12
+    half = HALF_CAUCHY.cdf()
+    assert abs(half(0.0) - 0.3 / HALF_CAUCHY.total_mass()) < 1e-15
+
+
 def test_symmetric_mass_counts_the_central_gap_once():
     assert abs(FLAT.total_mass() - 1.0) < 1e-12
     cdf = FLAT.cdf()
@@ -217,8 +245,9 @@ def test_symmetric_mass_counts_the_central_gap_once():
     assert abs(cdf(10.0) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("curve", [FLAT, CAUCHY],
-                         ids=["known-mass", "tail-closure"])
+@pytest.mark.parametrize("curve", [FLAT, CAUCHY, ONE_SIDED, HALF_CAUCHY],
+                         ids=["known-mass", "tail-closure",
+                              "one-sided-known-mass", "one-sided-tail"])
 def test_curve_cdf_is_a_distribution(curve):
     cdf = curve.cdf()
     ts = np.geomspace(1e-3, 1e12, 400)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from htspectra import solver
 from htspectra.matrices import DiagonalLaw, SigmaProfile
 from htspectra.solver import (
     FixedPointConfig,
@@ -217,3 +218,91 @@ def test_critical_set_alpha_large_empty():
     # the boundary value is analytic on all of (0, inf)
     assert find_critical_set(AlphaParam(1.9), box_radius=4.0,
                              seeds_per_axis=6) == []
+
+
+# ---------------------------------------------------------------------------
+# Newton continuation against the pure-Picard continuation
+
+
+BAND6 = SigmaProfile("band", breakpoints=(0.0, 0.25, 0.75, 1.0),
+                     values=(1.0, 0.0, 1.0))
+TWO_ATOMS = DiagonalLaw(atoms=((-1.0, 0.5), (1.0, 0.5)))
+SYSTEMS = {
+    "wigner": wigner_system,
+    "band6": lambda a: band_system(a, BAND6),
+    "wishart": lambda a: wishart_system(a, 0.5),
+    "perturbed": lambda a: perturbed_system(
+        a, SigmaProfile("constant", c=1.0), TWO_ATOMS),
+}
+# Im z from 3 down to 0.05.  The last point has Re z = 2.5 because at
+# alpha=1.95 and |Re z| <= 1.7 the Wishart pair defeats the Picard
+# reference: it stalls just above its tolerance, or Y2 reaches points where
+# the quadrature cannot certify g.
+PICARD_POINTS = (0.7 + 3.0j, -1.3 + 0.5j, 2.5 + 0.05j)
+
+
+def _picard_continuation(system, z, cfg):
+    """The cold path with damped Picard at every geometric step, from 0 at
+    the contraction radius: the reference the Newton path must reproduce."""
+    y = np.zeros(system.q, dtype=complex)
+    zc = system.start_z(z)
+    while True:
+        y = solver._picard(system, zc, y, cfg).unknowns
+        if zc == z:
+            return y
+        step = z + cfg.continuation_factor * (zc - z)
+        if abs(step - z) < 0.05 * abs(z):
+            step = z
+        zc = step
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.95])
+def test_newton_continuation_matches_pure_picard(alpha, name):
+    system = SYSTEMS[name](AlphaParam(alpha))
+    cfg = FixedPointConfig(max_iter=4000)
+    for z in PICARD_POINTS:
+        want = _picard_continuation(system, z, cfg)
+        got = solver._solve(system, z, cfg).unknowns
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("alpha", [0.7, 1.3, 1.8])
+def test_jacobian_matches_central_differences(alpha, name):
+    """jacobian(z, y) is the derivative of y - apply(z, y); the map is
+    holomorphic, so real and imaginary steps give the same derivative."""
+    system = SYSTEMS[name](AlphaParam(alpha))
+    y = solver._solve(system, 0.6 + 0.8j, FixedPointConfig()).unknowns
+    z = 0.9 + 0.7j
+    jac = system.jacobian(z, y)
+    assert jac.shape == (system.q, system.q)
+    for step in (1e-6, 1e-6j):
+        for j in range(system.q):
+            e = np.zeros(system.q, dtype=complex)
+            e[j] = step
+            up, down = y + e, y - e
+            col = ((up - system.apply(z, up)) - (down - system.apply(z, down))) \
+                / (2.0 * step)
+            assert np.max(np.abs(col - jac[:, j])) <= 1e-7 * max(
+                1.0, np.max(np.abs(jac)))
+
+
+def test_cold_solve_runs_picard_once(monkeypatch):
+    """Picard runs at the contraction radius only; every later step is a
+    Newton step, so a silent fallback shows up as a second call."""
+    calls = []
+    picard = solver._picard
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return picard(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_picard", counted)
+    a = AlphaParam(1.2)
+    for name, make in SYSTEMS.items():
+        for z in (0.8 + 0.6j, -1.5 + 0.2j):
+            calls.clear()
+            system = make(a)
+            solver._solve(system, z, FixedPointConfig())
+            assert calls == [system.start_z(z)], (name, z)
