@@ -9,7 +9,6 @@ with distance reports against the theory curves.
 
 from .special import (
     AlphaParam,
-    ConePoint,
     QuadratureError,
     QuadratureRule,
     c_alpha,
@@ -71,6 +70,7 @@ from .solver import (
 )
 from .density import (
     DensityCurve,
+    PointRecord,
     atom_at_zero_wishart,
     build_density_curve,
     default_eps_schedule,

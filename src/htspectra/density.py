@@ -1,18 +1,26 @@
 """Spectral measures from fixed-point solutions.
 
-Stieltjes transforms, densities as boundary values (an eps continuation
-towards the real axis and a Newton polish on it; only
+Stieltjes transforms, densities as boundary values, the Wishart atom at
+zero, exact tail constants, and the closed-form reductions: alpha=2
+semicircle, constant-profile scaling, band-to-constant equivalence, and the
+gamma=1 covariance identity.
+
+A single density point takes the per-point path: an eps continuation
+towards the real axis, then a Newton polish on it (only
 ``density_band_detail`` also Richardson-extrapolates Im G over the last
-continuation steps, as an independent check), the Wishart atom at zero,
-exact tail constants, and the closed-form reductions: alpha=2 semicircle,
-constant-profile scaling, band-to-constant equivalence, and the gamma=1
-covariance identity.
+continuation steps, as an independent check).  A density curve takes that
+path once, at its largest grid point, and then sweeps down the grid on the
+real axis: each point is predicted by a secant in log t through the last
+two solutions and corrected by the same Newton polish, with the log step
+halved on failure and the per-point path as the fallback (and always
+within 1e-2 of a critical point).  Every computed point of a curve carries
+a ``PointRecord`` of how it was obtained.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,8 +28,10 @@ import numpy as np
 from .matrices import DiagonalLaw, SigmaProfile, band_alpha_integral
 from .solver import (
     FixedPointConfig,
+    SolverError,
     band_system,
     continue_to_real_axis,
+    near_critical,
     perturbed_system,
     polish_on_axis,
     wigner_system,
@@ -33,6 +43,7 @@ _DENSITY_CFG = FixedPointConfig(max_iter=4000)
 
 __all__ = [
     "DensityCurve",
+    "PointRecord",
     "stieltjes_band",
     "density_band",
     "density_wigner_formula",
@@ -124,16 +135,47 @@ def _richardson_at_zero(eps: np.ndarray, vals: np.ndarray) -> float:
 def _boundary_solution(system, t: float, cfg: FixedPointConfig,
                        eps_schedule: Optional[Sequence[float]],
                        critical_points: Sequence[float] = ()):
-    """(eps continuation path, polished unknowns at real t)."""
+    """The per-point path at real t != 0: (eps continuation path, polished
+    solution at |t|)."""
     if eps_schedule is None:
         eps_schedule = default_eps_schedule()
     path = continue_to_real_axis(system, t, eps_schedule, cfg,
                                  critical_points=critical_points)
-    y = polish_on_axis(system, abs(t), path[-1].unknowns
-                       if t > 0 else np.conj(path[-1].unknowns))
-    if t < 0:
-        y = np.conj(y)
-    return path, y
+    y = path[-1].unknowns
+    return path, polish_on_axis(system, abs(t), y if t > 0 else np.conj(y))
+
+
+def _band_rho(a: AlphaParam, weights: np.ndarray, t: float,
+              y: np.ndarray) -> float:
+    """-(1/(pi t)) sum_s Delta_s Im h(Y_s) from polished unknowns at t."""
+    hs = np.array([h_alpha(a, yi) for yi in y])
+    return -float(np.sum(weights * hs.imag)) / (math.pi * t)
+
+
+def _wigner_rho(a: AlphaParam, t: float, y: np.ndarray,
+                agreement_tol: float = 1e-8) -> float:
+    """Constant-profile density at t > 0 from the polished unknown, by both
+    algebraically equivalent expressions, which must agree."""
+    yv = y[0]
+    al = a.alpha
+    expr1 = -h_alpha(a, yv).imag / (math.pi * t)
+    if a.alpha_two_mode:
+        i_pow = -1.0 + 0.0j
+        c_abs = 1.0
+    else:
+        i_pow = principal_power(1j, -al)
+        c_abs = abs(c_alpha(a))
+    expr2 = al * t ** (al - 1.0) / (2.0 * c_abs * math.pi) \
+        * (i_pow * yv * yv).imag
+    if abs(expr1 - expr2) > agreement_tol * max(1.0, abs(expr1)):
+        raise ArithmeticError(
+            f"density expressions disagree at t={t}: {expr1} vs {expr2}")
+    return expr1
+
+
+def _wishart_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
+    """Covariance density at t > 0 from the polished pair at sqrt(t)."""
+    return -h_alpha(a, y[0]).imag / (math.pi * t)
 
 
 def _band_boundary(a, profile, t, eps_schedule, cfg, critical_points):
@@ -141,11 +183,10 @@ def _band_boundary(a, profile, t, eps_schedule, cfg, critical_points):
     if t == 0:
         raise ValueError("t must be nonzero")
     system = band_system(a, profile)
-    path, y = _boundary_solution(system, t, cfg, eps_schedule,
-                                 critical_points)
-    hs = np.array([h_alpha(a, yi) for yi in y])
-    return system, path, \
-        -float(np.sum(system.weights * hs.imag)) / (math.pi * t)
+    path, sol = _boundary_solution(system, t, cfg, eps_schedule,
+                                   critical_points)
+    y = sol.unknowns if t > 0 else np.conj(sol.unknowns)
+    return system, path, _band_rho(a, system.weights, t, y)
 
 
 def density_band(a: AlphaParam, profile: SigmaProfile, t: float,
@@ -183,23 +224,21 @@ def density_wigner_formula(a: AlphaParam, t: float,
     algebraically equivalent expressions, which must agree."""
     if t == 0:
         raise ValueError("t must be nonzero")
-    system = wigner_system(a)
-    _, y = _boundary_solution(system, abs(t), cfg, eps_schedule)
-    yv = y[0]
-    al = a.alpha
-    expr1 = -h_alpha(a, yv).imag / (math.pi * abs(t))
-    if a.alpha_two_mode:
-        i_pow = -1.0 + 0.0j
-        c_abs = 1.0
-    else:
-        i_pow = principal_power(1j, -al)
-        c_abs = abs(c_alpha(a))
-    expr2 = al * abs(t) ** (al - 1.0) / (2.0 * c_abs * math.pi) \
-        * (i_pow * yv * yv).imag
-    if abs(expr1 - expr2) > agreement_tol * max(1.0, abs(expr1)):
-        raise ArithmeticError(
-            f"density expressions disagree at t={t}: {expr1} vs {expr2}")
-    return expr1
+    _, sol = _boundary_solution(wigner_system(a), abs(t), cfg, eps_schedule)
+    return _wigner_rho(a, abs(t), sol.unknowns, agreement_tol)
+
+
+def _gamma_one_scale(a: AlphaParam, gamma: float) -> Optional[float]:
+    """The scale s of the exact gamma=1 reduction of the covariance density
+    to the constant-profile one, rho(t) = (s/sqrt t) rho_W(s sqrt t); None
+    for gamma < 1."""
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must lie in (0, 1]")
+    if gamma < 1.0:
+        return None
+    # the 2^(1/alpha) rescaling is the heavy-tail quantile ratio a_{2N}/a_N
+    # and is absent in the finite-variance limit branch
+    return 1.0 if a.alpha_two_mode else 2.0 ** (1.0 / a.alpha)
 
 
 def density_wishart(a: AlphaParam, gamma: float, t: float,
@@ -208,18 +247,13 @@ def density_wishart(a: AlphaParam, gamma: float, t: float,
     """Density of the covariance limit at t > 0."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    if gamma == 1.0:
-        # exact reduction to the constant-profile density; the 2^(1/alpha)
-        # rescaling is the heavy-tail quantile ratio a_{2N}/a_N and is
-        # absent in the finite-variance limit branch
-        s = 1.0 if a.alpha_two_mode else 2.0 ** (1.0 / a.alpha)
+    s = _gamma_one_scale(a, gamma)
+    if s is not None:
         return s / math.sqrt(t) * density_wigner_formula(
             a, s * math.sqrt(t), eps_schedule, cfg)
-    system = wishart_system(a, gamma)
-    _, y = _boundary_solution(system, math.sqrt(t), cfg, eps_schedule)
-    return -h_alpha(a, y[0]).imag / (math.pi * t)
+    _, sol = _boundary_solution(wishart_system(a, gamma), math.sqrt(t), cfg,
+                                eps_schedule)
+    return _wishart_rho(a, t, sol.unknowns)
 
 
 def atom_at_zero_wishart(a: AlphaParam, gamma: float,
@@ -302,12 +336,15 @@ class DensityCurve:
     tail_exponent: float = 0.0   # rho ~ c * t^(-tail_exponent) beyond the grid
     eps_floor: float = EPS_FLOOR
     symmetric: bool = True
+    points: tuple = ()   # one PointRecord per computed t > 0, in grid order
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         r = np.asarray(self.rho, dtype=float)
         if g.size != r.size or g.size < 2:
             raise ValueError("grid and rho must have equal length >= 2")
+        if len(self.points) > g.size:
+            raise ValueError("more point records than grid points")
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must increase strictly")
         if np.any(r < -1e-9):
@@ -389,6 +426,9 @@ class DensityCurve:
             "mass_check": self.total_mass(),
             "eps_floor": self.eps_floor,
             "symmetric": self.symmetric,
+            # the records belong to the last len(points) grid values, t > 0
+            "points": [p.to_json(t) for t, p in zip(
+                self.grid[self.grid.size - len(self.points):], self.points)],
         }
 
     @staticmethod
@@ -418,6 +458,122 @@ def _log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
     return np.geomspace(t_min, t_max, points)
 
 
+# ---------------------------------------------------------------------------
+# real-axis sweep
+
+
+SWEEP_HALVINGS = 3   # log-step halvings before a point falls back to eps
+# Newton steps of one sweep correction, the eps path corrector's budget;
+# from a secant prediction Newton converges in at most 9 on the tested
+# curves, and slower progress means a far prediction or g's noise floor
+SWEEP_NEWTON_STEPS = 12
+
+
+@dataclass(frozen=True)
+class PointRecord:
+    """How one density point at t > 0 was obtained.
+
+    ``method`` is "sweep" (Newton on the real axis from neighbouring
+    solutions) or "eps" (the per-point eps path, then the polish);
+    ``newton_iterations`` counts the Newton steps of the polishes accepted
+    on the way to the point (intermediate points of halved steps, the
+    settling step), ``residual`` is its final residual, ``halvings``
+    counts the failed corrections that halved the log-t step, and
+    ``eps_reached`` is the last eps of an eps point.
+    """
+
+    method: str
+    newton_iterations: int
+    residual: float
+    halvings: int = 0
+    eps_reached: Optional[float] = None
+
+    def to_json(self, t: float) -> dict:
+        return {"t": float(t), **asdict(self)}
+
+
+def _log_secant(x: float, last, before) -> np.ndarray:
+    """Unknowns predicted at real x > 0 by the secant in log x through the
+    last two real-axis solutions, or the last one alone."""
+    if before is None:
+        return last.unknowns
+    ratio = math.log(x / last.z.real) / math.log(last.z.real / before.z.real)
+    return last.unknowns + ratio * (last.unknowns - before.unknowns)
+
+
+def _settled(system, sol):
+    """sol after one more Newton step, kept if it at least halves the
+    residual.
+
+    Newton stops as soon as the residual passes tol.  From a sweep
+    prediction that can be a step short of the accuracy the per-point
+    polish reaches from eps = 1e-6, which shows where rho is a small
+    imaginary part of order-one unknowns (the covariance density near 0).
+    """
+    try:
+        step = polish_on_axis(system, sol.z.real, sol.unknowns,
+                              tol=0.5 * sol.residual, max_iter=1)
+    except SolverError:
+        return sol
+    return replace(step, iterations=sol.iterations + step.iterations)
+
+
+def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
+                     eps_schedule: Sequence[float],
+                     critical_points: Sequence[float] = ()):
+    """(polished solutions, PointRecords) at the increasing grid xs > 0.
+
+    Predictor-corrector continuation along the real axis (Allgower-Georg).
+    The largest point takes the per-point path: the eps continuation, then
+    the polish.  Walking down, each point is predicted by the log-x secant
+    and corrected by ``polish_on_axis`` in at most SWEEP_NEWTON_STEPS
+    Newton steps, which accepts only a residual within its tolerance and
+    unknowns inside the cone, then ``_settled`` by one more Newton step.
+    A failed correction halves the log step, up to SWEEP_HALVINGS times,
+    and the walk passes through the intermediate points.  When the
+    halvings run out, and within 1e-2 of a critical point, the point takes
+    the per-point path and the sweep continues from there.
+    """
+    sols = [None] * len(xs)
+    records = [None] * len(xs)
+    last = before = None
+    for i in range(len(xs) - 1, -1, -1):
+        x = float(xs[i])
+        sol = None
+        halvings = newton = 0
+        if last is not None and not near_critical(x, critical_points):
+            step = math.log(x / last.z.real)
+            while sol is None:
+                at = x if abs(math.log(x / last.z.real)) <= abs(step) * (
+                    1.0 + 1e-9) else last.z.real * math.exp(step)
+                try:
+                    point = polish_on_axis(system, at,
+                                           _log_secant(at, last, before),
+                                           max_iter=SWEEP_NEWTON_STEPS)
+                except SolverError:
+                    if halvings == SWEEP_HALVINGS:
+                        break
+                    halvings += 1
+                    step *= 0.5
+                    continue
+                if at == x:
+                    point = sol = _settled(system, point)
+                newton += point.iterations
+                before, last = last, point
+        if sol is None:
+            path, sol = _boundary_solution(system, x, cfg, eps_schedule,
+                                           critical_points)
+            before, last = last, sol
+            records[i] = PointRecord("eps", newton + sol.iterations,
+                                     sol.residual, halvings,
+                                     path[-1].z.imag)
+        else:
+            records[i] = PointRecord("sweep", newton, sol.residual,
+                                     halvings)
+        sols[i] = sol
+    return sols, records
+
+
 def build_density_curve(a: AlphaParam, model: str,
                         profile: Optional[SigmaProfile] = None,
                         gamma: float = 1.0,
@@ -431,46 +587,60 @@ def build_density_curve(a: AlphaParam, model: str,
     """Compute a density curve over a log-spaced grid.
 
     model is one of wigner | band | wishart; symmetric models are computed
-    on t > 0 and mirrored.  (Perturbed ensembles expose transforms, not
-    densities, at this surface.)  Every point follows ``eps_schedule``
-    (default: ``default_eps_schedule()``), whose last step is recorded as
-    the curve's ``eps_floor``.
+    on t > 0 and mirrored, the covariance model in sqrt(t) (at gamma = 1
+    through its exact reduction to the constant-profile density).
+    (Perturbed ensembles expose transforms, not densities, at this
+    surface.)  The grid is solved by ``_sweep_real_axis``: one per-point
+    eps path along ``eps_schedule`` (default: ``default_eps_schedule()``),
+    whose last step is recorded as the curve's ``eps_floor``, then Newton
+    on the real axis from point to point.  ``critical_points`` (values of
+    t, for the symmetric models) force the per-point path within 1e-2 of
+    each.  The curve's ``points`` record how each t > 0 was solved.
     """
     if eps_schedule is None:
         eps_schedule = default_eps_schedule()
     ts = _log_grid(t_min, t_max, points)
+    # the system, its grid xs, and rho(t, x, polished unknowns at x)
     if model == "wigner":
-        rho = np.array([density_wigner_formula(a, t, eps_schedule, cfg)
-                        for t in ts])
-        tail_c = 0.5 * a.alpha
-        tail_p = a.alpha + 1.0
-        atom = 0.0
-        grid = np.concatenate([-ts[::-1], ts])
-        rho = np.concatenate([rho[::-1], rho])
-        symmetric = True
+        system, xs = wigner_system(a), ts
+        rho_at = lambda t, x, y: _wigner_rho(a, x, y)
     elif model == "band":
         if profile is None:
             raise ValueError("band model needs a profile")
-        rho = np.array([density_band(a, profile, t, eps_schedule, cfg,
-                                     critical_points) for t in ts])
-        tail_c = tail_constant(a, profile)
-        tail_p = a.alpha + 1.0
-        atom = 0.0
-        grid = np.concatenate([-ts[::-1], ts])
-        rho = np.concatenate([rho[::-1], rho])
-        symmetric = True
+        system, xs = band_system(a, profile), ts
+        rho_at = lambda t, x, y: _band_rho(a, system.weights, x, y)
     elif model == "wishart":
-        rho = np.array([density_wishart(a, gamma, t, eps_schedule, cfg)
-                        for t in ts])
+        scale = _gamma_one_scale(a, gamma)
+        if scale is None:
+            system, xs = wishart_system(a, gamma), np.sqrt(ts)
+            rho_at = lambda t, x, y: _wishart_rho(a, t, y)
+        else:
+            system, xs = wigner_system(a), scale * np.sqrt(ts)
+            rho_at = lambda t, x, y: \
+                scale / math.sqrt(t) * _wigner_rho(a, x, y)
+        critical_points = ()
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    sols, records = _sweep_real_axis(system, xs, cfg, eps_schedule,
+                                     critical_points)
+    rho = np.array([rho_at(t, x, sol.unknowns)
+                    for t, x, sol in zip(ts, xs, sols)])
+    if model == "wishart":
         tail_c = _wishart_tail_constant(a, gamma)
         tail_p = 1.0 + 0.5 * a.alpha
         atom = 0.0 if gamma >= 1.0 else atom_at_zero_wishart(a, gamma, cfg)
         grid = ts
         symmetric = False
     else:
-        raise ValueError(f"unknown model {model!r}")
+        tail_c = 0.5 * a.alpha if model == "wigner" \
+            else tail_constant(a, profile)
+        tail_p = a.alpha + 1.0
+        atom = 0.0
+        grid = np.concatenate([-ts[::-1], ts])
+        rho = np.concatenate([rho[::-1], rho])
+        symmetric = True
     return DensityCurve(alpha=a.alpha, model=model, grid=grid, rho=rho,
                         atom_at_zero=atom, tail_constant_estimate=tail_c,
                         tail_exponent=tail_p,
                         eps_floor=float(eps_schedule[-1]),
-                        symmetric=symmetric)
+                        symmetric=symmetric, points=tuple(records))

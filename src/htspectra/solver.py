@@ -45,6 +45,8 @@ __all__ = [
     "solve_wishart_pair",
     "solve_perturbed",
     "continue_to_real_axis",
+    "near_critical",
+    "polish_on_axis",
     "find_critical_set",
     "wigner_system",
     "band_system",
@@ -86,7 +88,6 @@ class FixedPointSolution:
     unknowns: np.ndarray
     residual: float
     iterations: int
-    u: complex            # diagnostic coordinate z^(-alpha)
     cone: str = K_ALPHA
 
 
@@ -257,7 +258,7 @@ def _picard(system: _System, z: complex, y0: np.ndarray,
         if res <= cfg.tol:
             return FixedPointSolution(
                 z=z, unknowns=y, residual=res, iterations=it,
-                u=principal_power(z, -system._alpha()), cone=system.cone)
+                cone=system.cone)
         if res > prev and d > 1e-3:
             d *= 0.5
             decreases = 0
@@ -304,7 +305,7 @@ def _newton_warm(system: _System, z: complex, y0: np.ndarray,
         if res <= cfg.tol:
             return FixedPointSolution(
                 z=z, unknowns=y, residual=res, iterations=it,
-                u=principal_power(z, -system._alpha()), cone=system.cone)
+                cone=system.cone)
         if not math.isfinite(res) or res > 100.0 * best:
             return None
         best = min(best, res)
@@ -332,21 +333,28 @@ def _continuation_step(system: _System, z: complex, y: np.ndarray,
                        guess: Optional[np.ndarray] = None
                        ) -> FixedPointSolution:
     """One continuation step to z from the solution y at a nearby point:
-    Newton from guess (y when None), else damped Picard from y."""
+    Newton from guess (y when None), else damped Picard from y.  An
+    arithmetic failure of g on the way is a SolverError caused by it."""
     sol = _newton_warm(system, z, y if guess is None else guess, cfg)
     if sol is None:
-        sol = _picard(system, z, y, cfg)
+        try:
+            sol = _picard(system, z, y, cfg)
+        except ArithmeticError as exc:
+            raise SolverError(f"Picard failed at z={z}: {exc}",
+                              unknowns=y) from exc
     _check_cone(system, sol.unknowns)
     return sol
 
 
-def _check_cone(system: _System, y: np.ndarray, slack: float = 1e-9):
+def _check_cone(system: _System, y: np.ndarray, slack: float = 1e-9,
+                residual: Optional[float] = None):
     a = system.a
     for yi in y:
         if not cone_contains(system.cone, a, yi, slack):
             raise SolverError(
                 f"iterate {yi} left the cone {system.cone} "
-                "(branch loss during continuation)", unknowns=y)
+                "(branch loss during continuation)", unknowns=y,
+                residual=residual)
 
 
 def _solve(system: _System, z: complex, cfg: FixedPointConfig,
@@ -452,11 +460,9 @@ def continue_to_real_axis(system: _System, t: float,
         return [FixedPointSolution(
             z=-sol.z.conjugate(), unknowns=np.conj(sol.unknowns),
             residual=sol.residual, iterations=sol.iterations,
-            u=principal_power(-sol.z.conjugate(), -system._alpha()),
             cone=sol.cone) for sol in path]
 
-    near_critical = any(abs(abs(t) - c) < 1e-2 for c in critical_points)
-    if near_critical:
+    if near_critical(t, critical_points):
         refined = [eps_list[0]]
         while refined[-1] > eps_list[-1]:
             refined.append(max(refined[-1] * 0.95, eps_list[-1]))
@@ -480,25 +486,46 @@ def continue_to_real_axis(system: _System, t: float,
     return out
 
 
+def near_critical(t: float, critical_points: Sequence[float]) -> bool:
+    """Whether |t| lies within 1e-2 of a known critical point, where the
+    boundary value may fail to be analytic."""
+    return any(abs(abs(t) - c) < 1e-2 for c in critical_points)
+
+
 def polish_on_axis(system, t: float, y: np.ndarray,
-                   tol: float = 1e-13, max_iter: int = 40) -> np.ndarray:
-    """Newton refinement of a continued solution at real z = t > 0.
+                   tol: float = 1e-13, max_iter: int = 40
+                   ) -> FixedPointSolution:
+    """Newton solution of the defining equation at real z = t > 0, from y.
 
     The boundary values extend continuously to the real axis; a few Newton
-    steps on the defining equation turn the eps-extrapolated iterate into a
+    steps turn an iterate near the axis (the end of an eps path, or a
+    prediction from neighbouring real-axis solutions) into a
     machine-precision fixed point, making the algebraically equivalent
-    density formulas agree at full accuracy.
+    density formulas agree at full accuracy.  ``iterations`` counts the
+    Newton steps taken.  Raises SolverError, with the last unknowns and
+    residual, when the residual is still above tol after max_iter steps,
+    when the root lies outside the cone, or when g fails on the way.
     """
     z = complex(t)
     y = np.array(y, dtype=complex)
-    for _ in range(max_iter):
-        fy = system.apply(z, y)
-        res = system.residual(z, y, fy)
-        if res <= tol:
-            return y
-        jac = system.jacobian(z, y)
-        y = y + np.linalg.solve(jac, fy - y)
-    return y
+    res = math.inf
+    try:
+        for steps in range(max_iter + 1):
+            fy = system.apply(z, y)
+            res = system.residual(z, y, fy)
+            if res <= tol or steps == max_iter:
+                break
+            y = y + np.linalg.solve(system.jacobian(z, y), fy - y)
+    except (ValueError, ArithmeticError) as exc:
+        raise SolverError(f"polish failed at t={t}: {exc}", unknowns=y,
+                          residual=res) from exc
+    if not res <= tol:   # also when the residual is nan
+        raise SolverError(
+            f"no convergence on the axis at t={t}: residual {res:.3e} "
+            f"after {max_iter} Newton steps", unknowns=y, residual=res)
+    _check_cone(system, y, residual=res)
+    return FixedPointSolution(z=z, unknowns=y, residual=res,
+                              iterations=steps, cone=system.cone)
 
 
 # ---------------------------------------------------------------------------

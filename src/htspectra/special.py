@@ -33,7 +33,6 @@ from scipy.special import roots_genlaguerre
 __all__ = [
     "AlphaParam",
     "QuadratureRule",
-    "ConePoint",
     "QuadratureError",
     "principal_power",
     "g_alpha_beta",
@@ -89,15 +88,6 @@ class QuadratureRule:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
-class ConePoint:
-    value: complex
-    cone: str = K_ALPHA
-
-    def contained(self, a: AlphaParam, slack: float = 1e-9) -> bool:
-        return cone_contains(self.cone, a, self.value, slack)
 
 
 def principal_power(x: complex, p: float) -> complex:

@@ -66,6 +66,22 @@ def test_theory_curve_outputs(tmp_path):
     assert len(text.strip().splitlines()) == 25   # header + mirrored grid
 
 
+def test_theory_records_every_point(tmp_path):
+    code = run(["theory", "--alpha", "1.0", "--t-min", "0.01",
+                "--t-max", "100", "--points", "6", "--out", str(tmp_path)])
+    assert code == 0
+    recs = json.loads((tmp_path / "density.json").read_text())["points"]
+    rows = (tmp_path / "density.csv").read_text().strip().splitlines()[1:]
+    # one record per t > 0, the upper half of the mirrored grid
+    assert [r["t"] for r in recs] == [float(r.split(",")[0])
+                                      for r in rows[6:]]
+    assert [r["method"] for r in recs] == ["sweep"] * 5 + ["eps"]
+    for r in recs:
+        assert set(r) == {"t", "method", "newton_iterations", "residual",
+                          "halvings", "eps_reached"}
+        assert r["residual"] <= 1e-13
+
+
 def test_simulate_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     args = ["simulate", "--alpha", "1.5", "--n", "60", "--trials", "2",

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from htspectra import density
 from htspectra.density import (
     DensityCurve,
     atom_at_zero_wishart,
@@ -25,6 +26,7 @@ from htspectra.matrices import (
     equivalent_constant,
     profile_alpha_norm,
 )
+from htspectra.solver import SolverError
 from htspectra.special import AlphaParam
 
 
@@ -276,3 +278,152 @@ def test_band_alpha_integral_single_definition(alpha):
         assert abs(profile_alpha_norm(prof, alpha, N=200)[0] - want) <= 1e-14
         assert abs(equivalent_constant(prof, alpha).c ** alpha
                    - want) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the real-axis sweep of build_density_curve against the per-point path
+
+
+def _per_point(model, a, t, gamma=0.5, critical_points=()):
+    if model == "wigner":
+        return density_wigner_formula(a, t)
+    if model == "band":
+        return density_band(a, BAND, t, critical_points=critical_points)
+    return density_wishart(a, gamma, t)
+
+
+def _curve(model, a, t_min, t_max, points, gamma=0.5, **kw):
+    extra = {"profile": BAND} if model == "band" else {}
+    if model == "wishart":
+        extra["gamma"] = gamma
+    return build_density_curve(a, model, t_min=t_min, t_max=t_max,
+                               points=points, **extra, **kw)
+
+
+def _agrees(got, want):
+    return abs(got - want) <= max(1e-12 * abs(want), 1e-13)
+
+
+# (model, alpha, gamma, t_min, t_max, points)
+SWEEP_CASES = (
+    [("wigner", al, None, 1e-2, 1e3, 8) for al in (0.5, 1.0, 1.5, 1.95)]
+    + [("band", al, None, 1e-2, 1e3, 8) for al in (0.5, 1.0, 1.5, 1.95)]
+    + [("wishart", al, 0.5, 1e-2, 1e4, 8) for al in (0.5, 1.0, 1.5)]
+    + [("wishart", 1.2, 1.0, 1e-2, 1e4, 8),
+       ("wigner", 1.0, None, 1e-3, 1e2, 80),
+       ("wishart", 1.2, 0.5, 1e-2, 1e4, 80)])
+# The per-point path itself fails here: along its eps path the Picard
+# fallback reaches arguments where g cannot be certified (SolverError
+# caused by QuadratureError).  The swept value there is held to its own
+# residual and to the gap near zero, where rho is roundoff.
+PER_POINT_FAILS = {("wishart", 1.5, 0.5, 1e-2)}
+
+
+@pytest.mark.parametrize("model,alpha,gamma,t_min,t_max,points",
+                         SWEEP_CASES,
+                         ids=[f"{c[0]}-a{c[1]}-g{c[2]}-{c[5]}"
+                              for c in SWEEP_CASES])
+def test_sweep_matches_per_point_path(model, alpha, gamma, t_min, t_max,
+                                      points):
+    a = AlphaParam(alpha)
+    curve = _curve(model, a, t_min, t_max, points, gamma=gamma)
+    ts = curve.grid[-points:]
+    methods = [p.method for p in curve.points]
+    assert methods == ["sweep"] * (points - 1) + ["eps"]
+    for t, got, rec in zip(ts, curve.rho[-points:], curve.points):
+        assert rec.residual <= 1e-13
+        if (model, alpha, gamma, float(t)) in PER_POINT_FAILS:
+            with pytest.raises(SolverError):
+                _per_point(model, a, t, gamma)
+            assert got <= 1e-13
+            continue
+        want = _per_point(model, a, t, gamma)
+        assert _agrees(got, max(want, 0.0)), (t, got, want)
+
+
+def test_sweep_falls_back_at_critical_points():
+    a = AlphaParam(1.5)
+    ts = np.geomspace(1e-2, 1e3, 8)
+    crit = [float(ts[3])]
+    curve = _curve("band", a, 1e-2, 1e3, 8, critical_points=crit)
+    methods = [p.method for p in curve.points]
+    assert methods == ["sweep"] * 3 + ["eps"] + ["sweep"] * 3 + ["eps"]
+    assert curve.points[3].eps_reached == 1e-6
+    assert curve.rho[8 + 3] == density_band(a, BAND, ts[3],
+                                            critical_points=crit)
+    for t, got in zip(ts, curve.rho[8:]):
+        assert _agrees(got, density_band(a, BAND, t, critical_points=crit))
+
+
+def test_clean_sweep_runs_one_eps_path(monkeypatch):
+    calls = []
+    real = density.continue_to_real_axis
+
+    def counted(system, t, *args, **kwargs):
+        calls.append(t)
+        return real(system, t, *args, **kwargs)
+
+    monkeypatch.setattr(density, "continue_to_real_axis", counted)
+    curve = build_density_curve(AlphaParam(1.0), "wigner", t_min=1e-3,
+                                t_max=1e2, points=8)
+    assert calls == [curve.grid[-1]]
+
+
+def _failing_polish(monkeypatch, fails):
+    """Make density.polish_on_axis raise SolverError where fails(t) holds,
+    the first time for each t; returns the list of t it was called at."""
+    real = density.polish_on_axis
+    calls = []
+
+    def polish(system, t, y, **kwargs):
+        if fails(t) and t not in calls:
+            calls.append(t)
+            raise SolverError("injected failure")
+        calls.append(t)
+        return real(system, t, y, **kwargs)
+
+    monkeypatch.setattr(density, "polish_on_axis", polish)
+    return calls
+
+
+def test_failed_correction_halves_the_step(monkeypatch):
+    a = AlphaParam(1.5)
+    ts = np.geomspace(1e-2, 1e3, 8)
+    calls = _failing_polish(monkeypatch, lambda t: t == ts[5])
+    curve = build_density_curve(a, "wigner", t_min=1e-2, t_max=1e3,
+                                points=8)
+    rec = curve.points[5]
+    assert (rec.method, rec.halvings) == ("sweep", 1)
+    # the walk passed through the log midpoint of ts[6] and ts[5]
+    assert any(abs(t / math.sqrt(ts[5] * ts[6]) - 1.0) < 1e-12
+               for t in calls)
+    assert _agrees(curve.rho[8 + 5], density_wigner_formula(a, ts[5]))
+
+
+def test_exhausted_halvings_fall_back_to_eps(monkeypatch):
+    a = AlphaParam(1.5)
+    ts = np.geomspace(1e-2, 1e3, 8)
+    # the direct step to ts[5] and every intermediate point fail once
+    _failing_polish(monkeypatch, lambda t: ts[5] <= t < ts[6])
+    curve = build_density_curve(a, "wigner", t_min=1e-2, t_max=1e3,
+                                points=8)
+    rec = curve.points[5]
+    assert (rec.method, rec.halvings) == ("eps", density.SWEEP_HALVINGS)
+    assert curve.rho[8 + 5] == density_wigner_formula(a, ts[5])
+    # the sweep continues below the fallback point
+    assert [p.method for p in curve.points[:5]] == ["sweep"] * 5
+    for t, got in zip(ts[:5], curve.rho[8:13]):
+        assert _agrees(got, density_wigner_formula(a, t))
+
+
+def test_point_records_reach_the_sidecar():
+    curve = build_density_curve(AlphaParam(1.2), "wishart", gamma=0.5,
+                                t_min=0.1, t_max=100.0, points=4)
+    side = json.loads(json.dumps(curve.sidecar()))
+    recs = side["points"]
+    assert [r["t"] for r in recs] == curve.grid.tolist()
+    assert [r["method"] for r in recs] == ["sweep"] * 3 + ["eps"]
+    assert recs[-1]["eps_reached"] == 1e-6
+    assert all(r["eps_reached"] is None for r in recs[:-1])
+    assert all(r["residual"] <= 1e-13 and r["halvings"] == 0
+               and r["newton_iterations"] >= 1 for r in recs)

@@ -187,8 +187,73 @@ def test_polish_reaches_machine_precision():
     a = AlphaParam(1.5)
     sys = wigner_system(a)
     path = continue_to_real_axis(sys, 1.2, [0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3])
-    y = polish_on_axis(sys, 1.2, path[-1].unknowns)
+    y = polish_on_axis(sys, 1.2, path[-1].unknowns).unknowns
     assert sys.residual(complex(1.2), y) < 1e-12
+
+
+def test_polish_reports_its_solution():
+    a = AlphaParam(1.5)
+    sys = wigner_system(a)
+    path = continue_to_real_axis(sys, 1.2, [0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3])
+    sol = polish_on_axis(sys, 1.2, path[-1].unknowns)
+    assert sol.z == complex(1.2)
+    assert sol.residual == sys.residual(complex(1.2), sol.unknowns)
+    assert sol.residual <= 1e-13
+    assert 1 <= sol.iterations <= 40
+
+
+def test_polish_raises_when_unconverged():
+    # two Newton steps from far away leave a residual of order one
+    sys = wigner_system(AlphaParam(1.5))
+    with pytest.raises(SolverError) as exc_info:
+        polish_on_axis(sys, 1.2, np.array([5.0 + 0.0j]), max_iter=2)
+    err = exc_info.value
+    assert err.residual > 1e-3
+    assert err.unknowns is not None and err.unknowns.shape == (1,)
+
+
+class _ConstantMap(solver._System):
+    """y = root: Newton lands on root in one step, wherever root lies."""
+
+    def __init__(self, a, root):
+        super().__init__(a)
+        self.root = np.array([root], dtype=complex)
+
+    def apply(self, z, y):
+        return self.root.copy()
+
+    def jacobian(self, z, y):
+        return np.eye(1)
+
+
+def test_polish_raises_outside_the_cone():
+    # a converged root on the negative real axis lies outside K_0.5: it is
+    # a lost branch, not a solution
+    a = AlphaParam(0.5)
+    assert polish_on_axis(_ConstantMap(a, 0.5), 2.0, [0.0]).residual == 0.0
+    with pytest.raises(SolverError) as exc_info:
+        polish_on_axis(_ConstantMap(a, -1.0), 2.0, [0.0])
+    assert exc_info.value.residual == 0.0
+    assert exc_info.value.unknowns[0] == -1.0
+
+
+def test_arithmetic_failure_becomes_solver_error():
+    # at alpha=1.95 the Picard fallback drives Y2 to about -74+25i, where
+    # g cannot be certified; the quadrature error must surface as a
+    # SolverError chained to its cause
+    with pytest.raises(SolverError) as exc_info:
+        solve_wishart_pair(AlphaParam(1.95), 0.5, 0.4 + 0.05j)
+    assert isinstance(exc_info.value.__cause__, ArithmeticError)
+
+
+def test_arithmetic_failure_carries_partial_path():
+    sys = wishart_system(AlphaParam(1.95), 0.5)
+    eps = [0.5 * 0.8 ** k for k in range(60)]
+    with pytest.raises(SolverError) as exc_info:
+        continue_to_real_axis(sys, 0.1, [e for e in eps if e >= 1e-6])
+    err = exc_info.value
+    assert isinstance(err.__cause__, ArithmeticError)
+    assert err.failure_index == len(err.partial_path)
 
 
 def test_solver_error_carries_partial_path():
