@@ -61,6 +61,7 @@ from .solver import (
     find_critical_set,
     perturbed_system,
     polish_on_axis,
+    solve,
     solve_band,
     solve_perturbed,
     solve_wigner,

@@ -14,7 +14,10 @@ real axis: each point is predicted by a secant in log t through the last
 two solutions and corrected by the same Newton polish, with the log step
 halved on failure and the per-point path as the fallback (and always
 within 1e-2 of a critical point).  Every computed point of a curve carries
-a ``PointRecord`` of how it was obtained.
+a ``PointRecord`` of how it was obtained.  The Wishart atom at zero takes
+one continuation path down the imaginary axis: damped Picard once at the
+contraction radius, then Newton from half-decade to half-decade, predicted
+by a power law in x through the last two solutions.
 """
 
 from __future__ import annotations
@@ -29,11 +32,14 @@ from .matrices import DiagonalLaw, SigmaProfile, band_alpha_integral
 from .solver import (
     FixedPointConfig,
     SolverError,
+    _check_cone,
+    _newton_warm,
     band_system,
     continue_to_real_axis,
     near_critical,
     perturbed_system,
     polish_on_axis,
+    solve,
     wigner_system,
     wishart_system,
 )
@@ -98,21 +104,15 @@ def _band_G(a: AlphaParam, z: complex, y: np.ndarray,
 def stieltjes_band(a: AlphaParam, profile: SigmaProfile, z: complex,
                    cfg: FixedPointConfig = _DENSITY_CFG) -> complex:
     system = band_system(a, profile)
-    sol = _solve_system(system, complex(z), cfg)
+    sol = solve(system, z, cfg)
     return _band_G(a, sol.z, sol.unknowns, system.weights)
-
-
-def _solve_system(system, z, cfg):
-    from .solver import _solve
-
-    return _solve(system, z, cfg)
 
 
 def stieltjes_perturbed(a: AlphaParam, profile: SigmaProfile,
                         diag: DiagonalLaw, z: complex,
                         cfg: FixedPointConfig = _DENSITY_CFG) -> complex:
     system = perturbed_system(a, profile, diag)
-    sol = _solve_system(system, complex(z), cfg)
+    sol = solve(system, z, cfg)
     x = sol.unknowns
     total = 0.0 + 0.0j
     for lam, w in diag.atoms:
@@ -256,24 +256,61 @@ def density_wishart(a: AlphaParam, gamma: float, t: float,
     return _wishart_rho(a, t, sol.unknowns)
 
 
+def _power_law(x: float, last, before) -> np.ndarray:
+    """Unknowns predicted at z = ix by the power law in x through the last
+    two solutions on the imaginary axis, or the last one alone; exact for
+    unknowns that are constant or proportional to a power of x."""
+    if before is None:
+        return last.unknowns
+    r = math.log(x / last.z.imag) / math.log(last.z.imag / before.z.imag)
+    return last.unknowns * (last.unknowns / before.unknowns) ** r
+
+
 def atom_at_zero_wishart(a: AlphaParam, gamma: float,
                          cfg: FixedPointConfig = _DENSITY_CFG) -> float:
     """Mass of the atom at zero of the covariance limit, from the radial
-    limit of z G(z): extrapolate h(Y1(ix)) to x = 0."""
+    limit of z G(z): extrapolate h(Y1(ix)) to x = 0.
+
+    One continuation path down the imaginary axis at x = 0.1 * 10^(k/2),
+    from the first such x at or above the contraction radius, where the
+    cold solve is damped Picard only, to 1e-4; every later point is a
+    Newton correction from a power-law predictor (``_power_law``), which
+    follows Y1 -> const and Y2 ~ x^-alpha, in the walk of ``_log_walk``.
+    When its halvings run out, the point takes a continuation step from
+    the last one, Newton and then damped Picard.  The last seven points
+    are fitted by a quadratic in x.  Raises SolverError, with the unknowns,
+    when h(Y1(ix)) leaves the real axis.
+    """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     system = wishart_system(a, gamma)
     xs = np.array([1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4])
-    vals = []
-    warm = None
-    from .solver import _solve
+    # the path: x = 0.1 * 10^(k/2) from the first one at or above the
+    # contraction radius down to xs[-1]
+    top = math.ceil(2.0 * math.log10(system.start_radius() / xs[0]))
+    path = [xs[0] * 10.0 ** (k / 2.0) for k in range(top, 0, -1)] + list(xs)
 
-    for x in xs:
-        sol = _solve(system, 1j * x, cfg, warm=warm)
-        warm = sol.unknowns
-        h1 = h_alpha(a, sol.unknowns[0])
+    def correct(at, last, before):
+        sol = _newton_warm(system, 1j * at, _power_law(at, last, before), cfg)
+        if sol is not None:
+            _check_cone(system, sol.unknowns, residual=sol.residual)
+        return sol
+
+    last, before = solve(system, 1j * path[0], cfg), None
+    vals = []
+    for x in map(float, path):
+        last, before, _, _ = _log_walk(x, last, before,
+                                       lambda point: point.z.imag, correct)
+        if last.z.imag != x:
+            before, last = last, solve(system, 1j * x, cfg,
+                                       warm=last.unknowns,
+                                       guess=_power_law(x, last, before))
+        if x > xs[0]:
+            continue
+        h1 = h_alpha(a, last.unknowns[0])
         if abs(h1.imag) > 1e-6:
-            raise ArithmeticError("h(Y1(ix)) drifted off the real axis")
+            raise SolverError("h(Y1(ix)) drifted off the real axis",
+                              unknowns=last.unknowns, residual=last.residual)
         vals.append(h1.real)
     vals = np.array(vals)
     fit = np.polynomial.polynomial.polyfit(xs, vals, 2)
@@ -462,7 +499,10 @@ def _log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
 # real-axis sweep
 
 
-SWEEP_HALVINGS = 3   # log-step halvings before a point falls back to eps
+# log-step halvings of a ``_log_walk`` before its point falls back: on the
+# real axis to the eps path, on the imaginary axis (the Wishart atom) to
+# Newton and then Picard
+SWEEP_HALVINGS = 3
 # Newton steps of one sweep correction, the eps path corrector's budget;
 # from a secant prediction Newton converges in at most 9 on the tested
 # curves, and slower progress means a far prediction or g's noise floor
@@ -490,6 +530,35 @@ class PointRecord:
 
     def to_json(self, t: float) -> dict:
         return {"t": float(t), **asdict(self)}
+
+
+def _log_walk(x: float, last, before, coord, correct):
+    """(last, before, halvings, newton): a predictor-corrector walk in log
+    steps along an axis to the point whose coordinate is x, from the path
+    point last and the one before it (or None); coord(sol) reads a
+    solution's coordinate.
+
+    correct(at, last, before) returns the solution at coordinate at, or
+    None when its correction fails.  A failure halves the log step, up to
+    SWEEP_HALVINGS times, and the walk passes through the intermediate
+    points.  The returned last is at x unless the halvings ran out;
+    ``newton`` sums the iterations of the accepted corrections.
+    """
+    step = math.log(x / coord(last))
+    halvings = newton = 0
+    while coord(last) != x:
+        at = x if abs(math.log(x / coord(last))) <= abs(step) * (
+            1.0 + 1e-9) else coord(last) * math.exp(step)
+        sol = correct(at, last, before)
+        if sol is None:
+            if halvings == SWEEP_HALVINGS:
+                break
+            halvings += 1
+            step *= 0.5
+            continue
+        newton += sol.iterations
+        before, last = last, sol
+    return last, before, halvings, newton
 
 
 def _log_secant(x: float, last, before) -> np.ndarray:
@@ -528,38 +597,32 @@ def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
     the polish.  Walking down, each point is predicted by the log-x secant
     and corrected by ``polish_on_axis`` in at most SWEEP_NEWTON_STEPS
     Newton steps, which accepts only a residual within its tolerance and
-    unknowns inside the cone, then ``_settled`` by one more Newton step.
-    A failed correction halves the log step, up to SWEEP_HALVINGS times,
-    and the walk passes through the intermediate points.  When the
+    unknowns inside the cone, then ``_settled`` by one more Newton step;
+    ``_log_walk`` halves the log step on a failed correction.  When the
     halvings run out, and within 1e-2 of a critical point, the point takes
     the per-point path and the sweep continues from there.
     """
     sols = [None] * len(xs)
     records = [None] * len(xs)
     last = before = None
+
+    def correct(at, last, before):
+        try:
+            point = polish_on_axis(system, at, _log_secant(at, last, before),
+                                   max_iter=SWEEP_NEWTON_STEPS)
+        except SolverError:
+            return None
+        return _settled(system, point) if at == x else point
+
     for i in range(len(xs) - 1, -1, -1):
         x = float(xs[i])
         sol = None
         halvings = newton = 0
         if last is not None and not near_critical(x, critical_points):
-            step = math.log(x / last.z.real)
-            while sol is None:
-                at = x if abs(math.log(x / last.z.real)) <= abs(step) * (
-                    1.0 + 1e-9) else last.z.real * math.exp(step)
-                try:
-                    point = polish_on_axis(system, at,
-                                           _log_secant(at, last, before),
-                                           max_iter=SWEEP_NEWTON_STEPS)
-                except SolverError:
-                    if halvings == SWEEP_HALVINGS:
-                        break
-                    halvings += 1
-                    step *= 0.5
-                    continue
-                if at == x:
-                    point = sol = _settled(system, point)
-                newton += point.iterations
-                before, last = last, point
+            last, before, halvings, newton = _log_walk(
+                x, last, before, lambda point: point.z.real, correct)
+            if last.z.real == x:
+                sol = last
         if sol is None:
             path, sol = _boundary_solution(system, x, cfg, eps_schedule,
                                            critical_points)

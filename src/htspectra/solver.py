@@ -40,6 +40,7 @@ __all__ = [
     "FixedPointConfig",
     "FixedPointSolution",
     "SolverError",
+    "solve",
     "solve_wigner",
     "solve_band",
     "solve_wishart_pair",
@@ -408,6 +409,15 @@ def perturbed_system(a: AlphaParam, profile: SigmaProfile,
                      diag: DiagonalLaw, cells: int = 6) -> _PerturbedSystem:
     w, k = alpha_kernel(profile, a.alpha, cells=cells)
     return _PerturbedSystem(a, w, k, diag)
+
+
+def solve(system: _System, z: complex,
+          cfg: FixedPointConfig = FixedPointConfig(),
+          warm: Optional[np.ndarray] = None,
+          guess: Optional[np.ndarray] = None) -> FixedPointSolution:
+    """The decaying-branch solution of system at z, cold or as one
+    continuation step from ``warm`` (see ``_solve``)."""
+    return _solve(system, complex(z), cfg, warm, guess)
 
 
 def solve_wigner(a: AlphaParam, z: complex,

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from htspectra import density
+from htspectra import density, solver, special
 from htspectra.density import (
     DensityCurve,
     atom_at_zero_wishart,
@@ -27,7 +27,7 @@ from htspectra.matrices import (
     profile_alpha_norm,
 )
 from htspectra.solver import SolverError
-from htspectra.special import AlphaParam
+from htspectra.special import AlphaParam, h_alpha
 
 
 CONST = SigmaProfile("constant", c=1.0)
@@ -427,3 +427,140 @@ def test_point_records_reach_the_sidecar():
     assert all(r["eps_reached"] is None for r in recs[:-1])
     assert all(r["residual"] <= 1e-13 and r["halvings"] == 0
                and r["newton_iterations"] >= 1 for r in recs)
+
+
+# ---------------------------------------------------------------------------
+# the Wishart atom: one continuation path down the imaginary axis
+
+
+ATOM_XS = np.array([1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5,
+                    1e-4])
+ATOM_ALPHAS = (0.5, 0.8, 1.0, 1.2, 1.5, 1.7, 1.9, 1.95)
+ATOM_GAMMAS = (0.1, 0.5, 0.9, 0.99)
+
+
+def _atom_seven_warm_solves(a, gamma):
+    """The atom as seven separate warm solves at the extrapolation
+    abscissae, each Newton from the previous unknowns and then Picard: the
+    reference the single path must reproduce."""
+    system = solver.wishart_system(a, gamma)
+    vals, warm = [], None
+    for x in ATOM_XS:
+        sol = solver._solve(system, 1j * x, density._DENSITY_CFG, warm=warm)
+        warm = sol.unknowns
+        vals.append(h_alpha(a, sol.unknowns[0]).real)
+    return float(np.polynomial.polynomial.polyfit(ATOM_XS, vals, 2)[0])
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 1.5, 1.9, 1.95])
+def test_atom_matches_seven_warm_solves(alpha, gamma):
+    # the stopping test is scaled by |z|^alpha, so an accepted iterate at
+    # x = 1e-4 may be off by up to 1e-12 / x^alpha
+    a = AlphaParam(alpha)
+    want = _atom_seven_warm_solves(a, gamma)
+    assert abs(atom_at_zero_wishart(a, gamma) - want) <= 1e-7
+
+
+@pytest.mark.parametrize("alpha", ATOM_ALPHAS)
+def test_atom_runs_picard_once(alpha, monkeypatch):
+    """Picard runs at the top of the path only, where |z| is at least the
+    contraction radius; every later point is a Newton correction."""
+    calls = []
+    picard = solver._picard
+
+    def counted(system, z, *args, **kwargs):
+        calls.append(z)
+        return picard(system, z, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_picard", counted)
+    a = AlphaParam(alpha)
+    for gamma in ATOM_GAMMAS:
+        calls.clear()
+        atom_at_zero_wishart(a, gamma)
+        assert len(calls) == 1, gamma
+        radius = solver.wishart_system(a, gamma).start_radius()
+        assert calls[0].real == 0.0 and calls[0].imag >= radius
+
+
+@pytest.mark.parametrize("alpha", ATOM_ALPHAS)
+def test_atom_g_evaluations(alpha, monkeypatch):
+    calls = []
+    g = special.g_alpha_beta
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return g(*args, **kwargs)
+
+    monkeypatch.setattr(special, "g_alpha_beta", counted)
+    a = AlphaParam(alpha)
+    for gamma in ATOM_GAMMAS:
+        calls.clear()
+        atom_at_zero_wishart(a, gamma)
+        assert len(calls) <= 400, gamma
+
+
+def test_atom_failed_correction_halves_the_step(monkeypatch):
+    a = AlphaParam(1.2)
+    want = atom_at_zero_wishart(a, 0.5)
+    real = density._newton_warm
+    calls = []
+
+    def newton(system, z, y, cfg):
+        # fail the first correction aimed at x = 1e-2
+        first = not any(abs(x / 1e-2 - 1.0) < 1e-12 for x in calls)
+        calls.append(z.imag)
+        if first and abs(z.imag / 1e-2 - 1.0) < 1e-12:
+            return None
+        return real(system, z, y, cfg)
+
+    monkeypatch.setattr(density, "_newton_warm", newton)
+    got = atom_at_zero_wishart(a, 0.5)
+    # the walk passed through the log midpoint of 10^-1.5 and 10^-2
+    assert any(abs(x / 10 ** -1.75 - 1.0) < 1e-12 for x in calls)
+    assert abs(got - want) <= 1e-9
+
+
+def test_atom_spent_halvings_fall_back_to_a_continuation_step(monkeypatch):
+    a = AlphaParam(1.2)
+    want = atom_at_zero_wishart(a, 0.5)
+    real = density._newton_warm
+    calls = []
+
+    def newton(system, z, y, cfg):
+        # every correction aimed between 10^-1.5 and 10^-2 fails
+        calls.append(z.imag)
+        if 1e-2 * (1.0 - 1e-12) < z.imag < 10 ** -1.5:
+            return None
+        return real(system, z, y, cfg)
+
+    monkeypatch.setattr(density, "_newton_warm", newton)
+    got = atom_at_zero_wishart(a, 0.5)
+    # the first try and SWEEP_HALVINGS halvings, then the continuation
+    # step of solve, whose Newton the failing corrector does not see
+    tries = [x for x in calls if 1e-2 * (1.0 - 1e-12) < x < 10 ** -1.5]
+    assert len(tries) == density.SWEEP_HALVINGS + 1
+    assert abs(got - want) <= 1e-9
+
+
+def test_atom_drift_off_the_real_axis_raises(monkeypatch):
+    real = density.h_alpha
+    monkeypatch.setattr(density, "h_alpha",
+                        lambda a, y: real(a, y) + 1e-3j)
+    with pytest.raises(SolverError) as info:
+        atom_at_zero_wishart(AlphaParam(1.2), 0.5)
+    assert info.value.unknowns is not None
+
+
+@pytest.mark.parametrize("alpha", [1.7, 1.9, 1.95])
+def test_atom_near_alpha_two_at_gamma_09(alpha):
+    # the seven-warm-solve atom raised SolverError here
+    atom = atom_at_zero_wishart(AlphaParam(alpha), 0.9)
+    assert abs(atom - 0.1) <= 1e-4
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.2, 1.5, 1.7, 1.9, 1.95])
+def test_atom_at_gamma_099(alpha):
+    # 2e-3 is the error of the quadratic extrapolation over ATOM_XS
+    atom = atom_at_zero_wishart(AlphaParam(alpha), 0.99)
+    assert math.isfinite(atom) and abs(atom - 0.01) <= 2e-3

@@ -371,3 +371,21 @@ def test_cold_solve_runs_picard_once(monkeypatch):
             system = make(a)
             solver._solve(system, z, FixedPointConfig())
             assert calls == [system.start_z(z)], (name, z)
+
+
+def test_public_solve_calls_private_solve(monkeypatch):
+    """solve is looked up through solver._solve at each call, so a wrapper
+    installed there (the benchmark's solver span) sees every solve."""
+    calls = []
+    real = solver._solve
+
+    def counted(system, z, *args, **kwargs):
+        calls.append(z)
+        return real(system, z, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_solve", counted)
+    system = wishart_system(AlphaParam(1.2), 0.5)
+    sol = solver.solve(system, 0.8 + 0.6j)
+    assert calls == [0.8 + 0.6j]
+    want = real(system, 0.8 + 0.6j, FixedPointConfig())
+    assert np.array_equal(sol.unknowns, want.unknowns)
