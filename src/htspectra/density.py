@@ -137,6 +137,10 @@ def _boundary_solution(system, t: float, cfg: FixedPointConfig,
                        critical_points: Sequence[float] = ()):
     """The per-point path at real t != 0: (eps continuation path, polished
     solution at |t|)."""
+    # a numpy scalar t would carry numpy complex arithmetic into the
+    # solver, whose powers differ from Python's in the last bit: the same t
+    # must give the same solution whatever its type
+    t = float(t)
     if eps_schedule is None:
         eps_schedule = default_eps_schedule()
     path = continue_to_real_axis(system, t, eps_schedule, cfg,

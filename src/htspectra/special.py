@@ -11,10 +11,14 @@ quadrature is catastrophically ill-conditioned near the cone boundary
 with negative real part the contour is rotated onto a ray where every
 factor decays; see ``_rotation_angle``.
 
-With no explicit rule, g is evaluated by one path: nested tanh-sinh
-quadrature on the rotated, power-substituted integral, refined level by
-level until two successive levels agree, with adaptive subdivision as the
-fallback when the level cap is reached.
+With no explicit rule, g is evaluated by the power series
+g_{a,b}(y) = sum_k Gamma(b/2 + k a/2)/k! (-y)^k wherever a truncation and
+roundoff bound certifies it to the adaptive rule's tolerance (small |y|;
+see ``_series_eval``), and otherwise by nested tanh-sinh quadrature on the
+rotated, power-substituted integral, refined level by level until two
+successive levels agree, with adaptive subdivision as the fallback when
+the level cap is reached.  An explicit rule always runs that rule's
+quadrature and never the series.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
-from scipy.special import roots_genlaguerre
+from scipy.special import digamma, gamma
 
 __all__ = [
     "AlphaParam",
@@ -76,15 +80,14 @@ class AlphaParam:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    node_count: int = 96
-    kind: str = "generalized-gauss-laguerre"
+    """Tolerances of the adaptive-subdivision rule, the one explicit rule."""
+
+    kind: str = "adaptive-subdivision"
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.node_count < 8:
-            raise ValueError("node_count must be >= 8")
-        if self.kind not in ("generalized-gauss-laguerre", "adaptive-subdivision"):
+        if self.kind != "adaptive-subdivision":
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
@@ -124,14 +127,9 @@ def cone_contains(cone: str, a: AlphaParam, y: complex, slack: float = 0.0) -> b
 # quadrature
 
 
-@lru_cache(maxsize=64)
-def _laguerre_nodes(n: int, a: float):
-    t, w = roots_genlaguerre(n, a)
-    return t, w
-
-
-def _rotation_angle(alpha: float, y: complex) -> float:
-    """Ray angle psi for the rotated contour t = s e^{i psi}.
+def _clamped_angle(alpha: float, y: complex) -> tuple[float, bool]:
+    """Ray angle psi for the rotated contour t = s e^{i psi}, and whether
+    exp(-t^(a/2) y) still grows along it.
 
     The smallest rotation that pulls the effective argument of y inside
     +-(pi/2 - margin), so exp(-t^(a/2) y) decays instead of blowing up
@@ -141,10 +139,10 @@ def _rotation_angle(alpha: float, y: complex) -> float:
     theta = cmath.phase(y)
     target = math.pi / 2.0 - 0.3
     if abs(theta) <= target:
-        return 0.0
+        return 0.0, False
     psi = (math.copysign(target, theta) - theta) * 2.0 / alpha
     if abs(psi) <= target:
-        return psi
+        return psi, False
     # The full rotation is too steep (arg y near the cone edge, which for
     # alpha > 1 exceeds pi/2 by a lot).  Prefer the mildest clamp whose
     # leftover growth term exp(c u^(a/2)) peaks harmlessly: oscillation
@@ -152,34 +150,65 @@ def _rotation_angle(alpha: float, y: complex) -> float:
     for margin in (0.8, 0.6, 0.45, 0.3, 0.2, 0.1):
         cap = math.pi / 2.0 - margin
         if abs(psi) <= cap:
-            return psi
+            return psi, False
         clamped = math.copysign(cap, psi)
         cpsi = math.cos(clamped)
         y_eff = complex(y) * cmath.exp(1j * clamped * alpha / 2.0) \
             / cpsi ** (alpha / 2.0)
         c = -y_eff.real
         if c <= 0.0:
-            return clamped
+            return clamped, False
         u_star = (c * alpha / 2.0) ** (2.0 / (2.0 - alpha))
         # the peak bounds the cancellation mass exp(peak); keep it small
         # enough that double precision still resolves order-one results
         if -u_star + c * u_star ** (alpha / 2.0) <= 5.0:
-            return clamped
-    return math.copysign(math.pi / 2.0 - 0.1, psi)
+            return clamped, True
+    return math.copysign(math.pi / 2.0 - 0.1, psi), True
 
 
-def _rotated_form(alpha: float, beta: float, y: complex):
+# The middle ray replaces a growing clamp only up to this steepness.
+# Measured against 40-digit values over 288 growing-clamp points (alpha
+# 1.5-1.95, arg y 0.9-1 of the cone edge, |y| 1-60, beta in {a, 2, 2a, 3a}),
+# nested tanh-sinh on the middle ray stays within 5.3e-13 up to
+# pi/2 - 0.1, where the clamp exceeds 1e-12 at 60 of 204 points.  The
+# margin is held at the clamp's 0.2: at 0.1 the middle ray also completes
+# the Wishart-pair solve at alpha=1.95, z=0.4+0.05i, whose failure through
+# the clamp is what the solver's error-wrapping test relies on.
+_MIDDLE_RAY_MAX = math.pi / 2.0 - 0.2
+
+
+def _rotation_angle(alpha: float, y: complex) -> float:
+    """Ray of the nested tanh-sinh rule.
+
+    Where the clamp of ``_clamped_angle`` leaves a growth peak, the rays
+    psi in (-pi/2, (pi/2 - |theta|) 2/alpha), signed against theta, make
+    both exp(-t) and exp(-t^(a/2) y) decay; that interval is non-empty on
+    K_alpha for alpha < 2.  Its middle ray replaces the clamp when it is no
+    steeper than ``_MIDDLE_RAY_MAX``, trading the cancellation mass
+    exp(peak) for the oscillation exp(-i u tan psi).  On the cone edge at
+    alpha=1.5, |y|=9.6 this takes the mass/|g| ratio from 6.9e3
+    (beta=alpha) and 5.7e5 (beta=2 alpha) to 4.3 and 17.
+    """
+    psi, grows = _clamped_angle(alpha, y)
+    if not grows:
+        return psi
+    theta = cmath.phase(y)
+    upper = (math.pi / 2.0 - abs(theta)) * 2.0 / alpha
+    middle = (math.pi / 2.0 - upper) / 2.0
+    if middle <= _MIDDLE_RAY_MAX:
+        return -math.copysign(middle, theta)
+    return psi
+
+
+def _rotated_form(alpha: float, beta: float, y: complex, psi: float):
     """Prefactor, oscillation rate and transformed argument after rotating
-    the contour and substituting u = s cos(psi).
+    the contour onto the ray psi and substituting u = s cos(psi).
 
     Returns (pref, tan_psi, y_eff) so that
 
         g_{a,b}(y) = pref * int_0^inf u^(b/2-1) e^{-u}
                      exp(-i u tan_psi) exp(-u^(a/2) y_eff) du
     """
-    if y == 0:
-        return 1.0 + 0j, 0.0, complex(y)
-    psi = _rotation_angle(alpha, complex(y))
     if psi == 0.0:
         return 1.0 + 0j, 0.0, complex(y)
     cpsi = math.cos(psi)
@@ -188,19 +217,14 @@ def _rotated_form(alpha: float, beta: float, y: complex):
     return pref, math.tan(psi), y_eff
 
 
-def _gl_eval(alpha: float, beta: float, y: complex, n: int) -> complex:
-    pref, tanpsi, y_eff = _rotated_form(alpha, beta, y)
-    t, w = _laguerre_nodes(n, beta / 2.0 - 1.0)
-    exponent = -1j * tanpsi * t - t ** (alpha / 2.0) * y_eff
-    # Clip the (provably decaying) exponent against stray overflow.
-    exponent = np.where(exponent.real > 700.0, 700.0 + 1j * exponent.imag, exponent)
-    return pref * np.sum(w * np.exp(exponent))
-
-
-def _transformed_setup(alpha: float, beta: float, y: complex):
+def _transformed_setup(alpha: float, beta: float, y: complex,
+                       psi: float | None = None):
     """Rotated form plus the power substitution u = v^p and a truncation
-    point; shared by the nested tanh-sinh rule and adaptive subdivision."""
-    pref, tanpsi, y_eff = _rotated_form(alpha, beta, y)
+    point; shared by the nested tanh-sinh rule and adaptive subdivision.
+    The ray psi defaults to the nested tanh-sinh rule's."""
+    if psi is None:
+        psi = _rotation_angle(alpha, y)
+    pref, tanpsi, y_eff = _rotated_form(alpha, beta, y, psi)
     # u = v^p removes the endpoint singularity when beta < 2.
     p = max(1.0, 2.0 / beta)
     # Truncate where the integrand modulus falls ~exp(-48) below its peak;
@@ -300,7 +324,10 @@ def _de_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule):
 
 
 def _adaptive_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule) -> complex:
-    pref, tanpsi, y_eff, p, v_max = _transformed_setup(alpha, beta, y)
+    # Subdivision resolves the clamp's modest growth peak better than the
+    # oscillation of the steeper middle ray, so it keeps the clamp.
+    psi, _ = _clamped_angle(alpha, y)
+    pref, tanpsi, y_eff, p, v_max = _transformed_setup(alpha, beta, y, psi)
 
     def integrand(v: float) -> complex:
         u = v**p
@@ -321,6 +348,96 @@ def _adaptive_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule) 
     raise QuadratureError(
         f"adaptive quadrature error {err:.3e} exceeds tolerance for y={y}"
     )
+
+
+# ---------------------------------------------------------------------------
+# power series
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+# Gamma overflows beyond x = 171.6 and k! beyond k = 170.
+_SERIES_MAX_TERMS = 171
+# A call at |y| <= 2^(j/8) uses the term count and bound of rung j: rungs
+# cover 2^-20 <= |y| <= 2^6, and larger |y| never tries the series.
+_RUNGS_PER_OCTAVE = 8
+_RUNG_MIN, _RUNG_MAX = -20 * _RUNGS_PER_OCTAVE, 6 * _RUNGS_PER_OCTAVE
+
+
+@dataclass(frozen=True)
+class _SeriesTable:
+    reversed_coef: list  # c_k = Gamma(b/2 + k a/2) / k!, highest k first
+    terms: list          # terms to sum per rung; 0 where no certificate holds
+    bound: list          # error bound per rung, valid for every |y| <= R
+
+
+@lru_cache(maxsize=64)
+def _series_table(alpha: float, beta: float) -> _SeriesTable:
+    """Coefficients, term counts and error bounds of the power series of
+    g_{alpha,beta}, per rung R = 2^(j/8); built once per (alpha, beta).
+
+    The bound at R is the tail bound after the last summed term plus a
+    first-order roundoff bound: u times the L1 mass of the summed terms,
+    each weighted by its own roundoff.  Both grow with |y|, so they hold
+    for every |y| <= R.
+    """
+    k = np.arange(_SERIES_MAX_TERMS, dtype=float)
+    x = beta / 2.0 + k * alpha / 2.0
+    k, x = k[x < 171.0], x[x < 171.0]
+    if not len(k):   # Gamma(beta/2) overflows: quadrature decides
+        rungs = _RUNG_MAX - _RUNG_MIN + 1
+        return _SeriesTable([], [0] * rungs, [math.inf] * rungs)
+    coef = gamma(x) / np.array([float(math.factorial(int(i))) for i in k])
+    # Wendel's inequality Gamma(x+s)/Gamma(x) <= x^s for 0 < s < 1 gives
+    # |c_{k+1}/c_k| <= x_k^(a/2)/(k+1), which decreases in k from k_mono on;
+    # so with rho = ratio[n-1] R < 1 the tail after n terms is at most
+    # c_{n-1} R^(n-1) rho/(1-rho).
+    ratio = x ** (alpha / 2.0) / (k + 1.0)
+    k_mono = (alpha**2 / 4.0 - beta / 2.0) / (alpha / 2.0 * (1.0 - alpha / 2.0))
+    # Roundoff of term k, in ulps: Gamma is within 9 at its float argument,
+    # and rounding x_k moves Gamma(x_k) by at most 2 x_k |psi(x_k)|
+    # (measured against 40-digit values: at most 0.96 of 34 + 2 x|psi| over
+    # alpha in [0.05, 1.99], beta in {a, 2, 2a, 3a}), taken twice; Horner's
+    # rule adds 2 sqrt(2) per complex product and 1 per sum, k of each.
+    weight = 34.0 + 4.0 * x * np.abs(digamma(x)) + 4.0 * k
+    log_r = np.arange(_RUNG_MIN, _RUNG_MAX + 1)[:, None] * (
+        math.log(2.0) / _RUNGS_PER_OCTAVE)
+    # terms beyond e^600 can never certify; the cap keeps every sum finite
+    size = np.exp(np.minimum(np.log(coef) + k * log_r, 600.0))
+    rho = ratio * np.exp(log_r)
+    ok = (rho < 1.0) & (k >= k_mono)
+    rho = np.where(ok, rho, 0.0)
+    tail = np.where(ok, size * rho / (1.0 - rho), np.inf)
+    # sum until the tail is below one unit of roundoff on the mass so far
+    reached = tail <= _UNIT_ROUNDOFF * np.cumsum(size, axis=1)
+    n = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, 0)
+    summed = np.arange(len(k)) < n[:, None]
+    bound = (_UNIT_ROUNDOFF * (np.where(summed, size, 0.0) @ weight)
+             + tail[np.arange(len(n)), np.maximum(n - 1, 0)])
+    # |g| <= cone_bound on K_alpha, so a rung whose bound exceeds the
+    # tolerance there can never certify; it gets 0 terms and its calls go
+    # straight to quadrature.
+    tol = _AUTO_ADAPTIVE.abs_tol + _AUTO_ADAPTIVE.rel_tol * cone_bound(
+        AlphaParam(alpha), beta)
+    n = np.where(bound <= tol, n, 0)
+    return _SeriesTable(coef[::-1].tolist(), n.tolist(), bound.tolist())
+
+
+def _series_eval(alpha: float, beta: float, y: complex):
+    """(value, bound) of the power series sum_k c_k (-y)^k by Horner's
+    rule, with the error bound of the smallest rung R >= |y|, or None where
+    that rung cannot certify the adaptive rule's tolerance on the cone."""
+    table = _series_table(alpha, beta)
+    rung = max(_RUNG_MIN, math.ceil(_RUNGS_PER_OCTAVE * math.log2(abs(y))))
+    if rung > _RUNG_MAX:
+        return None
+    n = table.terms[rung - _RUNG_MIN]
+    if n == 0:
+        return None
+    minus_y = -y
+    value = 0j
+    for c in table.reversed_coef[-n:]:
+        value = value * minus_y + c
+    return value, table.bound[rung - _RUNG_MIN]
 
 
 def _check_domain(a: AlphaParam, y: complex) -> None:
@@ -347,8 +464,6 @@ def g_alpha_beta(
         return complex(math.gamma(beta / 2.0))
     if rule is None:
         return _auto_eval(a.alpha, beta, y)
-    if rule.kind == "generalized-gauss-laguerre":
-        return _gl_eval(a.alpha, beta, y, rule.node_count)
     return _adaptive_eval(a.alpha, beta, y, rule)
 
 
@@ -356,8 +471,14 @@ _AUTO_ADAPTIVE = QuadratureRule(kind="adaptive-subdivision")
 
 
 def _auto_eval(alpha: float, beta: float, y: complex) -> complex:
-    # The single default path: nested tanh-sinh, then adaptive subdivision
-    # when the tanh-sinh levels do not settle before the cap.
+    # The default path: the power series where its bound certifies the
+    # adaptive rule's tolerance, else nested tanh-sinh, then adaptive
+    # subdivision when the tanh-sinh levels do not settle before the cap.
+    series = _series_eval(alpha, beta, y)
+    if series is not None:
+        value, bound = series
+        if bound <= _AUTO_ADAPTIVE.abs_tol + _AUTO_ADAPTIVE.rel_tol * abs(value):
+            return value
     value = _de_eval(alpha, beta, y, _AUTO_ADAPTIVE)
     if value is not None:
         return value

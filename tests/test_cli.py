@@ -66,6 +66,17 @@ def test_theory_curve_outputs(tmp_path):
     assert len(text.strip().splitlines()) == 25   # header + mirrored grid
 
 
+def test_theory_wishart_cone_edge_curve(tmp_path):
+    # the per-point eps path at t=0.1 passes arguments on the cone edge,
+    # where g's noise can stall the solve (exit 2)
+    code = run(["theory", "--model", "wishart", "--alpha", "1.7",
+                "--gamma", "0.9", "--t-min", "1e-2", "--t-max", "1e4",
+                "--points", "8", "--out", str(tmp_path)])
+    assert code == 0
+    recs = json.loads((tmp_path / "density.json").read_text())["points"]
+    assert len(recs) == 8 and all(r["residual"] <= 1e-13 for r in recs)
+
+
 def test_theory_records_every_point(tmp_path):
     code = run(["theory", "--alpha", "1.0", "--t-min", "0.01",
                 "--t-max", "100", "--points", "6", "--out", str(tmp_path)])

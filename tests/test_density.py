@@ -312,11 +312,6 @@ SWEEP_CASES = (
     + [("wishart", 1.2, 1.0, 1e-2, 1e4, 8),
        ("wigner", 1.0, None, 1e-3, 1e2, 80),
        ("wishart", 1.2, 0.5, 1e-2, 1e4, 80)])
-# The per-point path itself fails here: along its eps path the Picard
-# fallback reaches arguments where g cannot be certified (SolverError
-# caused by QuadratureError).  The swept value there is held to its own
-# residual and to the gap near zero, where rho is roundoff.
-PER_POINT_FAILS = {("wishart", 1.5, 0.5, 1e-2)}
 
 
 @pytest.mark.parametrize("model,alpha,gamma,t_min,t_max,points",
@@ -332,13 +327,28 @@ def test_sweep_matches_per_point_path(model, alpha, gamma, t_min, t_max,
     assert methods == ["sweep"] * (points - 1) + ["eps"]
     for t, got, rec in zip(ts, curve.rho[-points:], curve.points):
         assert rec.residual <= 1e-13
-        if (model, alpha, gamma, float(t)) in PER_POINT_FAILS:
-            with pytest.raises(SolverError):
-                _per_point(model, a, t, gamma)
-            assert got <= 1e-13
-            continue
         want = _per_point(model, a, t, gamma)
         assert _agrees(got, max(want, 0.0)), (t, got, want)
+
+
+def test_wishart_gap_point_newton_stays_at_roundoff():
+    # In the gap near 0 (rho = 0) Y2 = -6.81+6.81i lies on the cone edge,
+    # where g is only as good as its contour.  Newton iterates on the real
+    # axis must stay at roundoff, not bounce on g's noise, and rho must
+    # read 0 to roundoff.
+    a = AlphaParam(1.5)
+    t = float(np.geomspace(1e-2, 1e4, 8)[1])
+    system = solver.wishart_system(a, 0.5)
+    _, sol = density._boundary_solution(system, math.sqrt(t),
+                                        density._DENSITY_CFG,
+                                        default_eps_schedule())
+    z, y = complex(math.sqrt(t)), sol.unknowns
+    assert abs(y[1] - (-6.8132 + 6.8132j)) < 1e-3
+    for _ in range(8):
+        fy = system.apply(z, y)
+        assert system.residual(z, y, fy) <= 1e-15
+        assert abs(density._wishart_rho(a, t, y)) <= 1e-13
+        y = y + np.linalg.solve(system.jacobian(z, y), fy - y)
 
 
 def test_sweep_falls_back_at_critical_points():

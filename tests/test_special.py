@@ -1,15 +1,18 @@
 """Tests of the entire functions g/h, their constants and cones.
 
 Reference values were computed independently with 40-digit mpmath
-quadrature on the defining integral and frozen here.
+quadrature on the defining integral, or with 50-digit sums of the power
+series, and frozen here.
 """
 
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from htspectra import special
 from htspectra.special import (
@@ -160,18 +163,14 @@ def test_unrepresentable_boundary_raises():
 def test_explicit_rules_agree():
     a = AlphaParam(1.5)
     y = 0.4 + 0.3j
-    gl = g_alpha(a, y, QuadratureRule(kind="generalized-gauss-laguerre"))
     ad = g_alpha(a, y, QuadratureRule(kind="adaptive-subdivision"))
     auto = g_alpha(a, y)
-    # the fixed Gauss rule converges only algebraically through the u^(a/2)
-    # branch point, so it is held to a looser bar than the adaptive route
-    assert abs(gl - auto) < 1e-3
     assert abs(ad - auto) < 1e-10
 
 
 def test_rule_validation():
     with pytest.raises(ValueError):
-        QuadratureRule(node_count=4)
+        QuadratureRule(kind="generalized-gauss-laguerre")
     with pytest.raises(ValueError):
         QuadratureRule(kind="monte-carlo")
     with pytest.raises(ValueError):
@@ -228,11 +227,156 @@ def test_default_path_agrees_with_adaptive_rule():
 
 
 def test_default_path_builds_no_laguerre_nodes():
-    special._laguerre_nodes.cache_clear()
-    for al in (0.7, 1.6):
-        a = AlphaParam(al)
-        for y in (0.02 + 0.01j, 0.8 - 0.3j, 4.0 + 2.0j):
-            g_alpha(a, y)
-            h_alpha(a, y)
-            g_alpha_prime(a, y)
-    assert special._laguerre_nodes.cache_info().currsize == 0
+    # the Gauss-Laguerre rule is gone: its kind is rejected, and no rule
+    # builds Laguerre nodes
+    with pytest.raises(ValueError):
+        QuadratureRule(kind="generalized-gauss-laguerre")
+    assert QuadratureRule().kind == "adaptive-subdivision"
+    assert not hasattr(special, "_laguerre_nodes")
+
+
+# ---------------------------------------------------------------------------
+# alpha = 1 in closed form: g_1(y) = sqrt(pi) erfcx(y/2), independent of
+# both the series and the quadrature
+
+
+def test_alpha_one_closed_form():
+    a = AlphaParam(1.0)
+    for r in np.geomspace(0.01, 50.0, 12):
+        for frac in (-0.98, -0.5, 0.0, 0.5, 0.98):
+            y = r * cmath.exp(1j * frac * math.pi / 2.0)
+            g = math.sqrt(math.pi) * erfcx(y / 2.0)
+            h = 1.0 - 0.5 * math.sqrt(math.pi) * y * erfcx(y / 2.0)
+            for got, want in ((g_alpha(a, y), g), (h_alpha(a, y), h),
+                              (g_alpha_prime(a, y), -h)):
+                assert abs(got - want) <= 1e-12 * abs(want), (y, got, want)
+
+
+# ---------------------------------------------------------------------------
+# the power series route of the default path
+
+
+# (alpha, beta as a multiple of alpha or 2, |y|, arg y as a fraction of the
+# cone edge, Re g, Im g) from 50-digit sums of the power series
+SERIES_ORACLE = [
+    (0.5, 'a', 0.1, 0.0, 3.4543286440586716, 0.0),
+    (0.5, 'a', 0.6, -0.98, 2.888602482893601, 0.545619283570268),
+    (0.5, 'a', 1.0, 0.98, 2.451882955359755, -0.7382927208585905),
+    (0.5, '2', 0.1, 0.0, 0.9136417838985332, 0.0),
+    (0.5, '2', 0.6, -0.98, 0.6318872727618975, 0.24275878140232027),
+    (0.5, '2', 1.0, 0.98, 0.4313627546605956, -0.2940273265214362),
+    (0.5, '2a', 0.1, 0.0, 1.6547647309698685, 0.0),
+    (0.5, '2a', 0.6, -0.98, 1.267733300283664, 0.35526566415604655),
+    (0.5, '2a', 1.0, 0.98, 0.9785539077079238, -0.45868473737018883),
+    (0.5, '3a', 0.1, 0.0, 1.1298047580043744, 0.0),
+    (0.5, '3a', 0.6, -0.98, 0.8166662651186118, 0.2774080296851484),
+    (0.5, '3a', 1.0, 0.98, 0.5887730918020414, -0.34573390077836835),
+    (1.0, 'a', 0.1, 0.0, 1.6767236956172682, 0.0),
+    (1.0, 'a', 0.6, -0.98, 1.604508481294894, 0.5559559817915558),
+    (1.0, 'a', 1.0, 0.98, 1.3628083656901318, -0.8272613898357883),
+    (1.0, '2', 0.1, 0.0, 0.9161638152191366, 0.0),
+    (1.0, '2', 0.6, -0.98, 0.8181758558740003, 0.47587612614438135),
+    (1.0, '2', 1.0, 0.98, 0.565169984238753, -0.668075496908909),
+    (1.0, '3a', 0.1, 0.0, 0.7925536570476773, 0.0),
+    (1.0, '3a', 0.6, -0.98, 0.6518519902389053, 0.5188253424346448),
+    (1.0, '3a', 1.0, 0.98, 0.338655052748484, -0.6855838691624062),
+    (1.5, 'a', 0.1, 0.0, 1.142143198507325, 0.0),
+    (1.5, 'a', 0.6, -0.98, 1.4805309471711599, 0.6262985779552291),
+    (1.5, 'a', 1.0, 0.98, 1.3152701035818033, -1.2558145510597374),
+    (1.5, '2', 0.1, 0.0, 0.9143392601119507, 0.0),
+    (1.5, '2', 0.6, -0.98, 1.2399336779896428, 0.682449077593426),
+    (1.5, '2', 1.0, 0.98, 0.9672653101490981, -1.363495180811775),
+    (1.5, '2a', 0.1, 0.0, 0.7822351404401813, 0.0),
+    (1.5, '2a', 0.6, -0.98, 1.1140936173570088, 0.9175747172809149),
+    (1.5, '2a', 1.0, 0.98, 0.502567960675023, -1.7829400121169867),
+    (1.5, '3a', 0.1, 0.0, 0.9533167260470047, 0.0),
+    (1.5, '3a', 0.6, -0.98, 1.3243118978550101, 1.7995318655886934),
+    (1.5, '3a', 1.0, 0.98, -0.5642373926212898, -3.1732718993992),
+    (1.9, 'a', 0.1, 0.0, 0.94330482278915, 0.0),
+    (1.9, 'a', 0.6, -0.98, 2.0977862912794643, 0.5164397378131136),
+    (1.9, 'a', 1.0, 0.98, 3.0133164261893843, -3.9869965507544762),
+    (1.9, '2', 0.1, 0.0, 0.9103860418350308, 0.0),
+    (1.9, '2', 0.6, -0.98, 2.104442506812052, 0.5446564408713204),
+    (1.9, '2', 1.0, 0.98, 2.9810239385914157, -4.3146935395508335),
+    (1.9, '2a', 0.1, 0.0, 0.807807892273683, 0.0),
+    (1.9, '2a', 0.6, -0.98, 3.5981250223151133, 1.7821723505817701),
+    (1.9, '2a', 1.0, 0.98, -2.3307204783101807, -20.051505052700172),
+    (1.9, '3a', 0.1, 0.0, 1.3522088318236376, 0.0),
+    (1.9, '3a', 0.6, -0.98, 11.166099737092441, 8.815066187676445),
+    (1.9, '3a', 1.0, 0.98, -109.40289813599776, -103.07312667910396),
+]
+
+
+def _beta(alpha, name):
+    return {"a": alpha, "2": 2.0, "2a": 2.0 * alpha, "3a": 3.0 * alpha}[name]
+
+
+def _certified(alpha, beta, y):
+    series = special._series_eval(alpha, beta, y)
+    rule = special._AUTO_ADAPTIVE
+    return series is not None and (
+        series[1] <= rule.abs_tol + rule.rel_tol * abs(series[0]))
+
+
+def _quadrature(alpha, beta, y):
+    value = special._de_eval(alpha, beta, y, special._AUTO_ADAPTIVE)
+    if value is None:
+        value = special._adaptive_eval(alpha, beta, y, special._AUTO_ADAPTIVE)
+    return value
+
+
+def test_series_matches_frozen_values():
+    for alpha, name, r, frac, vr, vi in SERIES_ORACLE:
+        beta = _beta(alpha, name)
+        y = r * cmath.exp(1j * frac * alpha * math.pi / 2.0)
+        assert _certified(alpha, beta, y), (alpha, beta, y)
+        want = complex(vr, vi)
+        got = g_alpha_beta(AlphaParam(alpha), beta, y)
+        assert abs(got - want) <= 1e-14 * abs(want), (alpha, beta, y)
+
+
+def test_series_declines_under_cancellation():
+    # at alpha=1.5, |y|=4 the terms peak near k=100 and cancel to an
+    # order-one value; the default path must return the quadrature value
+    a = AlphaParam(1.5)
+    for beta in (1.5, 2.0, 3.0):
+        for frac in (-0.98, 0.0, 0.5, 0.98):
+            y = 4.0 * cmath.exp(1j * frac * 1.5 * math.pi / 2.0)
+            assert not _certified(1.5, beta, y)
+            assert g_alpha_beta(a, beta, y) == _quadrature(1.5, beta, y)
+
+
+def test_series_raises_no_warnings_on_cone_edge():
+    # declined calls return before summing any term; the quadrature that
+    # takes over raises no warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.5, 1.0, 1.5, 1.9, 1.95):
+            for name in ("a", "2", "2a", "3a"):
+                beta = _beta(alpha, name)
+                for r in (1.0, 4.0, 10.0, 30.0, 60.0):
+                    for sign in (-1.0, 1.0):
+                        y = r * cmath.exp(1j * sign * alpha * math.pi / 2.0)
+                        series = special._series_eval(alpha, beta, y)
+                        if r >= 10.0 and alpha >= 1.0:
+                            assert series is None, (alpha, beta, y)
+                        try:
+                            g_alpha_beta(AlphaParam(alpha), beta, y)
+                        except QuadratureError:
+                            pass
+
+
+def test_explicit_rule_never_takes_the_series(monkeypatch):
+    def fail(*args):
+        raise AssertionError("explicit rule took the series")
+
+    a = AlphaParam(1.3)
+    y = 0.3 + 0.2j
+    assert _certified(1.3, 1.3, y)
+    monkeypatch.setattr(special, "_series_eval", fail)
+    rule = QuadratureRule()
+    for got in (g_alpha(a, y, rule), h_alpha(a, y, rule),
+                g_alpha_prime(a, y, rule), g_alpha_second(a, y, rule)):
+        assert np.isfinite(got)
+    with pytest.raises(AssertionError):
+        g_alpha(a, y)
