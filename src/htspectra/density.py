@@ -6,7 +6,8 @@ semicircle, constant-profile scaling, band-to-constant equivalence, and the
 gamma=1 covariance identity.
 
 A single density point takes the per-point path: an eps continuation
-towards the real axis, then a Newton polish on it (only
+towards the real axis, walked by Newton in log eps between the points of
+the schedule, then a Newton polish on the axis (only
 ``density_band_detail`` also Richardson-extrapolates Im G over the last
 continuation steps, as an independent check).  A density curve takes that
 path once, at its largest grid point, and then sweeps down the grid on the
@@ -17,7 +18,9 @@ within 1e-2 of a critical point).  Every computed point of a curve carries
 a ``PointRecord`` of how it was obtained.  The Wishart atom at zero takes
 one continuation path down the imaginary axis: damped Picard once at the
 contraction radius, then Newton from half-decade to half-decade, predicted
-by a power law in x through the last two solutions.
+by a power law in x through the last two solutions.  The sweep, the atom's
+path and both paths of the solver share one halving walk,
+``solver._log_walk``.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ import numpy as np
 
 from .matrices import DiagonalLaw, SigmaProfile, band_alpha_integral
 from .solver import (
+    SWEEP_HALVINGS,
     FixedPointConfig,
     SolverError,
     _check_cone,
+    _log_walk,
     _newton_warm,
     band_system,
     continue_to_real_axis,
@@ -66,8 +71,15 @@ __all__ = [
 EPS_FLOOR = 1e-6
 
 
-def default_eps_schedule(start: float = 0.5, factor: float = 0.8,
+def default_eps_schedule(start: float = 0.5, factor: float = 0.1,
                          floor: float = EPS_FLOOR) -> list:
+    """The eps values of the per-point path: start, then a factor per
+    point, down to floor (0.5, 0.05, ..., 5e-6, 1e-6 by default).
+
+    They are the path's coarse points: ``continue_to_real_axis`` walks
+    between neighbours in log eps and halves the step where Newton fails,
+    so a hard case still gets short steps.
+    """
     eps = [start]
     while eps[-1] > floor:
         eps.append(max(eps[-1] * factor, floor))
@@ -303,9 +315,9 @@ def atom_at_zero_wishart(a: AlphaParam, gamma: float,
     last, before = solve(system, 1j * path[0], cfg), None
     vals = []
     for x in map(float, path):
-        last, before, _, _ = _log_walk(x, last, before,
-                                       lambda point: point.z.imag, correct)
-        if last.z.imag != x:
+        last, before, reached, _, _ = _log_walk(x, last.z.imag, last, before,
+                                                correct)
+        if reached != x:
             before, last = last, solve(system, 1j * x, cfg,
                                        warm=last.unknowns,
                                        guess=_power_law(x, last, before))
@@ -503,10 +515,6 @@ def _log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
 # real-axis sweep
 
 
-# log-step halvings of a ``_log_walk`` before its point falls back: on the
-# real axis to the eps path, on the imaginary axis (the Wishart atom) to
-# Newton and then Picard
-SWEEP_HALVINGS = 3
 # Newton steps of one sweep correction, the eps path corrector's budget;
 # from a secant prediction Newton converges in at most 9 on the tested
 # curves, and slower progress means a far prediction or g's noise floor
@@ -534,35 +542,6 @@ class PointRecord:
 
     def to_json(self, t: float) -> dict:
         return {"t": float(t), **asdict(self)}
-
-
-def _log_walk(x: float, last, before, coord, correct):
-    """(last, before, halvings, newton): a predictor-corrector walk in log
-    steps along an axis to the point whose coordinate is x, from the path
-    point last and the one before it (or None); coord(sol) reads a
-    solution's coordinate.
-
-    correct(at, last, before) returns the solution at coordinate at, or
-    None when its correction fails.  A failure halves the log step, up to
-    SWEEP_HALVINGS times, and the walk passes through the intermediate
-    points.  The returned last is at x unless the halvings ran out;
-    ``newton`` sums the iterations of the accepted corrections.
-    """
-    step = math.log(x / coord(last))
-    halvings = newton = 0
-    while coord(last) != x:
-        at = x if abs(math.log(x / coord(last))) <= abs(step) * (
-            1.0 + 1e-9) else coord(last) * math.exp(step)
-        sol = correct(at, last, before)
-        if sol is None:
-            if halvings == SWEEP_HALVINGS:
-                break
-            halvings += 1
-            step *= 0.5
-            continue
-        newton += sol.iterations
-        before, last = last, sol
-    return last, before, halvings, newton
 
 
 def _log_secant(x: float, last, before) -> np.ndarray:
@@ -623,9 +602,9 @@ def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
         sol = None
         halvings = newton = 0
         if last is not None and not near_critical(x, critical_points):
-            last, before, halvings, newton = _log_walk(
-                x, last, before, lambda point: point.z.real, correct)
-            if last.z.real == x:
+            last, before, reached, halvings, newton = _log_walk(
+                x, last.z.real, last, before, correct)
+            if reached == x:
                 sol = last
         if sol is None:
             path, sol = _boundary_solution(system, x, cfg, eps_schedule,

@@ -4,13 +4,16 @@ Every system has the shape  unknowns = F(z, unknowns)  with F contractive
 for large |z| (band/Wigner/Wishart) or large Im z (diagonally perturbed).
 The solver therefore always starts on the imaginary axis at a radius where
 a 1/3-contraction is guaranteed by explicit bounds on g_alpha and its
-derivative, and iterates damped Picard there from 0.  It then continues the
-solution geometrically toward the requested z by predictor-corrector
-continuation: a secant predictor through the last two solutions, Newton's
-method as the corrector, and damped Picard from the last solution whenever
-Newton fails.  The eps path towards the real axis takes the same steps.
-This keeps the iteration on the branch that tends to zero at infinity,
-which is the one describing the spectral measure.
+derivative, and iterates damped Picard there from 0.  It then walks toward
+the requested z by predictor-corrector continuation (``_log_walk``): coarse
+steps in the logarithm of the distance to z, each a secant predictor
+through the last two solutions corrected by Newton's method, with the log
+step halved when Newton fails; when the halvings run out, the point takes
+a continuation step, Newton and then damped Picard from the last solution.
+The eps path towards the real axis walks the same way in log eps between
+the points of its schedule.  This keeps the iteration on the branch that
+tends to zero at infinity, which is the one describing the spectral
+measure.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class FixedPointConfig:
     tol: float = 1e-12
     max_iter: int = 500
     damping: float = 1.0
-    continuation_factor: float = 0.8
+    # distance to z kept per coarse step of the cold path (see _solve)
+    continuation_factor: float = 0.3
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -293,7 +297,8 @@ def _newton_warm(system: _System, z: complex, y0: np.ndarray,
     a nearby z, is close enough for quadratic convergence, which beats the
     linear Picard rate when the contraction factor is near one (deep inside
     the bulk or close to the real axis).  Divergence, singular Jacobians or
-    cone exits return None, and the caller falls back to damped Picard.
+    cone exits return None, and the caller halves its step or falls back
+    to damped Picard.
     """
     y = np.array(y0, dtype=complex)
     best = math.inf
@@ -358,6 +363,68 @@ def _check_cone(system: _System, y: np.ndarray, slack: float = 1e-9,
                 residual=residual)
 
 
+# log-step halvings of a ``_log_walk`` before its point falls back: on the
+# real axis to the eps path, elsewhere to a continuation step (Newton and
+# then Picard)
+SWEEP_HALVINGS = 3
+
+
+def _log_walk(x: float, pos: float, last, before, correct):
+    """(last, before, pos, halvings, newton): a predictor-corrector walk in
+    log steps of a positive path coordinate, from the path point last at
+    coordinate pos, and the one before it (or None), to coordinate x.
+
+    correct(at, last, before) returns the solution at coordinate at, or
+    None when its correction fails.  A failure halves the log step, up to
+    SWEEP_HALVINGS times, and the walk passes through the intermediate
+    points.  The returned pos is the coordinate of the returned last: x
+    unless the halvings ran out.  ``newton`` sums the iterations of the
+    accepted corrections.
+    """
+    step = math.log(x / pos)
+    halvings = newton = 0
+    while pos != x:
+        at = x if abs(math.log(x / pos)) <= abs(step) * (1.0 + 1e-9) \
+            else pos * math.exp(step)
+        sol = correct(at, last, before)
+        if sol is None:
+            if halvings == SWEEP_HALVINGS:
+                break
+            halvings += 1
+            step *= 0.5
+            continue
+        newton += sol.iterations
+        before, last, pos = last, sol, at
+    return last, before, pos, halvings, newton
+
+
+def _walk(system: _System, point: Callable[[float], complex], x: float,
+          pos: float, last: FixedPointSolution,
+          before: Optional[FixedPointSolution], cfg: FixedPointConfig):
+    """(last, before) with last the solution at point(x), walked by
+    ``_log_walk`` from last at point(pos): each point is Newton from the
+    secant predictor, and a root outside the cone is a failed correction.
+    When the halvings run out, point(x) takes a continuation step from the
+    last point reached."""
+
+    def correct(at, last, before):
+        z = point(at)
+        guess = last.unknowns if before is None else _secant(z, last, before)
+        sol = _newton_warm(system, z, guess, cfg)
+        if sol is None or not all(cone_contains(system.cone, system.a, yi,
+                                                1e-9) for yi in sol.unknowns):
+            return None
+        return sol
+
+    last, before, pos, _, _ = _log_walk(x, pos, last, before, correct)
+    if pos != x:
+        z = point(x)
+        guess = None if before is None else _secant(z, last, before)
+        before, last = last, _continuation_step(system, z, last.unknowns,
+                                                cfg, guess)
+    return last, before
+
+
 def _solve(system: _System, z: complex, cfg: FixedPointConfig,
            warm: Optional[np.ndarray] = None,
            guess: Optional[np.ndarray] = None) -> FixedPointSolution:
@@ -366,8 +433,11 @@ def _solve(system: _System, z: complex, cfg: FixedPointConfig,
     With ``warm`` (a solution at a nearby point) this is one continuation
     step: Newton from ``guess`` (default ``warm``), then damped Picard from
     ``warm`` if Newton fails.  Without it, damped Picard from 0 runs at the
-    contraction radius only, and geometric steps toward z each take that
-    same continuation step, predicted by the secant through the last two.
+    contraction radius only.  The path then heads straight for z: its
+    distance to z shrinks by ``cfg.continuation_factor`` from point to
+    point, each point reached by ``_walk``, until the next one would lie
+    within 0.05|z| of z; the last step, to z itself, is one continuation
+    step predicted by the secant through the last two solutions.
     """
     if z.imag <= 0:
         raise ValueError("z must lie in the open upper half-plane")
@@ -376,14 +446,17 @@ def _solve(system: _System, z: complex, cfg: FixedPointConfig,
     sol = _picard(system, system.start_z(z), np.zeros(system.q, dtype=complex),
                   cfg)
     _check_cone(system, sol.unknowns)
+    start = sol.z
+    pos = dist = abs(start - z)
     before = None
-    while sol.z != z:
-        step = z + cfg.continuation_factor * (sol.z - z)
-        if abs(step - z) < 0.05 * abs(z):
-            step = z
-        guess = None if before is None else _secant(step, sol, before)
-        before, sol = sol, _continuation_step(system, step, sol.unknowns,
-                                              cfg, guess)
+    while cfg.continuation_factor * pos >= 0.05 * abs(z):
+        x = cfg.continuation_factor * pos
+        sol, before = _walk(system, lambda d: z + (d / dist) * (start - z),
+                            x, pos, sol, before, cfg)
+        pos = x
+    if sol.z != z:
+        guess = None if before is None else _secant(z, sol, before)
+        sol = _continuation_step(system, z, sol.unknowns, cfg, guess)
     return sol
 
 
@@ -449,14 +522,17 @@ def continue_to_real_axis(system: _System, t: float,
                           eps_list: Sequence[float],
                           cfg: FixedPointConfig = FixedPointConfig(),
                           critical_points: Sequence[float] = ()) -> list:
-    """Solutions at z = t + i eps for a decreasing eps schedule.
+    """Solutions at z = t + i eps, one per point of a decreasing eps
+    schedule.
 
-    Each solve is one continuation step from the previous solution,
-    predicted by the secant through the last two; negative t uses the
-    conjugation symmetry Y(-conj z) = conj Y(z) of the unique decaying
-    branch.  Near a known critical point the schedule is refined and the
-    iteration budget raised, since analyticity of the boundary value may
-    fail there.
+    The first point is a cold solve; the path then walks from each point
+    to the next by ``_walk`` in log eps, Newton from the eps secant
+    through the last two solutions, with the log step halved when Newton
+    fails and a continuation step (Newton, then damped Picard) when the
+    halvings run out.  Negative t uses the conjugation symmetry
+    Y(-conj z) = conj Y(z) of the unique decaying branch.  Near a known
+    critical point the schedule is refined and the iteration budget
+    raised, since analyticity of the boundary value may fail there.
     """
     if t == 0:
         raise ValueError("t must be nonzero")
@@ -482,17 +558,19 @@ def continue_to_real_axis(system: _System, t: float,
                                continuation_factor=cfg.continuation_factor)
 
     out = []
+    last = before = None
     for i, eps in enumerate(eps_list):
-        z = t + 1j * eps
-        warm = out[-1].unknowns if out else None
-        guess = _secant(z, out[-1], out[-2]) if len(out) > 1 else None
         try:
-            sol = _solve(system, z, cfg, warm=warm, guess=guess)
+            if last is None:
+                last = _solve(system, t + 1j * eps, cfg)
+            else:
+                last, before = _walk(system, lambda e: t + 1j * e, eps,
+                                     last.z.imag, last, before, cfg)
         except SolverError as exc:
             exc.failure_index = i
             exc.partial_path = out
             raise
-        out.append(sol)
+        out.append(last)
     return out
 
 

@@ -170,11 +170,11 @@ def _clamped_angle(alpha: float, y: complex) -> tuple[float, bool]:
 # Measured against 40-digit values over 288 growing-clamp points (alpha
 # 1.5-1.95, arg y 0.9-1 of the cone edge, |y| 1-60, beta in {a, 2, 2a, 3a}),
 # nested tanh-sinh on the middle ray stays within 5.3e-13 up to
-# pi/2 - 0.1, where the clamp exceeds 1e-12 at 60 of 204 points.  The
-# margin is held at the clamp's 0.2: at 0.1 the middle ray also completes
-# the Wishart-pair solve at alpha=1.95, z=0.4+0.05i, whose failure through
-# the clamp is what the solver's error-wrapping test relies on.
-_MIDDLE_RAY_MAX = math.pi / 2.0 - 0.2
+# pi/2 - 0.1, where the clamp exceeds 1e-12 at 60 of 204 points and goes
+# wrong silently (1.4e-6 relative at alpha=1.7, |y|=10, beta=3a, with no
+# error raised).  Steeper than that, the 30- and 40-digit references on
+# the middle ray disagree, so nothing beyond it was verified.
+_MIDDLE_RAY_MAX = math.pi / 2.0 - 0.1
 
 
 def _rotation_angle(alpha: float, y: complex) -> float:

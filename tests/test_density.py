@@ -574,3 +574,19 @@ def test_atom_at_gamma_099(alpha):
     # 2e-3 is the error of the quadratic extrapolation over ATOM_XS
     atom = atom_at_zero_wishart(AlphaParam(alpha), 0.99)
     assert math.isfinite(atom) and abs(atom - 0.01) <= 2e-3
+
+
+def test_density_point_g_evaluations(monkeypatch):
+    # the eps path walks the default schedule's seven points and the cold
+    # solve its coarse geometric steps; 60 fine eps steps and 0.8 distance
+    # steps took 2,262 evaluations here
+    calls = []
+    g = special.g_alpha_beta
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return g(*args, **kwargs)
+
+    monkeypatch.setattr(special, "g_alpha_beta", counted)
+    density_band(AlphaParam(1.5), BAND, 1.0)
+    assert len(calls) <= 800

@@ -31,9 +31,11 @@ from htspectra.special import (
     AlphaParam,
     K_ALPHA,
     K_HAT_ALPHA,
+    QuadratureError,
     QuadratureRule,
     c_alpha,
     cone_contains,
+    g_alpha,
     h_alpha,
     principal_power,
 )
@@ -237,13 +239,41 @@ def test_polish_raises_outside_the_cone():
     assert exc_info.value.unknowns[0] == -1.0
 
 
-def test_arithmetic_failure_becomes_solver_error():
-    # at alpha=1.95 the Picard fallback drives Y2 to about -74+25i, where
-    # g cannot be certified; the quadrature error must surface as a
-    # SolverError chained to its cause
+def test_arithmetic_failure_becomes_solver_error(monkeypatch):
+    # g fails everywhere off the imaginary axis, as where it cannot be
+    # certified: Newton gives up, and the quadrature error of the Picard
+    # fallback must surface as a SolverError chained to its cause
+    system = wishart_system(AlphaParam(1.5), 0.5)
+    real = system.apply
+
+    def apply(z, y):
+        if z.real != 0.0:
+            raise QuadratureError("injected failure")
+        return real(z, y)
+
+    monkeypatch.setattr(system, "apply", apply)
     with pytest.raises(SolverError) as exc_info:
-        solve_wishart_pair(AlphaParam(1.95), 0.5, 0.4 + 0.05j)
+        solver._solve(system, 0.4 + 0.05j, FixedPointConfig())
     assert isinstance(exc_info.value.__cause__, ArithmeticError)
+
+
+@pytest.mark.parametrize("z", [0.4 + 0.05j, 1.2 + 0.05j, 1.5 + 0.1j])
+def test_wishart_pair_near_alpha_two_solves(z):
+    # at alpha=1.95 these solves used to fail: at 0.4+0.05i Picard met
+    # points near the solution's Y2 = -74+25i where g on the clamped
+    # contour could not be certified, at 1.2+0.05i it stalled at residual
+    # 2.2e-12; the solutions must satisfy both equations under the
+    # adaptive rule
+    a = AlphaParam(1.95)
+    gamma = 0.5
+    y1, y2 = solve_wishart_pair(a, gamma, z).unknowns
+    rule = QuadratureRule(kind="adaptive-subdivision")
+    za, c = principal_power(z, 1.95), c_alpha(a)
+    assert abs(za * y1 - gamma / (1 + gamma) * c * g_alpha(a, y2, rule)) \
+        <= 1e-10
+    assert abs(za * y2 - 1 / (1 + gamma) * c * g_alpha(a, y1, rule)) <= 1e-10
+    assert abs(h_alpha(a, y1, rule)
+               - (1 - gamma + gamma * h_alpha(a, y2, rule))) <= 1e-10
 
 
 def test_arithmetic_failure_carries_partial_path():
@@ -306,16 +336,17 @@ SYSTEMS = {
 PICARD_POINTS = (0.7 + 3.0j, -1.3 + 0.5j, 2.5 + 0.05j)
 
 
-def _picard_continuation(system, z, cfg):
-    """The cold path with damped Picard at every geometric step, from 0 at
-    the contraction radius: the reference the Newton path must reproduce."""
+def _picard_continuation(system, z, cfg, factor):
+    """The cold path with damped Picard at every geometric step of the
+    given distance factor, from 0 at the contraction radius: the reference
+    the Newton path must reproduce."""
     y = np.zeros(system.q, dtype=complex)
     zc = system.start_z(z)
     while True:
         y = solver._picard(system, zc, y, cfg).unknowns
         if zc == z:
             return y
-        step = z + cfg.continuation_factor * (zc - z)
+        step = z + factor * (zc - z)
         if abs(step - z) < 0.05 * abs(z):
             step = z
         zc = step
@@ -327,7 +358,8 @@ def test_newton_continuation_matches_pure_picard(alpha, name):
     system = SYSTEMS[name](AlphaParam(alpha))
     cfg = FixedPointConfig(max_iter=4000)
     for z in PICARD_POINTS:
-        want = _picard_continuation(system, z, cfg)
+        # the reference keeps fine 0.8 steps; Newton walks at the default
+        want = _picard_continuation(system, z, cfg, 0.8)
         got = solver._solve(system, z, cfg).unknowns
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -389,3 +421,85 @@ def test_public_solve_calls_private_solve(monkeypatch):
     assert calls == [0.8 + 0.6j]
     want = real(system, 0.8 + 0.6j, FixedPointConfig())
     assert np.array_equal(sol.unknowns, want.unknowns)
+
+
+# ---------------------------------------------------------------------------
+# the eps path: a halving walk in log eps between the schedule's points
+
+
+EPS_SCHEDULE = [0.5, 0.05, 5e-3, 5e-4]
+EPS_CFG = FixedPointConfig(max_iter=4000)
+
+
+def _failing_newton(monkeypatch, fails):
+    """Make solver._newton_warm fail at z = t + i eps where fails(eps)
+    holds; returns the list of eps it was called at."""
+    real = solver._newton_warm
+    calls = []
+
+    def newton(system, z, y, cfg):
+        calls.append(z.imag)
+        if fails(z.imag):
+            return None
+        return real(system, z, y, cfg)
+
+    monkeypatch.setattr(solver, "_newton_warm", newton)
+    return calls
+
+
+def _same_end(got, want):
+    y, w = got[-1].unknowns, want[-1].unknowns
+    return np.max(np.abs(y - w)) <= 1e-10 * np.max(np.abs(w))
+
+
+def test_eps_walk_failed_correction_halves_the_step(monkeypatch):
+    system = wigner_system(AlphaParam(1.5))
+    want = continue_to_real_axis(system, 1.2, EPS_SCHEDULE, EPS_CFG)
+    failed = []
+
+    def fails(eps):
+        # the first correction aimed at eps = 0.05
+        if eps == 0.05 and not failed:
+            failed.append(eps)
+            return True
+        return False
+
+    calls = _failing_newton(monkeypatch, fails)
+    got = continue_to_real_axis(system, 1.2, EPS_SCHEDULE, EPS_CFG)
+    # the walk passed through the log midpoint of 0.5 and 0.05
+    assert any(abs(e / math.sqrt(0.5 * 0.05) - 1.0) < 1e-12 for e in calls)
+    assert [p.z.imag for p in got] == EPS_SCHEDULE
+    assert _same_end(got, want)
+
+
+def test_eps_walk_spent_halvings_fall_back_to_a_continuation_step(
+        monkeypatch):
+    system = wigner_system(AlphaParam(1.5))
+    want = continue_to_real_axis(system, 1.2, EPS_SCHEDULE, EPS_CFG)
+    picard_at = []
+    picard = solver._picard
+
+    def counted(system, z, *args, **kwargs):
+        picard_at.append(z)
+        return picard(system, z, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_picard", counted)
+    # every correction aimed from just below 0.5 down to 0.05 fails
+    calls = _failing_newton(monkeypatch, lambda eps: 0.05 <= eps < 0.5)
+    got = continue_to_real_axis(system, 1.2, EPS_SCHEDULE, EPS_CFG)
+    # the first try and SWEEP_HALVINGS halvings, then the continuation
+    # step: its Newton fails too, and damped Picard solves at eps = 0.05
+    tries = [e for e in calls if 0.05 <= e < 0.5]
+    assert len(tries) == solver.SWEEP_HALVINGS + 2
+    assert picard_at[1:] == [1.2 + 0.05j]
+    assert [p.z.imag for p in got] == EPS_SCHEDULE
+    assert _same_end(got, want)
+
+
+def test_explicit_eps_list_is_visited_point_for_point():
+    system = band_system(AlphaParam(1.2), BAND6)
+    eps = [0.9, 0.4, 0.35, 0.02, 1.5e-4, 1e-6]
+    for t in (0.7, -0.7):
+        path = continue_to_real_axis(system, t, eps)
+        assert [p.z for p in path] == [complex(t, e) for e in eps]
+        assert all(p.residual <= 1e-12 for p in path)

@@ -380,3 +380,22 @@ def test_explicit_rule_never_takes_the_series(monkeypatch):
         assert np.isfinite(got)
     with pytest.raises(AssertionError):
         g_alpha(a, y)
+
+
+# (alpha, |y|, Re g, Im g) at beta = 3 alpha, y = |y| e^{0.98 i alpha pi/2},
+# from 40-digit quadrature on the decaying ray, confirmed on a second ray
+MIDDLE_RAY_ORACLE = [
+    (1.7, 10.0, 6.430718796254198e-05, -0.00306851575039051),
+    (1.8, 3.0, -0.10502389128770605, -0.291450877667644),
+]
+
+
+@pytest.mark.parametrize("alpha,r,vr,vi", MIDDLE_RAY_ORACLE)
+def test_steep_middle_ray_matches_frozen_values(alpha, r, vr, vi):
+    # the middle ray here lies between pi/2 - 0.2 and pi/2 - 0.1; the
+    # clamped contour returned these values with relative errors 1.4e-6
+    # and 6.0e-8 and raised nothing
+    y = r * cmath.exp(1j * 0.98 * alpha * math.pi / 2.0)
+    want = complex(vr, vi)
+    got = g_alpha_beta(AlphaParam(alpha), 3.0 * alpha, y)
+    assert abs(got - want) <= 1e-12 * abs(want)
