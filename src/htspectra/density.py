@@ -17,10 +17,10 @@ halved on failure and the per-point path as the fallback (and always
 within 1e-2 of a critical point).  Every computed point of a curve carries
 a ``PointRecord`` of how it was obtained.  The Wishart atom at zero takes
 one continuation path down the imaginary axis: damped Picard once at the
-contraction radius, then Newton from half-decade to half-decade, predicted
-by a power law in x through the last two solutions.  The sweep, the atom's
-path and both paths of the solver share one halving walk,
-``solver._log_walk``.
+contraction radius, then ``solver._walk`` from half-decade to
+half-decade, predicted by a power law in x through the last two
+solutions.  Every correction is the solver's one Newton loop, and the
+sweep and all walks share one halving walk, ``solver._log_walk``.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from .solver import (
     SWEEP_HALVINGS,
     FixedPointConfig,
     SolverError,
-    _check_cone,
     _log_walk,
-    _newton_warm,
+    _walk,
     band_system,
     continue_to_real_axis,
     near_critical,
@@ -145,8 +144,7 @@ def _richardson_at_zero(eps: np.ndarray, vals: np.ndarray) -> float:
 
 
 def _boundary_solution(system, t: float, cfg: FixedPointConfig,
-                       eps_schedule: Optional[Sequence[float]],
-                       critical_points: Sequence[float] = ()):
+                       eps_schedule: Optional[Sequence[float]]):
     """The per-point path at real t != 0: (eps continuation path, polished
     solution at |t|)."""
     # a numpy scalar t would carry numpy complex arithmetic into the
@@ -155,8 +153,7 @@ def _boundary_solution(system, t: float, cfg: FixedPointConfig,
     t = float(t)
     if eps_schedule is None:
         eps_schedule = default_eps_schedule()
-    path = continue_to_real_axis(system, t, eps_schedule, cfg,
-                                 critical_points=critical_points)
+    path = continue_to_real_axis(system, t, eps_schedule, cfg)
     y = path[-1].unknowns
     return path, polish_on_axis(system, abs(t), y if t > 0 else np.conj(y))
 
@@ -194,37 +191,32 @@ def _wishart_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
     return -h_alpha(a, y[0]).imag / (math.pi * t)
 
 
-def _band_boundary(a, profile, t, eps_schedule, cfg, critical_points):
+def _band_boundary(a, profile, t, eps_schedule, cfg):
     """(system, eps path, density) of a band profile at real t != 0."""
     if t == 0:
         raise ValueError("t must be nonzero")
     system = band_system(a, profile)
-    path, sol = _boundary_solution(system, t, cfg, eps_schedule,
-                                   critical_points)
+    path, sol = _boundary_solution(system, t, cfg, eps_schedule)
     y = sol.unknowns if t > 0 else np.conj(sol.unknowns)
     return system, path, _band_rho(a, system.weights, t, y)
 
 
 def density_band(a: AlphaParam, profile: SigmaProfile, t: float,
                  eps_schedule: Optional[Sequence[float]] = None,
-                 cfg: FixedPointConfig = _DENSITY_CFG,
-                 critical_points: Sequence[float] = ()) -> float:
-    return _band_boundary(a, profile, t, eps_schedule, cfg,
-                          critical_points)[2]
+                 cfg: FixedPointConfig = _DENSITY_CFG) -> float:
+    return _band_boundary(a, profile, t, eps_schedule, cfg)[2]
 
 
 def density_band_detail(a: AlphaParam, profile: SigmaProfile, t: float,
                         eps_schedule: Optional[Sequence[float]] = None,
-                        cfg: FixedPointConfig = _DENSITY_CFG,
-                        critical_points: Sequence[float] = ()):
+                        cfg: FixedPointConfig = _DENSITY_CFG):
     """(density, Plemelj-extrapolated density, eps reached) at real t != 0.
 
     The returned density evaluates -(1/(pi t)) sum_s Delta_s Im h(Y_s(t))
     at the polished real-axis solution; the second value is the independent
     -(1/pi) Im G(t + i eps) extrapolation, kept for consistency checking.
     """
-    system, path, value = _band_boundary(a, profile, t, eps_schedule, cfg,
-                                         critical_points)
+    system, path, value = _band_boundary(a, profile, t, eps_schedule, cfg)
     tail = path[-3:]
     eps = np.array([p.z.imag for p in tail])
     im_g = np.array([_band_G(a, p.z, p.unknowns, system.weights).imag
@@ -272,13 +264,13 @@ def density_wishart(a: AlphaParam, gamma: float, t: float,
     return _wishart_rho(a, t, sol.unknowns)
 
 
-def _power_law(x: float, last, before) -> np.ndarray:
+def _power_law(z: complex, last, before) -> np.ndarray:
     """Unknowns predicted at z = ix by the power law in x through the last
     two solutions on the imaginary axis, or the last one alone; exact for
     unknowns that are constant or proportional to a power of x."""
     if before is None:
         return last.unknowns
-    r = math.log(x / last.z.imag) / math.log(last.z.imag / before.z.imag)
+    r = math.log(z.imag / last.z.imag) / math.log(last.z.imag / before.z.imag)
     return last.unknowns * (last.unknowns / before.unknowns) ** r
 
 
@@ -289,12 +281,12 @@ def atom_at_zero_wishart(a: AlphaParam, gamma: float,
 
     One continuation path down the imaginary axis at x = 0.1 * 10^(k/2),
     from the first such x at or above the contraction radius, where the
-    cold solve is damped Picard only, to 1e-4; every later point is a
-    Newton correction from a power-law predictor (``_power_law``), which
-    follows Y1 -> const and Y2 ~ x^-alpha, in the walk of ``_log_walk``.
-    When its halvings run out, the point takes a continuation step from
-    the last one, Newton and then damped Picard.  The last seven points
-    are fitted by a quadratic in x.  Raises SolverError, with the unknowns,
+    cold solve is damped Picard only, to 1e-4; every later point is
+    reached by ``_walk`` with a power-law predictor (``_power_law``),
+    which follows Y1 -> const and Y2 ~ x^-alpha.  When its halvings run
+    out, the point takes a continuation step from the last one, Newton
+    and then damped Picard.  The last seven points are fitted by a
+    quadratic in x.  Raises SolverError, with the unknowns,
     when h(Y1(ix)) leaves the real axis.
     """
     if not 0.0 < gamma < 1.0:
@@ -306,21 +298,11 @@ def atom_at_zero_wishart(a: AlphaParam, gamma: float,
     top = math.ceil(2.0 * math.log10(system.start_radius() / xs[0]))
     path = [xs[0] * 10.0 ** (k / 2.0) for k in range(top, 0, -1)] + list(xs)
 
-    def correct(at, last, before):
-        sol = _newton_warm(system, 1j * at, _power_law(at, last, before), cfg)
-        if sol is not None:
-            _check_cone(system, sol.unknowns, residual=sol.residual)
-        return sol
-
     last, before = solve(system, 1j * path[0], cfg), None
     vals = []
     for x in map(float, path):
-        last, before, reached, _, _ = _log_walk(x, last.z.imag, last, before,
-                                                correct)
-        if reached != x:
-            before, last = last, solve(system, 1j * x, cfg,
-                                       warm=last.unknowns,
-                                       guess=_power_law(x, last, before))
+        last, before = _walk(system, lambda s: 1j * s, _power_law, x,
+                             last.z.imag, last, before, cfg)
         if x > xs[0]:
             continue
         h1 = h_alpha(a, last.unknowns[0])
@@ -607,8 +589,7 @@ def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
             if reached == x:
                 sol = last
         if sol is None:
-            path, sol = _boundary_solution(system, x, cfg, eps_schedule,
-                                           critical_points)
+            path, sol = _boundary_solution(system, x, cfg, eps_schedule)
             before, last = last, sol
             records[i] = PointRecord("eps", newton + sol.iterations,
                                      sol.residual, halvings,

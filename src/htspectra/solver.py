@@ -5,22 +5,24 @@ for large |z| (band/Wigner/Wishart) or large Im z (diagonally perturbed).
 The solver therefore always starts on the imaginary axis at a radius where
 a 1/3-contraction is guaranteed by explicit bounds on g_alpha and its
 derivative, and iterates damped Picard there from 0.  It then walks toward
-the requested z by predictor-corrector continuation (``_log_walk``): coarse
-steps in the logarithm of the distance to z, each a secant predictor
-through the last two solutions corrected by Newton's method, with the log
-step halved when Newton fails; when the halvings run out, the point takes
-a continuation step, Newton and then damped Picard from the last solution.
-The eps path towards the real axis walks the same way in log eps between
-the points of its schedule.  This keeps the iteration on the branch that
-tends to zero at infinity, which is the one describing the spectral
-measure.
+the requested z by predictor-corrector continuation.  Every path uses the
+same two pieces: one Newton corrector (``_newton``), which also polishes
+solutions on the real axis (``polish_on_axis``), and one point walker
+(``_walk``), which takes coarse steps in the logarithm of a path
+coordinate, predicts each point from the last two solutions, corrects it
+by Newton, halves the log step when Newton fails, and when the halvings
+run out takes a continuation step, Newton and then damped Picard from the
+last solution.  The cold path walks in the distance to z, the eps path
+towards the real axis in log eps between the points of its schedule.
+This keeps the iteration on the branch that tends to zero at infinity,
+which is the one describing the spectral measure.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,23 +70,23 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
+# initial damping of the Picard iteration, which halves it where the
+# residual stops falling
+DAMPING = 1.0
+# distance to z kept per coarse step of the cold path (see _solve)
+CONTINUATION_FACTOR = 0.3
+
+
 @dataclass(frozen=True)
 class FixedPointConfig:
     tol: float = 1e-12
     max_iter: int = 500
-    damping: float = 1.0
-    # distance to z kept per coarse step of the cold path (see _solve)
-    continuation_factor: float = 0.3
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if not 0.0 < self.continuation_factor < 1.0:
-            raise ValueError("continuation_factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -251,8 +253,7 @@ class _PerturbedSystem(_System):
 def _picard(system: _System, z: complex, y0: np.ndarray,
             cfg: FixedPointConfig) -> FixedPointSolution:
     y = np.array(y0, dtype=complex)
-    d = cfg.damping
-    d_cap = cfg.damping
+    d = d_cap = DAMPING
     decreases = 0
     stalls = 0
     prev = math.inf
@@ -289,47 +290,49 @@ def _picard(system: _System, z: complex, y0: np.ndarray,
         "iterations", unknowns=y, residual=res)
 
 
-def _newton_warm(system: _System, z: complex, y0: np.ndarray,
-                 cfg: FixedPointConfig):
-    """Newton iteration from a warm start; None on any sign of trouble.
+def _newton(system: _System, z: complex, y0: np.ndarray, tol: float,
+            max_steps: int = 12) -> FixedPointSolution:
+    """Newton's method for y = apply(z, y) from y0, the corrector of every
+    path.
 
-    The corrector of the continuation: a predicted solution at z, or one at
-    a nearby z, is close enough for quadratic convergence, which beats the
-    linear Picard rate when the contraction factor is near one (deep inside
-    the bulk or close to the real axis).  Divergence, singular Jacobians or
-    cone exits return None, and the caller halves its step or falls back
-    to damped Picard.
+    A predicted solution at z, or one at a nearby z, is close enough for
+    quadratic convergence, which beats the linear Picard rate when the
+    contraction factor is near one (deep inside the bulk or close to the
+    real axis).  ``iterations`` counts the Newton steps taken.  Raises
+    SolverError, with the last unknowns and residual, when the residual is
+    still above tol after max_steps steps, when it is non-finite or
+    exceeds 100 times its best value so far, when the root lies outside
+    the cone, or when g fails on the way (then chained as the cause).
     """
     y = np.array(y0, dtype=complex)
-    best = math.inf
-    for it in range(1, 13):
-        try:
+    res = best = math.inf
+    try:
+        for steps in range(max_steps + 1):
             fy = system.apply(z, y)
-        except (ValueError, ArithmeticError):
-            return None
-        res = system.residual(z, y, fy)
-        if res <= cfg.tol:
-            return FixedPointSolution(
-                z=z, unknowns=y, residual=res, iterations=it,
-                cone=system.cone)
-        if not math.isfinite(res) or res > 100.0 * best:
-            return None
-        best = min(best, res)
-        try:
-            jac = system.jacobian(z, y)
-            y = y - np.linalg.solve(jac, y - fy)
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError):
-            return None
-        if not np.all(np.isfinite(y)):
-            return None
-        if not all(cone_contains(system.cone, system.a, yi, 0.1) for yi in y):
-            return None
-    return None
+            res = system.residual(z, y, fy)
+            if res <= tol or steps == max_steps or not math.isfinite(res) \
+                    or res > 100.0 * best:
+                break
+            best = min(best, res)
+            y = y + np.linalg.solve(system.jacobian(z, y), fy - y)
+    except (ValueError, ArithmeticError) as exc:
+        raise SolverError(f"Newton failed at z={z}: {exc}", unknowns=y,
+                          residual=res) from exc
+    if not res <= tol:   # also when the residual is nan
+        raise SolverError(
+            f"no convergence at z={z}: residual {res:.3e} after {steps} "
+            "Newton steps", unknowns=y, residual=res)
+    _check_cone(system, y, residual=res)
+    return FixedPointSolution(z=z, unknowns=y, residual=res,
+                              iterations=steps, cone=system.cone)
 
 
 def _secant(z: complex, last: FixedPointSolution,
-            before: FixedPointSolution) -> np.ndarray:
-    """Secant predictor at z through the last two solutions of a path."""
+            before: Optional[FixedPointSolution]) -> np.ndarray:
+    """Secant predictor at z through the last two solutions of a path, or
+    the last one alone."""
+    if before is None:
+        return last.unknowns
     ratio = (z - last.z) / (last.z - before.z)
     return last.unknowns + ratio * (last.unknowns - before.unknowns)
 
@@ -340,23 +343,25 @@ def _continuation_step(system: _System, z: complex, y: np.ndarray,
                        ) -> FixedPointSolution:
     """One continuation step to z from the solution y at a nearby point:
     Newton from guess (y when None), else damped Picard from y.  An
-    arithmetic failure of g on the way is a SolverError caused by it."""
-    sol = _newton_warm(system, z, y if guess is None else guess, cfg)
-    if sol is None:
-        try:
-            sol = _picard(system, z, y, cfg)
-        except ArithmeticError as exc:
-            raise SolverError(f"Picard failed at z={z}: {exc}",
-                              unknowns=y) from exc
+    arithmetic failure of g in Picard is a SolverError caused by it."""
+    try:
+        return _newton(system, z, y if guess is None else guess, cfg.tol)
+    except SolverError:
+        pass
+    try:
+        sol = _picard(system, z, y, cfg)
+    except ArithmeticError as exc:
+        raise SolverError(f"Picard failed at z={z}: {exc}",
+                          unknowns=y) from exc
     _check_cone(system, sol.unknowns)
     return sol
 
 
-def _check_cone(system: _System, y: np.ndarray, slack: float = 1e-9,
+def _check_cone(system: _System, y: np.ndarray,
                 residual: Optional[float] = None):
     a = system.a
     for yi in y:
-        if not cone_contains(system.cone, a, yi, slack):
+        if not cone_contains(system.cone, a, yi, 1e-9):
             raise SolverError(
                 f"iterate {yi} left the cone {system.cone} "
                 "(branch loss during continuation)", unknowns=y,
@@ -398,65 +403,57 @@ def _log_walk(x: float, pos: float, last, before, correct):
     return last, before, pos, halvings, newton
 
 
-def _walk(system: _System, point: Callable[[float], complex], x: float,
-          pos: float, last: FixedPointSolution,
+def _walk(system: _System, point: Callable[[float], complex],
+          predict: Callable, x: float, pos: float, last: FixedPointSolution,
           before: Optional[FixedPointSolution], cfg: FixedPointConfig):
     """(last, before) with last the solution at point(x), walked by
-    ``_log_walk`` from last at point(pos): each point is Newton from the
-    secant predictor, and a root outside the cone is a failed correction.
+    ``_log_walk`` from last at point(pos): each point z is ``_newton`` from
+    predict(z, last, before), and a SolverError is a failed correction.
     When the halvings run out, point(x) takes a continuation step from the
     last point reached."""
 
     def correct(at, last, before):
         z = point(at)
-        guess = last.unknowns if before is None else _secant(z, last, before)
-        sol = _newton_warm(system, z, guess, cfg)
-        if sol is None or not all(cone_contains(system.cone, system.a, yi,
-                                                1e-9) for yi in sol.unknowns):
+        try:
+            return _newton(system, z, predict(z, last, before), cfg.tol)
+        except SolverError:
             return None
-        return sol
 
     last, before, pos, _, _ = _log_walk(x, pos, last, before, correct)
     if pos != x:
         z = point(x)
-        guess = None if before is None else _secant(z, last, before)
-        before, last = last, _continuation_step(system, z, last.unknowns,
-                                                cfg, guess)
+        before, last = last, _continuation_step(
+            system, z, last.unknowns, cfg, predict(z, last, before))
     return last, before
 
 
-def _solve(system: _System, z: complex, cfg: FixedPointConfig,
-           warm: Optional[np.ndarray] = None,
-           guess: Optional[np.ndarray] = None) -> FixedPointSolution:
+def _solve(system: _System, z: complex,
+           cfg: FixedPointConfig) -> FixedPointSolution:
     """The decaying-branch solution at z.
 
-    With ``warm`` (a solution at a nearby point) this is one continuation
-    step: Newton from ``guess`` (default ``warm``), then damped Picard from
-    ``warm`` if Newton fails.  Without it, damped Picard from 0 runs at the
-    contraction radius only.  The path then heads straight for z: its
-    distance to z shrinks by ``cfg.continuation_factor`` from point to
-    point, each point reached by ``_walk``, until the next one would lie
+    Damped Picard from 0 runs at the contraction radius only.  The path
+    then heads straight for z: its distance to z shrinks by
+    CONTINUATION_FACTOR from point to point, each point reached by
+    ``_walk`` with the secant predictor, until the next one would lie
     within 0.05|z| of z; the last step, to z itself, is one continuation
     step predicted by the secant through the last two solutions.
     """
     if z.imag <= 0:
         raise ValueError("z must lie in the open upper half-plane")
-    if warm is not None:
-        return _continuation_step(system, z, warm, cfg, guess)
     sol = _picard(system, system.start_z(z), np.zeros(system.q, dtype=complex),
                   cfg)
     _check_cone(system, sol.unknowns)
     start = sol.z
     pos = dist = abs(start - z)
     before = None
-    while cfg.continuation_factor * pos >= 0.05 * abs(z):
-        x = cfg.continuation_factor * pos
+    while CONTINUATION_FACTOR * pos >= 0.05 * abs(z):
+        x = CONTINUATION_FACTOR * pos
         sol, before = _walk(system, lambda d: z + (d / dist) * (start - z),
-                            x, pos, sol, before, cfg)
+                            _secant, x, pos, sol, before, cfg)
         pos = x
     if sol.z != z:
-        guess = None if before is None else _secant(z, sol, before)
-        sol = _continuation_step(system, z, sol.unknowns, cfg, guess)
+        sol = _continuation_step(system, z, sol.unknowns, cfg,
+                                 _secant(z, sol, before))
     return sol
 
 
@@ -485,12 +482,9 @@ def perturbed_system(a: AlphaParam, profile: SigmaProfile,
 
 
 def solve(system: _System, z: complex,
-          cfg: FixedPointConfig = FixedPointConfig(),
-          warm: Optional[np.ndarray] = None,
-          guess: Optional[np.ndarray] = None) -> FixedPointSolution:
-    """The decaying-branch solution of system at z, cold or as one
-    continuation step from ``warm`` (see ``_solve``)."""
-    return _solve(system, complex(z), cfg, warm, guess)
+          cfg: FixedPointConfig = FixedPointConfig()) -> FixedPointSolution:
+    """The decaying-branch solution of system at z (see ``_solve``)."""
+    return _solve(system, complex(z), cfg)
 
 
 def solve_wigner(a: AlphaParam, z: complex,
@@ -520,8 +514,7 @@ def solve_perturbed(a: AlphaParam, profile: SigmaProfile, diag: DiagonalLaw,
 
 def continue_to_real_axis(system: _System, t: float,
                           eps_list: Sequence[float],
-                          cfg: FixedPointConfig = FixedPointConfig(),
-                          critical_points: Sequence[float] = ()) -> list:
+                          cfg: FixedPointConfig = FixedPointConfig()) -> list:
     """Solutions at z = t + i eps, one per point of a decreasing eps
     schedule.
 
@@ -530,9 +523,7 @@ def continue_to_real_axis(system: _System, t: float,
     through the last two solutions, with the log step halved when Newton
     fails and a continuation step (Newton, then damped Picard) when the
     halvings run out.  Negative t uses the conjugation symmetry
-    Y(-conj z) = conj Y(z) of the unique decaying branch.  Near a known
-    critical point the schedule is refined and the iteration budget
-    raised, since analyticity of the boundary value may fail there.
+    Y(-conj z) = conj Y(z) of the unique decaying branch.
     """
     if t == 0:
         raise ValueError("t must be nonzero")
@@ -542,20 +533,11 @@ def continue_to_real_axis(system: _System, t: float,
     if eps_list[-1] < 1e-6:
         raise ValueError("eps floor is 1e-6")
     if t < 0:
-        path = continue_to_real_axis(system, -t, eps_list, cfg, critical_points)
+        path = continue_to_real_axis(system, -t, eps_list, cfg)
         return [FixedPointSolution(
             z=-sol.z.conjugate(), unknowns=np.conj(sol.unknowns),
             residual=sol.residual, iterations=sol.iterations,
             cone=sol.cone) for sol in path]
-
-    if near_critical(t, critical_points):
-        refined = [eps_list[0]]
-        while refined[-1] > eps_list[-1]:
-            refined.append(max(refined[-1] * 0.95, eps_list[-1]))
-        eps_list = refined
-        cfg = FixedPointConfig(tol=cfg.tol, max_iter=cfg.max_iter * 4,
-                               damping=cfg.damping,
-                               continuation_factor=cfg.continuation_factor)
 
     out = []
     last = before = None
@@ -564,8 +546,8 @@ def continue_to_real_axis(system: _System, t: float,
             if last is None:
                 last = _solve(system, t + 1j * eps, cfg)
             else:
-                last, before = _walk(system, lambda e: t + 1j * e, eps,
-                                     last.z.imag, last, before, cfg)
+                last, before = _walk(system, lambda e: t + 1j * e, _secant,
+                                     eps, last.z.imag, last, before, cfg)
         except SolverError as exc:
             exc.failure_index = i
             exc.partial_path = out
@@ -583,37 +565,16 @@ def near_critical(t: float, critical_points: Sequence[float]) -> bool:
 def polish_on_axis(system, t: float, y: np.ndarray,
                    tol: float = 1e-13, max_iter: int = 40
                    ) -> FixedPointSolution:
-    """Newton solution of the defining equation at real z = t > 0, from y.
+    """Newton solution of the defining equation at real z = t > 0, from y:
+    ``_newton`` on the real axis, in at most max_iter steps.
 
     The boundary values extend continuously to the real axis; a few Newton
     steps turn an iterate near the axis (the end of an eps path, or a
     prediction from neighbouring real-axis solutions) into a
     machine-precision fixed point, making the algebraically equivalent
-    density formulas agree at full accuracy.  ``iterations`` counts the
-    Newton steps taken.  Raises SolverError, with the last unknowns and
-    residual, when the residual is still above tol after max_iter steps,
-    when the root lies outside the cone, or when g fails on the way.
+    density formulas agree at full accuracy.
     """
-    z = complex(t)
-    y = np.array(y, dtype=complex)
-    res = math.inf
-    try:
-        for steps in range(max_iter + 1):
-            fy = system.apply(z, y)
-            res = system.residual(z, y, fy)
-            if res <= tol or steps == max_iter:
-                break
-            y = y + np.linalg.solve(system.jacobian(z, y), fy - y)
-    except (ValueError, ArithmeticError) as exc:
-        raise SolverError(f"polish failed at t={t}: {exc}", unknowns=y,
-                          residual=res) from exc
-    if not res <= tol:   # also when the residual is nan
-        raise SolverError(
-            f"no convergence on the axis at t={t}: residual {res:.3e} "
-            f"after {max_iter} Newton steps", unknowns=y, residual=res)
-    _check_cone(system, y, residual=res)
-    return FixedPointSolution(z=z, unknowns=y, residual=res,
-                              iterations=steps, cone=system.cone)
+    return _newton(system, complex(t), y, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -284,11 +284,11 @@ def test_band_alpha_integral_single_definition(alpha):
 # the real-axis sweep of build_density_curve against the per-point path
 
 
-def _per_point(model, a, t, gamma=0.5, critical_points=()):
+def _per_point(model, a, t, gamma=0.5):
     if model == "wigner":
         return density_wigner_formula(a, t)
     if model == "band":
-        return density_band(a, BAND, t, critical_points=critical_points)
+        return density_band(a, BAND, t)
     return density_wishart(a, gamma, t)
 
 
@@ -359,10 +359,21 @@ def test_sweep_falls_back_at_critical_points():
     methods = [p.method for p in curve.points]
     assert methods == ["sweep"] * 3 + ["eps"] + ["sweep"] * 3 + ["eps"]
     assert curve.points[3].eps_reached == 1e-6
-    assert curve.rho[8 + 3] == density_band(a, BAND, ts[3],
-                                            critical_points=crit)
+    assert curve.rho[8 + 3] == density_band(a, BAND, ts[3])
     for t, got in zip(ts, curve.rho[8:]):
-        assert _agrees(got, density_band(a, BAND, t, critical_points=crit))
+        assert _agrees(got, density_band(a, BAND, t))
+
+
+def test_wishart_gap_sweep_point_records():
+    # the records of this curve's sweep through the gap near 0, where Y2
+    # lies on the cone edge; a Newton that gave up on iterates near the
+    # edge would add halvings or fall back to the eps path here
+    curve = _curve("wishart", AlphaParam(1.5), 1e-2, 1e4, 16)
+    got = [(p.method, p.halvings, p.newton_iterations) for p in curve.points]
+    assert got == [("sweep", 0, 7), ("sweep", 0, 6), ("sweep", 1, 10),
+                   ("sweep", 1, 12), ("sweep", 0, 5)] \
+        + [("sweep", 0, 4)] * 2 + [("sweep", 0, 5)] \
+        + [("sweep", 0, 4)] * 4 + [("sweep", 0, 3)] * 3 + [("eps", 0, 1)]
 
 
 def test_clean_sweep_runs_one_eps_path(monkeypatch):
@@ -450,14 +461,16 @@ ATOM_GAMMAS = (0.1, 0.5, 0.9, 0.99)
 
 
 def _atom_seven_warm_solves(a, gamma):
-    """The atom as seven separate warm solves at the extrapolation
-    abscissae, each Newton from the previous unknowns and then Picard: the
-    reference the single path must reproduce."""
+    """The atom as seven separate solves at the extrapolation abscissae, a
+    cold one and then continuation steps, each Newton from the previous
+    unknowns and then Picard: the reference the single path must
+    reproduce."""
     system = solver.wishart_system(a, gamma)
-    vals, warm = [], None
+    cfg = density._DENSITY_CFG
+    vals, sol = [], None
     for x in ATOM_XS:
-        sol = solver._solve(system, 1j * x, density._DENSITY_CFG, warm=warm)
-        warm = sol.unknowns
+        sol = solver._solve(system, 1j * x, cfg) if sol is None \
+            else solver._continuation_step(system, 1j * x, sol.unknowns, cfg)
         vals.append(h_alpha(a, sol.unknowns[0]).real)
     return float(np.polynomial.polynomial.polyfit(ATOM_XS, vals, 2)[0])
 
@@ -513,18 +526,18 @@ def test_atom_g_evaluations(alpha, monkeypatch):
 def test_atom_failed_correction_halves_the_step(monkeypatch):
     a = AlphaParam(1.2)
     want = atom_at_zero_wishart(a, 0.5)
-    real = density._newton_warm
+    real = solver._newton
     calls = []
 
-    def newton(system, z, y, cfg):
+    def newton(system, z, y, *args, **kwargs):
         # fail the first correction aimed at x = 1e-2
         first = not any(abs(x / 1e-2 - 1.0) < 1e-12 for x in calls)
         calls.append(z.imag)
         if first and abs(z.imag / 1e-2 - 1.0) < 1e-12:
-            return None
-        return real(system, z, y, cfg)
+            raise SolverError("injected failure")
+        return real(system, z, y, *args, **kwargs)
 
-    monkeypatch.setattr(density, "_newton_warm", newton)
+    monkeypatch.setattr(solver, "_newton", newton)
     got = atom_at_zero_wishart(a, 0.5)
     # the walk passed through the log midpoint of 10^-1.5 and 10^-2
     assert any(abs(x / 10 ** -1.75 - 1.0) < 1e-12 for x in calls)
@@ -534,22 +547,22 @@ def test_atom_failed_correction_halves_the_step(monkeypatch):
 def test_atom_spent_halvings_fall_back_to_a_continuation_step(monkeypatch):
     a = AlphaParam(1.2)
     want = atom_at_zero_wishart(a, 0.5)
-    real = density._newton_warm
+    real = solver._newton
     calls = []
 
-    def newton(system, z, y, cfg):
+    def newton(system, z, y, *args, **kwargs):
         # every correction aimed between 10^-1.5 and 10^-2 fails
         calls.append(z.imag)
         if 1e-2 * (1.0 - 1e-12) < z.imag < 10 ** -1.5:
-            return None
-        return real(system, z, y, cfg)
+            raise SolverError("injected failure")
+        return real(system, z, y, *args, **kwargs)
 
-    monkeypatch.setattr(density, "_newton_warm", newton)
+    monkeypatch.setattr(solver, "_newton", newton)
     got = atom_at_zero_wishart(a, 0.5)
     # the first try and SWEEP_HALVINGS halvings, then the continuation
-    # step of solve, whose Newton the failing corrector does not see
+    # step: its Newton fails too, and damped Picard solves at x = 1e-2
     tries = [x for x in calls if 1e-2 * (1.0 - 1e-12) < x < 10 ** -1.5]
-    assert len(tries) == density.SWEEP_HALVINGS + 1
+    assert len(tries) == density.SWEEP_HALVINGS + 2
     assert abs(got - want) <= 1e-9
 
 

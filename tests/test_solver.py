@@ -302,10 +302,6 @@ def test_config_validation():
         FixedPointConfig(tol=-1.0)
     with pytest.raises(ValueError):
         FixedPointConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        FixedPointConfig(damping=1.5)
-    with pytest.raises(ValueError):
-        FixedPointConfig(continuation_factor=1.0)
 
 
 def test_critical_set_alpha_large_empty():
@@ -432,18 +428,18 @@ EPS_CFG = FixedPointConfig(max_iter=4000)
 
 
 def _failing_newton(monkeypatch, fails):
-    """Make solver._newton_warm fail at z = t + i eps where fails(eps)
-    holds; returns the list of eps it was called at."""
-    real = solver._newton_warm
+    """Make solver._newton raise SolverError at z = t + i eps where
+    fails(eps) holds; returns the list of eps it was called at."""
+    real = solver._newton
     calls = []
 
-    def newton(system, z, y, cfg):
+    def newton(system, z, y, *args, **kwargs):
         calls.append(z.imag)
         if fails(z.imag):
-            return None
-        return real(system, z, y, cfg)
+            raise SolverError("injected failure")
+        return real(system, z, y, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "_newton_warm", newton)
+    monkeypatch.setattr(solver, "_newton", newton)
     return calls
 
 
@@ -503,3 +499,31 @@ def test_explicit_eps_list_is_visited_point_for_point():
         path = continue_to_real_axis(system, t, eps)
         assert [p.z for p in path] == [complex(t, e) for e in eps]
         assert all(p.residual <= 1e-12 for p in path)
+
+
+class _ExpandingSystem(solver._System):
+    """y = apply(z, y) with root 0 and a Jacobian ten times too small, so
+    every Newton step multiplies y by -9; counts its apply calls."""
+
+    def __init__(self):
+        super().__init__(AlphaParam(1.0))
+        self.applied = 0
+
+    def apply(self, z, y):
+        self.applied += 1
+        return np.zeros_like(y)
+
+    def jacobian(self, z, y):
+        return 0.1 * np.eye(self.q)
+
+
+def test_polish_gives_up_when_the_residual_grows():
+    # the residual grows ninefold per step: Newton stops once it exceeds
+    # 100 times its best value instead of spending all 40 steps
+    system = _ExpandingSystem()
+    with pytest.raises(SolverError) as info:
+        polish_on_axis(system, 1.0, np.array([1.0 + 0.0j]), max_iter=40)
+    assert system.applied <= 5
+    err = info.value
+    assert err.residual > 100.0
+    assert np.array_equal(np.abs(err.unknowns), [err.residual])

@@ -152,8 +152,11 @@ def test_domain_rejection():
 
 
 def test_unrepresentable_boundary_raises():
-    # near the cone edge for alpha close to 2 the integral genuinely
-    # exceeds double range; this must be an explicit error, not garbage
+    # near the cone edge for alpha close to 2 the value itself is bounded
+    # by cone_bound, but the cancellation mass of the clamped contour
+    # (e^peak, peak > 600) exceeds double range, and no reference value
+    # on another contour is verified there; this must be an explicit
+    # error, not garbage
     a = AlphaParam(1.95)
     y = 60.0 * cmath.exp(1j * 0.999 * 1.95 * math.pi / 2.0)
     with pytest.raises((QuadratureError, ValueError)):
