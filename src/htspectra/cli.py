@@ -181,6 +181,15 @@ def _echo_config(args, out_dir: str):
            json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
 
+def _write_density(out_dir: str, csv_text: str, sidecar: dict):
+    # every theory run writes all three files, so a directory never holds
+    # one run's CSV next to another run's sidecar
+    _write(os.path.join(out_dir, "density.csv"), csv_text)
+    _write(os.path.join(out_dir, "density.json"),
+           json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write(os.path.join(out_dir, "density.plt"), _gnuplot_curve("density.csv"))
+
+
 def _gnuplot_curve(csv_name: str) -> str:
     stem = os.path.splitext(csv_name)[0]
     return (f"set datafile separator ','\n"
@@ -227,17 +236,15 @@ def cmd_theory(args) -> int:
             rho = density_band(a, profile, t, eps_schedule=schedule)
         else:
             rho = density_wishart(a, gamma, t, eps_schedule=schedule)
-        _write(os.path.join(out, "density.csv"), f"t,rho\n{t!r},{rho!r}\n")
-        _write(os.path.join(out, "density.plt"), _gnuplot_curve("density.csv"))
+        _write_density(out, f"t,rho\n{t!r},{rho!r}\n", {
+            "t": t, "rho": rho, "model": args.model, "alpha": a.alpha,
+            "gamma": gamma if args.model == "wishart" else None})
         print(f"rho({t}) = {rho:.10g}")
         return 0
     curve = build_density_curve(a, args.model, profile=profile, gamma=gamma,
                                 t_min=args.t_min, t_max=args.t_max,
                                 points=args.points, eps_schedule=schedule)
-    _write(os.path.join(out, "density.csv"), curve.to_csv())
-    _write(os.path.join(out, "density.json"),
-           json.dumps(curve.sidecar(), indent=2, sort_keys=True) + "\n")
-    _write(os.path.join(out, "density.plt"), _gnuplot_curve("density.csv"))
+    _write_density(out, curve.to_csv(), curve.sidecar())
     print(f"wrote density curve ({curve.grid.size} points, "
           f"mass check {curve.total_mass():.4f}) to {out}")
     return 0

@@ -58,7 +58,6 @@ class EmpiricalSpectrum:
     eigenvalues: np.ndarray
     n: int
     trial_id: int = 0
-    ensemble_tag: str = ""
 
     def __post_init__(self):
         ev = np.sort(np.asarray(self.eigenvalues, dtype=float))
@@ -67,10 +66,9 @@ class EmpiricalSpectrum:
             raise ValueError("eigenvalue count must equal matrix dimension")
 
     @staticmethod
-    def from_matrix(m: np.ndarray, trial_id: int = 0,
-                    ensemble_tag: str = "") -> "EmpiricalSpectrum":
+    def from_matrix(m: np.ndarray, trial_id: int = 0) -> "EmpiricalSpectrum":
         ev = eigenvalues_symmetric(m)
-        return EmpiricalSpectrum(ev, m.shape[0], trial_id, ensemble_tag)
+        return EmpiricalSpectrum(ev, m.shape[0], trial_id)
 
 
 def _pool(spectra) -> np.ndarray:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
 
 __all__ = [
     "StableTailLaw",
@@ -52,6 +51,8 @@ class StableTailLaw:
             return 1.0
         if self.family == "symmetric-pareto":
             return min(1.0, (self.scale / u) ** self.alpha)
+        from scipy import stats
+
         return 2.0 * stats.levy_stable.sf(u / self.scale, self.alpha, 0.0)
 
 
@@ -71,9 +72,6 @@ class RngStreamSpec:
                                      self.stream_id & 0xFFFFFFFFFFFFFFFF])
         return np.random.Generator(bits)
 
-    def child(self, stream_id: int) -> "RngStreamSpec":
-        return RngStreamSpec(self.master_seed, stream_id)
-
 
 def normalizer_a_N(law: StableTailLaw, N: int) -> float:
     """Quantile normalization a_N = inf{u : P(|x| >= u) <= 1/N}."""
@@ -82,6 +80,8 @@ def normalizer_a_N(law: StableTailLaw, N: int) -> float:
     if law.family == "symmetric-pareto":
         # (scale/u)^alpha = 1/N  =>  u = scale * N^(1/alpha)
         return law.scale * N ** (1.0 / law.alpha)
+    from scipy import optimize
+
     target = 1.0 / N
     if law.tail(law.scale) <= target:
         lo, hi = 1e-12 * law.scale, law.scale

@@ -440,10 +440,13 @@ def _solve(system: _System, z: complex,
     """
     if z.imag <= 0:
         raise ValueError("z must lie in the open upper half-plane")
-    sol = _picard(system, system.start_z(z), np.zeros(system.q, dtype=complex),
-                  cfg)
+    start, y0 = system.start_z(z), np.zeros(system.q, dtype=complex)
+    try:
+        sol = _picard(system, start, y0, cfg)
+    except ArithmeticError as exc:
+        raise SolverError(f"Picard failed at z={start}: {exc}",
+                          unknowns=y0) from exc
     _check_cone(system, sol.unknowns)
-    start = sol.z
     pos = dist = abs(start - z)
     before = None
     while CONTINUATION_FACTOR * pos >= 0.05 * abs(z):

@@ -30,9 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
-from scipy.special import digamma, gamma
 
 __all__ = [
     "AlphaParam",
@@ -249,6 +246,8 @@ def _transformed_setup(alpha: float, beta: float, y: complex,
         lo, hi = max(u_star, 1.0), max(u_star, 1.0) * 2.0
         while -hi + c * hi ** (alpha / 2.0) > peak - 48.0:
             hi *= 2.0
+        from scipy.optimize import brentq
+
         u_max = brentq(
             lambda u: -u + c * u ** (alpha / 2.0) - (peak - 48.0), lo, hi
         )
@@ -324,6 +323,8 @@ def _de_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule):
 
 
 def _adaptive_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule) -> complex:
+    from scipy.integrate import IntegrationWarning, quad
+
     # Subdivision resolves the clamp's modest growth peak better than the
     # oscillation of the steeper middle ray, so it keeps the clamp.
     psi, _ = _clamped_angle(alpha, y)
@@ -386,6 +387,8 @@ def _series_table(alpha: float, beta: float) -> _SeriesTable:
     if not len(k):   # Gamma(beta/2) overflows: quadrature decides
         rungs = _RUNG_MAX - _RUNG_MIN + 1
         return _SeriesTable([], [0] * rungs, [math.inf] * rungs)
+    from scipy.special import digamma, gamma
+
     coef = gamma(x) / np.array([float(math.factorial(int(i))) for i in k])
     # Wendel's inequality Gamma(x+s)/Gamma(x) <= x^s for 0 < s < 1 gives
     # |c_{k+1}/c_k| <= x_k^(a/2)/(k+1), which decreases in k from k_mono on;

@@ -48,6 +48,20 @@ def test_theory_single_point_marchenko_pastur(capsys, tmp_path):
     assert abs(value - math.sqrt(3.0) / (2.0 * math.pi)) < 1e-6
 
 
+def test_theory_single_point_replaces_curve_sidecar(tmp_path):
+    # a single point written over an earlier curve must not leave that
+    # curve's density.json next to its own one-row density.csv
+    assert run(["theory", "--alpha", "1.5", "--points", "5",
+                "--out", str(tmp_path)]) == 0
+    assert run(["theory", "--alpha", "1.5", "--t", "1.0",
+                "--out", str(tmp_path)]) == 0
+    _, row = (tmp_path / "density.csv").read_text().splitlines()
+    t, rho = map(float, row.split(","))
+    side = json.loads((tmp_path / "density.json").read_text())
+    assert side == {"t": t, "rho": rho, "model": "wigner", "alpha": 1.5,
+                    "gamma": None}
+
+
 def test_theory_perturbed_rejected(capsys, tmp_path):
     code = run(["theory", "--alpha", "1.5", "--model", "perturbed",
                 "--t", "1.0", "--out", str(tmp_path)])

@@ -1,0 +1,54 @@
+"""Start-up cost: which scipy subpackages a process loads, and when.
+
+pytest itself loads scipy, so every check runs in a fresh interpreter.
+"""
+
+import os
+import subprocess
+import sys
+
+import htspectra
+from htspectra.cli import main
+
+SCIPY_SUBPACKAGES = {"scipy.special", "scipy.stats", "scipy.integrate",
+                     "scipy.optimize"}
+
+
+def _loaded(code: str) -> set:
+    """Modules named scipy or scipy.* that running code leaves loaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(htspectra.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = (code + "\nimport sys\nprint(' '.join(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    # the module list is the last line; code may print lines before it
+    return set(out.splitlines()[-1].split()) if out.strip() else set()
+
+
+def test_import_loads_no_scipy_subpackage():
+    loaded = _loaded("import htspectra, htspectra.cli")
+    assert not loaded & SCIPY_SUBPACKAGES
+
+
+def test_series_g_loads_only_scipy_special():
+    loaded = _loaded("from htspectra import AlphaParam, g_alpha\n"
+                     "g_alpha(AlphaParam(1.5), 0.1 + 0.05j)")
+    assert loaded & SCIPY_SUBPACKAGES == {"scipy.special"}
+
+
+def test_simulate_and_compare_load_no_scipy(tmp_path):
+    # the theory curve is made here: only its consumers run in the probe
+    theory, sim = tmp_path / "theory", tmp_path / "sim"
+    assert main(["theory", "--alpha", "1.5", "--t-min", "0.1", "--t-max",
+                 "10", "--points", "6", "--out", str(theory)]) == 0
+    loaded = _loaded(
+        "from htspectra.cli import main\n"
+        f"assert main(['simulate', '--alpha', '1.5', '--n', '40', "
+        f"'--trials', '1', '--seed', '1', '--out', {str(sim)!r}]) == 0\n"
+        f"assert main(['compare', '--theory', "
+        f"{str(theory / 'density.csv')!r}, '--spectra', "
+        f"{str(sim / 'eigenvalues.csv')!r}, '--out', {str(tmp_path)!r}]) == 0")
+    assert not loaded

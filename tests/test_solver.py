@@ -257,6 +257,23 @@ def test_arithmetic_failure_becomes_solver_error(monkeypatch):
     assert isinstance(exc_info.value.__cause__, ArithmeticError)
 
 
+def test_arithmetic_failure_at_contraction_radius_becomes_solver_error(
+        monkeypatch):
+    # the first Picard, at the contraction radius, is wrapped like every
+    # later step: a failure of g there is a SolverError with the unknowns
+    # it started from, not a bare ArithmeticError
+    system = wigner_system(AlphaParam(1.5))
+
+    def apply(z, y):
+        raise QuadratureError("injected failure")
+
+    monkeypatch.setattr(system, "apply", apply)
+    with pytest.raises(SolverError) as exc_info:
+        solver._solve(system, 0.4 + 0.05j, FixedPointConfig())
+    assert isinstance(exc_info.value.__cause__, QuadratureError)
+    assert np.array_equal(exc_info.value.unknowns, np.zeros(system.q))
+
+
 @pytest.mark.parametrize("z", [0.4 + 0.05j, 1.2 + 0.05j, 1.5 + 0.1j])
 def test_wishart_pair_near_alpha_two_solves(z):
     # at alpha=1.95 these solves used to fail: at 0.4+0.05i Picard met
