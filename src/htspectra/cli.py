@@ -4,10 +4,11 @@ Subcommands: ``theory`` (density curve to CSV + JSON sidecar), ``simulate``
 (Monte Carlo eigenvalue CSV + campaign JSON), ``compare`` (distance report
 between the two), ``critical-set`` and ``selftest``.  Every output CSV gets
 a self-contained gnuplot script next to it, and every command echoes its
-configuration to a JSON file so runs are reproducible from the outputs.
+configuration to ``config-<command>.json`` so runs are reproducible from
+the outputs.
 
-Exit codes: 0 success, 1 configuration error (the message names the
-offending flag), 2 numerical failure (partial outputs are kept).
+Exit codes: 0 success, 1 configuration or usage error (the message names
+the offending flag), 2 numerical failure (partial outputs are kept).
 """
 
 from __future__ import annotations
@@ -41,12 +42,20 @@ class ConfigError(ValueError):
     """Invalid or inconsistent command-line configuration."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError (exit 1)
+    instead of exiting 2, the code of a numerical failure."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="htspectra",
         description="Limiting spectra of heavy-tailed random matrices: "
                     "theory curves, simulations and comparisons.")
@@ -176,8 +185,10 @@ def _write(path: str, text: str):
 
 
 def _echo_config(args, out_dir: str):
+    # one echo per command, so a theory run and a simulation sharing an
+    # output directory each keep the echo that reproduces their files
     cfg = {k: v for k, v in vars(args).items()}
-    _write(os.path.join(out_dir, "config.json"),
+    _write(os.path.join(out_dir, f"config-{args.command}.json"),
            json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
 
@@ -241,6 +252,13 @@ def cmd_theory(args) -> int:
             "gamma": gamma if args.model == "wishart" else None})
         print(f"rho({t}) = {rho:.10g}")
         return 0
+    if not args.t_min > 0:
+        raise ConfigError(f"--t-min must be > 0, got {args.t_min}")
+    if not args.t_max > args.t_min:
+        raise ConfigError(f"--t-max must exceed --t-min ({args.t_min}), "
+                          f"got {args.t_max}")
+    if args.points < 2:
+        raise ConfigError(f"--points must be >= 2, got {args.points}")
     curve = build_density_curve(a, args.model, profile=profile, gamma=gamma,
                                 t_min=args.t_min, t_max=args.t_max,
                                 points=args.points, eps_schedule=schedule)
@@ -372,9 +390,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,20 +7,14 @@ gamma=1 covariance identity.
 
 A single density point takes the per-point path: an eps continuation
 towards the real axis, walked by Newton in log eps between the points of
-the schedule, then a Newton polish on the axis (only
-``density_band_detail`` also Richardson-extrapolates Im G over the last
-continuation steps, as an independent check).  A density curve takes that
+the schedule, then a Newton polish on the axis.  A density curve takes that
 path once, at its largest grid point, and then sweeps down the grid on the
 real axis: each point is predicted by a secant in log t through the last
 two solutions and corrected by the same Newton polish, with the log step
-halved on failure and the per-point path as the fallback (and always
-within 1e-2 of a critical point).  Every computed point of a curve carries
-a ``PointRecord`` of how it was obtained.  The Wishart atom at zero takes
-one continuation path down the imaginary axis: damped Picard once at the
-contraction radius, then ``solver._walk`` from half-decade to
-half-decade, predicted by a power law in x through the last two
-solutions.  Every correction is the solver's one Newton loop, and the
-sweep and all walks share one halving walk, ``solver._log_walk``.
+halved on failure (``solver._log_walk``) and the per-point path as the
+fallback.  Every computed point of a curve carries a ``PointRecord`` of how
+it was obtained.  The Wishart atom at zero is the closed form 1 - gamma
+(``atom_at_zero_wishart`` gives the derivation); no solve computes it.
 """
 
 from __future__ import annotations
@@ -37,10 +31,8 @@ from .solver import (
     FixedPointConfig,
     SolverError,
     _log_walk,
-    _walk,
     band_system,
     continue_to_real_axis,
-    near_critical,
     perturbed_system,
     polish_on_axis,
     solve,
@@ -137,12 +129,6 @@ def stieltjes_perturbed(a: AlphaParam, profile: SigmaProfile,
 # Plemelj boundary values
 
 
-def _richardson_at_zero(eps: np.ndarray, vals: np.ndarray) -> float:
-    """Polynomial extrapolation of samples (eps_k, v_k) to eps = 0."""
-    deg = min(2, eps.size - 1)
-    return float(np.polynomial.polynomial.polyfit(eps, vals, deg)[0])
-
-
 def _boundary_solution(system, t: float, cfg: FixedPointConfig,
                        eps_schedule: Optional[Sequence[float]]):
     """The per-point path at real t != 0: (eps continuation path, polished
@@ -191,37 +177,16 @@ def _wishart_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
     return -h_alpha(a, y[0]).imag / (math.pi * t)
 
 
-def _band_boundary(a, profile, t, eps_schedule, cfg):
-    """(system, eps path, density) of a band profile at real t != 0."""
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    system = band_system(a, profile)
-    path, sol = _boundary_solution(system, t, cfg, eps_schedule)
-    y = sol.unknowns if t > 0 else np.conj(sol.unknowns)
-    return system, path, _band_rho(a, system.weights, t, y)
-
-
 def density_band(a: AlphaParam, profile: SigmaProfile, t: float,
                  eps_schedule: Optional[Sequence[float]] = None,
                  cfg: FixedPointConfig = _DENSITY_CFG) -> float:
-    return _band_boundary(a, profile, t, eps_schedule, cfg)[2]
-
-
-def density_band_detail(a: AlphaParam, profile: SigmaProfile, t: float,
-                        eps_schedule: Optional[Sequence[float]] = None,
-                        cfg: FixedPointConfig = _DENSITY_CFG):
-    """(density, Plemelj-extrapolated density, eps reached) at real t != 0.
-
-    The returned density evaluates -(1/(pi t)) sum_s Delta_s Im h(Y_s(t))
-    at the polished real-axis solution; the second value is the independent
-    -(1/pi) Im G(t + i eps) extrapolation, kept for consistency checking.
-    """
-    system, path, value = _band_boundary(a, profile, t, eps_schedule, cfg)
-    tail = path[-3:]
-    eps = np.array([p.z.imag for p in tail])
-    im_g = np.array([_band_G(a, p.z, p.unknowns, system.weights).imag
-                     for p in tail])
-    return value, -_richardson_at_zero(eps, im_g) / math.pi, float(eps[-1])
+    """Density of a band profile at real t != 0."""
+    if t == 0:
+        raise ValueError("t must be nonzero")
+    system = band_system(a, profile)
+    _, sol = _boundary_solution(system, t, cfg, eps_schedule)
+    y = sol.unknowns if t > 0 else np.conj(sol.unknowns)
+    return _band_rho(a, system.weights, t, y)
 
 
 def density_wigner_formula(a: AlphaParam, t: float,
@@ -264,58 +229,23 @@ def density_wishart(a: AlphaParam, gamma: float, t: float,
     return _wishart_rho(a, t, sol.unknowns)
 
 
-def _power_law(z: complex, last, before) -> np.ndarray:
-    """Unknowns predicted at z = ix by the power law in x through the last
-    two solutions on the imaginary axis, or the last one alone; exact for
-    unknowns that are constant or proportional to a power of x."""
-    if before is None:
-        return last.unknowns
-    r = math.log(z.imag / last.z.imag) / math.log(last.z.imag / before.z.imag)
-    return last.unknowns * (last.unknowns / before.unknowns) ** r
+def atom_at_zero_wishart(gamma: float) -> float:
+    """Mass of the atom at zero of the covariance limit: exactly 1 - gamma.
 
-
-def atom_at_zero_wishart(a: AlphaParam, gamma: float,
-                         cfg: FixedPointConfig = _DENSITY_CFG) -> float:
-    """Mass of the atom at zero of the covariance limit, from the radial
-    limit of z G(z): extrapolate h(Y1(ix)) to x = 0.
-
-    One continuation path down the imaginary axis at x = 0.1 * 10^(k/2),
-    from the first such x at or above the contraction radius, where the
-    cold solve is damped Picard only, to 1e-4; every later point is
-    reached by ``_walk`` with a power-law predictor (``_power_law``),
-    which follows Y1 -> const and Y2 ~ x^-alpha.  When its halvings run
-    out, the point takes a continuation step from the last one, Newton
-    and then damped Picard.  The last seven points are fitted by a
-    quadratic in x.  Raises SolverError, with the unknowns,
-    when h(Y1(ix)) leaves the real axis.
+    The N x M sample matrix has rank at most M, so the N x N covariance
+    matrix has at least N - M zero eigenvalues: the atom is at least
+    1 - gamma.  The atom is the limit of -w G(w) as w = (ix)^2 -> 0, which
+    is lim h(Y1(ix)) for the pair solution at z = ix (the density is
+    -Im h(Y1(sqrt t)) / (pi t)).  The pair identity
+    h(Y1) = 1 - gamma + gamma h(Y2) holds at every z, so the atom is
+    1 - gamma + gamma a2 with a2 = lim h(Y2(ix)), the atom of the M x M
+    companion.  Down the imaginary axis Y2(ix) grows like x^-alpha inside
+    the cone K_alpha, where h(y) -> 0 as |y| -> infinity, so a2 = 0.  The
+    test suite checks this companion term on the solved path.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    system = wishart_system(a, gamma)
-    xs = np.array([1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4])
-    # the path: x = 0.1 * 10^(k/2) from the first one at or above the
-    # contraction radius down to xs[-1]
-    top = math.ceil(2.0 * math.log10(system.start_radius() / xs[0]))
-    path = [xs[0] * 10.0 ** (k / 2.0) for k in range(top, 0, -1)] + list(xs)
-
-    last, before = solve(system, 1j * path[0], cfg), None
-    vals = []
-    for x in map(float, path):
-        last, before = _walk(system, lambda s: 1j * s, _power_law, x,
-                             last.z.imag, last, before, cfg)
-        if x > xs[0]:
-            continue
-        h1 = h_alpha(a, last.unknowns[0])
-        if abs(h1.imag) > 1e-6:
-            raise SolverError("h(Y1(ix)) drifted off the real axis",
-                              unknowns=last.unknowns, residual=last.residual)
-        vals.append(h1.real)
-    vals = np.array(vals)
-    fit = np.polynomial.polynomial.polyfit(xs, vals, 2)
-    extrap = float(fit[0])
-    if not np.isfinite(extrap):
-        raise ArithmeticError("atom extrapolation diverged")
-    return extrap
+    return 1.0 - gamma
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +483,7 @@ def _settled(system, sol):
 
 
 def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
-                     eps_schedule: Sequence[float],
-                     critical_points: Sequence[float] = ()):
+                     eps_schedule: Sequence[float]):
     """(polished solutions, PointRecords) at the increasing grid xs > 0.
 
     Predictor-corrector continuation along the real axis (Allgower-Georg).
@@ -564,8 +493,8 @@ def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
     Newton steps, which accepts only a residual within its tolerance and
     unknowns inside the cone, then ``_settled`` by one more Newton step;
     ``_log_walk`` halves the log step on a failed correction.  When the
-    halvings run out, and within 1e-2 of a critical point, the point takes
-    the per-point path and the sweep continues from there.
+    halvings run out, the point takes the per-point path and the sweep
+    continues from there.
     """
     sols = [None] * len(xs)
     records = [None] * len(xs)
@@ -583,7 +512,7 @@ def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
         x = float(xs[i])
         sol = None
         halvings = newton = 0
-        if last is not None and not near_critical(x, critical_points):
+        if last is not None:
             last, before, reached, halvings, newton = _log_walk(
                 x, last.z.real, last, before, correct)
             if reached == x:
@@ -608,7 +537,6 @@ def build_density_curve(a: AlphaParam, model: str,
                         t_min: float = 1e-3, t_max: float = 1e3,
                         points: int = 400,
                         cfg: FixedPointConfig = _DENSITY_CFG,
-                        critical_points: Sequence[float] = (),
                         eps_schedule: Optional[Sequence[float]] = None
                         ) -> DensityCurve:
     """Compute a density curve over a log-spaced grid.
@@ -620,9 +548,8 @@ def build_density_curve(a: AlphaParam, model: str,
     surface.)  The grid is solved by ``_sweep_real_axis``: one per-point
     eps path along ``eps_schedule`` (default: ``default_eps_schedule()``),
     whose last step is recorded as the curve's ``eps_floor``, then Newton
-    on the real axis from point to point.  ``critical_points`` (values of
-    t, for the symmetric models) force the per-point path within 1e-2 of
-    each.  The curve's ``points`` record how each t > 0 was solved.
+    on the real axis from point to point.  The curve's ``points`` record
+    how each t > 0 was solved.
     """
     if eps_schedule is None:
         eps_schedule = default_eps_schedule()
@@ -645,17 +572,15 @@ def build_density_curve(a: AlphaParam, model: str,
             system, xs = wigner_system(a), scale * np.sqrt(ts)
             rho_at = lambda t, x, y: \
                 scale / math.sqrt(t) * _wigner_rho(a, x, y)
-        critical_points = ()
     else:
         raise ValueError(f"unknown model {model!r}")
-    sols, records = _sweep_real_axis(system, xs, cfg, eps_schedule,
-                                     critical_points)
+    sols, records = _sweep_real_axis(system, xs, cfg, eps_schedule)
     rho = np.array([rho_at(t, x, sol.unknowns)
                     for t, x, sol in zip(ts, xs, sols)])
     if model == "wishart":
         tail_c = _wishart_tail_constant(a, gamma)
         tail_p = 1.0 + 0.5 * a.alpha
-        atom = 0.0 if gamma >= 1.0 else atom_at_zero_wishart(a, gamma, cfg)
+        atom = 0.0 if gamma >= 1.0 else atom_at_zero_wishart(gamma)
         grid = ts
         symmetric = False
     else:

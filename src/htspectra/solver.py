@@ -51,7 +51,6 @@ __all__ = [
     "solve_wishart_pair",
     "solve_perturbed",
     "continue_to_real_axis",
-    "near_critical",
     "polish_on_axis",
     "find_critical_set",
     "wigner_system",
@@ -557,12 +556,6 @@ def continue_to_real_axis(system: _System, t: float,
             raise
         out.append(last)
     return out
-
-
-def near_critical(t: float, critical_points: Sequence[float]) -> bool:
-    """Whether |t| lies within 1e-2 of a known critical point, where the
-    boundary value may fail to be analytic."""
-    return any(abs(abs(t) - c) < 1e-2 for c in critical_points)
 
 
 def polish_on_axis(system, t: float, y: np.ndarray,

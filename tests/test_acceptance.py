@@ -74,7 +74,7 @@ def test_criterion_03_wigner_heavy_tail():
 def test_criterion_04_wishart_structure():
     start = time.perf_counter()
     a12 = AlphaParam(1.2)
-    atom = atom_at_zero_wishart(a12, 0.5)
+    atom = atom_at_zero_wishart(0.5)
     atom_ok = abs(atom - 0.5) <= 1e-3
     rng = np.random.default_rng(12)
     worst_id = 0.0

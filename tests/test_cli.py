@@ -27,6 +27,40 @@ def test_config_error_names_flag(capsys, tmp_path):
     assert "--window" in capsys.readouterr().err
 
 
+def test_usage_error_exits_1_and_help_exits_0(capsys):
+    # argparse exits 2 on a usage error, the code of a numerical failure
+    assert run(["theory", "--alpha", "1.5", "--points", "abc"]) == 1
+    assert "--points" in capsys.readouterr().err
+    assert run(["nosuchcommand"]) == 1
+    with pytest.raises(SystemExit) as info:
+        run(["theory", "--help"])
+    assert info.value.code == 0
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--t-min", "0"], "--t-min"),
+    (["--t-min", "10", "--t-max", "1"], "--t-max"),
+    (["--points", "0"], "--points"),
+    (["--points", "1"], "--points")],
+    ids=["t-min-zero", "t-max-below-t-min", "points-zero", "points-one"])
+def test_theory_rejects_bad_grid(flags, named, capsys, tmp_path):
+    code = run(["theory", "--alpha", "1.5", "--out", str(tmp_path)] + flags)
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "density.csv").exists()
+
+
+def test_theory_and_simulate_keep_their_config_echoes(tmp_path):
+    out = ["--alpha", "1.5", "--out", str(tmp_path)]
+    assert run(["theory", "--t-min", "0.1", "--t-max", "10",
+                "--points", "4"] + out) == 0
+    assert run(["simulate", "--n", "40", "--trials", "1"] + out) == 0
+    theory = json.loads((tmp_path / "config-theory.json").read_text())
+    simulate = json.loads((tmp_path / "config-simulate.json").read_text())
+    assert theory["command"] == "theory" and theory["points"] == 4
+    assert simulate["command"] == "simulate" and simulate["n"] == 40
+
+
 def test_theory_single_point_cauchy(capsys, tmp_path):
     code = run(["theory", "--alpha", "1.0", "--t", "0.001",
                 "--out", str(tmp_path)])
@@ -37,7 +71,7 @@ def test_theory_single_point_cauchy(capsys, tmp_path):
     assert abs(value - 1.0 / math.pi) < 1e-3
     assert (tmp_path / "density.csv").exists()
     assert (tmp_path / "density.plt").exists()
-    assert (tmp_path / "config.json").exists()
+    assert (tmp_path / "config-theory.json").exists()
 
 
 def test_theory_single_point_marchenko_pastur(capsys, tmp_path):
@@ -89,6 +123,14 @@ def test_theory_wishart_cone_edge_curve(tmp_path):
     assert code == 0
     recs = json.loads((tmp_path / "density.json").read_text())["points"]
     assert len(recs) == 8 and all(r["residual"] <= 1e-13 for r in recs)
+
+
+def test_theory_wishart_atom_is_one_minus_gamma(tmp_path):
+    assert run(["theory", "--model", "wishart", "--alpha", "0.5",
+                "--gamma", "0.5", "--t-min", "0.1", "--t-max", "10",
+                "--points", "4", "--out", str(tmp_path)]) == 0
+    side = json.loads((tmp_path / "density.json").read_text())
+    assert side["atom_at_zero"] == 0.5
 
 
 def test_theory_records_every_point(tmp_path):

@@ -13,7 +13,6 @@ from htspectra.density import (
     build_density_curve,
     default_eps_schedule,
     density_band,
-    density_band_detail,
     density_wigner_formula,
     density_wishart,
     semicircle_cdf,
@@ -74,10 +73,19 @@ def test_two_wigner_expressions_cross_check():
 
 
 def test_plemelj_extrapolation_consistent():
+    # the independent Plemelj value -(1/pi) Im G(t + i eps), extrapolated
+    # to eps = 0 by a quadratic through the last three points of the eps
+    # path, against the density at the polished real-axis solution
     a = AlphaParam(1.5)
-    value, plemelj, eps = density_band_detail(a, CONST, 1.3)
-    assert eps <= 1e-5
-    assert abs(value - plemelj) < 1e-6
+    system = solver.band_system(a, CONST)
+    path = solver.continue_to_real_axis(system, 1.3, default_eps_schedule(),
+                                        density._DENSITY_CFG)
+    eps = np.array([p.z.imag for p in path[-3:]])
+    im_g = [density._band_G(a, p.z, p.unknowns, system.weights).imag
+            for p in path[-3:]]
+    plemelj = -np.polynomial.polynomial.polyfit(eps, im_g, 2)[0] / math.pi
+    assert eps[-1] <= 1e-5
+    assert abs(density_band(a, CONST, 1.3) - plemelj) < 1e-6
 
 
 def test_tail_constants_exact():
@@ -124,14 +132,13 @@ def test_wishart_validation():
     with pytest.raises(ValueError):
         density_wishart(a, 1.5, 1.0)
     with pytest.raises(ValueError):
-        atom_at_zero_wishart(a, 1.0)
+        atom_at_zero_wishart(1.0)
 
 
 def test_wishart_atom_equals_one_minus_gamma():
-    a = AlphaParam(1.2)
-    atom = atom_at_zero_wishart(a, 0.5)
+    atom = atom_at_zero_wishart(0.5)
     assert abs(atom - 0.5) < 1e-3
-    atom9 = atom_at_zero_wishart(a, 0.9)
+    atom9 = atom_at_zero_wishart(0.9)
     assert abs(atom9 - 0.1) < 1e-3
 
 
@@ -351,19 +358,6 @@ def test_wishart_gap_point_newton_stays_at_roundoff():
         y = y + np.linalg.solve(system.jacobian(z, y), fy - y)
 
 
-def test_sweep_falls_back_at_critical_points():
-    a = AlphaParam(1.5)
-    ts = np.geomspace(1e-2, 1e3, 8)
-    crit = [float(ts[3])]
-    curve = _curve("band", a, 1e-2, 1e3, 8, critical_points=crit)
-    methods = [p.method for p in curve.points]
-    assert methods == ["sweep"] * 3 + ["eps"] + ["sweep"] * 3 + ["eps"]
-    assert curve.points[3].eps_reached == 1e-6
-    assert curve.rho[8 + 3] == density_band(a, BAND, ts[3])
-    for t, got in zip(ts, curve.rho[8:]):
-        assert _agrees(got, density_band(a, BAND, t))
-
-
 def test_wishart_gap_sweep_point_records():
     # the records of this curve's sweep through the gap near 0, where Y2
     # lies on the cone edge; a Newton that gave up on iterates near the
@@ -451,142 +445,52 @@ def test_point_records_reach_the_sidecar():
 
 
 # ---------------------------------------------------------------------------
-# the Wishart atom: one continuation path down the imaginary axis
+# the Wishart atom: the closed form 1 - gamma, and the evidence for it
 
 
-ATOM_XS = np.array([1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5,
-                    1e-4])
-ATOM_ALPHAS = (0.5, 0.8, 1.0, 1.2, 1.5, 1.7, 1.9, 1.95)
-ATOM_GAMMAS = (0.1, 0.5, 0.9, 0.99)
+@pytest.mark.parametrize("alpha,gamma",
+                         [(0.5, 0.5), (0.5, 0.9), (0.8, 0.9), (0.5, 0.99)])
+def test_curve_atom_is_one_minus_gamma(alpha, gamma):
+    # small alpha and gamma near 1, where an atom extrapolated from
+    # h(Y1(ix)) at x >= 1e-4 errs by up to 2e-2
+    curve = build_density_curve(AlphaParam(alpha), "wishart", gamma=gamma,
+                                t_min=0.1, t_max=10.0, points=2)
+    assert abs(curve.atom_at_zero - (1.0 - gamma)) <= 1e-4
 
 
-def _atom_seven_warm_solves(a, gamma):
-    """The atom as seven separate solves at the extrapolation abscissae, a
-    cold one and then continuation steps, each Newton from the previous
-    unknowns and then Picard: the reference the single path must
-    reproduce."""
+def _power_law(z, last, before):
+    """Unknowns predicted at z = ix by the power law in x through the last
+    two solutions on the imaginary axis, or the last one alone; exact for
+    unknowns that are constant or proportional to a power of x."""
+    if before is None:
+        return last.unknowns
+    r = math.log(z.imag / last.z.imag) / math.log(last.z.imag / before.z.imag)
+    return last.unknowns * (last.unknowns / before.unknowns) ** r
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.2, 1.5, 1.7, 1.9, 1.95])
+def test_atom_companion_term_vanishes(alpha, gamma):
+    """The atom is 1 - gamma + gamma lim h(Y2(ix)) by the pair identity;
+    down the imaginary axis h(Y2(ix)) is real and falls by at least 10x
+    per decade of x, to at most 2e-3 at x = 1e-4, so its limit is 0."""
+    a = AlphaParam(alpha)
     system = solver.wishart_system(a, gamma)
     cfg = density._DENSITY_CFG
-    vals, sol = [], None
-    for x in ATOM_XS:
-        sol = solver._solve(system, 1j * x, cfg) if sol is None \
-            else solver._continuation_step(system, 1j * x, sol.unknowns, cfg)
-        vals.append(h_alpha(a, sol.unknowns[0]).real)
-    return float(np.polynomial.polynomial.polyfit(ATOM_XS, vals, 2)[0])
-
-
-@pytest.mark.parametrize("gamma", [0.1, 0.5])
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 1.5, 1.9, 1.95])
-def test_atom_matches_seven_warm_solves(alpha, gamma):
-    # the stopping test is scaled by |z|^alpha, so an accepted iterate at
-    # x = 1e-4 may be off by up to 1e-12 / x^alpha
-    a = AlphaParam(alpha)
-    want = _atom_seven_warm_solves(a, gamma)
-    assert abs(atom_at_zero_wishart(a, gamma) - want) <= 1e-7
-
-
-@pytest.mark.parametrize("alpha", ATOM_ALPHAS)
-def test_atom_runs_picard_once(alpha, monkeypatch):
-    """Picard runs at the top of the path only, where |z| is at least the
-    contraction radius; every later point is a Newton correction."""
-    calls = []
-    picard = solver._picard
-
-    def counted(system, z, *args, **kwargs):
-        calls.append(z)
-        return picard(system, z, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "_picard", counted)
-    a = AlphaParam(alpha)
-    for gamma in ATOM_GAMMAS:
-        calls.clear()
-        atom_at_zero_wishart(a, gamma)
-        assert len(calls) == 1, gamma
-        radius = solver.wishart_system(a, gamma).start_radius()
-        assert calls[0].real == 0.0 and calls[0].imag >= radius
-
-
-@pytest.mark.parametrize("alpha", ATOM_ALPHAS)
-def test_atom_g_evaluations(alpha, monkeypatch):
-    calls = []
-    g = special.g_alpha_beta
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return g(*args, **kwargs)
-
-    monkeypatch.setattr(special, "g_alpha_beta", counted)
-    a = AlphaParam(alpha)
-    for gamma in ATOM_GAMMAS:
-        calls.clear()
-        atom_at_zero_wishart(a, gamma)
-        assert len(calls) <= 400, gamma
-
-
-def test_atom_failed_correction_halves_the_step(monkeypatch):
-    a = AlphaParam(1.2)
-    want = atom_at_zero_wishart(a, 0.5)
-    real = solver._newton
-    calls = []
-
-    def newton(system, z, y, *args, **kwargs):
-        # fail the first correction aimed at x = 1e-2
-        first = not any(abs(x / 1e-2 - 1.0) < 1e-12 for x in calls)
-        calls.append(z.imag)
-        if first and abs(z.imag / 1e-2 - 1.0) < 1e-12:
-            raise SolverError("injected failure")
-        return real(system, z, y, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "_newton", newton)
-    got = atom_at_zero_wishart(a, 0.5)
-    # the walk passed through the log midpoint of 10^-1.5 and 10^-2
-    assert any(abs(x / 10 ** -1.75 - 1.0) < 1e-12 for x in calls)
-    assert abs(got - want) <= 1e-9
-
-
-def test_atom_spent_halvings_fall_back_to_a_continuation_step(monkeypatch):
-    a = AlphaParam(1.2)
-    want = atom_at_zero_wishart(a, 0.5)
-    real = solver._newton
-    calls = []
-
-    def newton(system, z, y, *args, **kwargs):
-        # every correction aimed between 10^-1.5 and 10^-2 fails
-        calls.append(z.imag)
-        if 1e-2 * (1.0 - 1e-12) < z.imag < 10 ** -1.5:
-            raise SolverError("injected failure")
-        return real(system, z, y, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "_newton", newton)
-    got = atom_at_zero_wishart(a, 0.5)
-    # the first try and SWEEP_HALVINGS halvings, then the continuation
-    # step: its Newton fails too, and damped Picard solves at x = 1e-2
-    tries = [x for x in calls if 1e-2 * (1.0 - 1e-12) < x < 10 ** -1.5]
-    assert len(tries) == density.SWEEP_HALVINGS + 2
-    assert abs(got - want) <= 1e-9
-
-
-def test_atom_drift_off_the_real_axis_raises(monkeypatch):
-    real = density.h_alpha
-    monkeypatch.setattr(density, "h_alpha",
-                        lambda a, y: real(a, y) + 1e-3j)
-    with pytest.raises(SolverError) as info:
-        atom_at_zero_wishart(AlphaParam(1.2), 0.5)
-    assert info.value.unknowns is not None
-
-
-@pytest.mark.parametrize("alpha", [1.7, 1.9, 1.95])
-def test_atom_near_alpha_two_at_gamma_09(alpha):
-    # the seven-warm-solve atom raised SolverError here
-    atom = atom_at_zero_wishart(AlphaParam(alpha), 0.9)
-    assert abs(atom - 0.1) <= 1e-4
-
-
-@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.2, 1.5, 1.7, 1.9, 1.95])
-def test_atom_at_gamma_099(alpha):
-    # 2e-3 is the error of the quadratic extrapolation over ATOM_XS
-    atom = atom_at_zero_wishart(AlphaParam(alpha), 0.99)
-    assert math.isfinite(atom) and abs(atom - 0.01) <= 2e-3
+    # x = 10^(k/2) from the first one at or above the contraction radius
+    top = math.ceil(2.0 * math.log10(system.start_radius()))
+    path = [10.0 ** (k / 2.0) for k in range(top, -9, -1)]
+    last, before = solver.solve(system, 1j * path[0], cfg), None
+    h2 = {}
+    for x in path:
+        last, before = solver._walk(system, lambda s: 1j * s, _power_law, x,
+                                    last.z.imag, last, before, cfg)
+        h1 = h_alpha(a, last.unknowns[0])
+        h2[x] = h_alpha(a, last.unknowns[1])
+        assert abs(h1 - (1.0 - gamma + gamma * h2[x])) <= 1e-6, x
+    end = h2[path[-1]]
+    assert abs(end.imag) <= 1e-12 * abs(end) and abs(end) <= 2e-3
+    assert abs(h2[path[-3]]) >= 10.0 * abs(end)
 
 
 def test_density_point_g_evaluations(monkeypatch):
