@@ -468,6 +468,23 @@ def _power_law(z, last, before):
     return last.unknowns * (last.unknowns / before.unknowns) ** r
 
 
+def _imaginary_axis_walk(a, gamma):
+    """The Wishart pair solved down z = ix, one solver._walk per x =
+    10^(k/2) from the first one at or above the contraction radius down to
+    1e-4, each predicted by the power law: {x: solution}."""
+    system = solver.wishart_system(a, gamma)
+    cfg = density._DENSITY_CFG
+    top = math.ceil(2.0 * math.log10(system.start_radius()))
+    path = [10.0 ** (k / 2.0) for k in range(top, -9, -1)]
+    last, before = solver.solve(system, 1j * path[0], cfg), None
+    sols = {}
+    for x in path:
+        last, before = solver._walk(system, lambda s: 1j * s, _power_law, x,
+                                    last.z.imag, last, before, cfg)
+        sols[x] = last
+    return sols
+
+
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 0.99])
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.2, 1.5, 1.7, 1.9, 1.95])
 def test_atom_companion_term_vanishes(alpha, gamma):
@@ -475,22 +492,62 @@ def test_atom_companion_term_vanishes(alpha, gamma):
     down the imaginary axis h(Y2(ix)) is real and falls by at least 10x
     per decade of x, to at most 2e-3 at x = 1e-4, so its limit is 0."""
     a = AlphaParam(alpha)
+    sols = _imaginary_axis_walk(a, gamma)
+    h2 = {}
+    for x, sol in sols.items():
+        h1 = h_alpha(a, sol.unknowns[0])
+        h2[x] = h_alpha(a, sol.unknowns[1])
+        assert abs(h1 - (1.0 - gamma + gamma * h2[x])) <= 1e-6, x
+    end = h2[1e-4]
+    assert abs(end.imag) <= 1e-12 * abs(end) and abs(end) <= 2e-3
+    assert abs(h2[1e-3]) >= 10.0 * abs(end)
+
+
+ATOM_XS = np.array([1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5,
+                    1e-4])
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 1.5, 1.9, 1.95])
+def test_atom_matches_seven_warm_solves(alpha, gamma):
+    """The walk above lands on the branch of seven separate solves at
+    ATOM_XS, a cold one and then continuation steps: the companion term
+    h(Y2(ix)), and with it the atom 1 - gamma + gamma h(Y2(ix)) that the
+    pair identity gives, agree at every abscissa."""
+    a = AlphaParam(alpha)
     system = solver.wishart_system(a, gamma)
     cfg = density._DENSITY_CFG
-    # x = 10^(k/2) from the first one at or above the contraction radius
-    top = math.ceil(2.0 * math.log10(system.start_radius()))
-    path = [10.0 ** (k / 2.0) for k in range(top, -9, -1)]
-    last, before = solver.solve(system, 1j * path[0], cfg), None
-    h2 = {}
-    for x in path:
-        last, before = solver._walk(system, lambda s: 1j * s, _power_law, x,
-                                    last.z.imag, last, before, cfg)
-        h1 = h_alpha(a, last.unknowns[0])
-        h2[x] = h_alpha(a, last.unknowns[1])
-        assert abs(h1 - (1.0 - gamma + gamma * h2[x])) <= 1e-6, x
-    end = h2[path[-1]]
-    assert abs(end.imag) <= 1e-12 * abs(end) and abs(end) <= 2e-3
-    assert abs(h2[path[-3]]) >= 10.0 * abs(end)
+    walked = _imaginary_axis_walk(a, gamma)
+    sol = None
+    for x in ATOM_XS:
+        sol = solver._solve(system, 1j * x, cfg) if sol is None \
+            else solver._continuation_step(system, 1j * x, sol.unknowns, cfg)
+        want = h_alpha(a, sol.unknowns[1])
+        got = h_alpha(a, walked[x].unknowns[1])
+        assert abs(gamma * (got - want)) <= 1e-7, x
+
+
+def _curve_atom_against_solver(alpha, gamma):
+    """|atom_at_zero - h(Y1(i 1e-4))| for a Wishart curve: the closed-form
+    atom against the solved value it is the x -> 0 limit of."""
+    a = AlphaParam(alpha)
+    curve = build_density_curve(a, "wishart", gamma=gamma,
+                                t_min=0.1, t_max=10.0, points=2)
+    h1 = h_alpha(a, _imaginary_axis_walk(a, gamma)[1e-4].unknowns[0])
+    assert abs(h1.imag) <= 1e-12 * abs(h1)
+    return abs(curve.atom_at_zero - h1)
+
+
+@pytest.mark.parametrize("alpha", [1.7, 1.9, 1.95])
+def test_atom_near_alpha_two_at_gamma_09(alpha):
+    # seven warm solves down the imaginary axis raised SolverError here
+    assert _curve_atom_against_solver(alpha, 0.9) <= 1e-4
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.2, 1.5, 1.7, 1.9, 1.95])
+def test_atom_at_gamma_099(alpha):
+    # 2e-3 bounds gamma |h(Y2(i 1e-4))|, the companion term still left there
+    assert _curve_atom_against_solver(alpha, 0.99) <= 2e-3
 
 
 def test_density_point_g_evaluations(monkeypatch):
