@@ -229,7 +229,6 @@ def _gnuplot_hist(csv_name: str) -> str:
 def cmd_theory(args) -> int:
     a = _alpha_param(args)
     out = args.out
-    _echo_config(args, out)
     eps = args.eps_floor
     if eps < EPS_FLOOR:
         raise ConfigError(f"--eps-floor must be >= {EPS_FLOOR}")
@@ -239,6 +238,16 @@ def cmd_theory(args) -> int:
     schedule = default_eps_schedule(floor=eps)
     profile = _load_profile(args) if args.model == "band" else None
     gamma = _gamma(args) if args.model == "wishart" else 1.0
+    if args.t is None:
+        if not args.t_min > 0:
+            raise ConfigError(f"--t-min must be > 0, got {args.t_min}")
+        if not args.t_max > args.t_min:
+            raise ConfigError(f"--t-max must exceed --t-min ({args.t_min}), "
+                              f"got {args.t_max}")
+        if args.points < 2:
+            raise ConfigError(f"--points must be >= 2, got {args.points}")
+    # echoed only once every flag is valid, so a rejected run writes nothing
+    _echo_config(args, out)
     if args.t is not None:
         t = args.t
         if args.model == "wigner":
@@ -252,13 +261,6 @@ def cmd_theory(args) -> int:
             "gamma": gamma if args.model == "wishart" else None})
         print(f"rho({t}) = {rho:.10g}")
         return 0
-    if not args.t_min > 0:
-        raise ConfigError(f"--t-min must be > 0, got {args.t_min}")
-    if not args.t_max > args.t_min:
-        raise ConfigError(f"--t-max must exceed --t-min ({args.t_min}), "
-                          f"got {args.t_max}")
-    if args.points < 2:
-        raise ConfigError(f"--points must be >= 2, got {args.points}")
     curve = build_density_curve(a, args.model, profile=profile, gamma=gamma,
                                 t_min=args.t_min, t_max=args.t_max,
                                 points=args.points, eps_schedule=schedule)
@@ -305,7 +307,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     out = args.out
-    _echo_config(args, out)
     window = _parse_window(args.window)
     sidecar_path = os.path.splitext(args.theory)[0] + ".json"
     try:
@@ -321,6 +322,7 @@ def cmd_compare(args) -> int:
             spectra = spectra_from_csv(fh.read())
     except FileNotFoundError as exc:
         raise ConfigError(f"--spectra file missing: {exc}")
+    _echo_config(args, out)
     campaign_path = os.path.join(os.path.dirname(args.spectra) or ".",
                                  "campaign.json")
     if os.path.exists(campaign_path):

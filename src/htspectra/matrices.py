@@ -257,31 +257,52 @@ def _truncation_level(spec: EnsembleSpec, a_N: float) -> Optional[float]:
     return spec.N ** value * a_N
 
 
-def assemble_band_matrix(entries: np.ndarray, profile: SigmaProfile,
+def assemble_band_matrix(packed: np.ndarray, profile: SigmaProfile,
                          a_N: float, truncate_at: Optional[float] = None,
                          diagonal: Optional[np.ndarray] = None) -> np.ndarray:
     """Deterministic assembly A(i,j) = sigma(i/N, j/N) x_ij / a_N.
 
-    ``entries`` is the upper triangle (including diagonal) of the symmetric
-    x array; the lower triangle of the input is ignored.  Separated from the
-    sampling so that forced draws can be assembled in tests.
+    ``packed`` holds the N(N+1)/2 entries x_ij, i <= j, of the symmetric x
+    array in ``np.triu_indices(N)`` order.  Truncation (|x| < truncate_at
+    kept) and the 1/a_N scale act on the packed values; one pass then
+    writes each row's sigma-weighted upper part into that row and mirrors
+    it into the column, so the result is exactly symmetric.  The diagonal
+    perturbation is added in place.  Separated from the sampling so that
+    forced draws can be assembled in tests.
     """
-    x = np.triu(np.asarray(entries, dtype=float))
-    x = x + np.triu(x, 1).T
+    v = np.asarray(packed, dtype=float)
+    N = (math.isqrt(8 * v.size + 1) - 1) // 2
+    if v.ndim != 1 or N * (N + 1) // 2 != v.size:
+        raise ValueError("need the N(N+1)/2 packed upper-triangle entries")
+    w = v / a_N
     if truncate_at is not None:
-        x = np.where(np.abs(x) < truncate_at, x, 0.0)
-    N = x.shape[0]
-    a = profile.lattice(N) * x / a_N
+        w = np.where(np.abs(v) < truncate_at, w, 0.0)
+    lattice = None
+    if profile.variant == "constant":
+        w *= profile.c
+    else:
+        lattice = profile.lattice(N)
+    a = np.empty((N, N))
+    start = 0
+    for i in range(N):
+        stop = start + N - i
+        row = w[start:stop]
+        if lattice is not None:
+            row = lattice[i, i:] * row
+        a[i, i:] = row
+        a[i:, i] = row
+        start = stop
     if diagonal is not None:
-        a = a + np.diag(np.asarray(diagonal, dtype=float))
+        a[np.diag_indices(N)] += np.asarray(diagonal, dtype=float)
     return a
 
 
 def build_band_matrix(spec: EnsembleSpec) -> np.ndarray:
     """One sample of the normalized band matrix (optionally truncated,
-    optionally diagonally perturbed)."""
+    optionally diagonally perturbed) from its N(N+1)/2 independent
+    entries."""
     rng = spec.seed.generator()
-    x = sample_entries(spec.law, rng, (spec.N, spec.N))
+    x = sample_entries(spec.law, rng, spec.N * (spec.N + 1) // 2)
     a_N = normalizer_a_N(spec.law, spec.N)
     diag = None
     if spec.diagonal is not None:

@@ -27,11 +27,10 @@ from .eig import (
 from .matrices import (
     EnsembleSpec,
     SigmaProfile,
-    assemble_band_matrix,
     build_band_matrix,
     build_covariance_matrix,
 )
-from .sampling import RngStreamSpec, StableTailLaw, normalizer_a_N, sample_entries
+from .sampling import RngStreamSpec, StableTailLaw
 
 __all__ = [
     "CovarianceParams",
@@ -102,6 +101,8 @@ class CampaignResult:
     aborted_trials: int
     runtime_seconds: float
     spec: CampaignSpec
+    # one {"trial", "build_s", "eig_s"} per completed trial, by trial index
+    trial_timing: Tuple[dict, ...]
 
     def to_json(self) -> dict:
         out = {
@@ -109,6 +110,7 @@ class CampaignResult:
             "per_trial_ks": list(self.per_trial_ks),
             "aborted_trials": self.aborted_trials,
             "runtime_seconds": self.runtime_seconds,
+            "trial_timing": list(self.trial_timing),
         }
         if self.report is not None:
             out["pooled_ks"] = self.report.ks
@@ -116,9 +118,13 @@ class CampaignResult:
         return out
 
 
-def _one_trial(spec: CampaignSpec, trial: int) -> EmpiricalSpectrum:
+def _one_trial(spec: CampaignSpec,
+               trial: int) -> Tuple[EmpiricalSpectrum, dict]:
+    """The spectrum of one trial and its timing split: the matrix build
+    (sampling and assembly) and the eigensolve, in wall seconds."""
     ens = spec.ensemble
     stream = RngStreamSpec(spec.master_seed, trial)
+    start = time.perf_counter()
     if isinstance(ens, EnsembleSpec):
         sample_spec = EnsembleSpec(N=ens.N, law=ens.law, profile=ens.profile,
                                    truncation=ens.truncation,
@@ -126,7 +132,11 @@ def _one_trial(spec: CampaignSpec, trial: int) -> EmpiricalSpectrum:
         matrix = build_band_matrix(sample_spec)
     else:
         matrix = build_covariance_matrix(ens.law, ens.n, ens.m, stream)
-    return EmpiricalSpectrum.from_matrix(matrix, trial_id=trial)
+    built = time.perf_counter()
+    spectrum = EmpiricalSpectrum.from_matrix(matrix, trial_id=trial)
+    timing = {"trial": trial, "build_s": built - start,
+              "eig_s": time.perf_counter() - built}
+    return spectrum, timing
 
 
 def run_campaign(spec: CampaignSpec,
@@ -145,20 +155,22 @@ def run_campaign(spec: CampaignSpec,
 
     def attempt(k):
         try:
-            return k, _one_trial(spec, k)
+            return (k, *_one_trial(spec, k))
         except EigenDecompositionError:
-            return k, None
+            return k, None, None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(attempt, range(spec.trials)))
     else:
         outcomes = [attempt(k) for k in range(spec.trials)]
-    for k, s in sorted(outcomes):
+    timing = []
+    for k, s, t in sorted(outcomes):
         if s is None:
             aborted += 1
         else:
             results[k] = s
+            timing.append(t)
     if aborted > 0.05 * spec.trials:
         raise RuntimeError(
             f"{aborted} of {spec.trials} trials aborted (> 5%)")
@@ -180,7 +192,7 @@ def run_campaign(spec: CampaignSpec,
     return CampaignResult(pooled=pooled, report=report, per_trial_ks=per_ks,
                           spectra=spectra, aborted_trials=aborted,
                           runtime_seconds=time.perf_counter() - start,
-                          spec=spec)
+                          spec=spec, trial_timing=tuple(timing))
 
 
 def atom_fraction(spectrum: EmpiricalSpectrum,
@@ -212,11 +224,10 @@ def truncated_moment_experiment(law: StableTailLaw, profile: SigmaProfile,
     if B <= 1:
         raise ValueError("B must be > 1")
     total = 0.0
-    a_N = normalizer_a_N(law, N)
     for k in range(trials):
-        rng = RngStreamSpec(master_seed, k).generator()
-        x = sample_entries(law, rng, (N, N))
-        a = assemble_band_matrix(x, profile, a_N, truncate_at=B * a_N)
+        a = build_band_matrix(EnsembleSpec(
+            N, law, profile, truncation=("fixed_B", B),
+            seed=RngStreamSpec(master_seed, k)))
         # (1/N) tr(A^2) = (1/N) sum_ij A_ij^2
         total += float(np.sum(a * a)) / N
     return total / trials

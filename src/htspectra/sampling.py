@@ -92,8 +92,20 @@ def normalizer_a_N(law: StableTailLaw, N: int) -> float:
     return optimize.brentq(lambda u: law.tail(u) - target, lo, hi, xtol=1e-12)
 
 
-def _pareto_transform(law: StableTailLaw, u: np.ndarray, sign: np.ndarray):
-    return sign * law.scale * u ** (-1.0 / law.alpha)
+def _pareto_draws(law: StableTailLaw, rng: np.random.Generator, size):
+    """sign * scale * exp(E/alpha) with E standard exponential: the Pareto
+    law, since E = -log U turns scale * U^(-1/alpha) into this form.
+
+    The magnitudes take one ziggurat draw each; the signs are independent
+    bits drawn after them, so a stream's signs do not depend on alpha.
+    """
+    x = rng.standard_exponential(size)
+    bits = np.unpackbits(rng.integers(0, 256, -(-x.size // 8), dtype=np.uint8),
+                         count=x.size).reshape(x.shape)
+    x /= law.alpha
+    np.exp(x, out=x)
+    x *= np.take([law.scale, -law.scale], bits)
+    return x
 
 
 def _cms_transform(law: StableTailLaw, theta: np.ndarray, expo: np.ndarray):
@@ -112,10 +124,7 @@ def _cms_transform(law: StableTailLaw, theta: np.ndarray, expo: np.ndarray):
 def sample_entries(law: StableTailLaw, rng: np.random.Generator, size) -> np.ndarray:
     """Draw an array of i.i.d. entries from the law."""
     if law.family == "symmetric-pareto":
-        u = rng.random(size)
-        u = np.where(u == 0.0, 1.0, u)  # avoid the measure-zero infinity
-        sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-        return _pareto_transform(law, u, sign)
+        return _pareto_draws(law, rng, size)
     theta = (rng.random(size) - 0.5) * math.pi
     expo = rng.standard_exponential(size)
     return _cms_transform(law, theta, expo)

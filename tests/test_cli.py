@@ -50,6 +50,25 @@ def test_theory_rejects_bad_grid(flags, named, capsys, tmp_path):
     assert not (tmp_path / "density.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["theory", "--alpha", "1.5", "--t-min", "0"],
+    ["theory", "--alpha", "1.5", "--t-min", "10", "--t-max", "1"],
+    ["theory", "--alpha", "1.5", "--points", "1"],
+    ["theory", "--alpha", "1.5", "--eps-floor", "1e-30"],
+    ["theory", "--alpha", "1.5", "--model", "perturbed"],
+    ["theory", "--alpha", "1.5", "--model", "wishart"],
+    ["theory", "--alpha", "1.5", "--model", "band", "--profile", "no.json"],
+    ["compare", "--theory", "no.csv", "--spectra", "no2.csv"],
+    ["compare", "--theory", "no.csv", "--spectra", "no2.csv",
+     "--window", "oops"]],
+    ids=["t-min-zero", "t-max-below-t-min", "points-one", "eps-floor",
+         "perturbed", "wishart-no-gamma", "missing-profile",
+         "compare-missing-inputs", "compare-bad-window"])
+def test_rejected_run_leaves_no_config_echo(argv, tmp_path):
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_theory_and_simulate_keep_their_config_echoes(tmp_path):
     out = ["--alpha", "1.5", "--out", str(tmp_path)]
     assert run(["theory", "--t-min", "0.1", "--t-max", "10",

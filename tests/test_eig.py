@@ -34,6 +34,19 @@ def test_symmetry_rejection():
         eigenvalues_symmetric(np.ones((2, 3)))
 
 
+def test_symmetry_tolerance_is_1e_12_relative():
+    # max |m| is 3, so the gate on |m - m^T| sits at 3e-12
+    m = np.array([[2.0, 1.0], [1.0, 3.0]])
+    off = m.copy()
+    off[0, 1] += 3e-10
+    with pytest.raises(ValueError, match="symmetric"):
+        eigenvalues_symmetric(off)
+    near = m.copy()
+    near[0, 1] += 3e-13
+    assert np.allclose(eigenvalues_symmetric(near),
+                       np.linalg.eigvalsh(m), atol=1e-12)
+
+
 def test_spectrum_sorted_and_validated():
     s = EmpiricalSpectrum(np.array([3.0, -1.0, 2.0]), 3, trial_id=4)
     assert np.array_equal(s.eigenvalues, [-1.0, 2.0, 3.0])

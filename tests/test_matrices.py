@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from htspectra import matrices
 from htspectra.matrices import (
     DiagonalLaw,
     EnsembleSpec,
@@ -19,7 +20,12 @@ from htspectra.matrices import (
     equivalent_constant,
     profile_alpha_norm,
 )
-from htspectra.sampling import RngStreamSpec, StableTailLaw, normalizer_a_N
+from htspectra.sampling import (
+    RngStreamSpec,
+    StableTailLaw,
+    normalizer_a_N,
+    sample_entries,
+)
 
 
 BAND = SigmaProfile("band", breakpoints=(0.0, 0.25, 0.75, 1.0),
@@ -78,7 +84,8 @@ def test_diagonal_law_validation():
 
 def test_assemble_symmetry_and_scaling():
     x = np.arange(16.0).reshape(4, 4)
-    a = assemble_band_matrix(x, SigmaProfile("constant", c=2.0), a_N=4.0)
+    a = assemble_band_matrix(x[np.triu_indices(4)],
+                             SigmaProfile("constant", c=2.0), a_N=4.0)
     assert np.array_equal(a, a.T)
     # upper triangle of x drives both halves: A_ij = 2 * x_min(i,j),max / 4
     assert a[2, 1] == 2.0 * x[1, 2] / 4.0
@@ -86,10 +93,51 @@ def test_assemble_symmetry_and_scaling():
 
 def test_assemble_truncation_and_diagonal():
     x = np.array([[0.0, 10.0], [0.0, 1.0]])
-    a = assemble_band_matrix(x, SigmaProfile("constant", c=1.0), a_N=1.0,
+    a = assemble_band_matrix(x[np.triu_indices(2)],
+                             SigmaProfile("constant", c=1.0), a_N=1.0,
                              truncate_at=5.0, diagonal=np.array([7.0, 8.0]))
     assert a[0, 1] == 0.0 and a[1, 0] == 0.0     # truncated away
     assert a[0, 0] == 7.0 and a[1, 1] == 8.0 + 1.0
+
+
+def test_assemble_rejects_unpacked_input():
+    with pytest.raises(ValueError):
+        assemble_band_matrix(np.ones((3, 3)), SigmaProfile("constant"), 1.0)
+    with pytest.raises(ValueError):      # 5 is no triangular number
+        assemble_band_matrix(np.ones(5), SigmaProfile("constant"), 1.0)
+
+
+def test_build_band_matrix_draws_upper_triangle_only(monkeypatch):
+    sizes = []
+    real = matrices.sample_entries
+
+    def counted(law, rng, size):
+        out = real(law, rng, size)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(matrices, "sample_entries", counted)
+    for n in (1, 7, 32):
+        build_band_matrix(EnsembleSpec(N=n, law=StableTailLaw(1.5),
+                                       profile=PIECE, seed=RngStreamSpec(3)))
+    assert sizes == [1, 28, 528]          # N(N+1)/2 each
+
+
+@pytest.mark.parametrize("profile", [SigmaProfile("constant", c=1.5),
+                                     PIECE, BAND])
+def test_build_band_matrix_places_packed_draws(profile):
+    """A[i,j] = sigma((i+1)/N, (j+1)/N) * v_k / a_N for the k-th draw in
+    np.triu_indices(N) order, mirrored exactly into the lower triangle."""
+    n = 9
+    law = StableTailLaw(1.5)
+    a = build_band_matrix(EnsembleSpec(N=n, law=law, profile=profile,
+                                       seed=RngStreamSpec(9, 2)))
+    v = sample_entries(law, RngStreamSpec(9, 2).generator(),
+                       n * (n + 1) // 2)
+    upper = np.triu_indices(n)
+    assert np.array_equal(a, a.T)
+    assert np.array_equal(
+        a[upper], profile.lattice(n)[upper] * (v / normalizer_a_N(law, n)))
 
 
 def test_build_band_matrix_reproducible():

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from htspectra import montecarlo
+from htspectra import matrices, montecarlo
 from htspectra.eig import EigenDecompositionError, EmpiricalSpectrum
 from htspectra.eig import distribution_distance
-from htspectra.matrices import DiagonalLaw, EnsembleSpec, SigmaProfile
+from htspectra.matrices import (
+    DiagonalLaw,
+    EnsembleSpec,
+    SigmaProfile,
+    build_band_matrix,
+    build_covariance_matrix,
+)
 from htspectra.montecarlo import (
     CampaignSpec,
     CovarianceParams,
@@ -14,7 +20,7 @@ from htspectra.montecarlo import (
     run_campaign,
     truncated_moment_experiment,
 )
-from htspectra.sampling import StableTailLaw
+from htspectra.sampling import RngStreamSpec, StableTailLaw
 
 
 CONST = SigmaProfile("constant", c=1.0)
@@ -114,6 +120,55 @@ def test_abort_threshold(monkeypatch):
         run_campaign(band_spec(trials=4))
 
 
+def test_one_trial_reproduces_band_builder():
+    # the contract a benchmark or a user relies on to rebuild one trial
+    # from its seed outside a campaign
+    spec = band_spec(trials=2, seed=8, n=70)
+    for k in (0, 1):
+        spectrum, _ = montecarlo._one_trial(spec, k)
+        m = build_band_matrix(EnsembleSpec(N=70, law=StableTailLaw(1.5),
+                                           profile=CONST,
+                                           seed=RngStreamSpec(8, k)))
+        assert np.array_equal(spectrum.eigenvalues,
+                              np.sort(np.linalg.eigvalsh(m)))
+
+
+def test_one_trial_reproduces_covariance_builder():
+    law = StableTailLaw(1.2)
+    spec = CampaignSpec(ensemble=CovarianceParams(law, 90, 45), trials=1,
+                        window=(0.0, 10.0), master_seed=8)
+    spectrum, _ = montecarlo._one_trial(spec, 0)
+    m = build_covariance_matrix(law, 90, 45, RngStreamSpec(8, 0))
+    assert np.array_equal(m, m.T)
+    assert np.array_equal(spectrum.eigenvalues,
+                          np.sort(np.linalg.eigvalsh(m)))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_campaign_records_trial_timing(threads):
+    r = run_campaign(band_spec(trials=3), threads=threads)
+    timing = r.to_json()["trial_timing"]
+    assert [t["trial"] for t in timing] == [0, 1, 2]
+    for t in timing:
+        assert set(t) == {"trial", "build_s", "eig_s"}
+        assert t["build_s"] > 0.0 and t["eig_s"] > 0.0
+
+
+def test_trial_timing_skips_aborted_trials(monkeypatch):
+    real = montecarlo._one_trial
+
+    def flaky(spec, trial):
+        if trial == 3:
+            raise EigenDecompositionError("synthetic failure")
+        return real(spec, trial)
+
+    monkeypatch.setattr(montecarlo, "_one_trial", flaky)
+    r = run_campaign(band_spec(trials=40, n=8))
+    assert r.aborted_trials == 1
+    trials = [t["trial"] for t in r.to_json()["trial_timing"]]
+    assert trials == [k for k in range(40) if k != 3]
+
+
 def test_atom_fraction():
     ev = np.concatenate([np.zeros(30), np.full(10, 1e-11),
                          np.linspace(0.1, 30000.0, 60)])
@@ -141,3 +196,26 @@ def test_truncated_moment_b_scaling():
     assert abs(m4 / m2 - 2.0) < 0.25
     with pytest.raises(ValueError):
         truncated_moment_experiment(law, CONST, 1.0, 10, 1)
+
+
+def test_truncated_moment_builds_band_matrices(monkeypatch):
+    # each sample is one fixed_B band build: N(N+1)/2 draws, cut at B a_N
+    sizes = []
+    real = matrices.sample_entries
+
+    def counted(law, rng, size):
+        out = real(law, rng, size)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(matrices, "sample_entries", counted)
+    law = StableTailLaw(1.0)
+    got = truncated_moment_experiment(law, CONST, 2.0, 30, 2, master_seed=4)
+    assert sizes == [465, 465]
+    want = 0.0
+    for k in range(2):
+        a = build_band_matrix(EnsembleSpec(N=30, law=law, profile=CONST,
+                                           truncation=("fixed_B", 2.0),
+                                           seed=RngStreamSpec(4, k)))
+        want += float(np.sum(a * a)) / 30
+    assert got == want / 2

@@ -93,6 +93,26 @@ def test_cauchy_special_case():
     assert abs(med_abs - 1.0) < 0.02   # |Cauchy| has median tan(pi/4) = 1
 
 
+def test_pareto_exponential_form():
+    """|x| = scale * exp(E/alpha) with E standard exponential (the Pareto
+    law, since E = -log U), and the sign an independent bit drawn after
+    the magnitudes, so it does not depend on alpha."""
+    from scipy import stats
+    n = 200000
+    law = StableTailLaw(1.5, scale=2.0)
+    x = sample_entries(law, RngStreamSpec(17).generator(), n)
+    e = RngStreamSpec(17).generator().standard_exponential(n)
+    np.testing.assert_allclose(np.abs(x), law.scale * np.exp(e / law.alpha),
+                               rtol=1e-15, atol=0.0)
+    # |x| against the exact Pareto CDF 1 - (scale/u)^alpha on u >= scale
+    _, p = stats.kstest(np.abs(x),
+                        lambda u: 1.0 - (law.scale / u) ** law.alpha)
+    assert p > 1e-3
+    other = sample_entries(StableTailLaw(0.7, scale=2.0),
+                           RngStreamSpec(17).generator(), n)
+    assert np.array_equal(x < 0, other < 0)
+
+
 def test_sign_symmetry():
     for family in ("symmetric-pareto", "symmetric-alpha-stable"):
         law = StableTailLaw(1.5, family=family)
