@@ -278,8 +278,15 @@ def _simulation_spec(args) -> CampaignSpec:
     law = StableTailLaw(a.alpha)
     window = _parse_window(args.window)
     seed = _seed(args)
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.model == "wishart":
         m = args.m if args.m is not None else args.n // 2
+        if not 1 <= m <= args.n:
+            raise ConfigError(f"--m must lie in [1, --n], got {m} with "
+                              f"--n {args.n}")
         ensemble = CovarianceParams(law=law, n=args.n, m=m)
     else:
         diag = _load_diag(args) if args.model == "perturbed" else None

@@ -27,6 +27,7 @@ import numpy as np
 
 from .matrices import DiagonalLaw, SigmaProfile, band_alpha_integral
 from .solver import (
+    NEWTON_STEPS,
     SWEEP_HALVINGS,
     FixedPointConfig,
     SolverError,
@@ -427,12 +428,6 @@ def _log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
 # real-axis sweep
 
 
-# Newton steps of one sweep correction, the eps path corrector's budget;
-# from a secant prediction Newton converges in at most 9 on the tested
-# curves, and slower progress means a far prediction or g's noise floor
-SWEEP_NEWTON_STEPS = 12
-
-
 @dataclass(frozen=True)
 class PointRecord:
     """How one density point at t > 0 was obtained.
@@ -489,7 +484,7 @@ def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
     Predictor-corrector continuation along the real axis (Allgower-Georg).
     The largest point takes the per-point path: the eps continuation, then
     the polish.  Walking down, each point is predicted by the log-x secant
-    and corrected by ``polish_on_axis`` in at most SWEEP_NEWTON_STEPS
+    and corrected by ``polish_on_axis`` in at most NEWTON_STEPS
     Newton steps, which accepts only a residual within its tolerance and
     unknowns inside the cone, then ``_settled`` by one more Newton step;
     ``_log_walk`` halves the log step on a failed correction.  When the
@@ -503,7 +498,7 @@ def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
     def correct(at, last, before):
         try:
             point = polish_on_axis(system, at, _log_secant(at, last, before),
-                                   max_iter=SWEEP_NEWTON_STEPS)
+                                   max_iter=NEWTON_STEPS)
         except SolverError:
             return None
         return _settled(system, point) if at == x else point

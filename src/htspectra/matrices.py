@@ -123,12 +123,14 @@ class SigmaProfile:
 
     # -- piecewise-constant normal form ------------------------------------
 
-    def cells(self, lattice_hint: int = 0):
-        """Partition (breaks, matrix) viewing every variant as piecewise.
+    def cells(self):
+        """Partition (breaks, matrix) of a profile constant on product cells.
 
-        Returns (breaks b_0..b_q, q x q matrix, weights Delta_r).  The band
-        and grid variants are exact on their own breakpoints/lattice; a
-        constant is a single cell.
+        Returns (breaks b_0..b_q, q x q matrix, weights Delta_r): a constant
+        is a single cell, the piecewise and grid variants are exact on their
+        own breaks and lattice.  phi(x - y) is constant on no product cells,
+        so a band profile raises ValueError: its limit system comes from
+        ``alpha_kernel``.
         """
         if self.variant == "constant":
             b = np.array([0.0, 1.0])
@@ -137,13 +139,8 @@ class SigmaProfile:
             b = np.asarray(self.breaks, dtype=float)
             m = np.asarray(self.matrix, dtype=float)
         elif self.variant == "band":
-            # phi(x - y) is not constant on product cells; return a uniform
-            # refinement with midpoint values, adequate for norms but not for
-            # the limit system -- use alpha_kernel for that.
-            q = max(16, lattice_hint)
-            b = np.arange(q + 1) / q
-            mids = 0.5 * (b[:-1] + b[1:])
-            m = self.evaluate(mids[:, None], mids[None, :])
+            raise ValueError("a band profile has no product cells; use "
+                             "alpha_kernel for its limit system")
         else:
             p = self.resolution
             b = np.arange(p + 1) / p

@@ -27,7 +27,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .matrices import DiagonalLaw, SigmaProfile, alpha_kernel
+from .matrices import (DiagonalLaw, SigmaProfile, alpha_kernel,
+                       covariance_profile)
 from .special import (
     AlphaParam,
     K_ALPHA,
@@ -74,6 +75,13 @@ class SolverError(RuntimeError):
 DAMPING = 1.0
 # distance to z kept per coarse step of the cold path (see _solve)
 CONTINUATION_FACTOR = 0.3
+# Newton steps of one correction on every path; slower progress than this
+# means a far prediction or g's noise floor
+NEWTON_STEPS = 12
+# log-step halvings of a ``_log_walk`` before its point falls back: on the
+# real axis to the eps path, elsewhere to a continuation step (Newton and
+# then Picard)
+SWEEP_HALVINGS = 3
 
 
 @dataclass(frozen=True)
@@ -131,29 +139,29 @@ class _System:
 
 
 class _BandSystem(_System):
-    """z^alpha Y_r = C_alpha sum_s K_rs Delta_s g_alpha(Y_s)."""
+    """z^alpha Y_r = C_alpha sum_s K_rs Delta_s g_alpha(Y_s), the one
+    kernel-form system: the Wigner system is its one cell, the covariance
+    pair its two cells of ``covariance_profile(gamma)``, and the perturbed
+    system shares its cells and its start radius."""
 
     def __init__(self, a: AlphaParam, weights: np.ndarray, kernel: np.ndarray):
         super().__init__(a)
         self.weights = np.asarray(weights, dtype=float)
-        self.kernel = np.asarray(kernel, dtype=float)
         self.q = self.weights.size
         self.c = c_alpha(a)
         # kernel contracted with the cell weights
-        self.kw = self.kernel * self.weights[None, :]
+        self.kw = np.asarray(kernel, dtype=float) * self.weights[None, :]
 
     def apply(self, z, y):
         za = principal_power(z, self._alpha())
         g = np.array([g_alpha(self.a, yi) for yi in y])
         return (self.c / za) * (self.kw @ g)
 
-    def row_mass(self) -> float:
-        return float(np.max(np.sum(self.kw, axis=1))) if self.q else 0.0
-
     def start_radius(self):
         # Lipschitz constant of F is |z|^-alpha |C| sup|g'| max_r sum_s K Delta;
         # force it below 1/3.
-        lip = abs(self.c) * cone_bound(self.a, 2.0 * self._alpha()) * self.row_mass()
+        mass = float(np.max(np.sum(self.kw, axis=1)))
+        lip = abs(self.c) * cone_bound(self.a, 2.0 * self._alpha()) * mass
         return (3.0 * max(lip, 1e-300)) ** (1.0 / self._alpha())
 
     def jacobian(self, z, y):
@@ -162,54 +170,20 @@ class _BandSystem(_System):
         return np.eye(self.q) - (self.c / za) * self.kw * gp[None, :]
 
 
-class _WishartSystem(_System):
-    """The coupled pair behind covariance spectra:
-    z^alpha Y1 = gamma/(1+gamma) C g(Y2),  z^alpha Y2 = 1/(1+gamma) C g(Y1)."""
-
-    def __init__(self, a: AlphaParam, gamma: float):
-        super().__init__(a)
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        self.gamma = gamma
-        self.q = 2
-        self.c = c_alpha(a)
-
-    def apply(self, z, y):
-        za = principal_power(z, self._alpha())
-        g1 = g_alpha(self.a, y[0])
-        g2 = g_alpha(self.a, y[1])
-        pref = self.c / (za * (1.0 + self.gamma))
-        return np.array([pref * self.gamma * g2, pref * g1])
-
-    def start_radius(self):
-        lip = abs(self.c) * cone_bound(self.a, 2.0 * self._alpha())
-        return (3.0 * lip) ** (1.0 / self._alpha())
-
-    def jacobian(self, z, y):
-        za = principal_power(z, self._alpha())
-        pref = self.c / (za * (1.0 + self.gamma))
-        gp1 = g_alpha_prime(self.a, y[0])
-        gp2 = g_alpha_prime(self.a, y[1])
-        return np.array([[1.0, -pref * self.gamma * gp2],
-                         [-pref * gp1, 1.0]])
-
-
-class _PerturbedSystem(_System):
+class _PerturbedSystem(_BandSystem):
     """X_r = conj(C_alpha) sum_s K_rs Delta_s
               sum_i w_i (lam_i - z)^(-alpha/2) g_alpha((lam_i - z)^(-alpha/2) X_s),
     the system of the diagonally perturbed ensemble; unknowns live in the
-    lower cone (phases in [-alpha pi/2, 0])."""
+    lower cone (phases in [-alpha pi/2, 0]).  It contracts in Im z at the
+    band start radius: |conj C| = |C| and |(lam - z)^(-alpha/2)|^2 is at
+    most Im(z)^-alpha."""
 
     cone = K_HAT_ALPHA
 
     def __init__(self, a: AlphaParam, weights, kernel, diag: DiagonalLaw):
-        super().__init__(a)
-        self.weights = np.asarray(weights, dtype=float)
-        self.kernel = np.asarray(kernel, dtype=float)
-        self.q = self.weights.size
-        self.kw = self.kernel * self.weights[None, :]
+        super().__init__(a, weights, kernel)
+        self.c = c_alpha_bar(a)
         self.atoms = tuple(diag.atoms)
-        self.cbar = c_alpha_bar(a)
 
     def _phases(self, z):
         return [(w, principal_power(lam - z, -0.5 * self._alpha()))
@@ -224,7 +198,7 @@ class _PerturbedSystem(_System):
             for w, p in ph:
                 acc += w * p * g_alpha(self.a, p * x[s])
             vals[s] = acc
-        out[:] = self.cbar * (self.kw @ vals)
+        out[:] = self.c * (self.kw @ vals)
         return out
 
     def residual(self, z, x, fx=None):
@@ -236,13 +210,7 @@ class _PerturbedSystem(_System):
         ph = self._phases(z)
         d = np.array([sum(w * p * p * g_alpha_prime(self.a, p * xs)
                           for w, p in ph) for xs in x])
-        return np.eye(self.q) - self.cbar * self.kw * d[None, :]
-
-    def start_radius(self):
-        # contraction in Im z: |(lam - z)^(-alpha/2)|^2 <= Im(z)^-alpha
-        k = float(np.max(np.sum(self.kw, axis=1))) if self.q else 0.0
-        lip = abs(self.cbar) * cone_bound(self.a, 2.0 * self._alpha()) * k
-        return (3.0 * max(lip, 1e-300)) ** (1.0 / self._alpha())
+        return np.eye(self.q) - self.c * self.kw * d[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +219,8 @@ class _PerturbedSystem(_System):
 
 def _picard(system: _System, z: complex, y0: np.ndarray,
             cfg: FixedPointConfig) -> FixedPointSolution:
+    """Damped Picard iteration for y = apply(z, y) from y0.  A failure of g
+    is a SolverError with the unknowns y0, chained to it."""
     y = np.array(y0, dtype=complex)
     d = d_cap = DAMPING
     decreases = 0
@@ -258,9 +228,14 @@ def _picard(system: _System, z: complex, y0: np.ndarray,
     prev = math.inf
     res = math.inf
     for it in range(1, cfg.max_iter + 1):
-        fy = system.apply(z, y)
+        try:
+            fy = system.apply(z, y)
+        except ArithmeticError as exc:
+            raise SolverError(f"Picard failed at z={z}: {exc}",
+                              unknowns=y0) from exc
         res = system.residual(z, y, fy)
         if res <= cfg.tol:
+            _check_cone(system, y)
             return FixedPointSolution(
                 z=z, unknowns=y, residual=res, iterations=it,
                 cone=system.cone)
@@ -290,7 +265,7 @@ def _picard(system: _System, z: complex, y0: np.ndarray,
 
 
 def _newton(system: _System, z: complex, y0: np.ndarray, tol: float,
-            max_steps: int = 12) -> FixedPointSolution:
+            max_steps: int = NEWTON_STEPS) -> FixedPointSolution:
     """Newton's method for y = apply(z, y) from y0, the corrector of every
     path.
 
@@ -341,19 +316,11 @@ def _continuation_step(system: _System, z: complex, y: np.ndarray,
                        guess: Optional[np.ndarray] = None
                        ) -> FixedPointSolution:
     """One continuation step to z from the solution y at a nearby point:
-    Newton from guess (y when None), else damped Picard from y.  An
-    arithmetic failure of g in Picard is a SolverError caused by it."""
+    Newton from guess (y when None), else damped Picard from y."""
     try:
         return _newton(system, z, y if guess is None else guess, cfg.tol)
     except SolverError:
-        pass
-    try:
-        sol = _picard(system, z, y, cfg)
-    except ArithmeticError as exc:
-        raise SolverError(f"Picard failed at z={z}: {exc}",
-                          unknowns=y) from exc
-    _check_cone(system, sol.unknowns)
-    return sol
+        return _picard(system, z, y, cfg)
 
 
 def _check_cone(system: _System, y: np.ndarray,
@@ -365,12 +332,6 @@ def _check_cone(system: _System, y: np.ndarray,
                 f"iterate {yi} left the cone {system.cone} "
                 "(branch loss during continuation)", unknowns=y,
                 residual=residual)
-
-
-# log-step halvings of a ``_log_walk`` before its point falls back: on the
-# real axis to the eps path, elsewhere to a continuation step (Newton and
-# then Picard)
-SWEEP_HALVINGS = 3
 
 
 def _log_walk(x: float, pos: float, last, before, correct):
@@ -439,13 +400,8 @@ def _solve(system: _System, z: complex,
     """
     if z.imag <= 0:
         raise ValueError("z must lie in the open upper half-plane")
-    start, y0 = system.start_z(z), np.zeros(system.q, dtype=complex)
-    try:
-        sol = _picard(system, start, y0, cfg)
-    except ArithmeticError as exc:
-        raise SolverError(f"Picard failed at z={start}: {exc}",
-                          unknowns=y0) from exc
-    _check_cone(system, sol.unknowns)
+    start = system.start_z(z)
+    sol = _picard(system, start, np.zeros(system.q, dtype=complex), cfg)
     pos = dist = abs(start - z)
     before = None
     while CONTINUATION_FACTOR * pos >= 0.05 * abs(z):
@@ -473,8 +429,12 @@ def band_system(a: AlphaParam, profile: SigmaProfile,
     return _BandSystem(a, w, k)
 
 
-def wishart_system(a: AlphaParam, gamma: float) -> _WishartSystem:
-    return _WishartSystem(a, gamma)
+def wishart_system(a: AlphaParam, gamma: float) -> _BandSystem:
+    """The coupled pair behind covariance spectra,
+    z^alpha Y1 = gamma/(1+gamma) C g(Y2),  z^alpha Y2 = 1/(1+gamma) C g(Y1):
+    the band system of the block embedding [[0, X], [X^t, 0]], whose square
+    holds X X^t, with its two-cell profile ``covariance_profile(gamma)``."""
+    return band_system(a, covariance_profile(gamma))
 
 
 def perturbed_system(a: AlphaParam, profile: SigmaProfile,

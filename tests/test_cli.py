@@ -50,6 +50,18 @@ def test_theory_rejects_bad_grid(flags, named, capsys, tmp_path):
     assert not (tmp_path / "density.csv").exists()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--n", "10", "--trials", "0"], "--trials"),
+    (["--n", "0"], "--n"),
+    (["--model", "wishart", "--n", "10", "--m", "20"], "--m")],
+    ids=["trials-zero", "n-zero", "m-above-n"])
+def test_simulate_rejects_bad_sizes(flags, named, capsys, tmp_path):
+    code = run(["simulate", "--alpha", "1.5", "--out", str(tmp_path)] + flags)
+    assert code == 1
+    assert f"error: {named} " in capsys.readouterr().err
+    assert not (tmp_path / "config-simulate.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["theory", "--alpha", "1.5", "--t-min", "0"],
     ["theory", "--alpha", "1.5", "--t-min", "10", "--t-max", "1"],

@@ -220,6 +220,11 @@ def test_equivalent_constant_value():
         equivalent_constant(PIECE, 1.5)
 
 
+def test_band_profile_has_no_cells():
+    with pytest.raises(ValueError, match="alpha_kernel"):
+        BAND.cells()
+
+
 def test_covariance_profile_shape():
     prof = covariance_profile(0.5)
     b, m, w = prof.cells()

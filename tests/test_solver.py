@@ -274,18 +274,22 @@ def test_arithmetic_failure_at_contraction_radius_becomes_solver_error(
     assert np.array_equal(exc_info.value.unknowns, np.zeros(system.q))
 
 
-@pytest.mark.parametrize("z", [0.4 + 0.05j, 1.2 + 0.05j, 1.5 + 0.1j])
-def test_wishart_pair_near_alpha_two_solves(z):
-    # at alpha=1.95 these solves used to fail: at 0.4+0.05i Picard met
-    # points near the solution's Y2 = -74+25i where g on the clamped
-    # contour could not be certified, at 1.2+0.05i it stalled at residual
-    # 2.2e-12; the solutions must satisfy both equations under the
-    # adaptive rule
-    a = AlphaParam(1.95)
-    gamma = 0.5
+@pytest.mark.parametrize("alpha,gamma,z", [
+    pytest.param(1.95, 0.5, z, id=str(z))
+    for z in (0.4 + 0.05j, 1.2 + 0.05j, 1.5 + 0.1j)] + [
+    pytest.param(alpha, gamma, z, id=f"{alpha}-{gamma}-{z}")
+    for alpha in (0.7, 1.3) for gamma in (0.2, 0.9)
+    for z in (0.6 + 0.4j, -2.0 + 0.2j)])
+def test_wishart_pair_near_alpha_two_solves(alpha, gamma, z):
+    # at alpha=1.95 the first three solves used to fail: at 0.4+0.05i
+    # Picard met points near the solution's Y2 = -74+25i where g on the
+    # clamped contour could not be certified, at 1.2+0.05i it stalled at
+    # residual 2.2e-12; the solutions must satisfy both pair equations
+    # under the adaptive rule, whatever alpha and gamma
+    a = AlphaParam(alpha)
     y1, y2 = solve_wishart_pair(a, gamma, z).unknowns
     rule = QuadratureRule(kind="adaptive-subdivision")
-    za, c = principal_power(z, 1.95), c_alpha(a)
+    za, c = principal_power(z, alpha), c_alpha(a)
     assert abs(za * y1 - gamma / (1 + gamma) * c * g_alpha(a, y2, rule)) \
         <= 1e-10
     assert abs(za * y2 - 1 / (1 + gamma) * c * g_alpha(a, y1, rule)) <= 1e-10
