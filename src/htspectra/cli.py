@@ -61,22 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "theory curves, simulations and comparisons.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True):
-        if model:
-            sp.add_argument("--model", default="wigner",
-                            choices=["wigner", "band", "wishart", "perturbed"])
-            sp.add_argument("--alpha", type=float, default=None)
-            sp.add_argument("--gamma", type=float, default=None)
-            sp.add_argument("--profile", default=None,
-                            help="JSON file describing the variance profile")
-            sp.add_argument("--diag", default=None,
-                            help="JSON file describing the diagonal law")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=".")
-        sp.add_argument("--threads", type=int, default=1)
+    def model_flags(sp):
+        sp.add_argument("--model", default="wigner",
+                        choices=["wigner", "band", "wishart", "perturbed"])
+        sp.add_argument("--alpha", type=float, default=None)
+        sp.add_argument("--gamma", type=float, default=None)
+        sp.add_argument("--profile", default=None,
+                        help="JSON file describing the variance profile")
 
     t = sub.add_parser("theory", help="compute a density curve")
-    common(t)
+    model_flags(t)
+    t.add_argument("--out", default=".")
     t.add_argument("--t", type=float, default=None,
                    help="single evaluation point instead of a grid")
     t.add_argument("--t-min", type=float, default=1e-3)
@@ -85,7 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--eps-floor", type=float, default=EPS_FLOOR)
 
     s = sub.add_parser("simulate", help="run a Monte Carlo campaign")
-    common(s)
+    model_flags(s)
+    s.add_argument("--diag", default=None,
+                   help="JSON file describing the diagonal law")
+    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--out", default=".")
+    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--n", type=int, default=1000)
     s.add_argument("--m", type=int, default=None)
     s.add_argument("--trials", type=int, default=10)
@@ -93,18 +93,17 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--exclude-zero", type=float, default=0.0)
 
     c = sub.add_parser("compare", help="compare theory CSV with eigenvalue CSV")
-    common(c, model=False)
+    c.add_argument("--out", default=".")
     c.add_argument("--theory", required=True, help="density CSV path")
     c.add_argument("--spectra", required=True, help="eigenvalue CSV path")
     c.add_argument("--window", default="-10:10")
     c.add_argument("--exclude-zero", type=float, default=0.0)
 
     k = sub.add_parser("critical-set", help="locate possible density kinks")
-    common(k)
+    k.add_argument("--alpha", type=float, default=None)
+    k.add_argument("--out", default=".")
 
-    st = sub.add_parser("selftest",
-                        help="run the acceptance suite at reduced sizes")
-    common(st, model=False)
+    sub.add_parser("selftest", help="run the acceptance suite at reduced sizes")
     return p
 
 

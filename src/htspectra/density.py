@@ -42,8 +42,6 @@ from .solver import (
 )
 from .special import AlphaParam, c_alpha, h_alpha, principal_power
 
-_DENSITY_CFG = FixedPointConfig(max_iter=4000)
-
 __all__ = [
     "DensityCurve",
     "PointRecord",
@@ -61,20 +59,24 @@ __all__ = [
 ]
 
 EPS_FLOOR = 1e-6
+# first eps of the per-point path, and the factor from point to point
+EPS_START = 0.5
+EPS_FACTOR = 0.1
+# relative agreement demanded of the two constant-profile density formulas
+WIGNER_AGREEMENT = 1e-8
 
 
-def default_eps_schedule(start: float = 0.5, factor: float = 0.1,
-                         floor: float = EPS_FLOOR) -> list:
-    """The eps values of the per-point path: start, then a factor per
+def default_eps_schedule(floor: float = EPS_FLOOR) -> list:
+    """The eps values of the per-point path: EPS_START, then EPS_FACTOR per
     point, down to floor (0.5, 0.05, ..., 5e-6, 1e-6 by default).
 
     They are the path's coarse points: ``continue_to_real_axis`` walks
     between neighbours in log eps and halves the step where Newton fails,
     so a hard case still gets short steps.
     """
-    eps = [start]
+    eps = [EPS_START]
     while eps[-1] > floor:
-        eps.append(max(eps[-1] * factor, floor))
+        eps.append(max(eps[-1] * EPS_FACTOR, floor))
     return eps
 
 
@@ -106,7 +108,7 @@ def _band_G(a: AlphaParam, z: complex, y: np.ndarray,
 
 
 def stieltjes_band(a: AlphaParam, profile: SigmaProfile, z: complex,
-                   cfg: FixedPointConfig = _DENSITY_CFG) -> complex:
+                   cfg: FixedPointConfig = FixedPointConfig()) -> complex:
     system = band_system(a, profile)
     sol = solve(system, z, cfg)
     return _band_G(a, sol.z, sol.unknowns, system.weights)
@@ -114,7 +116,7 @@ def stieltjes_band(a: AlphaParam, profile: SigmaProfile, z: complex,
 
 def stieltjes_perturbed(a: AlphaParam, profile: SigmaProfile,
                         diag: DiagonalLaw, z: complex,
-                        cfg: FixedPointConfig = _DENSITY_CFG) -> complex:
+                        cfg: FixedPointConfig = FixedPointConfig()) -> complex:
     system = perturbed_system(a, profile, diag)
     sol = solve(system, z, cfg)
     x = sol.unknowns
@@ -152,8 +154,7 @@ def _band_rho(a: AlphaParam, weights: np.ndarray, t: float,
     return -float(np.sum(weights * hs.imag)) / (math.pi * t)
 
 
-def _wigner_rho(a: AlphaParam, t: float, y: np.ndarray,
-                agreement_tol: float = 1e-8) -> float:
+def _wigner_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
     """Constant-profile density at t > 0 from the polished unknown, by both
     algebraically equivalent expressions, which must agree."""
     yv = y[0]
@@ -167,7 +168,7 @@ def _wigner_rho(a: AlphaParam, t: float, y: np.ndarray,
         c_abs = abs(c_alpha(a))
     expr2 = al * t ** (al - 1.0) / (2.0 * c_abs * math.pi) \
         * (i_pow * yv * yv).imag
-    if abs(expr1 - expr2) > agreement_tol * max(1.0, abs(expr1)):
+    if abs(expr1 - expr2) > WIGNER_AGREEMENT * max(1.0, abs(expr1)):
         raise ArithmeticError(
             f"density expressions disagree at t={t}: {expr1} vs {expr2}")
     return expr1
@@ -180,26 +181,27 @@ def _wishart_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
 
 def density_band(a: AlphaParam, profile: SigmaProfile, t: float,
                  eps_schedule: Optional[Sequence[float]] = None,
-                 cfg: FixedPointConfig = _DENSITY_CFG) -> float:
-    """Density of a band profile at real t != 0."""
+                 cfg: FixedPointConfig = FixedPointConfig()) -> float:
+    """Density of a band profile at real t != 0, clipped at 0."""
     if t == 0:
         raise ValueError("t must be nonzero")
     system = band_system(a, profile)
     _, sol = _boundary_solution(system, t, cfg, eps_schedule)
     y = sol.unknowns if t > 0 else np.conj(sol.unknowns)
-    return _band_rho(a, system.weights, t, y)
+    return max(_band_rho(a, system.weights, t, y), 0.0)
 
 
 def density_wigner_formula(a: AlphaParam, t: float,
                            eps_schedule: Optional[Sequence[float]] = None,
-                           cfg: FixedPointConfig = _DENSITY_CFG,
-                           agreement_tol: float = 1e-8) -> float:
+                           cfg: FixedPointConfig = FixedPointConfig()
+                           ) -> float:
     """Density of the constant-profile limit at t != 0, computed from both
-    algebraically equivalent expressions, which must agree."""
+    algebraically equivalent expressions, which must agree, and clipped at
+    0."""
     if t == 0:
         raise ValueError("t must be nonzero")
     _, sol = _boundary_solution(wigner_system(a), abs(t), cfg, eps_schedule)
-    return _wigner_rho(a, abs(t), sol.unknowns, agreement_tol)
+    return max(_wigner_rho(a, abs(t), sol.unknowns), 0.0)
 
 
 def _gamma_one_scale(a: AlphaParam, gamma: float) -> Optional[float]:
@@ -217,8 +219,8 @@ def _gamma_one_scale(a: AlphaParam, gamma: float) -> Optional[float]:
 
 def density_wishart(a: AlphaParam, gamma: float, t: float,
                     eps_schedule: Optional[Sequence[float]] = None,
-                    cfg: FixedPointConfig = _DENSITY_CFG) -> float:
-    """Density of the covariance limit at t > 0."""
+                    cfg: FixedPointConfig = FixedPointConfig()) -> float:
+    """Density of the covariance limit at t > 0, clipped at 0."""
     if t <= 0:
         raise ValueError("t must be positive")
     s = _gamma_one_scale(a, gamma)
@@ -227,7 +229,7 @@ def density_wishart(a: AlphaParam, gamma: float, t: float,
             a, s * math.sqrt(t), eps_schedule, cfg)
     _, sol = _boundary_solution(wishart_system(a, gamma), math.sqrt(t), cfg,
                                 eps_schedule)
-    return _wishart_rho(a, t, sol.unknowns)
+    return max(_wishart_rho(a, t, sol.unknowns), 0.0)
 
 
 def atom_at_zero_wishart(gamma: float) -> float:
@@ -531,7 +533,7 @@ def build_density_curve(a: AlphaParam, model: str,
                         diag: Optional[DiagonalLaw] = None,
                         t_min: float = 1e-3, t_max: float = 1e3,
                         points: int = 400,
-                        cfg: FixedPointConfig = _DENSITY_CFG,
+                        cfg: FixedPointConfig = FixedPointConfig(),
                         eps_schedule: Optional[Sequence[float]] = None
                         ) -> DensityCurve:
     """Compute a density curve over a log-spaced grid.

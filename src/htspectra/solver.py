@@ -4,18 +4,18 @@ Every system has the shape  unknowns = F(z, unknowns)  with F contractive
 for large |z| (band/Wigner/Wishart) or large Im z (diagonally perturbed).
 The solver therefore always starts on the imaginary axis at a radius where
 a 1/3-contraction is guaranteed by explicit bounds on g_alpha and its
-derivative, and iterates damped Picard there from 0.  It then walks toward
-the requested z by predictor-corrector continuation.  Every path uses the
+derivative, and iterates Picard there from 0.  It then walks toward the
+requested z by predictor-corrector continuation.  Every path uses the
 same two pieces: one Newton corrector (``_newton``), which also polishes
 solutions on the real axis (``polish_on_axis``), and one point walker
 (``_walk``), which takes coarse steps in the logarithm of a path
 coordinate, predicts each point from the last two solutions, corrects it
 by Newton, halves the log step when Newton fails, and when the halvings
-run out takes a continuation step, Newton and then damped Picard from the
-last solution.  The cold path walks in the distance to z, the eps path
-towards the real axis in log eps between the points of its schedule.
-This keeps the iteration on the branch that tends to zero at infinity,
-which is the one describing the spectral measure.
+run out makes one last Newton correction at the target, whose failure is
+the path's SolverError.  The cold path walks in the distance to z, the
+eps path towards the real axis in log eps between the points of its
+schedule.  This keeps the iteration on the branch that tends to zero at
+infinity, which is the one describing the spectral measure.
 """
 
 from __future__ import annotations
@@ -70,17 +70,14 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-# initial damping of the Picard iteration, which halves it where the
-# residual stops falling
-DAMPING = 1.0
 # distance to z kept per coarse step of the cold path (see _solve)
 CONTINUATION_FACTOR = 0.3
 # Newton steps of one correction on every path; slower progress than this
 # means a far prediction or g's noise floor
 NEWTON_STEPS = 12
 # log-step halvings of a ``_log_walk`` before its point falls back: on the
-# real axis to the eps path, elsewhere to a continuation step (Newton and
-# then Picard)
+# real axis to the eps path, elsewhere to one last Newton correction at the
+# target
 SWEEP_HALVINGS = 3
 
 
@@ -219,13 +216,10 @@ class _PerturbedSystem(_BandSystem):
 
 def _picard(system: _System, z: complex, y0: np.ndarray,
             cfg: FixedPointConfig) -> FixedPointSolution:
-    """Damped Picard iteration for y = apply(z, y) from y0.  A failure of g
-    is a SolverError with the unknowns y0, chained to it."""
+    """Picard iteration y <- apply(z, y) from y0, run at the contraction
+    radius only, where the residual falls at least threefold per step.  A
+    failure of g is a SolverError with the unknowns y0, chained to it."""
     y = np.array(y0, dtype=complex)
-    d = d_cap = DAMPING
-    decreases = 0
-    stalls = 0
-    prev = math.inf
     res = math.inf
     for it in range(1, cfg.max_iter + 1):
         try:
@@ -239,26 +233,7 @@ def _picard(system: _System, z: complex, y0: np.ndarray,
             return FixedPointSolution(
                 z=z, unknowns=y, residual=res, iterations=it,
                 cone=system.cone)
-        if res > prev and d > 1e-3:
-            d *= 0.5
-            decreases = 0
-            stalls = 0
-        elif res > 0.97 * prev:
-            # barely contracting: a complex multiplier of modulus ~1 is
-            # beaten by averaging, so damp harder and keep it that way
-            stalls += 1
-            if stalls >= 10 and d > 1e-3:
-                d *= 0.5
-                d_cap = d
-                stalls = 0
-        else:
-            stalls = 0
-            decreases += 1
-            if decreases >= 5 and d < d_cap:
-                d = min(d_cap, 2.0 * d)
-                decreases = 0
-        prev = res
-        y = (1.0 - d) * y + d * fy
+        y = fy
     raise SolverError(
         f"no convergence at z={z}: residual {res:.3e} after {cfg.max_iter} "
         "iterations", unknowns=y, residual=res)
@@ -311,18 +286,6 @@ def _secant(z: complex, last: FixedPointSolution,
     return last.unknowns + ratio * (last.unknowns - before.unknowns)
 
 
-def _continuation_step(system: _System, z: complex, y: np.ndarray,
-                       cfg: FixedPointConfig,
-                       guess: Optional[np.ndarray] = None
-                       ) -> FixedPointSolution:
-    """One continuation step to z from the solution y at a nearby point:
-    Newton from guess (y when None), else damped Picard from y."""
-    try:
-        return _newton(system, z, y if guess is None else guess, cfg.tol)
-    except SolverError:
-        return _picard(system, z, y, cfg)
-
-
 def _check_cone(system: _System, y: np.ndarray,
                 residual: Optional[float] = None):
     a = system.a
@@ -369,8 +332,9 @@ def _walk(system: _System, point: Callable[[float], complex],
     """(last, before) with last the solution at point(x), walked by
     ``_log_walk`` from last at point(pos): each point z is ``_newton`` from
     predict(z, last, before), and a SolverError is a failed correction.
-    When the halvings run out, point(x) takes a continuation step from the
-    last point reached."""
+    When the halvings run out, point(x) takes one more ``_newton`` from
+    the prediction off the last point reached, and its SolverError is the
+    walk's."""
 
     def correct(at, last, before):
         z = point(at)
@@ -382,8 +346,8 @@ def _walk(system: _System, point: Callable[[float], complex],
     last, before, pos, _, _ = _log_walk(x, pos, last, before, correct)
     if pos != x:
         z = point(x)
-        before, last = last, _continuation_step(
-            system, z, last.unknowns, cfg, predict(z, last, before))
+        before, last = last, _newton(system, z, predict(z, last, before),
+                                     cfg.tol)
     return last, before
 
 
@@ -391,12 +355,12 @@ def _solve(system: _System, z: complex,
            cfg: FixedPointConfig) -> FixedPointSolution:
     """The decaying-branch solution at z.
 
-    Damped Picard from 0 runs at the contraction radius only.  The path
-    then heads straight for z: its distance to z shrinks by
-    CONTINUATION_FACTOR from point to point, each point reached by
-    ``_walk`` with the secant predictor, until the next one would lie
-    within 0.05|z| of z; the last step, to z itself, is one continuation
-    step predicted by the secant through the last two solutions.
+    Picard from 0 runs at the contraction radius only.  The path then
+    heads straight for z: its distance to z shrinks by CONTINUATION_FACTOR
+    from point to point, each point reached by ``_walk`` with the secant
+    predictor, until the next one would lie within 0.05|z| of z; the last
+    step, to z itself, is one ``_newton`` from the secant through the last
+    two solutions.
     """
     if z.imag <= 0:
         raise ValueError("z must lie in the open upper half-plane")
@@ -410,8 +374,7 @@ def _solve(system: _System, z: complex,
                             _secant, x, pos, sol, before, cfg)
         pos = x
     if sol.z != z:
-        sol = _continuation_step(system, z, sol.unknowns, cfg,
-                                 _secant(z, sol, before))
+        sol = _newton(system, z, _secant(z, sol, before), cfg.tol)
     return sol
 
 
@@ -423,9 +386,8 @@ def wigner_system(a: AlphaParam) -> _BandSystem:
     return _BandSystem(a, np.array([1.0]), np.array([[1.0]]))
 
 
-def band_system(a: AlphaParam, profile: SigmaProfile,
-                cells: int = 6) -> _BandSystem:
-    w, k = alpha_kernel(profile, a.alpha, cells=cells)
+def band_system(a: AlphaParam, profile: SigmaProfile) -> _BandSystem:
+    w, k = alpha_kernel(profile, a.alpha)
     return _BandSystem(a, w, k)
 
 
@@ -438,8 +400,8 @@ def wishart_system(a: AlphaParam, gamma: float) -> _BandSystem:
 
 
 def perturbed_system(a: AlphaParam, profile: SigmaProfile,
-                     diag: DiagonalLaw, cells: int = 6) -> _PerturbedSystem:
-    w, k = alpha_kernel(profile, a.alpha, cells=cells)
+                     diag: DiagonalLaw) -> _PerturbedSystem:
+    w, k = alpha_kernel(profile, a.alpha)
     return _PerturbedSystem(a, w, k, diag)
 
 
@@ -483,9 +445,11 @@ def continue_to_real_axis(system: _System, t: float,
     The first point is a cold solve; the path then walks from each point
     to the next by ``_walk`` in log eps, Newton from the eps secant
     through the last two solutions, with the log step halved when Newton
-    fails and a continuation step (Newton, then damped Picard) when the
-    halvings run out.  Negative t uses the conjugation symmetry
-    Y(-conj z) = conj Y(z) of the unique decaying branch.
+    fails.  When the halvings run out and a last Newton at the schedule's
+    point fails too, its SolverError is raised with ``failure_index``, the
+    index of that point, and ``partial_path``, the solutions before it.
+    Negative t uses the conjugation symmetry Y(-conj z) = conj Y(z) of the
+    unique decaying branch.
     """
     if t == 0:
         raise ValueError("t must be nonzero")

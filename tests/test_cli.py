@@ -37,6 +37,30 @@ def test_usage_error_exits_1_and_help_exits_0(capsys):
     assert info.value.code == 0
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["theory", "--alpha", "1.5", "--seed", "1"], "--seed"),
+    (["theory", "--alpha", "1.5", "--threads", "2"], "--threads"),
+    (["theory", "--alpha", "1.5", "--diag", "d.json"], "--diag"),
+    (["compare", "--theory", "a.csv", "--spectra", "b.csv", "--seed", "1"],
+     "--seed"),
+    (["compare", "--theory", "a.csv", "--spectra", "b.csv", "--threads",
+      "2"], "--threads"),
+    (["critical-set", "--alpha", "1.5", "--model", "band"], "--model"),
+    (["critical-set", "--alpha", "1.5", "--seed", "1"], "--seed"),
+    (["selftest", "--out", "."], "--out")],
+    ids=["theory-seed", "theory-threads", "theory-diag", "compare-seed",
+         "compare-threads", "critical-set-model", "critical-set-seed",
+         "selftest-out"])
+def test_subcommand_rejects_flags_it_does_not_read(argv, flag, capsys,
+                                                   tmp_path, monkeypatch):
+    # each subcommand registers only the flags it reads, so a dead flag
+    # is a usage error (exit 1) that writes nothing
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert flag in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--t-min", "0"], "--t-min"),
     (["--t-min", "10", "--t-max", "1"], "--t-max"),
@@ -125,6 +149,18 @@ def test_theory_single_point_replaces_curve_sidecar(tmp_path):
     side = json.loads((tmp_path / "density.json").read_text())
     assert side == {"t": t, "rho": rho, "model": "wigner", "alpha": 1.5,
                     "gamma": None}
+
+
+def test_theory_single_point_reports_clipped_density(capsys, tmp_path):
+    # at alpha=1.8, gamma=0.5, t=0.1 lies in the gap, where the solved
+    # density is a negative roundoff value; a single point reports
+    # max(rho, 0), as a curve stores it
+    assert run(["theory", "--model", "wishart", "--alpha", "1.8",
+                "--gamma", "0.5", "--t", "0.1", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "rho(0.1) = 0\n"
+    _, row = (tmp_path / "density.csv").read_text().splitlines()
+    assert float(row.split(",")[1]) == 0.0
+    assert json.loads((tmp_path / "density.json").read_text())["rho"] == 0.0
 
 
 def test_theory_perturbed_rejected(capsys, tmp_path):

@@ -25,7 +25,7 @@ from htspectra.matrices import (
     equivalent_constant,
     profile_alpha_norm,
 )
-from htspectra.solver import SolverError
+from htspectra.solver import FixedPointConfig, SolverError
 from htspectra.special import AlphaParam, h_alpha
 
 
@@ -78,8 +78,7 @@ def test_plemelj_extrapolation_consistent():
     # path, against the density at the polished real-axis solution
     a = AlphaParam(1.5)
     system = solver.band_system(a, CONST)
-    path = solver.continue_to_real_axis(system, 1.3, default_eps_schedule(),
-                                        density._DENSITY_CFG)
+    path = solver.continue_to_real_axis(system, 1.3, default_eps_schedule())
     eps = np.array([p.z.imag for p in path[-3:]])
     im_g = [density._band_G(a, p.z, p.unknowns, system.weights).imag
             for p in path[-3:]]
@@ -335,7 +334,17 @@ def test_sweep_matches_per_point_path(model, alpha, gamma, t_min, t_max,
     for t, got, rec in zip(ts, curve.rho[-points:], curve.points):
         assert rec.residual <= 1e-13
         want = _per_point(model, a, t, gamma)
-        assert _agrees(got, max(want, 0.0)), (t, got, want)
+        assert _agrees(got, want), (t, got, want)
+
+
+@pytest.mark.xfail(raises=SolverError, strict=True)
+def test_wishart_curve_near_alpha_two_solves():
+    # the adaptive rule cannot certify g to 1e-12 near the cone edge at
+    # alpha >= 1.8: on the eps path at z = 0.4217+0.0005i its error is
+    # 6.3e-11 at Y = -14.49+4.74i, so this curve raises SolverError and
+    # ``theory`` exits 2 on it
+    build_density_curve(AlphaParam(1.8), "wishart", gamma=0.5, t_min=1e-2,
+                        t_max=1e3, points=9)
 
 
 def test_wishart_gap_point_newton_stays_at_roundoff():
@@ -347,7 +356,7 @@ def test_wishart_gap_point_newton_stays_at_roundoff():
     t = float(np.geomspace(1e-2, 1e4, 8)[1])
     system = solver.wishart_system(a, 0.5)
     _, sol = density._boundary_solution(system, math.sqrt(t),
-                                        density._DENSITY_CFG,
+                                        FixedPointConfig(),
                                         default_eps_schedule())
     z, y = complex(math.sqrt(t)), sol.unknowns
     assert abs(y[1] - (-6.8132 + 6.8132j)) < 1e-3
@@ -472,7 +481,7 @@ def _imaginary_axis_walk(a, gamma):
     10^(k/2) from the first one at or above the contraction radius down to
     1e-4, each predicted by the power law: {x: solution}."""
     system = solver.wishart_system(a, gamma)
-    cfg = density._DENSITY_CFG
+    cfg = FixedPointConfig()
     top = math.ceil(2.0 * math.log10(system.start_radius()))
     path = [10.0 ** (k / 2.0) for k in range(top, -9, -1)]
     last, before = solver.solve(system, 1j * path[0], cfg), None
@@ -510,17 +519,18 @@ ATOM_XS = np.array([1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5,
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 1.5, 1.9, 1.95])
 def test_atom_matches_seven_warm_solves(alpha, gamma):
     """The walk above lands on the branch of seven separate solves at
-    ATOM_XS, a cold one and then continuation steps: the companion term
-    h(Y2(ix)), and with it the atom 1 - gamma + gamma h(Y2(ix)) that the
-    pair identity gives, agree at every abscissa."""
+    ATOM_XS, a cold one and then plain Picard from the previous abscissa's
+    solution: the companion term h(Y2(ix)), and with it the atom
+    1 - gamma + gamma h(Y2(ix)) that the pair identity gives, agree at
+    every abscissa."""
     a = AlphaParam(alpha)
     system = solver.wishart_system(a, gamma)
-    cfg = density._DENSITY_CFG
+    cfg = FixedPointConfig()
     walked = _imaginary_axis_walk(a, gamma)
     sol = None
     for x in ATOM_XS:
         sol = solver._solve(system, 1j * x, cfg) if sol is None \
-            else solver._continuation_step(system, 1j * x, sol.unknowns, cfg)
+            else solver._picard(system, 1j * x, sol.unknowns, cfg)
         want = h_alpha(a, sol.unknowns[1])
         got = h_alpha(a, walked[x].unknowns[1])
         assert abs(gamma * (got - want)) <= 1e-7, x

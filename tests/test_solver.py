@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from htspectra import solver
+from htspectra.density import build_density_curve
 from htspectra.matrices import DiagonalLaw, SigmaProfile
 from htspectra.solver import (
     FixedPointConfig,
@@ -404,7 +405,8 @@ def test_jacobian_matches_central_differences(alpha, name):
 
 def test_cold_solve_runs_picard_once(monkeypatch):
     """Picard runs at the contraction radius only; every later step is a
-    Newton step, so a silent fallback shows up as a second call."""
+    Newton step, so a second call would be a Picard run elsewhere.  An eps
+    path and a density curve each make one cold solve."""
     calls = []
     picard = solver._picard
 
@@ -420,6 +422,25 @@ def test_cold_solve_runs_picard_once(monkeypatch):
             system = make(a)
             solver._solve(system, z, FixedPointConfig())
             assert calls == [system.start_z(z)], (name, z)
+    for name in ("wigner", "wishart"):
+        calls.clear()
+        system = SYSTEMS[name](a)
+        continue_to_real_axis(system, 0.9, EPS_SCHEDULE)
+        assert calls == [system.start_z(0.9 + 0.5j)], name
+    solves = []
+    solve = solver._solve
+
+    def counted_solve(system, z, *args, **kwargs):
+        solves.append(system.start_z(z))
+        return solve(system, z, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_solve", counted_solve)
+    for model in ("wigner", "wishart"):
+        calls.clear()
+        solves.clear()
+        build_density_curve(a, model, gamma=0.5, t_min=0.1, t_max=10.0,
+                            points=6)
+        assert solves and calls == solves, model
 
 
 def test_public_solve_calls_private_solve(monkeypatch):
@@ -489,28 +510,31 @@ def test_eps_walk_failed_correction_halves_the_step(monkeypatch):
     assert _same_end(got, want)
 
 
-def test_eps_walk_spent_halvings_fall_back_to_a_continuation_step(
-        monkeypatch):
+def test_eps_walk_spent_halvings_raise_with_the_partial_path(monkeypatch):
     system = wigner_system(AlphaParam(1.5))
     want = continue_to_real_axis(system, 1.2, EPS_SCHEDULE, EPS_CFG)
-    picard_at = []
-    picard = solver._picard
+    apply = system.apply
+    tries = []
 
-    def counted(system, z, *args, **kwargs):
-        picard_at.append(z)
-        return picard(system, z, *args, **kwargs)
+    def failing(z, y):
+        # g fails at every point from just below 0.5 down to 0.05
+        if 0.05 <= z.imag < 0.5:
+            tries.append(z.imag)
+            raise FloatingPointError("injected failure")
+        return apply(z, y)
 
-    monkeypatch.setattr(solver, "_picard", counted)
-    # every correction aimed from just below 0.5 down to 0.05 fails
-    calls = _failing_newton(monkeypatch, lambda eps: 0.05 <= eps < 0.5)
-    got = continue_to_real_axis(system, 1.2, EPS_SCHEDULE, EPS_CFG)
-    # the first try and SWEEP_HALVINGS halvings, then the continuation
-    # step: its Newton fails too, and damped Picard solves at eps = 0.05
-    tries = [e for e in calls if 0.05 <= e < 0.5]
+    monkeypatch.setattr(system, "apply", failing)
+    with pytest.raises(SolverError) as info:
+        continue_to_real_axis(system, 1.2, EPS_SCHEDULE, EPS_CFG)
+    # the first try and SWEEP_HALVINGS halvings, then one last Newton at
+    # eps = 0.05, whose failure is raised with g's error as its cause
     assert len(tries) == solver.SWEEP_HALVINGS + 2
-    assert picard_at[1:] == [1.2 + 0.05j]
-    assert [p.z.imag for p in got] == EPS_SCHEDULE
-    assert _same_end(got, want)
+    assert tries[-1] == 0.05
+    err = info.value
+    assert isinstance(err.__cause__, FloatingPointError)
+    assert err.failure_index == 1
+    assert [p.z for p in err.partial_path] == [want[0].z]
+    assert np.array_equal(err.partial_path[0].unknowns, want[0].unknowns)
 
 
 def test_explicit_eps_list_is_visited_point_for_point():
