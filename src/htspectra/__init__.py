@@ -26,7 +26,6 @@ from .sampling import (
     StableTailLaw,
     normalizer_a_N,
     sample_entries,
-    sample_entry,
 )
 from .matrices import (
     DiagonalLaw,
@@ -35,20 +34,15 @@ from .matrices import (
     alpha_kernel,
     assemble_band_matrix,
     band_alpha_integral,
-    block_embed,
     build_band_matrix,
     build_covariance_matrix,
     covariance_profile,
-    equivalent_constant,
-    profile_alpha_norm,
 )
 from .eig import (
     DistanceReport,
     EmpiricalSpectrum,
     distribution_distance,
     eigenvalues_symmetric,
-    empirical_cdf,
-    pooled_cdf,
     spectra_from_csv,
     spectra_to_csv,
 )

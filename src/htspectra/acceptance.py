@@ -76,7 +76,10 @@ def heavy_tail(tail_ts, rel_tol, center_tol):
 
 
 def band_equivalence(ts, tol):
-    """Band profile against the rescaled constant-profile density."""
+    """Band profile against the rescaled constant-profile density.  The
+    band kernel is the one cell int |phi|^alpha, so this checks the scaling
+    and that integral; the six-cell reference that checks the reduction
+    itself is in tests/test_solver.py."""
     a = AlphaParam(1.5)
     prof = SigmaProfile("band", breakpoints=(0.0, 0.25, 0.75, 1.0),
                         values=(1.0, 0.0, 1.0))

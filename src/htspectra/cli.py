@@ -129,28 +129,32 @@ def _alpha_param(args) -> AlphaParam:
     return AlphaParam(al)
 
 
+def _read(flag: str, path: str, parse):
+    """parse(text of the file at path); a missing, unreadable or malformed
+    file is a ConfigError that names flag."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except FileNotFoundError:
+        raise ConfigError(f"{flag} file {path!r} not found")
+    except OSError as exc:
+        raise ConfigError(f"{flag} file {path!r} unreadable: {exc.strerror}")
+    except KeyError as exc:
+        raise ConfigError(f"{flag} file {path!r} invalid: missing key {exc}")
+    except (ValueError, TypeError, AttributeError, IndexError) as exc:
+        raise ConfigError(f"{flag} file {path!r} invalid: {exc}")
+
+
 def _load_profile(args) -> SigmaProfile:
     if args.profile is None:
         return SigmaProfile("constant", c=1.0)
-    try:
-        with open(args.profile) as fh:
-            return SigmaProfile.from_json(json.load(fh))
-    except FileNotFoundError:
-        raise ConfigError(f"--profile file {args.profile!r} not found")
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"--profile file {args.profile!r} invalid: {exc}")
+    return _read("--profile", args.profile, SigmaProfile.from_json)
 
 
 def _load_diag(args) -> DiagonalLaw:
     if args.diag is None:
         raise ConfigError("--diag is required for the perturbed model")
-    try:
-        with open(args.diag) as fh:
-            return DiagonalLaw.from_json(json.load(fh))
-    except FileNotFoundError:
-        raise ConfigError(f"--diag file {args.diag!r} not found")
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"--diag file {args.diag!r} invalid: {exc}")
+    return _read("--diag", args.diag, DiagonalLaw.from_json)
 
 
 def _seed(args) -> int:
@@ -282,7 +286,7 @@ def _simulation_spec(args) -> CampaignSpec:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.model == "wishart":
-        m = args.m if args.m is not None else args.n // 2
+        m = _wishart_m(args)
         if not 1 <= m <= args.n:
             raise ConfigError(f"--m must lie in [1, --n], got {m} with "
                               f"--n {args.n}")
@@ -293,6 +297,18 @@ def _simulation_spec(args) -> CampaignSpec:
                                 profile=_load_profile(args), diagonal=diag)
     return CampaignSpec(ensemble=ensemble, trials=args.trials, window=window,
                         excluded0=args.exclude_zero, master_seed=seed)
+
+
+def _wishart_m(args) -> int:
+    """M of the N x M covariance sample: round(gamma N) with --gamma, which
+    --m may repeat but not contradict; --m alone; else N // 2."""
+    if args.gamma is None:
+        return args.m if args.m is not None else args.n // 2
+    m = round(_gamma(args) * args.n)
+    if args.m is not None and args.m != m:
+        raise ConfigError(f"--m {args.m} contradicts --gamma {args.gamma}, "
+                          f"which gives M = round(gamma N) = {m}")
+    return m
 
 
 def cmd_simulate(args) -> int:
@@ -315,25 +331,15 @@ def cmd_compare(args) -> int:
     out = args.out
     window = _parse_window(args.window)
     sidecar_path = os.path.splitext(args.theory)[0] + ".json"
-    try:
-        with open(args.theory) as fh:
-            theory_text = fh.read()
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"--theory inputs missing: {exc}")
-    curve = DensityCurve.from_csv(theory_text, sidecar)
-    try:
-        with open(args.spectra) as fh:
-            spectra = spectra_from_csv(fh.read())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"--spectra file missing: {exc}")
-    _echo_config(args, out)
+    sidecar = _read("--theory", sidecar_path, json.loads)
+    curve = _read("--theory", args.theory,
+                  lambda text: DensityCurve.from_csv(text, sidecar))
+    spectra = _read("--spectra", args.spectra, spectra_from_csv)
     campaign_path = os.path.join(os.path.dirname(args.spectra) or ".",
                                  "campaign.json")
     if os.path.exists(campaign_path):
-        with open(campaign_path) as fh:
-            ens = json.load(fh).get("spec", {}).get("ensemble", {})
+        ens = _read("--spectra", campaign_path, lambda text: json.loads(
+            text).get("spec", {}).get("ensemble", {}))
         sim_alpha, kind = ens.get("alpha"), ens.get("kind")
         if sim_alpha is not None and abs(sim_alpha - curve.alpha) > 1e-12:
             print(f"warning: theory alpha {curve.alpha} != simulation "
@@ -342,6 +348,7 @@ def cmd_compare(args) -> int:
                 (kind == "covariance") != (curve.model == "wishart"):
             print(f"warning: theory model {curve.model} does not match "
                   f"simulated {kind} ensemble", file=sys.stderr)
+    _echo_config(args, out)
     report = distribution_distance(spectra, curve.cdf(), window,
                                    excluded0=args.exclude_zero)
     _write(os.path.join(out, "distance.json"),

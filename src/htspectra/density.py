@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .matrices import DiagonalLaw, SigmaProfile, band_alpha_integral
+from .matrices import DiagonalLaw, SigmaProfile, alpha_kernel
 from .solver import (
     NEWTON_STEPS,
     SWEEP_HALVINGS,
@@ -264,12 +264,8 @@ def tail_constant(a: AlphaParam, profile: SigmaProfile,
     the fitted constant is returned alongside.
     """
     al = a.alpha
-    if profile.variant == "band":
-        integral = band_alpha_integral(profile, al)
-    else:
-        _, m, w = profile.cells()
-        integral = float(w @ (np.abs(m) ** al) @ w)
-    const = 0.5 * al * integral
+    w, k = alpha_kernel(profile, al)
+    const = 0.5 * al * float(w @ k @ w)
     if not with_fit:
         return const
     ts = np.array([50.0, 100.0, 200.0])
@@ -530,7 +526,6 @@ def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
 def build_density_curve(a: AlphaParam, model: str,
                         profile: Optional[SigmaProfile] = None,
                         gamma: float = 1.0,
-                        diag: Optional[DiagonalLaw] = None,
                         t_min: float = 1e-3, t_max: float = 1e3,
                         points: int = 400,
                         cfg: FixedPointConfig = FixedPointConfig(),

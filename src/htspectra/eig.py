@@ -10,9 +10,8 @@ on a fixed evaluation grid.
 from __future__ import annotations
 
 import io
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -20,8 +19,6 @@ __all__ = [
     "EmpiricalSpectrum",
     "DistanceReport",
     "eigenvalues_symmetric",
-    "empirical_cdf",
-    "pooled_cdf",
     "distribution_distance",
     "spectra_to_csv",
     "spectra_from_csv",
@@ -82,12 +79,6 @@ def _pool(spectra) -> np.ndarray:
     return np.sort(np.concatenate([s.eigenvalues for s in spectra]))
 
 
-def empirical_cdf(spectra, t: float) -> float:
-    """Right-continuous CDF of the pooled eigenvalue multiset at t."""
-    ev = _pool(spectra)
-    return bisect_right(ev, t) / ev.size
-
-
 @dataclass(frozen=True)
 class DistanceReport:
     ks: float
@@ -99,16 +90,6 @@ class DistanceReport:
         return {"ks": self.ks, "w1_window": self.w1_window,
                 "window": list(self.window),
                 "excluded_neighborhood": self.excluded_neighborhood}
-
-
-def pooled_cdf(spectra) -> Callable[[float], float]:
-    ev = _pool(spectra)
-    n = ev.size
-
-    def cdf(t):
-        return np.searchsorted(ev, t, side="right") / n
-
-    return cdf
 
 
 def distribution_distance(spectra, theory_cdf: Callable[[float], float],

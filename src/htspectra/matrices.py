@@ -2,10 +2,10 @@
 
 Band matrices A(i,j) = sigma(i/N, j/N) x_ij / a_N with optional entry
 truncation and diagonal perturbation, sample covariance matrices
-W = X X^t / a_{N+M}^2, and the symmetric block embedding whose square is
-block-diagonal in W and its companion.  Variance profiles sigma come in
-four variants (constant, piecewise-constant on a grid of intervals, band
-phi(x-y), and a sampled grid) with the norms the limit theory needs.
+W = X X^t / a_{N+M}^2.  Variance profiles sigma come in four variants
+(constant, piecewise-constant on a grid of intervals, band phi(x-y), and a
+sampled grid); ``alpha_kernel`` turns each into the cell weights and
+kernel of its limit system.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ __all__ = [
     "build_band_matrix",
     "assemble_band_matrix",
     "build_covariance_matrix",
-    "block_embed",
+    "alpha_kernel",
     "band_alpha_integral",
-    "profile_alpha_norm",
-    "equivalent_constant",
     "covariance_profile",
 ]
 
@@ -323,65 +321,19 @@ def build_covariance_matrix(law: StableTailLaw, N: int, M: int,
     return x @ x.T / (a * a)
 
 
-def block_embed(x: np.ndarray, scale: float) -> np.ndarray:
-    """Symmetric embedding [[0, s X], [s X^t, 0]] of an N x M block."""
-    x = np.asarray(x, dtype=float)
-    n, m = x.shape
-    out = np.zeros((n + m, n + m))
-    out[:n, n:] = scale * x
-    out[n:, :n] = scale * x.T
-    return out
-
-
-def _tent_integral(psi_breaks: np.ndarray, psi_values: np.ndarray,
-                   center: float, h: float) -> float:
-    """Integral of the period-1 step function psi against the triangle of
-    height h supported on [center-h, center+h]."""
-    total = 0.0
-    lo, hi = center - h, center + h
-    # split [lo, hi] at every shifted copy of the psi breakpoints
-    k0 = math.floor(lo)
-    pts = [lo, hi, center]
-    for k in range(k0, math.ceil(hi) + 1):
-        for b in psi_breaks:
-            p = b + k
-            if lo < p < hi:
-                pts.append(p)
-    pts = sorted(set(pts))
-    for u1, u2 in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (u1 + u2)
-        v = psi_values[_step_index(psi_breaks, mid % 1.0)]
-        # triangle weight integrated exactly on [u1, u2]
-        if mid <= center:
-            w = (h * (u2 - u1) - 0.5 * ((center - u1) ** 2 - (center - u2) ** 2))
-        else:
-            w = (h * (u2 - u1) - 0.5 * ((u2 - center) ** 2 - (u1 - center) ** 2))
-        total += v * w
-    return total
-
-
-def alpha_kernel(profile: SigmaProfile, alpha: float, cells: int = 6):
+def alpha_kernel(profile: SigmaProfile, alpha: float):
     """Weights and kernel of the limiting q-component system.
 
     Returns (weights Delta_s, K) with K_rs the cell value of |sigma|^alpha.
-    For the band variant K is the exact cell average of |phi(x-v)|^alpha,
-    whose rows all sum (against the weights) to int_0^1 |phi|^alpha: the
-    translation-invariant system then has an exactly constant solution.
+    A band profile phi(x - y) is one cell of int_0^1 |phi|^alpha: every
+    row of sigma carries the same law, so the decaying solution is
+    constant in x and is that of the constant profile
+    (int_0^1 |phi|^alpha)^(1/alpha) (band equivalence).
     """
-    if profile.variant != "band":
-        _, m, w = profile.cells()
-        return w, np.abs(m) ** alpha
-    b = np.asarray(profile.breakpoints, dtype=float)
-    v = np.abs(np.asarray(profile.values, dtype=float)) ** alpha
-    q = cells
-    h = 1.0 / q
-    col = np.array([_tent_integral(b, v, (r * h) % 1.0, h) / (h * h)
-                    for r in range(q)])
-    k = np.empty((q, q))
-    for r in range(q):
-        for s in range(q):
-            k[r, s] = col[(r - s) % q]
-    return np.full(q, h), k
+    if profile.variant == "band":
+        return np.ones(1), np.array([[band_alpha_integral(profile, alpha)]])
+    _, m, w = profile.cells()
+    return w, np.abs(m) ** alpha
 
 
 def band_alpha_integral(profile: SigmaProfile, alpha: float) -> float:
@@ -390,32 +342,6 @@ def band_alpha_integral(profile: SigmaProfile, alpha: float) -> float:
     b = np.asarray(profile.breakpoints, dtype=float)
     v = np.asarray(profile.values, dtype=float)
     return float(np.sum(np.abs(v) ** alpha * np.diff(b)))
-
-
-def profile_alpha_norm(profile: SigmaProfile, alpha: float, N: int = 2000):
-    """(k_sigma, star_norm) where
-
-    k_sigma   = sup_x int_0^1 |sigma(x, v)|^alpha dv        (operator norm)
-    star_norm = sqrt((1/N^2) sum_ij sigma(i/N, j/N)^2)       (lattice L2)
-    """
-    if profile.variant == "band":
-        # int |phi(x - v)|^alpha dv is x-independent
-        k_sigma = band_alpha_integral(profile, alpha)
-    else:
-        b, m, w = profile.cells()
-        k_sigma = float(np.max(np.abs(m) ** alpha @ w))
-    lat = profile.lattice(N)
-    star = math.sqrt(float(np.mean(lat * lat)))
-    return k_sigma, star
-
-
-def equivalent_constant(profile: SigmaProfile, alpha: float) -> SigmaProfile:
-    """Constant profile with the same limiting spectrum as a band profile:
-    sigma~ = (int_0^1 |phi(v)|^alpha dv)^(1/alpha)."""
-    if profile.variant != "band":
-        raise ValueError("equivalent_constant needs a band profile")
-    return SigmaProfile("constant",
-                        c=band_alpha_integral(profile, alpha) ** (1.0 / alpha))
 
 
 def covariance_profile(gamma: float) -> SigmaProfile:

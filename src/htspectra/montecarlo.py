@@ -9,12 +9,11 @@ than 5% of trials abort.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -77,16 +76,18 @@ class CampaignSpec:
             raise ValueError("empty comparison window")
 
     def echo(self) -> dict:
+        # "family" names the one entry law, kept so that campaign files
+        # stay comparable across versions
         ens = self.ensemble
         if isinstance(ens, EnsembleSpec):
             desc = {"kind": "band", "N": ens.N, "alpha": ens.law.alpha,
-                    "family": ens.law.family,
+                    "family": "symmetric-pareto",
                     "profile": ens.profile.to_json(),
                     "truncation": list(ens.truncation) if ens.truncation else None,
                     "diagonal": ens.diagonal.to_json() if ens.diagonal else None}
         else:
             desc = {"kind": "covariance", "N": ens.n, "M": ens.m,
-                    "alpha": ens.law.alpha, "family": ens.law.family}
+                    "alpha": ens.law.alpha, "family": "symmetric-pareto"}
         return {"ensemble": desc, "trials": self.trials,
                 "window": list(self.window), "excluded0": self.excluded0,
                 "master_seed": self.master_seed}

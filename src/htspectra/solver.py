@@ -137,9 +137,9 @@ class _System:
 
 class _BandSystem(_System):
     """z^alpha Y_r = C_alpha sum_s K_rs Delta_s g_alpha(Y_s), the one
-    kernel-form system: the Wigner system is its one cell, the covariance
-    pair its two cells of ``covariance_profile(gamma)``, and the perturbed
-    system shares its cells and its start radius."""
+    kernel-form system: the Wigner system and a band profile are one cell,
+    the covariance pair is the two cells of ``covariance_profile(gamma)``,
+    and the perturbed system shares its cells and its start radius."""
 
     def __init__(self, a: AlphaParam, weights: np.ndarray, kernel: np.ndarray):
         super().__init__(a)

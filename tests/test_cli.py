@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import htspectra
 from htspectra.cli import main
 
 
@@ -340,3 +343,126 @@ def test_critical_set_outputs(tmp_path, capsys):
     data = json.loads((tmp_path / "critical.json").read_text())
     assert data["alpha"] == 1.9
     assert isinstance(data["critical_points"], list)
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+
+
+_THEORY_CSV = "t,rho\n-1.0,0.25\n1.0,0.25\n"
+_SIDECAR = json.dumps({"alpha": 1.5, "model": "wigner"})
+_SPECTRA_CSV = "trial,lambda\n0,-0.5\n0,0.5\n"
+
+
+def _write_inputs(tmp_path, replaced):
+    """Valid density.csv, density.json and eigenvalues.csv in tmp_path,
+    except for the files named in replaced, which get its texts."""
+    files = {"density.csv": _THEORY_CSV, "density.json": _SIDECAR,
+             "eigenvalues.csv": _SPECTRA_CSV}
+    files.update(replaced)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+
+_COMPARE = ["compare", "--theory", "{dir}/density.csv",
+            "--spectra", "{dir}/eigenvalues.csv"]
+
+
+@pytest.mark.parametrize("argv,files,flag", [
+    (["simulate", "--model", "perturbed", "--alpha", "1.5", "--n", "10",
+      "--trials", "1", "--diag", "{dir}/input.json"],
+     {"input.json": '{"atoms": [[-1, 0.5], [1, 0.5]]}'}, "--diag"),
+    (["theory", "--model", "band", "--alpha", "1.5", "--t", "1.0",
+      "--profile", "{dir}/input.json"], {"input.json": "[1, 2]"},
+     "--profile"),
+    (["theory", "--model", "band", "--alpha", "1.5", "--t", "1.0",
+      "--profile", "{dir}/input.json"],
+     {"input.json": '{"type": "band", "breakpoints": 5, "values": [1]}'},
+     "--profile"),
+    (_COMPARE, {"density.csv": "1.0,0.25\n"}, "--theory"),
+    (_COMPARE, {"density.json": "not json"}, "--theory"),
+    (_COMPARE, {"density.json": "{}"}, "--theory"),
+    (_COMPARE, {"eigenvalues.csv": "0,0.5\n"}, "--spectra")],
+    ids=["diag-atom-pairs", "profile-list", "profile-scalar-breakpoints",
+         "theory-csv-header", "theory-sidecar-not-json",
+         "theory-sidecar-empty", "spectra-csv-header"])
+def test_malformed_input_file_is_a_config_error(argv, files, flag, tmp_path):
+    """A file that parses wrongly ends in one error line naming its flag
+    and exit 1, never a traceback, and the run writes nothing."""
+    _write_inputs(tmp_path, files)
+    out = tmp_path / "out"
+    argv = [a.format(dir=tmp_path) for a in argv] + ["--out", str(out)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(htspectra.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "htspectra.cli"] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and flag in errors[0], proc.stderr
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# simulate --model wishart: M from --gamma, --m, or N // 2
+
+
+def _simulated_m(tmp_path, flags):
+    out = tmp_path / "sim"
+    code = run(["simulate", "--model", "wishart", "--alpha", "1.2",
+                "--trials", "1", "--out", str(out)] + flags)
+    assert code == 0
+    campaign = json.loads((out / "campaign.json").read_text())
+    return campaign["spec"]["ensemble"]["M"]
+
+
+def test_simulate_wishart_takes_m_from_gamma(tmp_path):
+    assert _simulated_m(tmp_path, ["--gamma", "0.9", "--n", "40"]) == 36
+
+
+def test_simulate_wishart_without_gamma_or_m_takes_half_of_n(tmp_path):
+    assert _simulated_m(tmp_path, ["--n", "40"]) == 20
+
+
+def test_simulate_wishart_accepts_agreeing_gamma_and_m(tmp_path):
+    assert _simulated_m(tmp_path, ["--gamma", "0.5", "--n", "40",
+                                   "--m", "20"]) == 20
+
+
+def test_simulate_wishart_rejects_conflicting_gamma_and_m(capsys, tmp_path):
+    code = run(["simulate", "--model", "wishart", "--alpha", "1.2",
+                "--gamma", "0.9", "--n", "40", "--m", "20",
+                "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --m ") and "--gamma" in err
+    assert os.listdir(tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
+# the band model end to end
+
+
+def test_theory_band_is_scaled_wigner(tmp_path):
+    """The band profile phi = 1 on |x - y| < 1/4 (mod 1), 0 elsewhere, has
+    int |phi|^alpha = 1/2, so its density is the Wigner density scaled by
+    sigma = 0.5^(1/alpha)."""
+    profile = tmp_path / "band.json"
+    profile.write_text(json.dumps({"type": "band",
+                                   "breakpoints": [0.0, 0.25, 0.75, 1.0],
+                                   "values": [1.0, 0.0, 1.0]}))
+    sig = 0.5 ** (1.0 / 1.5)
+    band = ["theory", "--model", "band", "--alpha", "1.5",
+            "--profile", str(profile)]
+    assert run(band + ["--t", "1.1", "--out", str(tmp_path / "b")]) == 0
+    assert run(["theory", "--alpha", "1.5", "--t", repr(1.1 / sig),
+                "--out", str(tmp_path / "w")]) == 0
+    rho_band = json.loads((tmp_path / "b" / "density.json").read_text())["rho"]
+    rho_wig = json.loads((tmp_path / "w" / "density.json").read_text())["rho"]
+    assert abs(rho_band - rho_wig / sig) <= 1e-8
+    assert run(band + ["--t-min", "0.5", "--t-max", "2", "--points", "3",
+                       "--out", str(tmp_path / "g")]) == 0
+    side = json.loads((tmp_path / "g" / "density.json").read_text())
+    assert side["model"] == "band"
+    assert side["tail_constant"] == 0.375      # (alpha/2) * 1/2

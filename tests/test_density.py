@@ -19,12 +19,7 @@ from htspectra.density import (
     semicircle_density,
     tail_constant,
 )
-from htspectra.matrices import (
-    SigmaProfile,
-    band_alpha_integral,
-    equivalent_constant,
-    profile_alpha_norm,
-)
+from htspectra.matrices import SigmaProfile, alpha_kernel, band_alpha_integral
 from htspectra.solver import FixedPointConfig, SolverError
 from htspectra.special import AlphaParam, h_alpha
 
@@ -281,9 +276,12 @@ def test_band_alpha_integral_single_definition(alpha):
         want = band_alpha_integral(prof, alpha)
         assert abs(tail_constant(AlphaParam(alpha), prof) * 2.0 / alpha
                    - want) <= 1e-14
-        assert abs(profile_alpha_norm(prof, alpha, N=200)[0] - want) <= 1e-14
-        assert abs(equivalent_constant(prof, alpha).c ** alpha
-                   - want) <= 1e-14
+        w, k = alpha_kernel(prof, alpha)
+        assert np.array_equal(w, [1.0]) and np.array_equal(k, [[want]])
+        # the exact integral against a midpoint rule on a fine grid
+        v = (np.arange(20000) + 0.5) / 20000
+        riemann = float(np.mean(np.abs(prof.evaluate(v, 0.0)) ** alpha))
+        assert abs(riemann - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ from htspectra.eig import (
     DistanceReport,
     EmpiricalSpectrum,
     distribution_distance,
-    empirical_cdf,
     eigenvalues_symmetric,
-    pooled_cdf,
     spectra_from_csv,
     spectra_to_csv,
 )
@@ -55,15 +53,16 @@ def test_spectrum_sorted_and_validated():
 
 
 def test_empirical_cdf_pooling():
+    """distribution_distance pools the spectra into one right-continuous
+    empirical CDF: against the zero CDF its gap is that CDF itself."""
     a = EmpiricalSpectrum(np.array([-1.0, 0.0]), 2, trial_id=0)
     b = EmpiricalSpectrum(np.array([1.0, 2.0]), 2, trial_id=1)
-    assert empirical_cdf([a, b], 0.5) == 0.5
-    assert empirical_cdf([a, b], 0.0) == 0.5      # right continuous
-    assert empirical_cdf([a, b], -2.0) == 0.0
-    cdf = pooled_cdf([a, b])
-    assert cdf(2.0) == 1.0 and cdf(1.5) == 0.75
-
-
+    for t, want in ((-2.0, 0.0), (0.0, 0.5), (0.5, 0.5), (1.5, 0.75),
+                    (2.0, 1.0)):
+        # the grid of a window (t - 1, t) with two points ends at t
+        rep = distribution_distance([a, b], lambda s: 0.0, (t - 1.0, t),
+                                    grid_points=2)
+        assert rep.ks == want
 def test_distance_exact_on_matched_cdf():
     ev = np.linspace(-1.0, 1.0, 2001)
     s = EmpiricalSpectrum(ev, ev.size)

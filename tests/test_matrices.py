@@ -1,7 +1,6 @@
 """Profiles, matrix assembly and the cell kernels of the limit system."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -13,12 +12,9 @@ from htspectra.matrices import (
     SigmaProfile,
     alpha_kernel,
     assemble_band_matrix,
-    block_embed,
     build_band_matrix,
     build_covariance_matrix,
     covariance_profile,
-    equivalent_constant,
-    profile_alpha_norm,
 )
 from htspectra.sampling import (
     RngStreamSpec,
@@ -169,16 +165,12 @@ def test_covariance_matrix_rank_and_psd():
     assert np.sum(np.abs(ev) < 1e-10 * np.max(ev)) == 12   # N - M zeros
 
 
-def test_block_embed_squares_to_covariance():
-    rng = RngStreamSpec(2).generator()
-    x = rng.standard_normal((5, 3))
+def test_covariance_matrix_from_entries():
+    x = RngStreamSpec(2).generator().standard_normal((5, 3))
     law = StableTailLaw(1.5)
     a = normalizer_a_N(law, 8)
-    b = block_embed(x, 1.0 / a)
-    sq = b @ b
     w = build_covariance_matrix(law, 5, 3, RngStreamSpec(0), entries=x)
-    assert np.allclose(sq[:5, :5], w)
-    assert np.allclose(sq[:5, 5:], 0.0)
+    assert np.array_equal(w, x @ x.T / (a * a))
 
 
 def riemann_alpha_norm(profile, alpha, n=4000):
@@ -191,19 +183,18 @@ def riemann_alpha_norm(profile, alpha, n=4000):
 @pytest.mark.parametrize("profile", [SigmaProfile("constant", c=1.3),
                                      PIECE, BAND])
 def test_alpha_norm_matches_riemann_oracle(profile):
-    k, _ = profile_alpha_norm(profile, 1.5)
-    assert abs(k - riemann_alpha_norm(profile, 1.5)) < 1e-3
+    # the largest row mass of the kernel is sup_x int |sigma(x, v)|^alpha dv
+    w, k = alpha_kernel(profile, 1.5)
+    assert abs(float(np.max(k @ w)) - riemann_alpha_norm(profile, 1.5)) < 1e-3
 
 
 def test_band_kernel_rows_sum_exactly():
-    """Every row of the band kernel integrates to int |phi|^alpha, for any
-    cell count -- this is what makes the constant solution exact."""
+    """A band profile is one cell of weight 1 whose kernel value is
+    int |phi|^alpha, the row integral of |sigma|^alpha at every x."""
     for alpha in (0.8, 1.5):
-        target = 0.5 ** 1  # |phi| in {0,1} so int |phi|^alpha = 0.5
-        for cells in (3, 6, 11):
-            w, k = alpha_kernel(BAND, alpha, cells=cells)
-            rows = k @ w
-            assert np.allclose(rows, target, atol=1e-12)
+        w, k = alpha_kernel(BAND, alpha)
+        # |phi| in {0,1} so int |phi|^alpha = 0.5 exactly
+        assert np.array_equal(w, [1.0]) and np.array_equal(k, [[0.5]])
 
 
 def test_alpha_kernel_piecewise_passthrough():
@@ -213,11 +204,13 @@ def test_alpha_kernel_piecewise_passthrough():
 
 
 def test_equivalent_constant_value():
-    sig = equivalent_constant(BAND, 1.5)
-    assert sig.variant == "constant"
-    assert abs(sig.c - 0.5 ** (1.0 / 1.5)) < 1e-15
-    with pytest.raises(ValueError):
-        equivalent_constant(PIECE, 1.5)
+    # the band kernel is that of the constant (int |phi|^alpha)^(1/alpha)
+    w, k = alpha_kernel(BAND, 1.5)
+    cw, ck = alpha_kernel(SigmaProfile("constant", c=0.5 ** (1.0 / 1.5)), 1.5)
+    assert np.array_equal(w, cw)
+    assert abs(k[0, 0] - ck[0, 0]) < 1e-15
+    # a piecewise profile keeps its cells
+    assert alpha_kernel(PIECE, 1.5)[1].shape == (2, 2)
 
 
 def test_band_profile_has_no_cells():

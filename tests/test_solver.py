@@ -12,7 +12,7 @@ import pytest
 
 from htspectra import solver
 from htspectra.density import build_density_curve
-from htspectra.matrices import DiagonalLaw, SigmaProfile
+from htspectra.matrices import DiagonalLaw, SigmaProfile, band_alpha_integral
 from htspectra.solver import (
     FixedPointConfig,
     SolverError,
@@ -339,10 +339,59 @@ def test_critical_set_alpha_large_empty():
 
 BAND6 = SigmaProfile("band", breakpoints=(0.0, 0.25, 0.75, 1.0),
                      values=(1.0, 0.0, 1.0))
+UNEVEN_BAND = SigmaProfile("band",
+                           breakpoints=(0.0, 0.1, 0.3, 0.7, 0.9, 1.0),
+                           values=(2.0, -0.5, 0.3, -0.5, 2.0))
 TWO_ATOMS = DiagonalLaw(atoms=((-1.0, 0.5), (1.0, 0.5)))
+
+
+def _tent_integral(breaks, values, center, h):
+    """Integral of the period-1 step function (breaks, values) against the
+    triangle of height h supported on [center - h, center + h]."""
+    lo, hi = center - h, center + h
+    pts = {lo, hi, center}
+    for k in range(math.floor(lo), math.ceil(hi) + 1):
+        pts.update(b + k for b in breaks if lo < b + k < hi)
+    pts = sorted(pts)
+    total = 0.0
+    for u1, u2 in zip(pts[:-1], pts[1:]):
+        mid = 0.5 * (u1 + u2)
+        i = min(np.searchsorted(breaks, mid % 1.0, side="right") - 1,
+                len(values) - 1)
+        # the triangle's weight on [u1, u2], exactly
+        d1, d2 = abs(center - u1), abs(center - u2)
+        total += values[i] * (h * (u2 - u1) - 0.5 * abs(d1 * d1 - d2 * d2))
+    return total
+
+
+def reference_band_kernel(profile, alpha, cells=6):
+    """The q-cell circulant kernel of a band profile phi(x - y): cell r
+    against cell s holds the exact cell average of |phi|^alpha over their
+    product, a tent integral at the offset (r - s)/q.  Its rows all sum to
+    int |phi|^alpha against the cell weights 1/q, so the decaying solution
+    is constant; the library's one-cell kernel must reproduce it."""
+    b = np.asarray(profile.breakpoints, dtype=float)
+    v = np.abs(np.asarray(profile.values, dtype=float)) ** alpha
+    h = 1.0 / cells
+    col = [_tent_integral(b, v, (r * h) % 1.0, h) / (h * h)
+           for r in range(cells)]
+    k = np.array([[col[(r - s) % cells] for s in range(cells)]
+                  for r in range(cells)])
+    return np.full(cells, h), k
+
+
+def reference_band_system(a, profile):
+    return solver._BandSystem(a, *reference_band_kernel(profile, a.alpha))
+
+
+def reference_perturbed_system(a, profile, diag):
+    return solver._PerturbedSystem(
+        a, *reference_band_kernel(profile, a.alpha), diag)
+
+
 SYSTEMS = {
     "wigner": wigner_system,
-    "band6": lambda a: band_system(a, BAND6),
+    "band6": lambda a: reference_band_system(a, BAND6),
     "wishart": lambda a: wishart_system(a, 0.5),
     "perturbed": lambda a: perturbed_system(
         a, SigmaProfile("constant", c=1.0), TWO_ATOMS),
@@ -535,6 +584,27 @@ def test_eps_walk_spent_halvings_raise_with_the_partial_path(monkeypatch):
     assert err.failure_index == 1
     assert [p.z for p in err.partial_path] == [want[0].z]
     assert np.array_equal(err.partial_path[0].unknowns, want[0].unknowns)
+
+
+@pytest.mark.parametrize("profile", [BAND6, UNEVEN_BAND],
+                         ids=["band6", "uneven"])
+@pytest.mark.parametrize("alpha", [0.7, 1.2, 1.7])
+def test_one_cell_band_matches_reference_kernel(alpha, profile):
+    """Band equivalence: the one-cell system of a band profile solves to
+    every unknown of the six-cell circulant reference, plain and perturbed."""
+    a = AlphaParam(alpha)
+    w, k = reference_band_kernel(profile, alpha)
+    assert np.allclose(k @ w, band_alpha_integral(profile, alpha),
+                       rtol=1e-14, atol=0.0)
+    pairs = [(band_system(a, profile), reference_band_system(a, profile)),
+             (perturbed_system(a, profile, TWO_ATOMS),
+              reference_perturbed_system(a, profile, TWO_ATOMS))]
+    for one, ref in pairs:
+        assert one.q == 1 and ref.q == 6
+        for z in (0.8 + 0.5j, -1.3 + 0.2j, 2.5j):
+            got = solver._solve(one, z, FixedPointConfig()).unknowns[0]
+            want = solver._solve(ref, z, FixedPointConfig()).unknowns
+            assert np.max(np.abs(want - got)) <= 1e-13 * abs(got)
 
 
 def test_explicit_eps_list_is_visited_point_for_point():
