@@ -151,7 +151,7 @@ def _band_rho(a: AlphaParam, weights: np.ndarray, t: float,
               y: np.ndarray) -> float:
     """-(1/(pi t)) sum_s Delta_s Im h(Y_s) from polished unknowns at t."""
     hs = np.array([h_alpha(a, yi) for yi in y])
-    return -float(np.sum(weights * hs.imag)) / (math.pi * t)
+    return float(-np.sum(weights * hs.imag) / (math.pi * t))
 
 
 def _wigner_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
@@ -171,12 +171,12 @@ def _wigner_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
     if abs(expr1 - expr2) > WIGNER_AGREEMENT * max(1.0, abs(expr1)):
         raise ArithmeticError(
             f"density expressions disagree at t={t}: {expr1} vs {expr2}")
-    return expr1
+    return float(expr1)
 
 
 def _wishart_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
     """Covariance density at t > 0 from the polished pair at sqrt(t)."""
-    return -h_alpha(a, y[0]).imag / (math.pi * t)
+    return float(-h_alpha(a, y[0]).imag / (math.pi * t))
 
 
 def density_band(a: AlphaParam, profile: SigmaProfile, t: float,

@@ -17,14 +17,19 @@ roundoff bound certifies it to the adaptive rule's tolerance (small |y|;
 see ``_series_eval``), and otherwise by nested tanh-sinh quadrature on the
 rotated, power-substituted integral, refined level by level until two
 successive levels agree, with adaptive subdivision as the fallback when
-the level cap is reached.  An explicit rule always runs that rule's
-quadrature and never the series.
+the level cap is reached.  The series bound is certified per rung
+|y| <= 2^(j/8), by the first call that lands on the rung, so a new (a, b)
+pays for its coefficients and only the rungs it reaches; the factorials
+are one array, built once per process.  An explicit rule always runs that
+rule's quadrature and never the series.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -364,19 +369,30 @@ _RUNGS_PER_OCTAVE = 8
 _RUNG_MIN, _RUNG_MAX = -20 * _RUNGS_PER_OCTAVE, 6 * _RUNGS_PER_OCTAVE
 
 
+# k! for k < _SERIES_MAX_TERMS, each rounded once from the exact integer
+_FACTORIALS = np.array([float(f) for f in itertools.accumulate(
+    range(1, _SERIES_MAX_TERMS), operator.mul, initial=1)])
+
+
 @dataclass(frozen=True)
 class _SeriesTable:
-    reversed_coef: list  # c_k = Gamma(b/2 + k a/2) / k!, highest k first
-    terms: list          # terms to sum per rung; 0 where no certificate holds
-    bound: list          # error bound per rung, valid for every |y| <= R
+    reversed_coef: list     # c_k = Gamma(b/2 + k a/2) / k!, highest k first
+    log_coef: np.ndarray    # log c_k
+    k: np.ndarray           # term indices, as floats
+    ratio: np.ndarray       # Wendel's bound on |c_{k+1}/c_k|
+    mono: np.ndarray        # k >= k_mono, where that bound decreases in k
+    weight: np.ndarray      # roundoff of term k, in ulps
+    tol: float              # the adaptive rule's tolerance on the cone
+    rungs: dict             # rung -> (terms, bound), certified on first use
 
 
 @lru_cache(maxsize=64)
 def _series_table(alpha: float, beta: float) -> _SeriesTable:
-    """Coefficients, term counts and error bounds of the power series of
-    g_{alpha,beta}, per rung R = 2^(j/8); built once per (alpha, beta).
+    """Coefficients of the power series of g_{alpha,beta} and what it takes
+    to certify a rung R = 2^(j/8); built once per (alpha, beta), with the
+    rungs left empty for ``_series_eval`` to certify on first use.
 
-    The bound at R is the tail bound after the last summed term plus a
+    A rung's bound is the tail bound after the last summed term plus a
     first-order roundoff bound: u times the L1 mass of the summed terms,
     each weighted by its own roundoff.  Both grow with |y|, so they hold
     for every |y| <= R.
@@ -385,11 +401,12 @@ def _series_table(alpha: float, beta: float) -> _SeriesTable:
     x = beta / 2.0 + k * alpha / 2.0
     k, x = k[x < 171.0], x[x < 171.0]
     if not len(k):   # Gamma(beta/2) overflows: quadrature decides
-        rungs = _RUNG_MAX - _RUNG_MIN + 1
-        return _SeriesTable([], [0] * rungs, [math.inf] * rungs)
+        empty = np.empty(0)
+        return _SeriesTable([], empty, empty, empty, empty, empty, 0.0, {
+            rung: (0, math.inf) for rung in range(_RUNG_MIN, _RUNG_MAX + 1)})
     from scipy.special import digamma, gamma
 
-    coef = gamma(x) / np.array([float(math.factorial(int(i))) for i in k])
+    coef = gamma(x) / _FACTORIALS[:len(k)]
     # Wendel's inequality Gamma(x+s)/Gamma(x) <= x^s for 0 < s < 1 gives
     # |c_{k+1}/c_k| <= x_k^(a/2)/(k+1), which decreases in k from k_mono on;
     # so with rho = ratio[n-1] R < 1 the tail after n terms is at most
@@ -402,45 +419,53 @@ def _series_table(alpha: float, beta: float) -> _SeriesTable:
     # alpha in [0.05, 1.99], beta in {a, 2, 2a, 3a}), taken twice; Horner's
     # rule adds 2 sqrt(2) per complex product and 1 per sum, k of each.
     weight = 34.0 + 4.0 * x * np.abs(digamma(x)) + 4.0 * k
-    log_r = np.arange(_RUNG_MIN, _RUNG_MAX + 1)[:, None] * (
-        math.log(2.0) / _RUNGS_PER_OCTAVE)
-    # terms beyond e^600 can never certify; the cap keeps every sum finite
-    size = np.exp(np.minimum(np.log(coef) + k * log_r, 600.0))
-    rho = ratio * np.exp(log_r)
-    ok = (rho < 1.0) & (k >= k_mono)
-    rho = np.where(ok, rho, 0.0)
-    tail = np.where(ok, size * rho / (1.0 - rho), np.inf)
-    # sum until the tail is below one unit of roundoff on the mass so far
-    reached = tail <= _UNIT_ROUNDOFF * np.cumsum(size, axis=1)
-    n = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, 0)
-    summed = np.arange(len(k)) < n[:, None]
-    bound = (_UNIT_ROUNDOFF * (np.where(summed, size, 0.0) @ weight)
-             + tail[np.arange(len(n)), np.maximum(n - 1, 0)])
     # |g| <= cone_bound on K_alpha, so a rung whose bound exceeds the
     # tolerance there can never certify; it gets 0 terms and its calls go
     # straight to quadrature.
     tol = _AUTO_ADAPTIVE.abs_tol + _AUTO_ADAPTIVE.rel_tol * cone_bound(
         AlphaParam(alpha), beta)
-    n = np.where(bound <= tol, n, 0)
-    return _SeriesTable(coef[::-1].tolist(), n.tolist(), bound.tolist())
+    return _SeriesTable(coef[::-1].tolist(), np.log(coef), k, ratio,
+                        k >= k_mono, weight, tol, {})
+
+
+def _certify_rung(table: _SeriesTable, rung: int) -> tuple[int, float]:
+    """(terms, bound) of rung R = 2^(rung/8): the fewest terms whose tail is
+    below one unit of roundoff on the mass summed so far, or 0 terms where
+    no count reaches that or the bound exceeds the table's tolerance."""
+    log_r = rung * (math.log(2.0) / _RUNGS_PER_OCTAVE)
+    # terms beyond e^600 can never certify; the cap keeps every sum finite
+    size = np.exp(np.minimum(table.log_coef + table.k * log_r, 600.0))
+    rho = table.ratio * np.exp(log_r)
+    ok = (rho < 1.0) & table.mono
+    rho = np.where(ok, rho, 0.0)
+    tail = np.where(ok, size * rho / (1.0 - rho), np.inf)
+    reached = np.flatnonzero(tail <= _UNIT_ROUNDOFF * np.cumsum(size))
+    n = int(reached[0]) + 1 if len(reached) else 0
+    bound = float(_UNIT_ROUNDOFF * np.dot(size[:n], table.weight[:n])
+                  + tail[max(n - 1, 0)])
+    return (n if bound <= table.tol else 0), bound
 
 
 def _series_eval(alpha: float, beta: float, y: complex):
     """(value, bound) of the power series sum_k c_k (-y)^k by Horner's
     rule, with the error bound of the smallest rung R >= |y|, or None where
-    that rung cannot certify the adaptive rule's tolerance on the cone."""
+    that rung cannot certify the adaptive rule's tolerance on the cone.
+    A rung is certified the first time a call lands on it."""
     table = _series_table(alpha, beta)
     rung = max(_RUNG_MIN, math.ceil(_RUNGS_PER_OCTAVE * math.log2(abs(y))))
     if rung > _RUNG_MAX:
         return None
-    n = table.terms[rung - _RUNG_MIN]
+    try:
+        n, bound = table.rungs[rung]
+    except KeyError:
+        n, bound = table.rungs[rung] = _certify_rung(table, rung)
     if n == 0:
         return None
     minus_y = -y
     value = 0j
     for c in table.reversed_coef[-n:]:
         value = value * minus_y + c
-    return value, table.bound[rung - _RUNG_MIN]
+    return value, bound
 
 
 def _check_domain(a: AlphaParam, y: complex) -> None:

@@ -263,6 +263,27 @@ def test_compare_round_trip(capsys, tmp_path):
     assert report["ks"] < 0.2
 
 
+def test_single_point_theory_csv_reads_back(capsys, tmp_path):
+    # at alpha=1.5, t=0.7 the density comes from the tanh-sinh path, whose
+    # numpy scalar once reached the CSV as "np.float64(...)"
+    theory_dir, sim_dir = tmp_path / "theory", tmp_path / "sim"
+    assert run(["theory", "--alpha", "1.5", "--t", "0.7",
+                "--out", str(theory_dir)]) == 0
+    _, row = (theory_dir / "density.csv").read_text().splitlines()
+    side = json.loads((theory_dir / "density.json").read_text())
+    assert list(map(float, row.split(","))) == [side["t"], side["rho"]]
+    assert run(["simulate", "--alpha", "1.5", "--n", "40", "--trials", "1",
+                "--seed", "1", "--out", str(sim_dir)]) == 0
+    capsys.readouterr()
+    # compare parses the row; one point is no CDF, and it says so
+    assert run(["compare",
+                "--theory", str(theory_dir / "density.csv"),
+                "--spectra", str(sim_dir / "eigenvalues.csv"),
+                "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --theory") and "length >= 2" in err
+
+
 def test_compare_warns_on_alpha_mismatch(capsys, tmp_path):
     theory_dir = tmp_path / "theory"
     sim_dir = tmp_path / "sim"

@@ -111,6 +111,16 @@ def test_band_equals_scaled_wigner():
         assert abs(lhs - rhs) < 1e-8
 
 
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_single_point_densities_are_python_floats(alpha):
+    # the tanh-sinh path returns numpy scalars; a single point written as
+    # repr(rho) must read back as a number, not "np.float64(...)"
+    a = AlphaParam(alpha)
+    for rho in (density_wigner_formula(a, 0.7), density_band(a, BAND, 0.7),
+                density_wishart(a, 0.5, 0.7)):
+        assert type(rho) is float, type(rho)
+
+
 def test_wishart_gamma_one_alpha_two_is_marchenko_pastur():
     a = AlphaParam(2.0, alpha_two_mode=True)
     # MP(1) density at t: sqrt(4/t - 1)/(2 pi); at t=1 this is sqrt(3)/(2 pi)

@@ -385,6 +385,88 @@ def test_explicit_rule_never_takes_the_series(monkeypatch):
         g_alpha(a, y)
 
 
+def reference_series_table(alpha, beta):
+    """(terms, bound) of every rung of the power series of g_{alpha,beta},
+    all at once: the eager 2-D form of the certificate that
+    ``special._series_eval`` makes one rung at a time."""
+    rungs = special._RUNG_MAX - special._RUNG_MIN + 1
+    k = np.arange(special._SERIES_MAX_TERMS, dtype=float)
+    x = beta / 2.0 + k * alpha / 2.0
+    k, x = k[x < 171.0], x[x < 171.0]
+    if not len(k):
+        return [0] * rungs, [math.inf] * rungs
+    from scipy.special import digamma, gamma
+
+    coef = gamma(x) / np.array([float(math.factorial(int(i))) for i in k])
+    ratio = x ** (alpha / 2.0) / (k + 1.0)
+    k_mono = (alpha**2 / 4.0 - beta / 2.0) / (alpha / 2.0 * (1.0 - alpha / 2.0))
+    weight = 34.0 + 4.0 * x * np.abs(digamma(x)) + 4.0 * k
+    log_r = np.arange(special._RUNG_MIN, special._RUNG_MAX + 1)[:, None] * (
+        math.log(2.0) / special._RUNGS_PER_OCTAVE)
+    size = np.exp(np.minimum(np.log(coef) + k * log_r, 600.0))
+    rho = ratio * np.exp(log_r)
+    ok = (rho < 1.0) & (k >= k_mono)
+    rho = np.where(ok, rho, 0.0)
+    tail = np.where(ok, size * rho / (1.0 - rho), np.inf)
+    reached = tail <= special._UNIT_ROUNDOFF * np.cumsum(size, axis=1)
+    n = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, 0)
+    summed = np.arange(len(k)) < n[:, None]
+    bound = (special._UNIT_ROUNDOFF * (np.where(summed, size, 0.0) @ weight)
+             + tail[np.arange(len(n)), np.maximum(n - 1, 0)])
+    tol = special._AUTO_ADAPTIVE.abs_tol + special._AUTO_ADAPTIVE.rel_tol \
+        * cone_bound(AlphaParam(alpha), beta)
+    n = np.where(bound <= tol, n, 0)
+    return n.tolist(), bound.tolist()
+
+
+def _lazy_rungs(alpha, beta):
+    """Every rung of the lazy table, each certified by a call that lands on
+    it, in rung order."""
+    for rung in range(special._RUNG_MIN, special._RUNG_MAX + 1):
+        special._series_eval(alpha, beta, 2.0 ** ((rung - 0.5) / 8.0))
+    rungs = special._series_table(alpha, beta).rungs
+    assert sorted(rungs) == list(range(special._RUNG_MIN,
+                                       special._RUNG_MAX + 1))
+    return [rungs[j] for j in sorted(rungs)]
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 1.0, 1.3, 1.5, 1.7, 1.9,
+                                   1.99])
+def test_lazy_rungs_match_eager_reference(alpha):
+    # a dot product replaces the reference's matrix-vector product, so the
+    # bounds agree to roundoff and the term counts exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("a", "2", "2a", "3a"):
+            beta = _beta(alpha, name)
+            terms, bound = reference_series_table(alpha, beta)
+            for j, (n, b) in enumerate(_lazy_rungs(alpha, beta)):
+                assert n == terms[j], (alpha, beta, j)
+                assert b == bound[j] or abs(b - bound[j]) <= 1e-15 * bound[j], \
+                    (alpha, beta, j, b, bound[j])
+
+
+def test_overflowing_gamma_declines_every_rung():
+    # Gamma(beta/2) overflows at beta = 400: no coefficient is finite, so
+    # every rung declines, and quadrature decides
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _lazy_rungs(1.5, 400.0) == [(0, math.inf)] * len(
+            reference_series_table(1.5, 400.0)[0])
+
+
+def test_one_g_call_certifies_one_rung():
+    alpha = 1.2345   # no other test builds this table
+    a = AlphaParam(alpha)
+    g_alpha(a, 0.3 + 0.1j)
+    rungs = special._series_table(alpha, alpha).rungs
+    assert len(rungs) == 1
+    g_alpha(a, 0.3 - 0.1j)   # the same rung
+    assert len(rungs) == 1
+    g_alpha(a, 100.0)        # beyond 2^6 the series is never tried
+    assert len(rungs) == 1
+
+
 # (alpha, |y|, Re g, Im g) at beta = 3 alpha, y = |y| e^{0.98 i alpha pi/2},
 # from 40-digit quadrature on the decaying ray, confirmed on a second ray
 MIDDLE_RAY_ORACLE = [
