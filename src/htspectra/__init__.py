@@ -47,7 +47,6 @@ from .eig import (
     spectra_to_csv,
 )
 from .solver import (
-    FixedPointConfig,
     FixedPointSolution,
     SolverError,
     band_system,

@@ -22,8 +22,8 @@ import time
 from .density import (
     DensityCurve,
     EPS_FLOOR,
+    EPS_START,
     build_density_curve,
-    default_eps_schedule,
     density_band,
     density_wigner_formula,
     density_wishart,
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     model_flags(s)
     s.add_argument("--diag", default=None,
                    help="JSON file describing the diagonal law")
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=".")
     s.add_argument("--threads", type=int, default=1)
     s.add_argument("--n", type=int, default=1000)
@@ -157,18 +157,6 @@ def _load_diag(args) -> DiagonalLaw:
     return _read("--diag", args.diag, DiagonalLaw.from_json)
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("HTSPECTRA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"HTSPECTRA_SEED={env!r} is not an integer")
-    return 0
-
-
 def _gamma(args) -> float:
     if args.gamma is None:
         raise ConfigError("--gamma is required for the wishart model")
@@ -233,12 +221,12 @@ def cmd_theory(args) -> int:
     a = _alpha_param(args)
     out = args.out
     eps = args.eps_floor
-    if eps < EPS_FLOOR:
-        raise ConfigError(f"--eps-floor must be >= {EPS_FLOOR}")
+    if not EPS_FLOOR <= eps <= EPS_START:
+        raise ConfigError(f"--eps-floor must lie in [{EPS_FLOOR}, "
+                          f"{EPS_START}], got {eps}")
     if args.model == "perturbed":
         raise ConfigError("--model perturbed exposes transforms, not "
                           "densities; use wigner/band/wishart")
-    schedule = default_eps_schedule(floor=eps)
     profile = _load_profile(args) if args.model == "band" else None
     gamma = _gamma(args) if args.model == "wishart" else 1.0
     if args.t is None:
@@ -254,11 +242,11 @@ def cmd_theory(args) -> int:
     if args.t is not None:
         t = args.t
         if args.model == "wigner":
-            rho = density_wigner_formula(a, t, eps_schedule=schedule)
+            rho = density_wigner_formula(a, t, eps_floor=eps)
         elif args.model == "band":
-            rho = density_band(a, profile, t, eps_schedule=schedule)
+            rho = density_band(a, profile, t, eps_floor=eps)
         else:
-            rho = density_wishart(a, gamma, t, eps_schedule=schedule)
+            rho = density_wishart(a, gamma, t, eps_floor=eps)
         _write_density(out, f"t,rho\n{t!r},{rho!r}\n", {
             "t": t, "rho": rho, "model": args.model, "alpha": a.alpha,
             "gamma": gamma if args.model == "wishart" else None})
@@ -266,7 +254,7 @@ def cmd_theory(args) -> int:
         return 0
     curve = build_density_curve(a, args.model, profile=profile, gamma=gamma,
                                 t_min=args.t_min, t_max=args.t_max,
-                                points=args.points, eps_schedule=schedule)
+                                points=args.points, eps_floor=eps)
     _write_density(out, curve.to_csv(), curve.sidecar())
     print(f"wrote density curve ({curve.grid.size} points, "
           f"mass check {curve.total_mass():.4f}) to {out}")
@@ -280,7 +268,6 @@ def _simulation_spec(args) -> CampaignSpec:
                           "simulate with alpha < 2")
     law = StableTailLaw(a.alpha)
     window = _parse_window(args.window)
-    seed = _seed(args)
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     if args.trials < 1:
@@ -296,7 +283,7 @@ def _simulation_spec(args) -> CampaignSpec:
         ensemble = EnsembleSpec(N=args.n, law=law,
                                 profile=_load_profile(args), diagonal=diag)
     return CampaignSpec(ensemble=ensemble, trials=args.trials, window=window,
-                        excluded0=args.exclude_zero, master_seed=seed)
+                        excluded0=args.exclude_zero, master_seed=args.seed)
 
 
 def _wishart_m(args) -> int:

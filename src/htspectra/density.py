@@ -2,8 +2,9 @@
 
 Stieltjes transforms, densities as boundary values, the Wishart atom at
 zero, exact tail constants, and the closed-form reductions: alpha=2
-semicircle, constant-profile scaling, band-to-constant equivalence, and the
-gamma=1 covariance identity.
+semicircle, constant-profile scaling and band-to-constant equivalence.
+Every covariance density, gamma=1 included, is solved from the pair; the
+gamma=1 identity with the constant-profile density is a test oracle.
 
 A single density point takes the per-point path: an eps continuation
 towards the real axis, walked by Newton in log eps between the points of
@@ -21,15 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .matrices import DiagonalLaw, SigmaProfile, alpha_kernel
 from .solver import (
-    NEWTON_STEPS,
     SWEEP_HALVINGS,
-    FixedPointConfig,
     SolverError,
     _log_walk,
     band_system,
@@ -68,12 +67,15 @@ WIGNER_AGREEMENT = 1e-8
 
 def default_eps_schedule(floor: float = EPS_FLOOR) -> list:
     """The eps values of the per-point path: EPS_START, then EPS_FACTOR per
-    point, down to floor (0.5, 0.05, ..., 5e-6, 1e-6 by default).
+    point, down to floor in [EPS_FLOOR, EPS_START] (0.5, 0.05, ..., 5e-6,
+    1e-6 by default).
 
     They are the path's coarse points: ``continue_to_real_axis`` walks
     between neighbours in log eps and halves the step where Newton fails,
     so a hard case still gets short steps.
     """
+    if not EPS_FLOOR <= floor <= EPS_START:
+        raise ValueError(f"eps floor must lie in [{EPS_FLOOR}, {EPS_START}]")
     eps = [EPS_START]
     while eps[-1] > floor:
         eps.append(max(eps[-1] * EPS_FACTOR, floor))
@@ -107,18 +109,17 @@ def _band_G(a: AlphaParam, z: complex, y: np.ndarray,
     return complex(np.sum(weights * hs) / z)
 
 
-def stieltjes_band(a: AlphaParam, profile: SigmaProfile, z: complex,
-                   cfg: FixedPointConfig = FixedPointConfig()) -> complex:
+def stieltjes_band(a: AlphaParam, profile: SigmaProfile,
+                   z: complex) -> complex:
     system = band_system(a, profile)
-    sol = solve(system, z, cfg)
+    sol = solve(system, z)
     return _band_G(a, sol.z, sol.unknowns, system.weights)
 
 
 def stieltjes_perturbed(a: AlphaParam, profile: SigmaProfile,
-                        diag: DiagonalLaw, z: complex,
-                        cfg: FixedPointConfig = FixedPointConfig()) -> complex:
+                        diag: DiagonalLaw, z: complex) -> complex:
     system = perturbed_system(a, profile, diag)
-    sol = solve(system, z, cfg)
+    sol = solve(system, z)
     x = sol.unknowns
     total = 0.0 + 0.0j
     for lam, w in diag.atoms:
@@ -132,19 +133,15 @@ def stieltjes_perturbed(a: AlphaParam, profile: SigmaProfile,
 # Plemelj boundary values
 
 
-def _boundary_solution(system, t: float, cfg: FixedPointConfig,
-                       eps_schedule: Optional[Sequence[float]]):
-    """The per-point path at real t != 0: (eps continuation path, polished
-    solution at |t|)."""
+def _boundary_solution(system, t: float, eps_floor: float = EPS_FLOOR):
+    """The per-point path at real t > 0: (eps continuation path along
+    ``default_eps_schedule(eps_floor)``, polished solution at t)."""
     # a numpy scalar t would carry numpy complex arithmetic into the
     # solver, whose powers differ from Python's in the last bit: the same t
     # must give the same solution whatever its type
     t = float(t)
-    if eps_schedule is None:
-        eps_schedule = default_eps_schedule()
-    path = continue_to_real_axis(system, t, eps_schedule, cfg)
-    y = path[-1].unknowns
-    return path, polish_on_axis(system, abs(t), y if t > 0 else np.conj(y))
+    path = continue_to_real_axis(system, t, default_eps_schedule(eps_floor))
+    return path, polish_on_axis(system, t, path[-1].unknowns)
 
 
 def _band_rho(a: AlphaParam, weights: np.ndarray, t: float,
@@ -180,55 +177,35 @@ def _wishart_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
 
 
 def density_band(a: AlphaParam, profile: SigmaProfile, t: float,
-                 eps_schedule: Optional[Sequence[float]] = None,
-                 cfg: FixedPointConfig = FixedPointConfig()) -> float:
-    """Density of a band profile at real t != 0, clipped at 0."""
+                 eps_floor: float = EPS_FLOOR) -> float:
+    """Density of a band profile at real t != 0, clipped at 0; the density
+    is even, so it is computed at |t|."""
     if t == 0:
         raise ValueError("t must be nonzero")
     system = band_system(a, profile)
-    _, sol = _boundary_solution(system, t, cfg, eps_schedule)
-    y = sol.unknowns if t > 0 else np.conj(sol.unknowns)
-    return max(_band_rho(a, system.weights, t, y), 0.0)
+    _, sol = _boundary_solution(system, abs(t), eps_floor)
+    return max(_band_rho(a, system.weights, abs(t), sol.unknowns), 0.0)
 
 
 def density_wigner_formula(a: AlphaParam, t: float,
-                           eps_schedule: Optional[Sequence[float]] = None,
-                           cfg: FixedPointConfig = FixedPointConfig()
-                           ) -> float:
+                           eps_floor: float = EPS_FLOOR) -> float:
     """Density of the constant-profile limit at t != 0, computed from both
     algebraically equivalent expressions, which must agree, and clipped at
     0."""
     if t == 0:
         raise ValueError("t must be nonzero")
-    _, sol = _boundary_solution(wigner_system(a), abs(t), cfg, eps_schedule)
+    _, sol = _boundary_solution(wigner_system(a), abs(t), eps_floor)
     return max(_wigner_rho(a, abs(t), sol.unknowns), 0.0)
 
 
-def _gamma_one_scale(a: AlphaParam, gamma: float) -> Optional[float]:
-    """The scale s of the exact gamma=1 reduction of the covariance density
-    to the constant-profile one, rho(t) = (s/sqrt t) rho_W(s sqrt t); None
-    for gamma < 1."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    if gamma < 1.0:
-        return None
-    # the 2^(1/alpha) rescaling is the heavy-tail quantile ratio a_{2N}/a_N
-    # and is absent in the finite-variance limit branch
-    return 1.0 if a.alpha_two_mode else 2.0 ** (1.0 / a.alpha)
-
-
 def density_wishart(a: AlphaParam, gamma: float, t: float,
-                    eps_schedule: Optional[Sequence[float]] = None,
-                    cfg: FixedPointConfig = FixedPointConfig()) -> float:
-    """Density of the covariance limit at t > 0, clipped at 0."""
+                    eps_floor: float = EPS_FLOOR) -> float:
+    """Density of the covariance limit at t > 0, clipped at 0, from the
+    pair at sqrt(t) for every gamma in (0, 1]."""
     if t <= 0:
         raise ValueError("t must be positive")
-    s = _gamma_one_scale(a, gamma)
-    if s is not None:
-        return s / math.sqrt(t) * density_wigner_formula(
-            a, s * math.sqrt(t), eps_schedule, cfg)
-    _, sol = _boundary_solution(wishart_system(a, gamma), math.sqrt(t), cfg,
-                                eps_schedule)
+    _, sol = _boundary_solution(wishart_system(a, gamma), math.sqrt(t),
+                                eps_floor)
     return max(_wishart_rho(a, t, sol.unknowns), 0.0)
 
 
@@ -475,8 +452,7 @@ def _settled(system, sol):
     return replace(step, iterations=sol.iterations + step.iterations)
 
 
-def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
-                     eps_schedule: Sequence[float]):
+def _sweep_real_axis(system, xs: np.ndarray, eps_floor: float):
     """(polished solutions, PointRecords) at the increasing grid xs > 0.
 
     Predictor-corrector continuation along the real axis (Allgower-Georg).
@@ -495,8 +471,7 @@ def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
 
     def correct(at, last, before):
         try:
-            point = polish_on_axis(system, at, _log_secant(at, last, before),
-                                   max_iter=NEWTON_STEPS)
+            point = polish_on_axis(system, at, _log_secant(at, last, before))
         except SolverError:
             return None
         return _settled(system, point) if at == x else point
@@ -511,7 +486,7 @@ def _sweep_real_axis(system, xs: np.ndarray, cfg: FixedPointConfig,
             if reached == x:
                 sol = last
         if sol is None:
-            path, sol = _boundary_solution(system, x, cfg, eps_schedule)
+            path, sol = _boundary_solution(system, x, eps_floor)
             before, last = last, sol
             records[i] = PointRecord("eps", newton + sol.iterations,
                                      sol.residual, halvings,
@@ -528,23 +503,19 @@ def build_density_curve(a: AlphaParam, model: str,
                         gamma: float = 1.0,
                         t_min: float = 1e-3, t_max: float = 1e3,
                         points: int = 400,
-                        cfg: FixedPointConfig = FixedPointConfig(),
-                        eps_schedule: Optional[Sequence[float]] = None
-                        ) -> DensityCurve:
+                        eps_floor: float = EPS_FLOOR) -> DensityCurve:
     """Compute a density curve over a log-spaced grid.
 
     model is one of wigner | band | wishart; symmetric models are computed
-    on t > 0 and mirrored, the covariance model in sqrt(t) (at gamma = 1
-    through its exact reduction to the constant-profile density).
-    (Perturbed ensembles expose transforms, not densities, at this
-    surface.)  The grid is solved by ``_sweep_real_axis``: one per-point
-    eps path along ``eps_schedule`` (default: ``default_eps_schedule()``),
-    whose last step is recorded as the curve's ``eps_floor``, then Newton
-    on the real axis from point to point.  The curve's ``points`` record
-    how each t > 0 was solved.
+    on t > 0 and mirrored, the covariance model from the pair in sqrt(t)
+    at every gamma (the gamma = 1 reduction to the constant-profile
+    density is a test oracle, not a code path).  (Perturbed ensembles
+    expose transforms, not densities, at this surface.)  The grid is
+    solved by ``_sweep_real_axis``: one per-point eps path along
+    ``default_eps_schedule(eps_floor)``, then Newton on the real axis from
+    point to point.  The curve's ``points`` record how each t > 0 was
+    solved.
     """
-    if eps_schedule is None:
-        eps_schedule = default_eps_schedule()
     ts = _log_grid(t_min, t_max, points)
     # the system, its grid xs, and rho(t, x, polished unknowns at x)
     if model == "wigner":
@@ -556,17 +527,11 @@ def build_density_curve(a: AlphaParam, model: str,
         system, xs = band_system(a, profile), ts
         rho_at = lambda t, x, y: _band_rho(a, system.weights, x, y)
     elif model == "wishart":
-        scale = _gamma_one_scale(a, gamma)
-        if scale is None:
-            system, xs = wishart_system(a, gamma), np.sqrt(ts)
-            rho_at = lambda t, x, y: _wishart_rho(a, t, y)
-        else:
-            system, xs = wigner_system(a), scale * np.sqrt(ts)
-            rho_at = lambda t, x, y: \
-                scale / math.sqrt(t) * _wigner_rho(a, x, y)
+        system, xs = wishart_system(a, gamma), np.sqrt(ts)
+        rho_at = lambda t, x, y: _wishart_rho(a, t, y)
     else:
         raise ValueError(f"unknown model {model!r}")
-    sols, records = _sweep_real_axis(system, xs, cfg, eps_schedule)
+    sols, records = _sweep_real_axis(system, xs, eps_floor)
     rho = np.array([rho_at(t, x, sol.unknowns)
                     for t, x, sol in zip(ts, xs, sols)])
     if model == "wishart":
@@ -586,5 +551,5 @@ def build_density_curve(a: AlphaParam, model: str,
     return DensityCurve(alpha=a.alpha, model=model, grid=grid, rho=rho,
                         atom_at_zero=atom, tail_constant_estimate=tail_c,
                         tail_exponent=tail_p,
-                        eps_floor=float(eps_schedule[-1]),
+                        eps_floor=float(eps_floor),
                         symmetric=symmetric, points=tuple(records))

@@ -210,20 +210,13 @@ class DiagonalLaw:
         return {"atoms": [{"lambda": l, "w": w} for l, w in self.atoms]}
 
 
-def _validate_truncation(truncation, alpha: float):
+def _validate_truncation(truncation):
     if truncation is None:
         return
-    kind = truncation[0]
-    if kind == "fixed_B":
-        if truncation[1] <= 0:
-            raise ValueError("truncation level B must be positive")
-    elif kind == "polynomial_kappa":
-        kappa = truncation[1]
-        if not 0.0 < kappa < 1.0 / (2.0 * (2.0 - alpha)):
-            raise ValueError(
-                f"kappa must lie in (0, {1.0 / (2.0 * (2.0 - alpha)):.4f})")
-    else:
-        raise ValueError(f"unknown truncation {kind!r}")
+    if truncation[0] != "fixed_B":
+        raise ValueError(f"unknown truncation {truncation[0]!r}")
+    if truncation[1] <= 0:
+        raise ValueError("truncation level B must be positive")
 
 
 @dataclass(frozen=True)
@@ -233,23 +226,20 @@ class EnsembleSpec:
     N: int
     law: StableTailLaw
     profile: SigmaProfile
-    truncation: Optional[tuple] = None  # ("fixed_B", B) | ("polynomial_kappa", k)
+    truncation: Optional[tuple] = None  # ("fixed_B", B)
     diagonal: Optional[DiagonalLaw] = None
     seed: RngStreamSpec = field(default_factory=lambda: RngStreamSpec(0))
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        _validate_truncation(self.truncation, self.law.alpha)
+        _validate_truncation(self.truncation)
 
 
 def _truncation_level(spec: EnsembleSpec, a_N: float) -> Optional[float]:
     if spec.truncation is None:
         return None
-    kind, value = spec.truncation
-    if kind == "fixed_B":
-        return value * a_N
-    return spec.N ** value * a_N
+    return spec.truncation[1] * a_N
 
 
 def assemble_band_matrix(packed: np.ndarray, profile: SigmaProfile,

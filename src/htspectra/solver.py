@@ -43,7 +43,6 @@ from .special import (
 )
 
 __all__ = [
-    "FixedPointConfig",
     "FixedPointSolution",
     "SolverError",
     "solve",
@@ -79,18 +78,11 @@ NEWTON_STEPS = 12
 # real axis to the eps path, elsewhere to one last Newton correction at the
 # target
 SWEEP_HALVINGS = 3
-
-
-@dataclass(frozen=True)
-class FixedPointConfig:
-    tol: float = 1e-12
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+# residual target of every solve off the real axis
+TOL = 1e-12
+# Picard steps of a cold solve at the contraction radius, which falls at
+# least threefold per step
+PICARD_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -214,28 +206,28 @@ class _PerturbedSystem(_BandSystem):
 # generic iteration and continuation
 
 
-def _picard(system: _System, z: complex, y0: np.ndarray,
-            cfg: FixedPointConfig) -> FixedPointSolution:
+def _picard(system: _System, z: complex,
+            y0: np.ndarray) -> FixedPointSolution:
     """Picard iteration y <- apply(z, y) from y0, run at the contraction
     radius only, where the residual falls at least threefold per step.  A
     failure of g is a SolverError with the unknowns y0, chained to it."""
     y = np.array(y0, dtype=complex)
     res = math.inf
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, PICARD_STEPS + 1):
         try:
             fy = system.apply(z, y)
         except ArithmeticError as exc:
             raise SolverError(f"Picard failed at z={z}: {exc}",
                               unknowns=y0) from exc
         res = system.residual(z, y, fy)
-        if res <= cfg.tol:
+        if res <= TOL:
             _check_cone(system, y)
             return FixedPointSolution(
                 z=z, unknowns=y, residual=res, iterations=it,
                 cone=system.cone)
         y = fy
     raise SolverError(
-        f"no convergence at z={z}: residual {res:.3e} after {cfg.max_iter} "
+        f"no convergence at z={z}: residual {res:.3e} after {PICARD_STEPS} "
         "iterations", unknowns=y, residual=res)
 
 
@@ -328,7 +320,7 @@ def _log_walk(x: float, pos: float, last, before, correct):
 
 def _walk(system: _System, point: Callable[[float], complex],
           predict: Callable, x: float, pos: float, last: FixedPointSolution,
-          before: Optional[FixedPointSolution], cfg: FixedPointConfig):
+          before: Optional[FixedPointSolution]):
     """(last, before) with last the solution at point(x), walked by
     ``_log_walk`` from last at point(pos): each point z is ``_newton`` from
     predict(z, last, before), and a SolverError is a failed correction.
@@ -339,20 +331,18 @@ def _walk(system: _System, point: Callable[[float], complex],
     def correct(at, last, before):
         z = point(at)
         try:
-            return _newton(system, z, predict(z, last, before), cfg.tol)
+            return _newton(system, z, predict(z, last, before), TOL)
         except SolverError:
             return None
 
     last, before, pos, _, _ = _log_walk(x, pos, last, before, correct)
     if pos != x:
         z = point(x)
-        before, last = last, _newton(system, z, predict(z, last, before),
-                                     cfg.tol)
+        before, last = last, _newton(system, z, predict(z, last, before), TOL)
     return last, before
 
 
-def _solve(system: _System, z: complex,
-           cfg: FixedPointConfig) -> FixedPointSolution:
+def _solve(system: _System, z: complex) -> FixedPointSolution:
     """The decaying-branch solution at z.
 
     Picard from 0 runs at the contraction radius only.  The path then
@@ -365,16 +355,16 @@ def _solve(system: _System, z: complex,
     if z.imag <= 0:
         raise ValueError("z must lie in the open upper half-plane")
     start = system.start_z(z)
-    sol = _picard(system, start, np.zeros(system.q, dtype=complex), cfg)
+    sol = _picard(system, start, np.zeros(system.q, dtype=complex))
     pos = dist = abs(start - z)
     before = None
     while CONTINUATION_FACTOR * pos >= 0.05 * abs(z):
         x = CONTINUATION_FACTOR * pos
         sol, before = _walk(system, lambda d: z + (d / dist) * (start - z),
-                            _secant, x, pos, sol, before, cfg)
+                            _secant, x, pos, sol, before)
         pos = x
     if sol.z != z:
-        sol = _newton(system, z, _secant(z, sol, before), cfg.tol)
+        sol = _newton(system, z, _secant(z, sol, before), TOL)
     return sol
 
 
@@ -405,31 +395,28 @@ def perturbed_system(a: AlphaParam, profile: SigmaProfile,
     return _PerturbedSystem(a, w, k, diag)
 
 
-def solve(system: _System, z: complex,
-          cfg: FixedPointConfig = FixedPointConfig()) -> FixedPointSolution:
+def solve(system: _System, z: complex) -> FixedPointSolution:
     """The decaying-branch solution of system at z (see ``_solve``)."""
-    return _solve(system, complex(z), cfg)
+    return _solve(system, complex(z))
 
 
-def solve_wigner(a: AlphaParam, z: complex,
-                 cfg: FixedPointConfig = FixedPointConfig()) -> FixedPointSolution:
-    return _solve(wigner_system(a), complex(z), cfg)
+def solve_wigner(a: AlphaParam, z: complex) -> FixedPointSolution:
+    return _solve(wigner_system(a), complex(z))
 
 
-def solve_band(a: AlphaParam, profile: SigmaProfile, z: complex,
-               cfg: FixedPointConfig = FixedPointConfig()) -> FixedPointSolution:
-    return _solve(band_system(a, profile), complex(z), cfg)
+def solve_band(a: AlphaParam, profile: SigmaProfile,
+               z: complex) -> FixedPointSolution:
+    return _solve(band_system(a, profile), complex(z))
 
 
-def solve_wishart_pair(a: AlphaParam, gamma: float, z: complex,
-                       cfg: FixedPointConfig = FixedPointConfig()) -> FixedPointSolution:
-    return _solve(wishart_system(a, gamma), complex(z), cfg)
+def solve_wishart_pair(a: AlphaParam, gamma: float,
+                       z: complex) -> FixedPointSolution:
+    return _solve(wishart_system(a, gamma), complex(z))
 
 
 def solve_perturbed(a: AlphaParam, profile: SigmaProfile, diag: DiagonalLaw,
-                    z: complex,
-                    cfg: FixedPointConfig = FixedPointConfig()) -> FixedPointSolution:
-    return _solve(perturbed_system(a, profile, diag), complex(z), cfg)
+                    z: complex) -> FixedPointSolution:
+    return _solve(perturbed_system(a, profile, diag), complex(z))
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +424,7 @@ def solve_perturbed(a: AlphaParam, profile: SigmaProfile, diag: DiagonalLaw,
 
 
 def continue_to_real_axis(system: _System, t: float,
-                          eps_list: Sequence[float],
-                          cfg: FixedPointConfig = FixedPointConfig()) -> list:
+                          eps_list: Sequence[float]) -> list:
     """Solutions at z = t + i eps, one per point of a decreasing eps
     schedule.
 
@@ -448,32 +434,26 @@ def continue_to_real_axis(system: _System, t: float,
     fails.  When the halvings run out and a last Newton at the schedule's
     point fails too, its SolverError is raised with ``failure_index``, the
     index of that point, and ``partial_path``, the solutions before it.
-    Negative t uses the conjugation symmetry Y(-conj z) = conj Y(z) of the
-    unique decaying branch.
+    A symmetric density is computed at t > 0 only: the decaying branch
+    satisfies Y(-conj z) = conj Y(z), so rho(-t) = rho(t).
     """
-    if t == 0:
-        raise ValueError("t must be nonzero")
+    if not t > 0:
+        raise ValueError("t must be positive")
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must decrease strictly")
     if eps_list[-1] < 1e-6:
         raise ValueError("eps floor is 1e-6")
-    if t < 0:
-        path = continue_to_real_axis(system, -t, eps_list, cfg)
-        return [FixedPointSolution(
-            z=-sol.z.conjugate(), unknowns=np.conj(sol.unknowns),
-            residual=sol.residual, iterations=sol.iterations,
-            cone=sol.cone) for sol in path]
 
     out = []
     last = before = None
     for i, eps in enumerate(eps_list):
         try:
             if last is None:
-                last = _solve(system, t + 1j * eps, cfg)
+                last = _solve(system, t + 1j * eps)
             else:
                 last, before = _walk(system, lambda e: t + 1j * e, _secant,
-                                     eps, last.z.imag, last, before, cfg)
+                                     eps, last.z.imag, last, before)
         except SolverError as exc:
             exc.failure_index = i
             exc.partial_path = out
@@ -483,7 +463,7 @@ def continue_to_real_axis(system: _System, t: float,
 
 
 def polish_on_axis(system, t: float, y: np.ndarray,
-                   tol: float = 1e-13, max_iter: int = 40
+                   tol: float = 1e-13, max_iter: int = NEWTON_STEPS
                    ) -> FixedPointSolution:
     """Newton solution of the defining equation at real z = t > 0, from y:
     ``_newton`` on the real axis, in at most max_iter steps.

@@ -94,6 +94,8 @@ def test_simulate_rejects_bad_sizes(flags, named, capsys, tmp_path):
     ["theory", "--alpha", "1.5", "--t-min", "10", "--t-max", "1"],
     ["theory", "--alpha", "1.5", "--points", "1"],
     ["theory", "--alpha", "1.5", "--eps-floor", "1e-30"],
+    ["theory", "--alpha", "1.5", "--eps-floor", "0.7"],
+    ["theory", "--alpha", "1.5", "--eps-floor", "1e9"],
     ["theory", "--alpha", "1.5", "--model", "perturbed"],
     ["theory", "--alpha", "1.5", "--model", "wishart"],
     ["theory", "--alpha", "1.5", "--model", "band", "--profile", "no.json"],
@@ -101,6 +103,7 @@ def test_simulate_rejects_bad_sizes(flags, named, capsys, tmp_path):
     ["compare", "--theory", "no.csv", "--spectra", "no2.csv",
      "--window", "oops"]],
     ids=["t-min-zero", "t-max-below-t-min", "points-one", "eps-floor",
+         "eps-floor-above-start", "eps-floor-huge",
          "perturbed", "wishart-no-gamma", "missing-profile",
          "compare-missing-inputs", "compare-bad-window"])
 def test_rejected_run_leaves_no_config_echo(argv, tmp_path):
@@ -133,11 +136,12 @@ def test_theory_single_point_cauchy(capsys, tmp_path):
 
 
 def test_theory_single_point_marchenko_pastur(capsys, tmp_path):
+    # W = X X^t / a_{2N}^2 at alpha=2: rho(t) = sqrt(2/t - 1)/pi, 1/pi at 1
     code = run(["theory", "--alpha", "2.0", "--model", "wishart",
                 "--gamma", "1.0", "--t", "1.0", "--out", str(tmp_path)])
     assert code == 0
     value = float(capsys.readouterr().out.split("=")[1])
-    assert abs(value - math.sqrt(3.0) / (2.0 * math.pi)) < 1e-6
+    assert abs(value - 1.0 / math.pi) < 1e-6
 
 
 def test_theory_single_point_replaces_curve_sidecar(tmp_path):
@@ -231,15 +235,17 @@ def test_simulate_deterministic(tmp_path):
     assert camp["spec"]["ensemble"]["alpha"] == 1.5
 
 
-def test_simulate_seed_from_environment(tmp_path, monkeypatch):
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("HTSPECTRA_SEED", "77")
-    args = ["simulate", "--alpha", "1.2", "--n", "40", "--trials", "1"]
-    assert run(args + ["--out", str(d1)]) == 0
-    monkeypatch.delenv("HTSPECTRA_SEED")
-    assert run(args + ["--seed", "77", "--out", str(d2)]) == 0
-    assert (d1 / "eigenvalues.csv").read_bytes() \
-        == (d2 / "eigenvalues.csv").read_bytes()
+@pytest.mark.parametrize("seed_flag", [[], ["--seed", "77"]],
+                         ids=["default", "flag"])
+def test_simulate_echoes_the_seed_it_used(seed_flag, tmp_path):
+    # the config echo reproduces the run: its seed is the campaign's
+    args = ["simulate", "--alpha", "1.2", "--n", "40", "--trials", "1",
+            "--out", str(tmp_path)] + seed_flag
+    assert run(args) == 0
+    echo = json.loads((tmp_path / "config-simulate.json").read_text())
+    camp = json.loads((tmp_path / "campaign.json").read_text())
+    assert echo["seed"] == camp["spec"]["master_seed"]
+    assert echo["seed"] == (int(seed_flag[1]) if seed_flag else 0)
 
 
 def test_compare_round_trip(capsys, tmp_path):

@@ -20,7 +20,7 @@ from htspectra.density import (
     tail_constant,
 )
 from htspectra.matrices import SigmaProfile, alpha_kernel, band_alpha_integral
-from htspectra.solver import FixedPointConfig, SolverError
+from htspectra.solver import SolverError
 from htspectra.special import AlphaParam, h_alpha
 
 
@@ -123,10 +123,51 @@ def test_single_point_densities_are_python_floats(alpha):
 
 def test_wishart_gamma_one_alpha_two_is_marchenko_pastur():
     a = AlphaParam(2.0, alpha_two_mode=True)
-    # MP(1) density at t: sqrt(4/t - 1)/(2 pi); at t=1 this is sqrt(3)/(2 pi)
-    got = density_wishart(a, 1.0, 1.0)
-    assert abs(got - math.sqrt(3.0) / (2.0 * math.pi)) < 1e-8
-    assert density_wishart(a, 1.0, 4.5) < 1e-8
+    # W = X X^t / a_{N+M}^2 with a_{2N}^2 = 2N: half of X X^t / N, whose
+    # law is MP(1) on [0, 4], so rho(t) = sqrt(2/t - 1)/pi on [0, 2]
+    for t in (0.5, 1.0, 1.5):
+        got = density_wishart(a, 1.0, t)
+        assert abs(got - math.sqrt(2.0 / t - 1.0) / math.pi) < 1e-8
+    assert density_wishart(a, 1.0, 2.5) < 1e-8
+
+
+# alpha x t grid of the gamma=1 identity
+GAMMA_ONE_ALPHAS = (0.5, 1.0, 1.2, 1.5, 1.8)
+GAMMA_ONE_TS = (0.05, 0.7, 3.0, 40.0)
+
+
+@pytest.mark.parametrize("alpha", GAMMA_ONE_ALPHAS)
+def test_wishart_gamma_one_is_scaled_wigner(alpha):
+    """The pair at gamma=1 against the constant-profile density, an
+    independent route: the N x N covariance embeds in the 2N x 2N
+    constant-profile matrix, and a_{2N}/a_N = 2^(1/alpha), so
+    rho(t) = (s/sqrt t) rho_W(s sqrt t) with s = 2^(1/alpha)."""
+    a = AlphaParam(alpha)
+    s = 2.0 ** (1.0 / alpha)
+    for t in GAMMA_ONE_TS:
+        got = density_wishart(a, 1.0, t)
+        want = s / math.sqrt(t) * density_wigner_formula(a, s * math.sqrt(t))
+        assert abs(got - want) <= 1e-12 * want, (t, got, want)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 2.0])
+def test_wishart_density_is_continuous_at_gamma_one(alpha):
+    # gamma = 1 solves the same pair as every gamma < 1; at alpha = 2 a
+    # separate gamma = 1 route that scaled by 1 instead of 2^(1/2) read
+    # 0.2757 here against 0.3183 just below
+    a = AlphaParam(alpha, alpha_two_mode=alpha == 2.0)
+    for t in (0.3, 1.0):
+        at_one = density_wishart(a, 1.0, t)
+        below = density_wishart(a, 1.0 - 1e-9, t)
+        assert abs(at_one - below) <= 1e-6 * at_one, (t, at_one, below)
+
+
+@pytest.mark.parametrize("profile", [CONST, BAND], ids=["const", "band"])
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_band_density_is_even(alpha, profile):
+    a = AlphaParam(alpha)
+    for t in (0.3, 1.3):
+        assert density_band(a, profile, -t) == density_band(a, profile, t)
 
 
 def test_wishart_validation():
@@ -363,9 +404,7 @@ def test_wishart_gap_point_newton_stays_at_roundoff():
     a = AlphaParam(1.5)
     t = float(np.geomspace(1e-2, 1e4, 8)[1])
     system = solver.wishart_system(a, 0.5)
-    _, sol = density._boundary_solution(system, math.sqrt(t),
-                                        FixedPointConfig(),
-                                        default_eps_schedule())
+    _, sol = density._boundary_solution(system, math.sqrt(t))
     z, y = complex(math.sqrt(t)), sol.unknowns
     assert abs(y[1] - (-6.8132 + 6.8132j)) < 1e-3
     for _ in range(8):
@@ -489,14 +528,13 @@ def _imaginary_axis_walk(a, gamma):
     10^(k/2) from the first one at or above the contraction radius down to
     1e-4, each predicted by the power law: {x: solution}."""
     system = solver.wishart_system(a, gamma)
-    cfg = FixedPointConfig()
     top = math.ceil(2.0 * math.log10(system.start_radius()))
     path = [10.0 ** (k / 2.0) for k in range(top, -9, -1)]
-    last, before = solver.solve(system, 1j * path[0], cfg), None
+    last, before = solver.solve(system, 1j * path[0]), None
     sols = {}
     for x in path:
         last, before = solver._walk(system, lambda s: 1j * s, _power_law, x,
-                                    last.z.imag, last, before, cfg)
+                                    last.z.imag, last, before)
         sols[x] = last
     return sols
 
@@ -533,12 +571,11 @@ def test_atom_matches_seven_warm_solves(alpha, gamma):
     every abscissa."""
     a = AlphaParam(alpha)
     system = solver.wishart_system(a, gamma)
-    cfg = FixedPointConfig()
     walked = _imaginary_axis_walk(a, gamma)
     sol = None
     for x in ATOM_XS:
-        sol = solver._solve(system, 1j * x, cfg) if sol is None \
-            else solver._picard(system, 1j * x, sol.unknowns, cfg)
+        sol = solver._solve(system, 1j * x) if sol is None \
+            else solver._picard(system, 1j * x, sol.unknowns)
         want = h_alpha(a, sol.unknowns[1])
         got = h_alpha(a, walked[x].unknowns[1])
         assert abs(gamma * (got - want)) <= 1e-7, x

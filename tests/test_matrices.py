@@ -149,11 +149,10 @@ def test_truncation_validation():
     with pytest.raises(ValueError):
         EnsembleSpec(N=8, law=law, profile=prof, truncation=("fixed_B", -1.0))
     with pytest.raises(ValueError):
-        # kappa cap is 1/(2(2-alpha)) = 1 for alpha=1.5
+        # fixed_B is the one truncation
         EnsembleSpec(N=8, law=law, profile=prof,
-                     truncation=("polynomial_kappa", 1.5))
-    EnsembleSpec(N=8, law=law, profile=prof,
-                 truncation=("polynomial_kappa", 0.2))
+                     truncation=("polynomial_kappa", 0.2))
+    EnsembleSpec(N=8, law=law, profile=prof, truncation=("fixed_B", 2.0))
 
 
 def test_covariance_matrix_rank_and_psd():

@@ -14,7 +14,6 @@ from htspectra import solver
 from htspectra.density import build_density_curve
 from htspectra.matrices import DiagonalLaw, SigmaProfile, band_alpha_integral
 from htspectra.solver import (
-    FixedPointConfig,
     SolverError,
     band_system,
     continue_to_real_axis,
@@ -95,15 +94,14 @@ def test_solutions_stay_in_cone():
 
 
 def test_conjugation_symmetry():
-    """Y(-conj z) = conj Y(z) for the decaying branch."""
+    """Y(-conj z) = conj Y(z) for the decaying branch, by independent cold
+    solves on both sides; the density at -t is therefore that at t."""
     a = AlphaParam(1.3)
     sys = wigner_system(a)
-    eps = [0.5, 0.1, 0.02, 1e-3]
-    plus = continue_to_real_axis(sys, 1.7, eps)
-    minus = continue_to_real_axis(sys, -1.7, eps)
-    for p, m in zip(plus, minus):
-        assert abs(m.unknowns[0] - p.unknowns[0].conjugate()) < 1e-12
-        assert abs(m.z + p.z.conjugate()) < 1e-15
+    for eps in (0.5, 0.1, 0.02, 1e-3):
+        plus = solver._solve(sys, 1.7 + 1j * eps).unknowns[0]
+        minus = solver._solve(sys, -1.7 + 1j * eps).unknowns[0]
+        assert abs(minus - plus.conjugate()) < 1e-12
 
 
 def test_path_independence_of_continuation():
@@ -254,7 +252,7 @@ def test_arithmetic_failure_becomes_solver_error(monkeypatch):
 
     monkeypatch.setattr(system, "apply", apply)
     with pytest.raises(SolverError) as exc_info:
-        solver._solve(system, 0.4 + 0.05j, FixedPointConfig())
+        solver._solve(system, 0.4 + 0.05j)
     assert isinstance(exc_info.value.__cause__, ArithmeticError)
 
 
@@ -270,7 +268,7 @@ def test_arithmetic_failure_at_contraction_radius_becomes_solver_error(
 
     monkeypatch.setattr(system, "apply", apply)
     with pytest.raises(SolverError) as exc_info:
-        solver._solve(system, 0.4 + 0.05j, FixedPointConfig())
+        solver._solve(system, 0.4 + 0.05j)
     assert isinstance(exc_info.value.__cause__, QuadratureError)
     assert np.array_equal(exc_info.value.unknowns, np.zeros(system.q))
 
@@ -308,22 +306,16 @@ def test_arithmetic_failure_carries_partial_path():
     assert err.failure_index == len(err.partial_path)
 
 
-def test_solver_error_carries_partial_path():
-    a = AlphaParam(1.5)
-    sys = wigner_system(a)
-    tight = FixedPointConfig(tol=1e-12, max_iter=2)
+def test_solver_error_carries_partial_path(monkeypatch):
+    # every Newton correction below eps = 0.3 fails, so the walk to 0.1
+    # spends its halvings and its last Newton raises
+    sys = wigner_system(AlphaParam(1.5))
+    _failing_newton(monkeypatch, lambda eps: eps < 0.3)
     with pytest.raises(SolverError) as exc_info:
-        continue_to_real_axis(sys, 1.2, [0.3, 0.1, 0.03], cfg=tight)
+        continue_to_real_axis(sys, 1.2, [0.3, 0.1, 0.03])
     err = exc_info.value
-    assert hasattr(err, "failure_index")
-    assert isinstance(err.partial_path, list)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FixedPointConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        FixedPointConfig(max_iter=0)
+    assert err.failure_index == 1
+    assert [p.z for p in err.partial_path] == [1.2 + 0.3j]
 
 
 def test_critical_set_alpha_large_empty():
@@ -403,14 +395,25 @@ SYSTEMS = {
 PICARD_POINTS = (0.7 + 3.0j, -1.3 + 0.5j, 2.5 + 0.05j)
 
 
-def _picard_continuation(system, z, cfg, factor):
-    """The cold path with damped Picard at every geometric step of the
+def _plain_picard(system, z, y):
+    """y <- apply(z, y) from y until the residual reaches the solver's
+    tolerance, in at most 4000 steps."""
+    for _ in range(4000):
+        fy = system.apply(z, y)
+        if system.residual(z, y, fy) <= solver.TOL:
+            return y
+        y = fy
+    raise AssertionError(f"Picard reference stalled at z={z}")
+
+
+def _picard_continuation(system, z, factor):
+    """The cold path with plain Picard at every geometric step of the
     given distance factor, from 0 at the contraction radius: the reference
     the Newton path must reproduce."""
     y = np.zeros(system.q, dtype=complex)
     zc = system.start_z(z)
     while True:
-        y = solver._picard(system, zc, y, cfg).unknowns
+        y = _plain_picard(system, zc, y)
         if zc == z:
             return y
         step = z + factor * (zc - z)
@@ -423,11 +426,10 @@ def _picard_continuation(system, z, cfg, factor):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.95])
 def test_newton_continuation_matches_pure_picard(alpha, name):
     system = SYSTEMS[name](AlphaParam(alpha))
-    cfg = FixedPointConfig(max_iter=4000)
     for z in PICARD_POINTS:
         # the reference keeps fine 0.8 steps; Newton walks at the default
-        want = _picard_continuation(system, z, cfg, 0.8)
-        got = solver._solve(system, z, cfg).unknowns
+        want = _picard_continuation(system, z, 0.8)
+        got = solver._solve(system, z).unknowns
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -437,7 +439,7 @@ def test_jacobian_matches_central_differences(alpha, name):
     """jacobian(z, y) is the derivative of y - apply(z, y); the map is
     holomorphic, so real and imaginary steps give the same derivative."""
     system = SYSTEMS[name](AlphaParam(alpha))
-    y = solver._solve(system, 0.6 + 0.8j, FixedPointConfig()).unknowns
+    y = solver._solve(system, 0.6 + 0.8j).unknowns
     z = 0.9 + 0.7j
     jac = system.jacobian(z, y)
     assert jac.shape == (system.q, system.q)
@@ -469,7 +471,7 @@ def test_cold_solve_runs_picard_once(monkeypatch):
         for z in (0.8 + 0.6j, -1.5 + 0.2j):
             calls.clear()
             system = make(a)
-            solver._solve(system, z, FixedPointConfig())
+            solver._solve(system, z)
             assert calls == [system.start_z(z)], (name, z)
     for name in ("wigner", "wishart"):
         calls.clear()
@@ -506,7 +508,7 @@ def test_public_solve_calls_private_solve(monkeypatch):
     system = wishart_system(AlphaParam(1.2), 0.5)
     sol = solver.solve(system, 0.8 + 0.6j)
     assert calls == [0.8 + 0.6j]
-    want = real(system, 0.8 + 0.6j, FixedPointConfig())
+    want = real(system, 0.8 + 0.6j)
     assert np.array_equal(sol.unknowns, want.unknowns)
 
 
@@ -515,7 +517,6 @@ def test_public_solve_calls_private_solve(monkeypatch):
 
 
 EPS_SCHEDULE = [0.5, 0.05, 5e-3, 5e-4]
-EPS_CFG = FixedPointConfig(max_iter=4000)
 
 
 def _failing_newton(monkeypatch, fails):
@@ -541,7 +542,7 @@ def _same_end(got, want):
 
 def test_eps_walk_failed_correction_halves_the_step(monkeypatch):
     system = wigner_system(AlphaParam(1.5))
-    want = continue_to_real_axis(system, 1.2, EPS_SCHEDULE, EPS_CFG)
+    want = continue_to_real_axis(system, 1.2, EPS_SCHEDULE)
     failed = []
 
     def fails(eps):
@@ -552,7 +553,7 @@ def test_eps_walk_failed_correction_halves_the_step(monkeypatch):
         return False
 
     calls = _failing_newton(monkeypatch, fails)
-    got = continue_to_real_axis(system, 1.2, EPS_SCHEDULE, EPS_CFG)
+    got = continue_to_real_axis(system, 1.2, EPS_SCHEDULE)
     # the walk passed through the log midpoint of 0.5 and 0.05
     assert any(abs(e / math.sqrt(0.5 * 0.05) - 1.0) < 1e-12 for e in calls)
     assert [p.z.imag for p in got] == EPS_SCHEDULE
@@ -561,7 +562,7 @@ def test_eps_walk_failed_correction_halves_the_step(monkeypatch):
 
 def test_eps_walk_spent_halvings_raise_with_the_partial_path(monkeypatch):
     system = wigner_system(AlphaParam(1.5))
-    want = continue_to_real_axis(system, 1.2, EPS_SCHEDULE, EPS_CFG)
+    want = continue_to_real_axis(system, 1.2, EPS_SCHEDULE)
     apply = system.apply
     tries = []
 
@@ -574,7 +575,7 @@ def test_eps_walk_spent_halvings_raise_with_the_partial_path(monkeypatch):
 
     monkeypatch.setattr(system, "apply", failing)
     with pytest.raises(SolverError) as info:
-        continue_to_real_axis(system, 1.2, EPS_SCHEDULE, EPS_CFG)
+        continue_to_real_axis(system, 1.2, EPS_SCHEDULE)
     # the first try and SWEEP_HALVINGS halvings, then one last Newton at
     # eps = 0.05, whose failure is raised with g's error as its cause
     assert len(tries) == solver.SWEEP_HALVINGS + 2
@@ -602,18 +603,25 @@ def test_one_cell_band_matches_reference_kernel(alpha, profile):
     for one, ref in pairs:
         assert one.q == 1 and ref.q == 6
         for z in (0.8 + 0.5j, -1.3 + 0.2j, 2.5j):
-            got = solver._solve(one, z, FixedPointConfig()).unknowns[0]
-            want = solver._solve(ref, z, FixedPointConfig()).unknowns
+            got = solver._solve(one, z).unknowns[0]
+            want = solver._solve(ref, z).unknowns
             assert np.max(np.abs(want - got)) <= 1e-13 * abs(got)
 
 
 def test_explicit_eps_list_is_visited_point_for_point():
     system = band_system(AlphaParam(1.2), BAND6)
     eps = [0.9, 0.4, 0.35, 0.02, 1.5e-4, 1e-6]
-    for t in (0.7, -0.7):
-        path = continue_to_real_axis(system, t, eps)
-        assert [p.z for p in path] == [complex(t, e) for e in eps]
-        assert all(p.residual <= 1e-12 for p in path)
+    path = continue_to_real_axis(system, 0.7, eps)
+    assert [p.z for p in path] == [complex(0.7, e) for e in eps]
+    assert all(p.residual <= 1e-12 for p in path)
+
+
+def test_eps_path_rejects_t_off_the_positive_axis():
+    # a symmetric density is computed at |t|, so no path starts at t <= 0
+    system = band_system(AlphaParam(1.2), BAND6)
+    for t in (0.0, -0.7):
+        with pytest.raises(ValueError):
+            continue_to_real_axis(system, t, [0.5, 0.05])
 
 
 class _ExpandingSystem(solver._System):
