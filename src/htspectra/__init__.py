@@ -67,8 +67,8 @@ from .density import (
     PointRecord,
     atom_at_zero_wishart,
     build_density_curve,
-    default_eps_schedule,
     density_band,
+    density_point,
     density_wigner_formula,
     density_wishart,
     semicircle_cdf,

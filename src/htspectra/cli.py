@@ -15,19 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 
-from .density import (
-    DensityCurve,
-    EPS_FLOOR,
-    EPS_START,
-    build_density_curve,
-    density_band,
-    density_wigner_formula,
-    density_wishart,
-)
+from .density import DensityCurve, build_density_curve, density_point
 from .eig import distribution_distance, spectra_from_csv, spectra_to_csv
 from .matrices import DiagonalLaw, EnsembleSpec, SigmaProfile
 from .montecarlo import CampaignSpec, CovarianceParams, run_campaign
@@ -77,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--t-min", type=float, default=1e-3)
     t.add_argument("--t-max", type=float, default=1e3)
     t.add_argument("--points", type=int, default=400)
-    t.add_argument("--eps-floor", type=float, default=EPS_FLOOR)
 
     s = sub.add_parser("simulate", help="run a Monte Carlo campaign")
     model_flags(s)
@@ -220,41 +212,40 @@ def _gnuplot_hist(csv_name: str) -> str:
 def cmd_theory(args) -> int:
     a = _alpha_param(args)
     out = args.out
-    eps = args.eps_floor
-    if not EPS_FLOOR <= eps <= EPS_START:
-        raise ConfigError(f"--eps-floor must lie in [{EPS_FLOOR}, "
-                          f"{EPS_START}], got {eps}")
     if args.model == "perturbed":
         raise ConfigError("--model perturbed exposes transforms, not "
                           "densities; use wigner/band/wishart")
     profile = _load_profile(args) if args.model == "band" else None
-    gamma = _gamma(args) if args.model == "wishart" else 1.0
-    if args.t is None:
-        if not args.t_min > 0:
-            raise ConfigError(f"--t-min must be > 0, got {args.t_min}")
-        if not args.t_max > args.t_min:
-            raise ConfigError(f"--t-max must exceed --t-min ({args.t_min}), "
-                              f"got {args.t_max}")
+    gamma = _gamma(args) if args.model == "wishart" else None
+    t = args.t
+    if t is not None:
+        if not math.isfinite(t) or t == 0:
+            raise ConfigError(f"--t must be finite and nonzero, got {t}")
+        if t < 0 and args.model == "wishart":
+            raise ConfigError(f"--t must be > 0 for the wishart model, "
+                              f"got {t}")
+    else:
+        if not (args.t_min > 0 and math.isfinite(args.t_min)):
+            raise ConfigError(f"--t-min must be finite and > 0, "
+                              f"got {args.t_min}")
+        if not (args.t_max > args.t_min and math.isfinite(args.t_max)):
+            raise ConfigError(f"--t-max must be finite and exceed --t-min "
+                              f"({args.t_min}), got {args.t_max}")
         if args.points < 2:
             raise ConfigError(f"--points must be >= 2, got {args.points}")
     # echoed only once every flag is valid, so a rejected run writes nothing
     _echo_config(args, out)
-    if args.t is not None:
-        t = args.t
-        if args.model == "wigner":
-            rho = density_wigner_formula(a, t, eps_floor=eps)
-        elif args.model == "band":
-            rho = density_band(a, profile, t, eps_floor=eps)
-        else:
-            rho = density_wishart(a, gamma, t, eps_floor=eps)
+    if t is not None:
+        rho, record = density_point(a, args.model, t, profile=profile,
+                                    gamma=gamma)
         _write_density(out, f"t,rho\n{t!r},{rho!r}\n", {
             "t": t, "rho": rho, "model": args.model, "alpha": a.alpha,
-            "gamma": gamma if args.model == "wishart" else None})
+            "gamma": gamma, "points": [record.to_json(t)]})
         print(f"rho({t}) = {rho:.10g}")
         return 0
     curve = build_density_curve(a, args.model, profile=profile, gamma=gamma,
                                 t_min=args.t_min, t_max=args.t_max,
-                                points=args.points, eps_floor=eps)
+                                points=args.points)
     _write_density(out, curve.to_csv(), curve.sidecar())
     print(f"wrote density curve ({curve.grid.size} points, "
           f"mass check {curve.total_mass():.4f}) to {out}")

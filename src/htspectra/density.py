@@ -6,15 +6,19 @@ semicircle, constant-profile scaling and band-to-constant equivalence.
 Every covariance density, gamma=1 included, is solved from the pair; the
 gamma=1 identity with the constant-profile density is a test oracle.
 
-A single density point takes the per-point path: an eps continuation
-towards the real axis, walked by Newton in log eps between the points of
-the schedule, then a Newton polish on the axis.  A density curve takes that
-path once, at its largest grid point, and then sweeps down the grid on the
-real axis: each point is predicted by a secant in log t through the last
-two solutions and corrected by the same Newton polish, with the log step
-halved on failure (``solver._log_walk``) and the per-point path as the
-fallback.  Every computed point of a curve carries a ``PointRecord`` of how
-it was obtained.  The Wishart atom at zero is the closed form 1 - gamma
+One model table (``_MODELS``) gives each model its system, the abscissa
+x(t) it is solved at, its density formula and its tail law, and every
+density, a single point (``density_point``) or a curve
+(``build_density_curve``), is solved through one helper around
+``_sweep_real_axis``.  Its first (largest) point takes the per-point path:
+an eps continuation towards the real axis along ``EPS_SCHEDULE``, walked by
+Newton in log eps between its points, then a Newton polish on the axis.
+The sweep then runs down the grid on the real axis: each point is
+predicted by a secant in log x through the last two solutions and
+corrected by the same Newton polish, with the log step halved on failure
+(``solver._log_walk``) and the per-point path as the fallback.  Every
+computed point carries a ``PointRecord`` of how it was obtained.  The
+Wishart atom at zero is the closed form 1 - gamma
 (``atom_at_zero_wishart`` gives the derivation); no solve computes it.
 """
 
@@ -31,6 +35,7 @@ from .solver import (
     SWEEP_HALVINGS,
     SolverError,
     _log_walk,
+    _System,
     band_system,
     continue_to_real_axis,
     perturbed_system,
@@ -44,7 +49,9 @@ from .special import AlphaParam, c_alpha, h_alpha, principal_power
 __all__ = [
     "DensityCurve",
     "PointRecord",
+    "EPS_SCHEDULE",
     "stieltjes_band",
+    "density_point",
     "density_band",
     "density_wigner_formula",
     "density_wishart",
@@ -54,32 +61,20 @@ __all__ = [
     "build_density_curve",
     "semicircle_density",
     "semicircle_cdf",
-    "default_eps_schedule",
 ]
 
-EPS_FLOOR = 1e-6
-# first eps of the per-point path, and the factor from point to point
-EPS_START = 0.5
-EPS_FACTOR = 0.1
+# The eps values of the per-point path: 0.5, then a tenth of the last one
+# (as the product in floating point, hence the trailing digits), down to
+# 1e-6, the floor of ``continue_to_real_axis``.  They are the path's coarse
+# points: it walks between neighbours in log eps and halves the step where
+# Newton fails, so a hard case still gets short steps.
+EPS_SCHEDULE = (0.5, 0.05, 0.005000000000000001, 0.0005000000000000001,
+                5.0000000000000016e-05, 5.000000000000002e-06, 1e-06)
 # relative agreement demanded of the two constant-profile density formulas
 WIGNER_AGREEMENT = 1e-8
-
-
-def default_eps_schedule(floor: float = EPS_FLOOR) -> list:
-    """The eps values of the per-point path: EPS_START, then EPS_FACTOR per
-    point, down to floor in [EPS_FLOOR, EPS_START] (0.5, 0.05, ..., 5e-6,
-    1e-6 by default).
-
-    They are the path's coarse points: ``continue_to_real_axis`` walks
-    between neighbours in log eps and halves the step where Newton fails,
-    so a hard case still gets short steps.
-    """
-    if not EPS_FLOOR <= floor <= EPS_START:
-        raise ValueError(f"eps floor must lie in [{EPS_FLOOR}, {EPS_START}]")
-    eps = [EPS_START]
-    while eps[-1] > floor:
-        eps.append(max(eps[-1] * EPS_FACTOR, floor))
-    return eps
+# a density down to -RHO_ROUNDOFF is roundoff and reads 0; below it, the
+# solution has left the density's branch
+RHO_ROUNDOFF = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +128,10 @@ def stieltjes_perturbed(a: AlphaParam, profile: SigmaProfile,
 # Plemelj boundary values
 
 
-def _boundary_solution(system, t: float, eps_floor: float = EPS_FLOOR):
+def _boundary_solution(system, t: float):
     """The per-point path at real t > 0: (eps continuation path along
-    ``default_eps_schedule(eps_floor)``, polished solution at t)."""
-    # a numpy scalar t would carry numpy complex arithmetic into the
-    # solver, whose powers differ from Python's in the last bit: the same t
-    # must give the same solution whatever its type
-    t = float(t)
-    path = continue_to_real_axis(system, t, default_eps_schedule(eps_floor))
+    ``EPS_SCHEDULE``, polished solution at t)."""
+    path = continue_to_real_axis(system, t, EPS_SCHEDULE)
     return path, polish_on_axis(system, t, path[-1].unknowns)
 
 
@@ -174,39 +165,6 @@ def _wigner_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
 def _wishart_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
     """Covariance density at t > 0 from the polished pair at sqrt(t)."""
     return float(-h_alpha(a, y[0]).imag / (math.pi * t))
-
-
-def density_band(a: AlphaParam, profile: SigmaProfile, t: float,
-                 eps_floor: float = EPS_FLOOR) -> float:
-    """Density of a band profile at real t != 0, clipped at 0; the density
-    is even, so it is computed at |t|."""
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    system = band_system(a, profile)
-    _, sol = _boundary_solution(system, abs(t), eps_floor)
-    return max(_band_rho(a, system.weights, abs(t), sol.unknowns), 0.0)
-
-
-def density_wigner_formula(a: AlphaParam, t: float,
-                           eps_floor: float = EPS_FLOOR) -> float:
-    """Density of the constant-profile limit at t != 0, computed from both
-    algebraically equivalent expressions, which must agree, and clipped at
-    0."""
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    _, sol = _boundary_solution(wigner_system(a), abs(t), eps_floor)
-    return max(_wigner_rho(a, abs(t), sol.unknowns), 0.0)
-
-
-def density_wishart(a: AlphaParam, gamma: float, t: float,
-                    eps_floor: float = EPS_FLOOR) -> float:
-    """Density of the covariance limit at t > 0, clipped at 0, from the
-    pair at sqrt(t) for every gamma in (0, 1]."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    _, sol = _boundary_solution(wishart_system(a, gamma), math.sqrt(t),
-                                eps_floor)
-    return max(_wishart_rho(a, t, sol.unknowns), 0.0)
 
 
 def atom_at_zero_wishart(gamma: float) -> float:
@@ -252,8 +210,94 @@ def tail_constant(a: AlphaParam, profile: SigmaProfile,
     return const, disc
 
 
-def _wishart_tail_constant(a: AlphaParam, gamma: float) -> float:
-    return a.alpha * gamma / (2.0 * (1.0 + gamma))
+# ---------------------------------------------------------------------------
+# the model table and single density points
+
+
+@dataclass(frozen=True)
+class _Model:
+    """How the density of one model is solved: its system, the abscissa
+    x(t) > 0 on the real axis it is solved at, rho(t, x, polished unknowns
+    at x), and the law rho ~ tail_c * t^(-tail_p) beyond a grid.  A
+    symmetric density is even in t; the covariance density lives on t > 0
+    and carries the atom at zero."""
+
+    system: _System
+    x: Callable[[float], float]
+    rho: Callable[[float, float, np.ndarray], float]
+    tail_c: float
+    tail_p: float
+    symmetric: bool = True
+    atom: float = 0.0
+
+
+def _wigner_model(a, profile, gamma) -> _Model:
+    return _Model(wigner_system(a), abs,
+                  lambda t, x, y: _wigner_rho(a, x, y),
+                  0.5 * a.alpha, a.alpha + 1.0)
+
+
+def _band_model(a, profile, gamma) -> _Model:
+    if profile is None:
+        raise ValueError("band model needs a profile")
+    system = band_system(a, profile)
+    return _Model(system, abs,
+                  lambda t, x, y: _band_rho(a, system.weights, x, y),
+                  tail_constant(a, profile), a.alpha + 1.0)
+
+
+def _wishart_model(a, profile, gamma) -> _Model:
+    # the pair at sqrt(t) for every gamma in (0, 1]
+    return _Model(wishart_system(a, gamma), math.sqrt,
+                  lambda t, x, y: _wishart_rho(a, t, y),
+                  a.alpha * gamma / (2.0 * (1.0 + gamma)),
+                  1.0 + 0.5 * a.alpha, symmetric=False,
+                  atom=0.0 if gamma >= 1.0 else atom_at_zero_wishart(gamma))
+
+
+_MODELS = {"wigner": _wigner_model, "band": _band_model,
+           "wishart": _wishart_model}
+
+
+def _model(a: AlphaParam, model: str, profile: Optional[SigmaProfile],
+           gamma: float) -> _Model:
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    m = _MODELS[model](a, profile, gamma)
+    # at alpha = 2 the support is compact: no mass lies beyond a grid
+    # that covers it, so no tail closes the curve
+    return replace(m, tail_c=0.0) if a.alpha_two_mode else m
+
+
+def density_point(a: AlphaParam, model: str, t: float,
+                  profile: Optional[SigmaProfile] = None,
+                  gamma: float = 1.0):
+    """(rho(t), PointRecord) of one model (wigner | band | wishart) at
+    real t, by the per-point path at x(t): a symmetric density at t != 0
+    is the one at |t|, the covariance density needs t > 0.  rho is clipped
+    at 0; a density below -RHO_ROUNDOFF is an ArithmeticError."""
+    m = _model(a, model, profile, gamma)
+    if not math.isfinite(t) or t == 0 or (t < 0 and not m.symmetric):
+        raise ValueError(f"t={t} is not a point of the {model} density, "
+                         f"which lives on t {'!= 0' if m.symmetric else '> 0'}")
+    rho, records = _solve_density(m, [float(t)])
+    return float(rho[0]), records[0]
+
+
+def density_band(a: AlphaParam, profile: SigmaProfile, t: float) -> float:
+    """Density of a band profile at real t != 0 (``density_point``)."""
+    return density_point(a, "band", t, profile=profile)[0]
+
+
+def density_wigner_formula(a: AlphaParam, t: float) -> float:
+    """Density of the constant-profile limit at real t != 0, whose two
+    algebraically equivalent expressions must agree (``density_point``)."""
+    return density_point(a, "wigner", t)[0]
+
+
+def density_wishart(a: AlphaParam, gamma: float, t: float) -> float:
+    """Density of the covariance limit at t > 0 (``density_point``)."""
+    return density_point(a, "wishart", t, gamma=gamma)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +319,6 @@ class DensityCurve:
     atom_at_zero: float = 0.0
     tail_constant_estimate: float = 0.0
     tail_exponent: float = 0.0   # rho ~ c * t^(-tail_exponent) beyond the grid
-    eps_floor: float = EPS_FLOOR
     symmetric: bool = True
     points: tuple = ()   # one PointRecord per computed t > 0, in grid order
 
@@ -288,7 +331,7 @@ class DensityCurve:
             raise ValueError("more point records than grid points")
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must increase strictly")
-        if np.any(r < -1e-9):
+        if np.any(r < -RHO_ROUNDOFF):
             raise ValueError("negative density beyond tolerance")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "rho", np.maximum(r, 0.0))
@@ -365,7 +408,6 @@ class DensityCurve:
             "tail_constant": self.tail_constant_estimate,
             "tail_exponent": self.tail_exponent,
             "mass_check": self.total_mass(),
-            "eps_floor": self.eps_floor,
             "symmetric": self.symmetric,
             # the records belong to the last len(points) grid values, t > 0
             "points": [p.to_json(t) for t, p in zip(
@@ -391,12 +433,7 @@ class DensityCurve:
             atom_at_zero=float(sidecar.get("atom_at_zero", 0.0)),
             tail_constant_estimate=float(sidecar.get("tail_constant", 0.0)),
             tail_exponent=float(sidecar.get("tail_exponent", 0.0)),
-            eps_floor=float(sidecar.get("eps_floor", EPS_FLOOR)),
             symmetric=bool(sidecar.get("symmetric", True)))
-
-
-def _log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
-    return np.geomspace(t_min, t_max, points)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +489,7 @@ def _settled(system, sol):
     return replace(step, iterations=sol.iterations + step.iterations)
 
 
-def _sweep_real_axis(system, xs: np.ndarray, eps_floor: float):
+def _sweep_real_axis(system, xs):
     """(polished solutions, PointRecords) at the increasing grid xs > 0.
 
     Predictor-corrector continuation along the real axis (Allgower-Georg).
@@ -477,6 +514,9 @@ def _sweep_real_axis(system, xs: np.ndarray, eps_floor: float):
         return _settled(system, point) if at == x else point
 
     for i in range(len(xs) - 1, -1, -1):
+        # a numpy scalar x would carry numpy complex arithmetic into the
+        # solver, whose powers differ from Python's in the last bit: the
+        # same x must give the same solution whatever its type
         x = float(xs[i])
         sol = None
         halvings = newton = 0
@@ -486,7 +526,7 @@ def _sweep_real_axis(system, xs: np.ndarray, eps_floor: float):
             if reached == x:
                 sol = last
         if sol is None:
-            path, sol = _boundary_solution(system, x, eps_floor)
+            path, sol = _boundary_solution(system, x)
             before, last = last, sol
             records[i] = PointRecord("eps", newton + sol.iterations,
                                      sol.residual, halvings,
@@ -498,58 +538,46 @@ def _sweep_real_axis(system, xs: np.ndarray, eps_floor: float):
     return sols, records
 
 
+def _solve_density(m: _Model, ts):
+    """(rho, PointRecords) of model m at the grid ts, whose abscissae x(t)
+    increase, solved by ``_sweep_real_axis``.  Roundoff below 0 is clipped;
+    a density below -RHO_ROUNDOFF is an ArithmeticError."""
+    xs = [m.x(t) for t in ts]
+    sols, records = _sweep_real_axis(m.system, xs)
+    rho = np.array([m.rho(t, x, sol.unknowns)
+                    for t, x, sol in zip(ts, xs, sols)])
+    for t, r in zip(ts, rho):
+        if r < -RHO_ROUNDOFF:
+            raise ArithmeticError(f"negative density {r:.3e} at t={t}: "
+                                  "the solution left the density's branch")
+    return np.maximum(rho, 0.0), records
+
+
 def build_density_curve(a: AlphaParam, model: str,
                         profile: Optional[SigmaProfile] = None,
                         gamma: float = 1.0,
                         t_min: float = 1e-3, t_max: float = 1e3,
-                        points: int = 400,
-                        eps_floor: float = EPS_FLOOR) -> DensityCurve:
+                        points: int = 400) -> DensityCurve:
     """Compute a density curve over a log-spaced grid.
 
-    model is one of wigner | band | wishart; symmetric models are computed
-    on t > 0 and mirrored, the covariance model from the pair in sqrt(t)
-    at every gamma (the gamma = 1 reduction to the constant-profile
-    density is a test oracle, not a code path).  (Perturbed ensembles
-    expose transforms, not densities, at this surface.)  The grid is
-    solved by ``_sweep_real_axis``: one per-point eps path along
-    ``default_eps_schedule(eps_floor)``, then Newton on the real axis from
+    model is one of wigner | band | wishart (``_MODELS``); symmetric
+    models are computed on t > 0 and mirrored, the covariance model from
+    the pair in sqrt(t) at every gamma (the gamma = 1 reduction to the
+    constant-profile density is a test oracle, not a code path).
+    (Perturbed ensembles expose transforms, not densities, at this
+    surface.)  The grid is solved by ``_sweep_real_axis``: one per-point
+    eps path along ``EPS_SCHEDULE``, then Newton on the real axis from
     point to point.  The curve's ``points`` record how each t > 0 was
     solved.
     """
-    ts = _log_grid(t_min, t_max, points)
-    # the system, its grid xs, and rho(t, x, polished unknowns at x)
-    if model == "wigner":
-        system, xs = wigner_system(a), ts
-        rho_at = lambda t, x, y: _wigner_rho(a, x, y)
-    elif model == "band":
-        if profile is None:
-            raise ValueError("band model needs a profile")
-        system, xs = band_system(a, profile), ts
-        rho_at = lambda t, x, y: _band_rho(a, system.weights, x, y)
-    elif model == "wishart":
-        system, xs = wishart_system(a, gamma), np.sqrt(ts)
-        rho_at = lambda t, x, y: _wishart_rho(a, t, y)
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    sols, records = _sweep_real_axis(system, xs, eps_floor)
-    rho = np.array([rho_at(t, x, sol.unknowns)
-                    for t, x, sol in zip(ts, xs, sols)])
-    if model == "wishart":
-        tail_c = _wishart_tail_constant(a, gamma)
-        tail_p = 1.0 + 0.5 * a.alpha
-        atom = 0.0 if gamma >= 1.0 else atom_at_zero_wishart(gamma)
-        grid = ts
-        symmetric = False
-    else:
-        tail_c = 0.5 * a.alpha if model == "wigner" \
-            else tail_constant(a, profile)
-        tail_p = a.alpha + 1.0
-        atom = 0.0
+    m = _model(a, model, profile, gamma)
+    ts = np.geomspace(t_min, t_max, points)
+    rho, records = _solve_density(m, ts)
+    grid = ts
+    if m.symmetric:
         grid = np.concatenate([-ts[::-1], ts])
         rho = np.concatenate([rho[::-1], rho])
-        symmetric = True
     return DensityCurve(alpha=a.alpha, model=model, grid=grid, rho=rho,
-                        atom_at_zero=atom, tail_constant_estimate=tail_c,
-                        tail_exponent=tail_p,
-                        eps_floor=float(eps_floor),
-                        symmetric=symmetric, points=tuple(records))
+                        atom_at_zero=m.atom, tail_constant_estimate=m.tail_c,
+                        tail_exponent=m.tail_p, symmetric=m.symmetric,
+                        points=tuple(records))

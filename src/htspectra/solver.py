@@ -4,11 +4,12 @@ Every system has the shape  unknowns = F(z, unknowns)  with F contractive
 for large |z| (band/Wigner/Wishart) or large Im z (diagonally perturbed).
 The solver therefore always starts on the imaginary axis at a radius where
 a 1/3-contraction is guaranteed by explicit bounds on g_alpha and its
-derivative, and iterates Picard there from 0.  It then walks toward the
-requested z by predictor-corrector continuation.  Every path uses the
-same two pieces: one Newton corrector (``_newton``), which also polishes
-solutions on the real axis (``polish_on_axis``), and one point walker
-(``_walk``), which takes coarse steps in the logarithm of a path
+derivative, so that I - F' is invertible there, and solves by Newton from
+0.  It then walks toward the requested z by predictor-corrector
+continuation.  Every path uses the same two pieces: one Newton loop
+(``_newton``), which starts the cold path, corrects every path point and
+polishes solutions on the real axis (``polish_on_axis``), and one point
+walker (``_walk``), which takes coarse steps in the logarithm of a path
 coordinate, predicts each point from the last two solutions, corrects it
 by Newton, halves the log step when Newton fails, and when the halvings
 run out makes one last Newton correction at the target, whose failure is
@@ -80,9 +81,6 @@ NEWTON_STEPS = 12
 SWEEP_HALVINGS = 3
 # residual target of every solve off the real axis
 TOL = 1e-12
-# Picard steps of a cold solve at the contraction radius, which falls at
-# least threefold per step
-PICARD_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -206,44 +204,20 @@ class _PerturbedSystem(_BandSystem):
 # generic iteration and continuation
 
 
-def _picard(system: _System, z: complex,
-            y0: np.ndarray) -> FixedPointSolution:
-    """Picard iteration y <- apply(z, y) from y0, run at the contraction
-    radius only, where the residual falls at least threefold per step.  A
-    failure of g is a SolverError with the unknowns y0, chained to it."""
-    y = np.array(y0, dtype=complex)
-    res = math.inf
-    for it in range(1, PICARD_STEPS + 1):
-        try:
-            fy = system.apply(z, y)
-        except ArithmeticError as exc:
-            raise SolverError(f"Picard failed at z={z}: {exc}",
-                              unknowns=y0) from exc
-        res = system.residual(z, y, fy)
-        if res <= TOL:
-            _check_cone(system, y)
-            return FixedPointSolution(
-                z=z, unknowns=y, residual=res, iterations=it,
-                cone=system.cone)
-        y = fy
-    raise SolverError(
-        f"no convergence at z={z}: residual {res:.3e} after {PICARD_STEPS} "
-        "iterations", unknowns=y, residual=res)
-
-
 def _newton(system: _System, z: complex, y0: np.ndarray, tol: float,
             max_steps: int = NEWTON_STEPS) -> FixedPointSolution:
-    """Newton's method for y = apply(z, y) from y0, the corrector of every
-    path.
+    """Newton's method for y = apply(z, y) from y0, the one iteration of
+    every path.
 
-    A predicted solution at z, or one at a nearby z, is close enough for
-    quadratic convergence, which beats the linear Picard rate when the
-    contraction factor is near one (deep inside the bulk or close to the
-    real axis).  ``iterations`` counts the Newton steps taken.  Raises
-    SolverError, with the last unknowns and residual, when the residual is
-    still above tol after max_steps steps, when it is non-finite or
-    exceeds 100 times its best value so far, when the root lies outside
-    the cone, or when g fails on the way (then chained as the cause).
+    At the contraction radius, where |F'| <= 1/3, it converges from 0; a
+    predicted solution at z, or one at a nearby z, is close enough for
+    quadratic convergence even where the contraction factor is near one
+    (deep inside the bulk or close to the real axis).  ``iterations``
+    counts the Newton steps taken.  Raises SolverError, with the last
+    unknowns and residual, when the residual is still above tol after
+    max_steps steps, when it is non-finite or exceeds 100 times its best
+    value so far, when the root lies outside the cone, or when g fails on
+    the way (then chained as the cause).
     """
     y = np.array(y0, dtype=complex)
     res = best = math.inf
@@ -345,9 +319,10 @@ def _walk(system: _System, point: Callable[[float], complex],
 def _solve(system: _System, z: complex) -> FixedPointSolution:
     """The decaying-branch solution at z.
 
-    Picard from 0 runs at the contraction radius only.  The path then
-    heads straight for z: its distance to z shrinks by CONTINUATION_FACTOR
-    from point to point, each point reached by ``_walk`` with the secant
+    The path starts with ``_newton`` from 0 at the contraction radius
+    ``start_z(z)``, where the map contracts by 1/3.  It then heads
+    straight for z: its distance to z shrinks by CONTINUATION_FACTOR from
+    point to point, each point reached by ``_walk`` with the secant
     predictor, until the next one would lie within 0.05|z| of z; the last
     step, to z itself, is one ``_newton`` from the secant through the last
     two solutions.
@@ -355,7 +330,7 @@ def _solve(system: _System, z: complex) -> FixedPointSolution:
     if z.imag <= 0:
         raise ValueError("z must lie in the open upper half-plane")
     start = system.start_z(z)
-    sol = _picard(system, start, np.zeros(system.q, dtype=complex))
+    sol = _newton(system, start, np.zeros(system.q, dtype=complex), TOL)
     pos = dist = abs(start - z)
     before = None
     while CONTINUATION_FACTOR * pos >= 0.05 * abs(z):

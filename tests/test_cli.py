@@ -64,16 +64,29 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, flag, capsys,
     assert os.listdir(tmp_path) == []
 
 
+# a bad evaluation point or grid end: each is rejected with an error line
+# that names its flag, before the configuration is echoed
+BAD_POINTS = [
+    (["--t", "0"], "--t"),
+    (["--t", "nan"], "--t"),
+    (["--t", "inf"], "--t"),
+    (["--model", "wishart", "--gamma", "0.5", "--t", "-1"], "--t"),
+    (["--t-max", "inf"], "--t-max")]
+BAD_POINT_IDS = ["t-zero", "t-nan", "t-inf", "wishart-t-negative",
+                 "t-max-inf"]
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--t-min", "0"], "--t-min"),
     (["--t-min", "10", "--t-max", "1"], "--t-max"),
     (["--points", "0"], "--points"),
-    (["--points", "1"], "--points")],
-    ids=["t-min-zero", "t-max-below-t-min", "points-zero", "points-one"])
+    (["--points", "1"], "--points")] + BAD_POINTS,
+    ids=["t-min-zero", "t-max-below-t-min", "points-zero", "points-one"]
+    + BAD_POINT_IDS)
 def test_theory_rejects_bad_grid(flags, named, capsys, tmp_path):
     code = run(["theory", "--alpha", "1.5", "--out", str(tmp_path)] + flags)
     assert code == 1
-    assert named in capsys.readouterr().err
+    assert f"error: {named} " in capsys.readouterr().err
     assert not (tmp_path / "density.csv").exists()
 
 
@@ -93,19 +106,16 @@ def test_simulate_rejects_bad_sizes(flags, named, capsys, tmp_path):
     ["theory", "--alpha", "1.5", "--t-min", "0"],
     ["theory", "--alpha", "1.5", "--t-min", "10", "--t-max", "1"],
     ["theory", "--alpha", "1.5", "--points", "1"],
-    ["theory", "--alpha", "1.5", "--eps-floor", "1e-30"],
-    ["theory", "--alpha", "1.5", "--eps-floor", "0.7"],
-    ["theory", "--alpha", "1.5", "--eps-floor", "1e9"],
     ["theory", "--alpha", "1.5", "--model", "perturbed"],
     ["theory", "--alpha", "1.5", "--model", "wishart"],
     ["theory", "--alpha", "1.5", "--model", "band", "--profile", "no.json"],
     ["compare", "--theory", "no.csv", "--spectra", "no2.csv"],
     ["compare", "--theory", "no.csv", "--spectra", "no2.csv",
-     "--window", "oops"]],
-    ids=["t-min-zero", "t-max-below-t-min", "points-one", "eps-floor",
-         "eps-floor-above-start", "eps-floor-huge",
+     "--window", "oops"]]
+    + [["theory", "--alpha", "1.5"] + flags for flags, _ in BAD_POINTS],
+    ids=["t-min-zero", "t-max-below-t-min", "points-one",
          "perturbed", "wishart-no-gamma", "missing-profile",
-         "compare-missing-inputs", "compare-bad-window"])
+         "compare-missing-inputs", "compare-bad-window"] + BAD_POINT_IDS)
 def test_rejected_run_leaves_no_config_echo(argv, tmp_path):
     assert run(argv + ["--out", str(tmp_path)]) == 1
     assert os.listdir(tmp_path) == []
@@ -154,8 +164,16 @@ def test_theory_single_point_replaces_curve_sidecar(tmp_path):
     _, row = (tmp_path / "density.csv").read_text().splitlines()
     t, rho = map(float, row.split(","))
     side = json.loads((tmp_path / "density.json").read_text())
+    record = side.pop("points")
     assert side == {"t": t, "rho": rho, "model": "wigner", "alpha": 1.5,
                     "gamma": None}
+    # the one point's record, as a curve point carries it, at the t asked
+    # for
+    assert len(record) == 1 and record[0]["t"] == t == 1.0
+    assert record[0]["method"] == "eps" and record[0]["halvings"] == 0
+    assert record[0]["eps_reached"] == 1e-6
+    assert record[0]["residual"] <= 1e-13
+    assert record[0]["newton_iterations"] >= 1
 
 
 def test_theory_single_point_reports_clipped_density(capsys, tmp_path):
@@ -168,6 +186,33 @@ def test_theory_single_point_reports_clipped_density(capsys, tmp_path):
     _, row = (tmp_path / "density.csv").read_text().splitlines()
     assert float(row.split(",")[1]) == 0.0
     assert json.loads((tmp_path / "density.json").read_text())["rho"] == 0.0
+
+
+def test_theory_wrong_branch_curve_exits_2(capsys, tmp_path):
+    # this sweep accepts a solution off the density's branch at t = 0.231,
+    # where rho would read -0.067: a numerical failure, not a usage error
+    # or a traceback
+    code = run(["theory", "--model", "wishart", "--gamma", "0.5",
+                "--alpha", "1.8", "--t-min", "1e-2", "--t-max", "1e3",
+                "--points", "12", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: negative density")
+    assert "t=0.231" in err
+
+
+def test_theory_single_point_negative_density_exits_2(capsys, tmp_path,
+                                                      monkeypatch):
+    # a single point shares the curve's check: a density below -1e-9 is a
+    # wrong branch, not a value to clip
+    from htspectra import density
+
+    monkeypatch.setattr(density, "_wishart_rho", lambda a, t, y: -1e-3)
+    assert run(["theory", "--model", "wishart", "--gamma", "0.5",
+                "--alpha", "1.5", "--t", "0.7", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: negative density")
+    assert not (tmp_path / "density.csv").exists()
 
 
 def test_theory_perturbed_rejected(capsys, tmp_path):
@@ -326,14 +371,6 @@ def test_compare_warns_on_model_mismatch(capsys, tmp_path):
     spectra = str(tmp_path / "wigner" / "eigenvalues.csv")
     assert run(compare + ["--spectra", spectra]) == 0
     assert capsys.readouterr().err == ""
-
-
-def test_theory_grid_records_eps_floor(tmp_path):
-    assert run(["theory", "--alpha", "1.5", "--t-min", "0.5", "--t-max", "2",
-                "--points", "3", "--eps-floor", "1e-4",
-                "--out", str(tmp_path)]) == 0
-    side = json.loads((tmp_path / "density.json").read_text())
-    assert side["eps_floor"] == 1e-4
 
 
 def test_selftest_exit_codes(capsys, monkeypatch):

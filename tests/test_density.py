@@ -8,11 +8,12 @@ import pytest
 
 from htspectra import density, solver, special
 from htspectra.density import (
+    EPS_SCHEDULE,
     DensityCurve,
     atom_at_zero_wishart,
     build_density_curve,
-    default_eps_schedule,
     density_band,
+    density_point,
     density_wigner_formula,
     density_wishart,
     semicircle_cdf,
@@ -44,6 +45,26 @@ def test_alpha_two_reduces_to_semicircle():
         assert abs(got - semicircle_density(t)) < 1e-8
 
 
+ALPHA_TWO = AlphaParam(2.0, alpha_two_mode=True)
+
+
+def test_alpha_two_wigner_curve_has_no_tail():
+    # the semicircle lives on [-2, 2]: a grid that covers it holds all the
+    # mass, and a heavy-tail closure beyond it would add about 0.11
+    curve = build_density_curve(ALPHA_TWO, "wigner", t_min=1e-3, t_max=3.0,
+                                points=200)
+    assert curve.tail_constant_estimate == 0.0
+    assert abs(curve.total_mass() - 1.0) <= 5e-3
+    assert curve.cdf()(2.0) >= 0.9999
+
+
+def test_alpha_two_wishart_curve_has_no_tail():
+    curve = build_density_curve(ALPHA_TWO, "wishart", gamma=0.5,
+                                t_min=1e-3, t_max=4.0, points=200)
+    assert curve.tail_constant_estimate == 0.0
+    assert abs(curve.total_mass() - 1.0) <= 1e-3
+
+
 def test_cauchy_center_value():
     # at alpha=1 the density at 0+ equals 1/pi
     a = AlphaParam(1.0)
@@ -73,7 +94,7 @@ def test_plemelj_extrapolation_consistent():
     # path, against the density at the polished real-axis solution
     a = AlphaParam(1.5)
     system = solver.band_system(a, CONST)
-    path = solver.continue_to_real_axis(system, 1.3, default_eps_schedule())
+    path = solver.continue_to_real_axis(system, 1.3, EPS_SCHEDULE)
     eps = np.array([p.z.imag for p in path[-3:]])
     im_g = [density._band_G(a, p.z, p.unknowns, system.weights).imag
             for p in path[-3:]]
@@ -119,6 +140,62 @@ def test_single_point_densities_are_python_floats(alpha):
     for rho in (density_wigner_formula(a, 0.7), density_band(a, BAND, 0.7),
                 density_wishart(a, 0.5, 0.7)):
         assert type(rho) is float, type(rho)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_density_point_is_the_wrappers_bit_for_bit(alpha):
+    a = AlphaParam(alpha)
+    for t in (-1.3, 0.05, 0.7, 3.1):
+        rho, rec = density_point(a, "wigner", t)
+        assert rho == density_wigner_formula(a, t)
+        assert rec.method == "eps" and rec.eps_reached == EPS_SCHEDULE[-1]
+        assert density_point(a, "band", t, profile=BAND)[0] \
+            == density_band(a, BAND, t)
+        if t > 0:
+            assert density_point(a, "wishart", t, gamma=0.5)[0] \
+                == density_wishart(a, 0.5, t)
+
+
+@pytest.mark.parametrize("model", ["wigner", "band", "wishart"])
+def test_curve_top_point_is_density_point(model):
+    # a curve and a single point solve through one path: the curve's
+    # largest grid point, which takes the per-point path, is the single
+    # point there, value and record
+    a = AlphaParam(1.2)
+    curve = _curve(model, a, 0.1, 10.0, 4)
+    extra = {"profile": BAND} if model == "band" else {"gamma": 0.5}
+    rho, rec = density_point(a, model, float(curve.grid[-1]), **extra)
+    assert rho == curve.rho[-1] and rec == curve.points[-1]
+
+
+def test_density_point_rejects_points_off_the_support():
+    a = AlphaParam(1.5)
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            density_point(a, "wigner", t)
+    with pytest.raises(ValueError):
+        density_point(a, "wishart", -1.0, gamma=0.5)
+    with pytest.raises(ValueError, match="profile"):
+        density_point(a, "band", 1.0)
+    with pytest.raises(ValueError, match="unknown model"):
+        density_point(a, "perturbed", 1.0)
+
+
+def test_negative_density_is_a_numerical_failure():
+    # the sweep of this curve accepts a solution off the density's branch
+    # at t = 0.231, where rho reads -0.067
+    with pytest.raises(ArithmeticError, match="negative density"):
+        build_density_curve(AlphaParam(1.8), "wishart", gamma=0.5,
+                            t_min=1e-2, t_max=1e3, points=12)
+
+
+def test_single_point_clips_roundoff_and_rejects_a_wrong_branch(monkeypatch):
+    a = AlphaParam(1.5)
+    monkeypatch.setattr(density, "_wishart_rho", lambda a, t, y: -1e-12)
+    assert density_wishart(a, 0.5, 0.7) == 0.0
+    monkeypatch.setattr(density, "_wishart_rho", lambda a, t, y: -1e-3)
+    with pytest.raises(ArithmeticError, match="negative density"):
+        density_wishart(a, 0.5, 0.7)
 
 
 def test_wishart_gamma_one_alpha_two_is_marchenko_pastur():
@@ -194,10 +271,16 @@ def test_wishart_density_positive_near_zero():
 
 
 def test_eps_schedule_shape():
-    sched = default_eps_schedule()
-    assert sched[0] == 0.5
-    assert all(b < a for a, b in zip(sched, sched[1:]))
-    assert sched[-1] >= 1e-6
+    # 0.5 and then a tenth of the last value as the floating-point product,
+    # down to the floor 1e-6: rounded literals would move single points in
+    # their last bits
+    assert EPS_SCHEDULE == (0.5, 0.05, 0.005000000000000001,
+                            0.0005000000000000001, 5.0000000000000016e-05,
+                            5.000000000000002e-06, 1e-06)
+    want = [0.5]
+    while want[-1] * 0.1 > 1e-6:
+        want.append(want[-1] * 0.1)
+    assert list(EPS_SCHEDULE) == want + [1e-6]
 
 
 def test_curve_mass_and_cdf():
@@ -233,7 +316,9 @@ def test_curve_csv_round_trip():
                      tail_exponent=1.6, symmetric=False)
     text = c.to_csv()
     side = json.loads(json.dumps(c.sidecar()))
-    back = DensityCurve.from_csv(text, side)
+    assert "eps_floor" not in side
+    # an older sidecar's eps_floor key is read past
+    back = DensityCurve.from_csv(text, {**side, "eps_floor": 1e-4})
     assert np.array_equal(back.grid, c.grid)
     assert np.array_equal(back.rho, c.rho)
     assert back.atom_at_zero == 0.5 and not back.symmetric
@@ -561,6 +646,17 @@ ATOM_XS = np.array([1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5,
                     1e-4])
 
 
+def _plain_picard(system, z, y):
+    """y <- apply(z, y) from y until the residual reaches the solver's
+    tolerance, in at most 4000 steps."""
+    for _ in range(4000):
+        fy = system.apply(z, y)
+        if system.residual(z, y, fy) <= solver.TOL:
+            return y
+        y = fy
+    raise AssertionError(f"Picard reference stalled at z={z}")
+
+
 @pytest.mark.parametrize("gamma", [0.1, 0.5])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 1.5, 1.9, 1.95])
 def test_atom_matches_seven_warm_solves(alpha, gamma):
@@ -572,11 +668,11 @@ def test_atom_matches_seven_warm_solves(alpha, gamma):
     a = AlphaParam(alpha)
     system = solver.wishart_system(a, gamma)
     walked = _imaginary_axis_walk(a, gamma)
-    sol = None
+    y = None
     for x in ATOM_XS:
-        sol = solver._solve(system, 1j * x) if sol is None \
-            else solver._picard(system, 1j * x, sol.unknowns)
-        want = h_alpha(a, sol.unknowns[1])
+        y = solver._solve(system, 1j * x).unknowns if y is None \
+            else _plain_picard(system, 1j * x, y)
+        want = h_alpha(a, y[1])
         got = h_alpha(a, walked[x].unknowns[1])
         assert abs(gamma * (got - want)) <= 1e-7, x
 

@@ -454,30 +454,47 @@ def test_jacobian_matches_central_differences(alpha, name):
                 1.0, np.max(np.abs(jac)))
 
 
-def test_cold_solve_runs_picard_once(monkeypatch):
-    """Picard runs at the contraction radius only; every later step is a
-    Newton step, so a second call would be a Picard run elsewhere.  An eps
-    path and a density curve each make one cold solve."""
-    calls = []
-    picard = solver._picard
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_newton_start_matches_plain_picard(name):
+    """At the contraction radius, where |F'| <= 1/3 keeps I - F'
+    invertible, Newton from 0 converges for every system on an alpha grid
+    over [0.1, 1.98], to the fixed point plain Picard reaches from 0."""
+    for alpha in np.linspace(0.1, 1.98, 12):
+        system = SYSTEMS[name](AlphaParam(float(alpha)))
+        zero = np.zeros(system.q, dtype=complex)
+        for z in PICARD_POINTS:
+            start = system.start_z(z)
+            got = solver._newton(system, start, zero, solver.TOL).unknowns
+            want = _plain_picard(system, start, zero)
+            assert np.max(np.abs(got - want)) \
+                <= 1e-10 * np.max(np.abs(want)), (alpha, z)
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return picard(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_picard", counted)
+def test_cold_solve_makes_one_newton_start(monkeypatch):
+    """A cold solve starts with one Newton from 0, at start_z, and every
+    later Newton corrects a prediction; an eps path and a density curve
+    each make one cold solve."""
+    starts = []
+    newton = solver._newton
+
+    def counted(system, z, y0, *args, **kwargs):
+        starts.append(z if not np.any(y0) else None)
+        return newton(system, z, y0, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_newton", counted)
     a = AlphaParam(1.2)
     for name, make in SYSTEMS.items():
         for z in (0.8 + 0.6j, -1.5 + 0.2j):
-            calls.clear()
+            starts.clear()
             system = make(a)
             solver._solve(system, z)
-            assert calls == [system.start_z(z)], (name, z)
+            assert starts[0] == system.start_z(z), (name, z)
+            assert len(starts) > 1 and not any(starts[1:]), (name, z)
     for name in ("wigner", "wishart"):
-        calls.clear()
+        starts.clear()
         system = SYSTEMS[name](a)
         continue_to_real_axis(system, 0.9, EPS_SCHEDULE)
-        assert calls == [system.start_z(0.9 + 0.5j)], name
+        assert [z for z in starts if z] == [system.start_z(0.9 + 0.5j)], name
     solves = []
     solve = solver._solve
 
@@ -487,11 +504,11 @@ def test_cold_solve_runs_picard_once(monkeypatch):
 
     monkeypatch.setattr(solver, "_solve", counted_solve)
     for model in ("wigner", "wishart"):
-        calls.clear()
+        starts.clear()
         solves.clear()
         build_density_curve(a, model, gamma=0.5, t_min=0.1, t_max=10.0,
                             points=6)
-        assert solves and calls == solves, model
+        assert solves and [z for z in starts if z] == solves, model
 
 
 def test_public_solve_calls_private_solve(monkeypatch):
