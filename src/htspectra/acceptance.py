@@ -20,6 +20,7 @@ from .density import (
     semicircle_density,
     stieltjes_band,
 )
+from .eig import distribution_distance
 from .matrices import EnsembleSpec, SigmaProfile
 from .montecarlo import (
     CampaignSpec,
@@ -98,7 +99,9 @@ def wigner_monte_carlo(t_max, points, n, trials, seed, ks_tol, threads=1):
     ens = EnsembleSpec(N=n, law=StableTailLaw(1.5), profile=CONST)
     spec = CampaignSpec(ensemble=ens, trials=trials, window=(-10.0, 10.0),
                         excluded0=0.2, master_seed=seed)
-    ks = run_campaign(spec, theory_cdf=curve.cdf(), threads=threads).report.ks
+    res = run_campaign(spec, threads=threads)
+    ks = distribution_distance(res.spectra, curve.cdf(), spec.window,
+                               excluded0=spec.excluded0).ks
     return ks <= ks_tol, f"pooled KS {ks:.4f} over {trials} trials at N={n}"
 
 
@@ -106,22 +109,20 @@ def wishart_monte_carlo(n, m, trials, seed, atom_tol, threads=1,
                         points=None, ks_tol=None):
     """Zero-mode fraction of N x M covariance spectra; with ks_tol also
     the positive-part KS against a ``points``-point theory curve."""
-    cdf = None
-    if ks_tol is not None:
-        cdf = build_density_curve(AlphaParam(1.2), "wishart", gamma=0.5,
-                                  t_min=0.02, t_max=100.0,
-                                  points=points).cdf()
     spec = CampaignSpec(
         ensemble=CovarianceParams(law=StableTailLaw(1.2), n=n, m=m),
         trials=trials, window=(0.1, 20.0), master_seed=seed)
-    res = run_campaign(spec, theory_cdf=cdf, threads=threads)
+    res = run_campaign(spec, threads=threads)
     # the zero-mode count is a per-matrix quantity; pooling first would let
     # one trial's extreme top eigenvalue set the threshold for all others
     frac = float(np.mean([atom_fraction(s) for s in res.spectra]))
     ok, detail = abs(frac - 0.5) <= atom_tol, f"atom fraction {frac:.4f}"
     if ks_tol is None:
         return ok, detail
-    ks = res.report.ks
+    cdf = build_density_curve(AlphaParam(1.2), "wishart", gamma=0.5,
+                              t_min=0.02, t_max=100.0, points=points).cdf()
+    ks = distribution_distance(res.spectra, cdf, spec.window,
+                               excluded0=spec.excluded0).ks
     return ok and ks <= ks_tol, f"{detail}, positive-part KS {ks:.4f}"
 
 

@@ -3,6 +3,9 @@
 Stieltjes transforms, densities as boundary values, the Wishart atom at
 zero, exact tail constants, and the closed-form reductions: alpha=2
 semicircle, constant-profile scaling and band-to-constant equivalence.
+Every band, Wigner and perturbed transform, and the band and Wigner
+densities -Im G(t)/pi, read the system's one Stieltjes formula
+``G`` (``solver._BandSystem``).
 Every covariance density, gamma=1 included, is solved from the pair; the
 gamma=1 identity with the constant-profile density is a test oracle.
 
@@ -98,30 +101,21 @@ def semicircle_cdf(t: float) -> float:
 # transforms
 
 
-def _band_G(a: AlphaParam, z: complex, y: np.ndarray,
-            weights: np.ndarray) -> complex:
-    hs = np.array([h_alpha(a, yi) for yi in y])
-    return complex(np.sum(weights * hs) / z)
-
-
 def stieltjes_band(a: AlphaParam, profile: SigmaProfile,
                    z: complex) -> complex:
+    """G(z) of a band profile: the system's transform at its solution."""
     system = band_system(a, profile)
     sol = solve(system, z)
-    return _band_G(a, sol.z, sol.unknowns, system.weights)
+    return system.G(sol.z, sol.unknowns)
 
 
 def stieltjes_perturbed(a: AlphaParam, profile: SigmaProfile,
                         diag: DiagonalLaw, z: complex) -> complex:
+    """G(z) of the diagonally perturbed ensemble: the perturbed system's
+    transform, one term per atom of diag, at its solution."""
     system = perturbed_system(a, profile, diag)
     sol = solve(system, z)
-    x = sol.unknowns
-    total = 0.0 + 0.0j
-    for lam, w in diag.atoms:
-        p = principal_power(lam - z, -0.5 * a.alpha)
-        hs = np.array([h_alpha(a, p * xs) for xs in x])
-        total += w / (z - lam) * complex(np.sum(system.weights * hs))
-    return total
+    return system.G(sol.z, sol.unknowns)
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +129,13 @@ def _boundary_solution(system, t: float):
     return path, polish_on_axis(system, t, path[-1].unknowns)
 
 
-def _band_rho(a: AlphaParam, weights: np.ndarray, t: float,
-              y: np.ndarray) -> float:
-    """-(1/(pi t)) sum_s Delta_s Im h(Y_s) from polished unknowns at t."""
-    hs = np.array([h_alpha(a, yi) for yi in y])
-    return float(-np.sum(weights * hs.imag) / (math.pi * t))
-
-
-def _wigner_rho(a: AlphaParam, t: float, y: np.ndarray) -> float:
-    """Constant-profile density at t > 0 from the polished unknown, by both
-    algebraically equivalent expressions, which must agree."""
+def _wigner_rho(system, t: float, y: np.ndarray) -> float:
+    """Constant-profile density -Im G(t)/pi at t > 0 from the polished
+    unknown, checked against an algebraically equivalent expression."""
+    a = system.a
     yv = y[0]
     al = a.alpha
-    expr1 = -h_alpha(a, yv).imag / (math.pi * t)
+    expr1 = -system.G(t, y).imag / math.pi
     if a.alpha_two_mode:
         i_pow = -1.0 + 0.0j
         c_abs = 1.0
@@ -190,24 +178,10 @@ def atom_at_zero_wishart(gamma: float) -> float:
 # tails
 
 
-def tail_constant(a: AlphaParam, profile: SigmaProfile,
-                  with_fit: bool = False):
-    """(alpha/2) * double integral of |sigma|^alpha, exactly.
-
-    With ``with_fit`` the t^(-alpha-1) tail law is also fitted to computed
-    densities at t in {50, 100, 200} and the worst relative discrepancy of
-    the fitted constant is returned alongside.
-    """
-    al = a.alpha
-    w, k = alpha_kernel(profile, al)
-    const = 0.5 * al * float(w @ k @ w)
-    if not with_fit:
-        return const
-    ts = np.array([50.0, 100.0, 200.0])
-    rhos = np.array([density_band(a, profile, t) for t in ts])
-    fitted = rhos * ts ** (al + 1.0)
-    disc = float(np.max(np.abs(fitted - const)) / max(const, 1e-300))
-    return const, disc
+def tail_constant(a: AlphaParam, profile: SigmaProfile) -> float:
+    """(alpha/2) * double integral of |sigma|^alpha, exactly."""
+    w, k = alpha_kernel(profile, a.alpha)
+    return 0.5 * a.alpha * float(w @ k @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +206,8 @@ class _Model:
 
 
 def _wigner_model(a, profile, gamma) -> _Model:
-    return _Model(wigner_system(a), abs,
-                  lambda t, x, y: _wigner_rho(a, x, y),
+    system = wigner_system(a)
+    return _Model(system, abs, lambda t, x, y: _wigner_rho(system, x, y),
                   0.5 * a.alpha, a.alpha + 1.0)
 
 
@@ -242,7 +216,7 @@ def _band_model(a, profile, gamma) -> _Model:
         raise ValueError("band model needs a profile")
     system = band_system(a, profile)
     return _Model(system, abs,
-                  lambda t, x, y: _band_rho(a, system.weights, x, y),
+                  lambda t, x, y: float(-system.G(x, y).imag / math.pi),
                   tail_constant(a, profile), a.alpha + 1.0)
 
 

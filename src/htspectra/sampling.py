@@ -36,12 +36,6 @@ class StableTailLaw:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    def tail(self, u: float) -> float:
-        """P(|x| >= u)."""
-        if u <= 0:
-            return 1.0
-        return min(1.0, (self.scale / u) ** self.alpha)
-
 
 @dataclass(frozen=True)
 class RngStreamSpec:

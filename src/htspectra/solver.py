@@ -40,6 +40,7 @@ from .special import (
     cone_contains,
     g_alpha,
     g_alpha_prime,
+    h_alpha,
     principal_power,
 )
 
@@ -108,8 +109,7 @@ class _System:
                  fy: Optional[np.ndarray] = None) -> float:
         if fy is None:
             fy = self.apply(z, y)
-        za = abs(principal_power(z, self._alpha()))
-        return za * float(np.max(np.abs(y - fy)))
+        return self._scale(z) * float(np.max(np.abs(y - fy)))
 
     def jacobian(self, z: complex, y: np.ndarray) -> np.ndarray:
         """Derivative of y - apply(z, y) with respect to y."""
@@ -121,15 +121,29 @@ class _System:
     def start_z(self, z_target: complex) -> complex:
         return 1j * max(self.start_radius(), abs(z_target), 1.0)
 
-    def _alpha(self) -> float:
-        return self.a.alpha
+    def _scale(self, z: complex) -> float:
+        """Residual scale |z^alpha|, which turns the gap |y - F(y)| of a
+        map with prefactor z^-alpha into the gap of its defining equation."""
+        return abs(principal_power(z, self.a.alpha))
+
+
+# the one term (w, lam, p) = (1, 0, 1) of the unperturbed systems
+_PLAIN_TERMS = ((1.0, 0.0, 1.0),)
 
 
 class _BandSystem(_System):
-    """z^alpha Y_r = C_alpha sum_s K_rs Delta_s g_alpha(Y_s), the one
-    kernel-form system: the Wigner system and a band profile are one cell,
-    the covariance pair is the two cells of ``covariance_profile(gamma)``,
-    and the perturbed system shares its cells and its start radius."""
+    """The kernel-form system with one map, Jacobian, residual and
+    Stieltjes transform, for unknowns U_s on cells of weights Delta_s:
+
+        U_r = P(z) sum_s K_rs Delta_s sum_i w_i p_i g_alpha(p_i U_s),
+        G(z, U) = sum_i w_i / (z - lam_i) sum_s Delta_s h_alpha(p_i U_s),
+
+    with the residual scale(z) max|U - F(U)|.  Here, for the band, Wigner
+    and covariance systems, P = C_alpha z^-alpha, the scale is |z^alpha|
+    and the one term is (w, lam, p) = (1, 0, 1): the Wigner system and a
+    band profile are one cell, the covariance pair is the two cells of
+    ``covariance_profile(gamma)``.  ``_PerturbedSystem`` supplies its own
+    prefactor, scale and terms."""
 
     def __init__(self, a: AlphaParam, weights: np.ndarray, kernel: np.ndarray):
         super().__init__(a)
@@ -139,31 +153,56 @@ class _BandSystem(_System):
         # kernel contracted with the cell weights
         self.kw = np.asarray(kernel, dtype=float) * self.weights[None, :]
 
+    def _terms(self, z):
+        """(P(z), terms (w_i, lam_i, p_i)) of the map at z."""
+        return self.c / principal_power(z, self.a.alpha), _PLAIN_TERMS
+
+    def _sums(self, f, terms, y, power):
+        """sum_i w_i p_i^power f(p_i U_s) for each cell s (power 1 or 2),
+        one term at a time."""
+        acc = [0.0] * self.q
+        cells = y.tolist()
+        for w, _, p in terms:
+            coef = w * p if power == 1 else w * p * p
+            for s, u in enumerate(cells):
+                acc[s] += coef * f(self.a, p * u)
+        return np.array(acc)
+
     def apply(self, z, y):
-        za = principal_power(z, self._alpha())
-        g = np.array([g_alpha(self.a, yi) for yi in y])
-        return (self.c / za) * (self.kw @ g)
+        pre, terms = self._terms(z)
+        return pre * (self.kw @ self._sums(g_alpha, terms, y, 1))
+
+    def jacobian(self, z, y):
+        pre, terms = self._terms(z)
+        d = self._sums(g_alpha_prime, terms, y, 2)
+        return np.eye(self.q) - pre * self.kw * d[None, :]
+
+    def G(self, z: complex, y: np.ndarray) -> complex:
+        """The Stieltjes transform at z from the unknowns y at z."""
+        _, terms = self._terms(z)
+        cells = y.tolist()
+        total = 0.0 + 0.0j
+        for w, lam, p in terms:
+            hs = np.array([h_alpha(self.a, p * u) for u in cells])
+            total += w / (z - lam) * complex(np.sum(self.weights * hs))
+        return total
 
     def start_radius(self):
         # Lipschitz constant of F is |z|^-alpha |C| sup|g'| max_r sum_s K Delta;
         # force it below 1/3.
         mass = float(np.max(np.sum(self.kw, axis=1)))
-        lip = abs(self.c) * cone_bound(self.a, 2.0 * self._alpha()) * mass
-        return (3.0 * max(lip, 1e-300)) ** (1.0 / self._alpha())
-
-    def jacobian(self, z, y):
-        za = principal_power(z, self._alpha())
-        gp = np.array([g_alpha_prime(self.a, yi) for yi in y])
-        return np.eye(self.q) - (self.c / za) * self.kw * gp[None, :]
+        lip = abs(self.c) * cone_bound(self.a, 2.0 * self.a.alpha) * mass
+        return (3.0 * max(lip, 1e-300)) ** (1.0 / self.a.alpha)
 
 
 class _PerturbedSystem(_BandSystem):
-    """X_r = conj(C_alpha) sum_s K_rs Delta_s
-              sum_i w_i (lam_i - z)^(-alpha/2) g_alpha((lam_i - z)^(-alpha/2) X_s),
-    the system of the diagonally perturbed ensemble; unknowns live in the
-    lower cone (phases in [-alpha pi/2, 0]).  It contracts in Im z at the
-    band start radius: |conj C| = |C| and |(lam - z)^(-alpha/2)|^2 is at
-    most Im(z)^-alpha."""
+    """The kernel-form system of the diagonally perturbed ensemble, in
+    X = (-z)^(alpha/2) Y: prefactor P = conj(C_alpha), residual scale 1
+    and one term (w_i, lam_i, (lam_i - z)^(-alpha/2)) per atom of the
+    diagonal law.  The single atom at 0 gives back the band system.  Its
+    unknowns live in the lower cone (phases in [-alpha pi/2, 0]).  It
+    contracts in Im z at the band start radius: |conj C| = |C| and
+    |(lam - z)^(-alpha/2)|^2 is at most Im(z)^-alpha."""
 
     cone = K_HAT_ALPHA
 
@@ -172,32 +211,13 @@ class _PerturbedSystem(_BandSystem):
         self.c = c_alpha_bar(a)
         self.atoms = tuple(diag.atoms)
 
-    def _phases(self, z):
-        return [(w, principal_power(lam - z, -0.5 * self._alpha()))
-                for lam, w in self.atoms]
+    def _terms(self, z):
+        half = -0.5 * self.a.alpha
+        return self.c, [(w, lam, principal_power(lam - z, half))
+                        for lam, w in self.atoms]
 
-    def apply(self, z, x):
-        ph = self._phases(z)
-        out = np.empty_like(x)
-        vals = np.empty(self.q, dtype=complex)
-        for s in range(self.q):
-            acc = 0.0 + 0.0j
-            for w, p in ph:
-                acc += w * p * g_alpha(self.a, p * x[s])
-            vals[s] = acc
-        out[:] = self.c * (self.kw @ vals)
-        return out
-
-    def residual(self, z, x, fx=None):
-        if fx is None:
-            fx = self.apply(z, x)
-        return float(np.max(np.abs(x - fx)))
-
-    def jacobian(self, z, x):
-        ph = self._phases(z)
-        d = np.array([sum(w * p * p * g_alpha_prime(self.a, p * xs)
-                          for w, p in ph) for xs in x])
-        return np.eye(self.q) - self.c * self.kw * d[None, :]
+    def _scale(self, z):
+        return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -292,27 +312,27 @@ def _log_walk(x: float, pos: float, last, before, correct):
     return last, before, pos, halvings, newton
 
 
-def _walk(system: _System, point: Callable[[float], complex],
-          predict: Callable, x: float, pos: float, last: FixedPointSolution,
+def _walk(system: _System, point: Callable[[float], complex], x: float,
+          pos: float, last: FixedPointSolution,
           before: Optional[FixedPointSolution]):
     """(last, before) with last the solution at point(x), walked by
     ``_log_walk`` from last at point(pos): each point z is ``_newton`` from
-    predict(z, last, before), and a SolverError is a failed correction.
-    When the halvings run out, point(x) takes one more ``_newton`` from
-    the prediction off the last point reached, and its SolverError is the
-    walk's."""
+    the secant prediction _secant(z, last, before), and a SolverError is a
+    failed correction.  When the halvings run out, point(x) takes one more
+    ``_newton`` from the prediction off the last point reached, and its
+    SolverError is the walk's."""
 
     def correct(at, last, before):
         z = point(at)
         try:
-            return _newton(system, z, predict(z, last, before), TOL)
+            return _newton(system, z, _secant(z, last, before), TOL)
         except SolverError:
             return None
 
     last, before, pos, _, _ = _log_walk(x, pos, last, before, correct)
     if pos != x:
         z = point(x)
-        before, last = last, _newton(system, z, predict(z, last, before), TOL)
+        before, last = last, _newton(system, z, _secant(z, last, before), TOL)
     return last, before
 
 
@@ -336,7 +356,7 @@ def _solve(system: _System, z: complex) -> FixedPointSolution:
     while CONTINUATION_FACTOR * pos >= 0.05 * abs(z):
         x = CONTINUATION_FACTOR * pos
         sol, before = _walk(system, lambda d: z + (d / dist) * (start - z),
-                            _secant, x, pos, sol, before)
+                            x, pos, sol, before)
         pos = x
     if sol.z != z:
         sol = _newton(system, z, _secant(z, sol, before), TOL)
@@ -427,8 +447,8 @@ def continue_to_real_axis(system: _System, t: float,
             if last is None:
                 last = _solve(system, t + 1j * eps)
             else:
-                last, before = _walk(system, lambda e: t + 1j * e, _secant,
-                                     eps, last.z.imag, last, before)
+                last, before = _walk(system, lambda e: t + 1j * e, eps,
+                                     last.z.imag, last, before)
         except SolverError as exc:
             exc.failure_index = i
             exc.partial_path = out
@@ -457,12 +477,13 @@ def polish_on_axis(system, t: float, y: np.ndarray,
 
 
 def find_critical_set(a: AlphaParam, box_radius: float = 6.0,
-                      seeds_per_axis: int = 12,
-                      tol: float = 1e-10) -> list:
+                      seeds_per_axis: int = 12) -> list:
     """Real points t > 0 where boundary analyticity may fail.
 
-    Newton search for y in the cone with g(y) = y g'(y); each root whose
-    t^alpha = C_alpha g'(y) is real and positive contributes t.
+    Newton search for y in the cone with g(y) = y g'(y), from a polar grid
+    of seeds in |y| <= box_radius; a seed is abandoned once its iterate
+    leaves |y| <= 10 box_radius.  Each root whose t^alpha = C_alpha g'(y)
+    is real and positive contributes t.
     """
     al = a.alpha
     half = al * math.pi / 2.0
@@ -472,7 +493,7 @@ def find_critical_set(a: AlphaParam, box_radius: float = 6.0,
         for j in range(seeds_per_axis):
             th = half * (2.0 * j / max(seeds_per_axis - 1, 1) - 1.0)
             y = r * cmath.exp(1j * th)
-            y = _newton_degenerate(a, y)
+            y = _newton_degenerate(a, y, 10.0 * box_radius)
             if y is None or not cone_contains(K_ALPHA, a, y, 1e-9):
                 continue
             if abs(y) < 1e-8:
@@ -494,7 +515,10 @@ def find_critical_set(a: AlphaParam, box_radius: float = 6.0,
     return sorted(ts)
 
 
-def _newton_degenerate(a: AlphaParam, y: complex, max_iter: int = 60):
+def _newton_degenerate(a: AlphaParam, y: complex, limit: float,
+                       max_iter: int = 60):
+    """Newton for g(y) = y g'(y) from y, or None when an iterate leaves
+    the cone or the disc |y| <= limit, or after max_iter steps."""
     from .special import g_alpha_second
 
     for _ in range(max_iter):
@@ -507,7 +531,7 @@ def _newton_degenerate(a: AlphaParam, y: complex, max_iter: int = 60):
             return None
         step = f / fp
         y_new = y - step
-        if not cone_contains(K_ALPHA, a, y_new, 0.15):
+        if abs(y_new) > limit or not cone_contains(K_ALPHA, a, y_new, 0.15):
             return None
         if abs(step) < 1e-12 * max(1.0, abs(y_new)):
             return y_new

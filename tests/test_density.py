@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,8 +97,7 @@ def test_plemelj_extrapolation_consistent():
     system = solver.band_system(a, CONST)
     path = solver.continue_to_real_axis(system, 1.3, EPS_SCHEDULE)
     eps = np.array([p.z.imag for p in path[-3:]])
-    im_g = [density._band_G(a, p.z, p.unknowns, system.weights).imag
-            for p in path[-3:]]
+    im_g = [system.G(p.z, p.unknowns).imag for p in path[-3:]]
     plemelj = -np.polynomial.polynomial.polyfit(eps, im_g, 2)[0] / math.pi
     assert eps[-1] <= 1e-5
     assert abs(density_band(a, CONST, 1.3) - plemelj) < 1e-6
@@ -115,10 +115,13 @@ def test_tail_constants_exact():
 
 
 def test_tail_fit_matches_exact_constant():
+    # the t^(-alpha-1) tail law fitted to computed densities far out
     a = AlphaParam(1.0)
-    const, disc = tail_constant(a, CONST, with_fit=True)
+    const = tail_constant(a, CONST)
     assert const == 0.5
-    assert disc < 0.05
+    ts = np.array([50.0, 100.0, 200.0])
+    fitted = np.array([density_band(a, CONST, t) for t in ts]) * ts ** 2.0
+    assert np.max(np.abs(fitted - const)) / const < 0.05
 
 
 def test_band_equals_scaled_wigner():
@@ -611,16 +614,18 @@ def _power_law(z, last, before):
 def _imaginary_axis_walk(a, gamma):
     """The Wishart pair solved down z = ix, one solver._walk per x =
     10^(k/2) from the first one at or above the contraction radius down to
-    1e-4, each predicted by the power law: {x: solution}."""
+    1e-4, each predicted by the power law in place of the walk's secant:
+    {x: solution}."""
     system = solver.wishart_system(a, gamma)
     top = math.ceil(2.0 * math.log10(system.start_radius()))
     path = [10.0 ** (k / 2.0) for k in range(top, -9, -1)]
     last, before = solver.solve(system, 1j * path[0]), None
     sols = {}
-    for x in path:
-        last, before = solver._walk(system, lambda s: 1j * s, _power_law, x,
-                                    last.z.imag, last, before)
-        sols[x] = last
+    with mock.patch.object(solver, "_secant", _power_law):
+        for x in path:
+            last, before = solver._walk(system, lambda s: 1j * s, x,
+                                        last.z.imag, last, before)
+            sols[x] = last
     return sols
 
 

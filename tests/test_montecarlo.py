@@ -5,7 +5,6 @@ import pytest
 
 from htspectra import matrices, montecarlo
 from htspectra.eig import EigenDecompositionError, EmpiricalSpectrum
-from htspectra.eig import distribution_distance
 from htspectra.matrices import (
     DiagonalLaw,
     EnsembleSpec,
@@ -75,36 +74,6 @@ def test_single_trial_equals_pool():
     spec = band_spec(trials=1)
     r = run_campaign(spec)
     assert np.array_equal(r.pooled.eigenvalues, r.spectra[0].eigenvalues)
-
-
-def test_report_and_per_trial_ks():
-    spec = band_spec(trials=3)
-
-    def cdf(t):
-        return min(1.0, max(0.0, 0.5 + t / 10.0))
-
-    r = run_campaign(spec, theory_cdf=cdf)
-    assert r.report is not None
-    assert len(r.per_trial_ks) == 3
-    assert all(0.0 <= k <= 1.0 for k in r.per_trial_ks)
-    j = r.to_json()
-    assert "pooled_ks" in j and j["aborted_trials"] == 0
-
-
-@pytest.mark.parametrize("trials", [1, 3])
-def test_theory_cdf_evaluated_once_per_grid_point(trials):
-    calls = []
-
-    def cdf(t):
-        calls.append(t)
-        return min(1.0, max(0.0, 0.5 + t / 10.0))
-
-    spec = band_spec(trials=trials)
-    r = run_campaign(spec, theory_cdf=cdf)
-    assert len(calls) == 2001          # distribution_distance's grid size
-    assert r.report == distribution_distance(r.pooled, cdf, spec.window)
-    assert r.per_trial_ks == tuple(
-        distribution_distance(s, cdf, spec.window).ks for s in r.spectra)
 
 
 def test_abort_threshold(monkeypatch):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from htspectra import solver
+from htspectra import solver, special
 from htspectra.density import build_density_curve
 from htspectra.matrices import DiagonalLaw, SigmaProfile, band_alpha_integral
 from htspectra.solver import (
@@ -34,8 +34,10 @@ from htspectra.special import (
     QuadratureError,
     QuadratureRule,
     c_alpha,
+    c_alpha_bar,
     cone_contains,
     g_alpha,
+    g_alpha_prime,
     h_alpha,
     principal_power,
 )
@@ -323,6 +325,23 @@ def test_critical_set_alpha_large_empty():
     # the boundary value is analytic on all of (0, inf)
     assert find_critical_set(AlphaParam(1.9), box_radius=4.0,
                              seeds_per_axis=6) == []
+
+
+def test_critical_set_seeds_stop_when_they_leave_the_box(monkeypatch):
+    # every seed's Newton iterate runs off to infinity; each is abandoned
+    # once it leaves |y| <= 10 box_radius instead of taking all 60 steps
+    # (3 g-evaluations each) out to |y| ~ 1e19
+    calls = 0
+    g = special.g_alpha_beta
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return g(*args, **kwargs)
+
+    monkeypatch.setattr(special, "g_alpha_beta", counted)
+    assert find_critical_set(AlphaParam(1.2)) == []
+    assert 0 < calls <= 3000
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +642,86 @@ def test_one_cell_band_matches_reference_kernel(alpha, profile):
             got = solver._solve(one, z).unknowns[0]
             want = solver._solve(ref, z).unknowns
             assert np.max(np.abs(want - got)) <= 1e-13 * abs(got)
+
+
+# ---------------------------------------------------------------------------
+# the one kernel-form map against the per-atom loops it replaced
+
+PIECEWISE2 = SigmaProfile("piecewise", breaks=(0.0, 0.4, 1.0),
+                          matrix=((1.0, 0.6), (0.6, 1.3)))
+DIAGONAL_LAWS = {
+    "two-atoms": TWO_ATOMS,
+    "delta0": DiagonalLaw(atoms=((0.0, 1.0),)),
+    "asymmetric3": DiagonalLaw(atoms=((-0.7, 0.2), (0.3, 0.5), (1.9, 0.3))),
+}
+MAP_ALPHAS = (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9)
+MAP_POINTS = (0.7 + 2.5j, -1.3 + 0.8j, 0.2 + 0.3j)
+
+
+def reference_perturbed_map(system, z, x):
+    """(F(x), I - F'(x)) of a perturbed system by its own per-atom loops,
+    X_r = conj(C) sum_s K_rs Delta_s
+          sum_i w_i p_i g(p_i X_s),  p_i = (lam_i - z)^(-alpha/2):
+    the reference the one kernel-form map must reproduce bit for bit."""
+    a = system.a
+    phases = [(w, principal_power(lam - z, -0.5 * a.alpha))
+              for lam, w in system.atoms]
+    vals = np.empty(system.q, dtype=complex)
+    for s in range(system.q):
+        acc = 0.0 + 0.0j
+        for w, p in phases:
+            acc += w * p * g_alpha(a, p * x[s])
+        vals[s] = acc
+    d = np.array([sum(w * p * p * g_alpha_prime(a, p * xs)
+                      for w, p in phases) for xs in x])
+    c = c_alpha_bar(a)
+    return c * (system.kw @ vals), np.eye(system.q) - c * system.kw * d[None, :]
+
+
+def reference_band_G(system, z, y):
+    """G(z) = (1/z) sum_s Delta_s h(Y_s) of a band, Wigner or covariance
+    system, summed on its own."""
+    hs = np.array([h_alpha(system.a, yi) for yi in y])
+    return complex(np.sum(system.weights * hs) / z)
+
+
+def reference_perturbed_G(system, z, x):
+    """G(z) = sum_i w_i/(z - lam_i) sum_s Delta_s h(p_i X_s) of a
+    perturbed system, summed atom by atom on its own."""
+    total = 0.0 + 0.0j
+    for lam, w in system.atoms:
+        p = principal_power(lam - z, -0.5 * system.a.alpha)
+        hs = np.array([h_alpha(system.a, p * xs) for xs in x])
+        total += w / (z - lam) * complex(np.sum(system.weights * hs))
+    return total
+
+
+@pytest.mark.parametrize("law", list(DIAGONAL_LAWS))
+def test_perturbed_map_matches_per_atom_reference(law):
+    # two cells, so the kernel couples distinct unknowns
+    for alpha in MAP_ALPHAS:
+        a = AlphaParam(alpha)
+        system = perturbed_system(a, PIECEWISE2, DIAGONAL_LAWS[law])
+        for z in MAP_POINTS:
+            x = solver._solve(system, z).unknowns
+            fx, jac = reference_perturbed_map(system, z, x)
+            assert np.array_equal(system.apply(z, x), fx), (alpha, z)
+            assert np.array_equal(system.jacobian(z, x), jac), (alpha, z)
+            assert system.residual(z, x) == float(np.max(np.abs(x - fx)))
+            want = reference_perturbed_G(system, z, x)
+            assert abs(system.G(z, x) - want) <= 1e-15 * abs(want)
+
+
+def test_band_G_matches_cell_sum():
+    for alpha in MAP_ALPHAS:
+        a = AlphaParam(alpha)
+        for system in (wigner_system(a), band_system(a, BAND6),
+                       band_system(a, PIECEWISE2), wishart_system(a, 0.5)):
+            for z in MAP_POINTS:
+                y = solver._solve(system, z).unknowns
+                want = reference_band_G(system, z, y)
+                assert abs(system.G(z, y) - want) <= 1e-15 * abs(want), \
+                    (alpha, z)
 
 
 def test_explicit_eps_list_is_visited_point_for_point():
