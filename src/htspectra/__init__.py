@@ -16,6 +16,7 @@ from .special import (
     cone_bound,
     cone_contains,
     g_alpha,
+    g_alpha_pair,
     g_alpha_prime,
     g_alpha_second,
     h_alpha,

@@ -448,7 +448,8 @@ def _log_secant(x: float, last, before) -> np.ndarray:
 
 def _settled(system, sol):
     """sol after one more Newton step, kept if it at least halves the
-    residual.
+    residual; the step starts from the linearization that sol's last
+    Newton step left at its unknowns.
 
     Newton stops as soon as the residual passes tol.  From a sweep
     prediction that can be a step short of the accuracy the per-point
@@ -457,7 +458,8 @@ def _settled(system, sol):
     """
     try:
         step = polish_on_axis(system, sol.z.real, sol.unknowns,
-                              tol=0.5 * sol.residual, max_iter=1)
+                              tol=0.5 * sol.residual, max_iter=1,
+                              linearization=sol.linearization)
     except SolverError:
         return sol
     return replace(step, iterations=sol.iterations + step.iterations)

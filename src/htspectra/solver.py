@@ -17,13 +17,21 @@ the path's SolverError.  The cold path walks in the distance to z, the
 eps path towards the real axis in log eps between the points of its
 schedule.  This keeps the iteration on the branch that tends to zero at
 infinity, which is the one describing the spectral measure.
+
+Each Newton step takes one linearization of the system, (F(U), I - F'(U)),
+from one ``special.g_alpha_pair`` per cell and term, which gives g and
+g' = -g_{a,2a} from one evaluation.  The step solves I - F' in closed form
+in Python complex arithmetic for one or two unknowns and by
+``np.linalg.solve`` for more; a converged solution keeps its
+linearization, so one more step from it (the real-axis sweep's settling
+step) evaluates no g at its start.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,8 +46,8 @@ from .special import (
     c_alpha_bar,
     cone_bound,
     cone_contains,
-    g_alpha,
-    g_alpha_prime,
+    g_alpha_pair,
+    g_alpha_second,
     h_alpha,
     principal_power,
 )
@@ -91,10 +99,14 @@ class FixedPointSolution:
     residual: float
     iterations: int
     cone: str = K_ALPHA
+    # (F, I - F') at the unknowns, as the last Newton step left it
+    linearization: Optional[tuple] = field(default=None, repr=False,
+                                           compare=False)
 
 
 class _System:
-    """One fixed-point system: map, residual, cone and startup radius."""
+    """One fixed-point system: linearization, residual, cone and startup
+    radius."""
 
     cone = K_ALPHA
 
@@ -102,18 +114,20 @@ class _System:
         self.a = a
         self.q = 1
 
-    def apply(self, z: complex, y: np.ndarray) -> np.ndarray:
+    def linearize(self, z: complex, y):
+        """(F(y), I - F'(y)) at z: the map at y as a sequence of q values
+        and the derivative of y - F(y) as q rows of q values."""
         raise NotImplementedError
 
-    def residual(self, z: complex, y: np.ndarray,
-                 fy: Optional[np.ndarray] = None) -> float:
+    def residual(self, z: complex, y, fy=None) -> float:
+        """scale(z) max|y - F(y)|, from F(y) when the caller has it; nan
+        when any term is nan."""
         if fy is None:
-            fy = self.apply(z, y)
-        return self._scale(z) * float(np.max(np.abs(y - fy)))
-
-    def jacobian(self, z: complex, y: np.ndarray) -> np.ndarray:
-        """Derivative of y - apply(z, y) with respect to y."""
-        raise NotImplementedError
+            fy = self.linearize(z, y)[0]
+        gaps = [abs(u - f) for u, f in zip(y, fy)]
+        # max() passes over a nan that is not first; the sum keeps it
+        gap = math.nan if math.isnan(sum(gaps)) else max(gaps)
+        return self._scale(z) * float(gap)
 
     def start_radius(self) -> float:
         raise NotImplementedError
@@ -132,8 +146,9 @@ _PLAIN_TERMS = ((1.0, 0.0, 1.0),)
 
 
 class _BandSystem(_System):
-    """The kernel-form system with one map, Jacobian, residual and
-    Stieltjes transform, for unknowns U_s on cells of weights Delta_s:
+    """The kernel-form system with one linearization (map and Jacobian),
+    residual and Stieltjes transform, for unknowns U_s on cells of weights
+    Delta_s:
 
         U_r = P(z) sum_s K_rs Delta_s sum_i w_i p_i g_alpha(p_i U_s),
         G(z, U) = sum_i w_i / (z - lam_i) sum_s Delta_s h_alpha(p_i U_s),
@@ -152,30 +167,44 @@ class _BandSystem(_System):
         self.c = c_alpha(a)
         # kernel contracted with the cell weights
         self.kw = np.asarray(kernel, dtype=float) * self.weights[None, :]
+        self.kw_rows = self.kw.tolist()
 
     def _terms(self, z):
         """(P(z), terms (w_i, lam_i, p_i)) of the map at z."""
         return self.c / principal_power(z, self.a.alpha), _PLAIN_TERMS
 
-    def _sums(self, f, terms, y, power):
-        """sum_i w_i p_i^power f(p_i U_s) for each cell s (power 1 or 2),
-        one term at a time."""
-        acc = [0.0] * self.q
-        cells = y.tolist()
+    def linearize(self, z, y):
+        """(F(U), I - F'(U)) from one ``g_alpha_pair`` per cell and term:
+        F_r = P sum_s K_rs Delta_s sum_i w_i p_i g(p_i U_s) and
+        F'_rs = P K_rs Delta_s sum_i w_i p_i^2 g'(p_i U_s), in Python
+        complex arithmetic for the one or two cells that ``_newton_step``
+        solves in closed form, and as arrays beyond."""
+        pre, terms = self._terms(z)
+        a = self.a
+        cells = [complex(u) for u in y]
+        gs = [0.0] * self.q
+        ds = [0.0] * self.q
         for w, _, p in terms:
-            coef = w * p if power == 1 else w * p * p
+            wp = w * p
+            wpp = wp * p
             for s, u in enumerate(cells):
-                acc[s] += coef * f(self.a, p * u)
-        return np.array(acc)
-
-    def apply(self, z, y):
-        pre, terms = self._terms(z)
-        return pre * (self.kw @ self._sums(g_alpha, terms, y, 1))
-
-    def jacobian(self, z, y):
-        pre, terms = self._terms(z)
-        d = self._sums(g_alpha_prime, terms, y, 2)
-        return np.eye(self.q) - pre * self.kw * d[None, :]
+                g, d = g_alpha_pair(a, p * u)
+                gs[s] += wp * g
+                ds[s] += wpp * d
+        if self.q > 2:
+            ds = np.array(ds)
+            return (pre * (self.kw @ np.array(gs)),
+                    np.eye(self.q) - pre * self.kw * ds[None, :])
+        fy = []
+        jac = []
+        for r, row in enumerate(self.kw_rows):
+            f = 0.0
+            for k, g in zip(row, gs):
+                f += k * g
+            fy.append(pre * f)
+            jac.append([float(r == s) - pre * k * d
+                        for s, (k, d) in enumerate(zip(row, ds))])
+        return fy, jac
 
     def G(self, z: complex, y: np.ndarray) -> complex:
         """The Stieltjes transform at z from the unknowns y at z."""
@@ -224,42 +253,71 @@ class _PerturbedSystem(_BandSystem):
 # generic iteration and continuation
 
 
+def _newton_step(jac, r) -> list:
+    """The solution d of jac d = r: in closed form for one or two unknowns,
+    the two by Gaussian elimination with partial pivoting, and by
+    ``np.linalg.solve`` beyond.  A singular jac raises ZeroDivisionError
+    or LinAlgError."""
+    if len(r) == 1:
+        return [r[0] / jac[0][0]]
+    if len(r) == 2:
+        (a, b), (c, d) = jac
+        r0, r1 = r
+        if abs(c) > abs(a):
+            a, b, c, d, r0, r1 = c, d, a, b, r1, r0
+        m = c / a
+        x1 = (r1 - m * r0) / (d - m * b)
+        return [(r0 - b * x1) / a, x1]
+    return np.linalg.solve(np.array(jac), np.array(r)).tolist()
+
+
 def _newton(system: _System, z: complex, y0: np.ndarray, tol: float,
-            max_steps: int = NEWTON_STEPS) -> FixedPointSolution:
-    """Newton's method for y = apply(z, y) from y0, the one iteration of
+            max_steps: int = NEWTON_STEPS,
+            linearization=None) -> FixedPointSolution:
+    """Newton's method for y = F(z, y) from y0, the one iteration of
     every path.
 
-    At the contraction radius, where |F'| <= 1/3, it converges from 0; a
-    predicted solution at z, or one at a nearby z, is close enough for
-    quadratic convergence even where the contraction factor is near one
-    (deep inside the bulk or close to the real axis).  ``iterations``
-    counts the Newton steps taken.  Raises SolverError, with the last
+    Each step takes one ``linearize`` at the iterate, (F(y), I - F'(y)),
+    whose F(y) gives the residual and whose system ``_newton_step``
+    solves; linearization, when given, is the one at y0 and saves the
+    first.  At the contraction radius, where |F'| <= 1/3, it converges
+    from 0; a predicted solution at z, or one at a nearby z, is close
+    enough for quadratic convergence even where the contraction factor is
+    near one (deep inside the bulk or close to the real axis).
+    ``iterations`` counts the Newton steps taken, and the solution keeps
+    the linearization at its unknowns.  Raises SolverError, with the last
     unknowns and residual, when the residual is still above tol after
     max_steps steps, when it is non-finite or exceeds 100 times its best
     value so far, when the root lies outside the cone, or when g fails on
     the way (then chained as the cause).
     """
-    y = np.array(y0, dtype=complex)
+    y = [complex(u) for u in y0]
     res = best = math.inf
     try:
         for steps in range(max_steps + 1):
-            fy = system.apply(z, y)
+            if linearization is None:
+                linearization = system.linearize(z, y)
+            fy, jac = linearization
             res = system.residual(z, y, fy)
             if res <= tol or steps == max_steps or not math.isfinite(res) \
                     or res > 100.0 * best:
                 break
             best = min(best, res)
-            y = y + np.linalg.solve(system.jacobian(z, y), fy - y)
+            step = _newton_step(jac, [f - u for f, u in zip(fy, y)])
+            y = [u + d for u, d in zip(y, step)]
+            linearization = None
     except (ValueError, ArithmeticError) as exc:
-        raise SolverError(f"Newton failed at z={z}: {exc}", unknowns=y,
-                          residual=res) from exc
+        raise SolverError(f"Newton failed at z={z}: {exc}",
+                          unknowns=np.array(y), residual=res) from exc
+    y = np.array(y)
     if not res <= tol:   # also when the residual is nan
         raise SolverError(
             f"no convergence at z={z}: residual {res:.3e} after {steps} "
             "Newton steps", unknowns=y, residual=res)
     _check_cone(system, y, residual=res)
     return FixedPointSolution(z=z, unknowns=y, residual=res,
-                              iterations=steps, cone=system.cone)
+                              iterations=steps, cone=system.cone,
+                              linearization=linearization)
 
 
 def _secant(z: complex, last: FixedPointSolution,
@@ -458,10 +516,11 @@ def continue_to_real_axis(system: _System, t: float,
 
 
 def polish_on_axis(system, t: float, y: np.ndarray,
-                   tol: float = 1e-13, max_iter: int = NEWTON_STEPS
-                   ) -> FixedPointSolution:
+                   tol: float = 1e-13, max_iter: int = NEWTON_STEPS,
+                   linearization=None) -> FixedPointSolution:
     """Newton solution of the defining equation at real z = t > 0, from y:
-    ``_newton`` on the real axis, in at most max_iter steps.
+    ``_newton`` on the real axis, in at most max_iter steps, reusing the
+    linearization at (t, y) when the caller has it.
 
     The boundary values extend continuously to the real axis; a few Newton
     steps turn an iterate near the axis (the end of an eps path, or a
@@ -469,7 +528,7 @@ def polish_on_axis(system, t: float, y: np.ndarray,
     machine-precision fixed point, making the algebraically equivalent
     density formulas agree at full accuracy.
     """
-    return _newton(system, complex(t), y, tol, max_iter)
+    return _newton(system, complex(t), y, tol, max_iter, linearization)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +560,13 @@ def find_critical_set(a: AlphaParam, box_radius: float = 6.0,
             roots.append(y)
     ts = []
     for y in roots:
-        val = c_alpha(a) * g_alpha_prime(a, y)
+        g, gp = g_alpha_pair(a, y)
+        val = c_alpha(a) * gp
         if val.real <= 0 or abs(val.imag) > 1e-8 * abs(val):
             continue
         t = val.real ** (1.0 / al)
         # self-check both defining equations
-        eq1 = abs(g_alpha(a, y) - y * g_alpha_prime(a, y))
+        eq1 = abs(g - y * gp)
         eq2 = abs(principal_power(t, al) - val)
         if eq1 > 1e-8 or eq2 > 1e-8 * max(1.0, abs(val)):
             continue
@@ -519,11 +579,10 @@ def _newton_degenerate(a: AlphaParam, y: complex, limit: float,
                        max_iter: int = 60):
     """Newton for g(y) = y g'(y) from y, or None when an iterate leaves
     the cone or the disc |y| <= limit, or after max_iter steps."""
-    from .special import g_alpha_second
-
     for _ in range(max_iter):
         try:
-            f = g_alpha(a, y) - y * g_alpha_prime(a, y)
+            g, gp = g_alpha_pair(a, y)
+            f = g - y * gp
             fp = -y * g_alpha_second(a, y)
         except (ValueError, ArithmeticError):
             return None

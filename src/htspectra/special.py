@@ -22,6 +22,11 @@ the level cap is reached.  The series bound is certified per rung
 pays for its coefficients and only the rungs it reaches; the factorials
 are one array, built once per process.  An explicit rule always runs that
 rule's quadrature and never the series.
+
+``g_alpha_pair`` returns g_a and its derivative g_a' = -g_{a,2a} from one
+evaluation, as every Newton step of the solvers needs both at the same
+point: each value is its own series where that certifies, and the values
+left share one tanh-sinh run whose exp per node serves both integrands.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "principal_power",
     "g_alpha_beta",
     "g_alpha",
+    "g_alpha_pair",
     "g_alpha_prime",
     "g_alpha_second",
     "h_alpha",
@@ -286,45 +292,61 @@ def _tanh_sinh_nodes(level: int):
     return x[keep], w[keep]
 
 
-def _nested_de_sums(alpha: float, beta: float, y: complex):
-    """Yield (value, mass) of the tanh-sinh rule at each level of
-    ``_DE_LEVELS`` on the transformed integral.
+def _nested_de_sums(alpha: float, beta: float, y: complex,
+                    moments=(0,)):
+    """Yield, at each level of ``_DE_LEVELS``, one (value, mass) of the
+    tanh-sinh rule per j in moments (each 0 or 1) on the transformed
+    integral of g_{alpha, beta + j alpha}.
 
-    Halving the step keeps every old node, so level k is half the level
-    k-1 sum plus the sum over the new nodes alone.  ``mass`` is the L1 mass
-    of the summed terms; its ratio to |value| measures how much
-    cancellation occurred and bounds the attainable roundoff floor.
+    All moments share the ray, the substitution and the truncation of
+    g_{alpha,beta}; the integrand of moment 1 is that of moment 0 times
+    u^(a/2), so one exp per node serves both.  Halving the step keeps
+    every old node, so level k is half the level k-1 sum plus the sum over
+    the new nodes alone.  ``mass`` is the L1 mass of the summed terms; its
+    ratio to |value| measures how much cancellation occurred and bounds
+    the attainable roundoff floor.
     """
-    pref, tanpsi, y_eff, p, v_max = _transformed_setup(alpha, beta, y)
+    psi = _rotation_angle(alpha, y)
+    pref, tanpsi, y_eff, p, v_max = _transformed_setup(alpha, beta, y, psi)
     scale = p * v_max
+    prefs = [pref if j == 0 else
+             _rotated_form(alpha, beta + alpha, y, psi)[0] for j in moments]
     rate = complex(-1.0, -tanpsi)
-    total = 0j
-    total_abs = 0.0
+    totals = [0j] * len(moments)
+    masses = [0.0] * len(moments)
     for level in _DE_LEVELS:
         x, w = _tanh_sinh_nodes(level)
         v = v_max * x
         u = v**p
-        vals = v ** (p * beta / 2.0 - 1.0) * np.exp(
-            rate * u - u ** (alpha / 2.0) * y_eff
-        )
-        total = 0.5 * total + np.dot(w, vals)
-        total_abs = 0.5 * total_abs + np.dot(w, np.abs(vals))
-        yield pref * scale * total, abs(pref) * scale * total_abs
+        u_half = u ** (alpha / 2.0)
+        vals = v ** (p * beta / 2.0 - 1.0) * np.exp(rate * u - u_half * y_eff)
+        for i, j in enumerate(moments):
+            terms = vals * u_half if j else vals
+            totals[i] = 0.5 * totals[i] + np.dot(w, terms)
+            masses[i] = 0.5 * masses[i] + np.dot(w, np.abs(terms))
+        yield [(pre * scale * total, abs(pre) * scale * mass)
+               for pre, total, mass in zip(prefs, totals, masses)]
 
 
-def _de_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule):
-    """Nested tanh-sinh quadrature, refined until two successive levels
-    agree.  Returns None when the level cap is hit (strong oscillation) so
-    the caller can fall back."""
-    prev = None
-    for cur, mass in _nested_de_sums(alpha, beta, y):
-        floor = 2e-15 * mass
-        if prev is not None and abs(cur - prev) <= floor + 0.5 * (
-            rule.abs_tol + rule.rel_tol * abs(cur)
-        ):
-            return cur
-        prev = cur
-    return None
+def _de_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule,
+             moments=(0,)) -> list:
+    """Nested tanh-sinh quadrature of g_{alpha, beta + j alpha} for j in
+    moments (see ``_nested_de_sums``): each value is the first level that
+    agrees with the level before it.  A value is None when its levels hit
+    the cap (strong oscillation), so the caller can fall back."""
+    values = [None] * len(moments)
+    prev = [None] * len(moments)
+    for sums in _nested_de_sums(alpha, beta, y, moments):
+        for i, (cur, mass) in enumerate(sums):
+            if values[i] is None:
+                if prev[i] is not None and abs(cur - prev[i]) <= (
+                        2e-15 * mass + 0.5 * (rule.abs_tol
+                                              + rule.rel_tol * abs(cur))):
+                    values[i] = cur
+                prev[i] = cur
+        if None not in values:
+            break
+    return values
 
 
 def _adaptive_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule) -> complex:
@@ -487,30 +509,54 @@ def g_alpha_beta(
         if beta == 2.0 or beta == a.alpha:
             return 1.0 / (1.0 + y)
         raise ValueError("alpha_two_mode supports beta in {alpha, 2} only")
+    return _g_moments(a, beta, y, rule, (0,))[0]
+
+
+def _g_moments(a: AlphaParam, beta: float, y: complex,
+               rule: QuadratureRule | None, moments) -> list:
+    """[g_{alpha, beta + j alpha}(y) for j in moments (each 0 or 1)]: by
+    the explicit rule when one is given, else by ``_auto_eval``."""
     _check_domain(a, y)
+    alpha = a.alpha
     if y == 0:
-        return complex(math.gamma(beta / 2.0))
+        return [complex(math.gamma((beta + j * alpha) / 2.0))
+                for j in moments]
     if rule is None:
-        return _auto_eval(a.alpha, beta, y)
-    return _adaptive_eval(a.alpha, beta, y, rule)
+        return _auto_eval(alpha, beta, y, moments)
+    return [_adaptive_eval(alpha, beta + j * alpha, y, rule)
+            for j in moments]
 
 
 _AUTO_ADAPTIVE = QuadratureRule(kind="adaptive-subdivision")
 
 
-def _auto_eval(alpha: float, beta: float, y: complex) -> complex:
-    # The default path: the power series where its bound certifies the
-    # adaptive rule's tolerance, else nested tanh-sinh, then adaptive
-    # subdivision when the tanh-sinh levels do not settle before the cap.
-    series = _series_eval(alpha, beta, y)
-    if series is not None:
-        value, bound = series
-        if bound <= _AUTO_ADAPTIVE.abs_tol + _AUTO_ADAPTIVE.rel_tol * abs(value):
-            return value
-    value = _de_eval(alpha, beta, y, _AUTO_ADAPTIVE)
-    if value is not None:
+def _certified(series):
+    """The value of a ``_series_eval`` result whose bound meets the
+    adaptive rule's tolerance, else None."""
+    if series is None:
+        return None
+    value, bound = series
+    if bound <= _AUTO_ADAPTIVE.abs_tol + _AUTO_ADAPTIVE.rel_tol * abs(value):
         return value
-    return _adaptive_eval(alpha, beta, y, _AUTO_ADAPTIVE)
+    return None
+
+
+def _auto_eval(alpha: float, beta: float, y: complex, moments) -> list:
+    # The default path for each g_{alpha, beta + j alpha}: the power
+    # series where its bound certifies the adaptive rule's tolerance, else
+    # nested tanh-sinh on the ray of g_{alpha,beta} (one run for all the
+    # moments left), then adaptive subdivision for a moment whose
+    # tanh-sinh levels do not settle before the cap.
+    values = [_certified(_series_eval(alpha, beta + j * alpha, y))
+              for j in moments]
+    todo = [i for i, value in enumerate(values) if value is None]
+    if todo:
+        quad = _de_eval(alpha, beta, y, _AUTO_ADAPTIVE,
+                        [moments[i] for i in todo])
+        for i, value in zip(todo, quad):
+            values[i] = value if value is not None else _adaptive_eval(
+                alpha, beta + moments[i] * alpha, y, _AUTO_ADAPTIVE)
+    return values
 
 
 def g_alpha(a: AlphaParam, y: complex, rule: QuadratureRule | None = None) -> complex:
@@ -521,11 +567,31 @@ def h_alpha(a: AlphaParam, y: complex, rule: QuadratureRule | None = None) -> co
     return g_alpha_beta(a, 2.0, y, rule)
 
 
-def g_alpha_prime(a: AlphaParam, y: complex, rule: QuadratureRule | None = None) -> complex:
-    """d/dy g_alpha(y) = -g_{alpha, 2 alpha}(y)."""
+def g_alpha_pair(a: AlphaParam, y: complex,
+                 rule: QuadratureRule | None = None) -> tuple:
+    """(g_alpha(y), g_alpha'(y)) from one evaluation, with
+    g_alpha' = -g_{alpha, 2 alpha}.
+
+    g is bit for bit ``g_alpha``.  On the default path each value is its
+    series where that certifies; the values left come from one nested
+    tanh-sinh run on g's ray and substitution, one exp per node for both
+    (``_nested_de_sums``), and a value whose levels do not settle from
+    adaptive subdivision alone.  An explicit rule evaluates each by that
+    rule."""
+    y = complex(y)
     if a.alpha_two_mode:
-        return -1.0 / (1.0 + complex(y)) ** 2
-    return -g_alpha_beta(a, 2.0 * a.alpha, y, rule)
+        return 1.0 / (1.0 + y), -1.0 / (1.0 + y) ** 2
+    g, g2 = _g_moments(a, a.alpha, y, rule, (0, 1))
+    return g, -g2
+
+
+def g_alpha_prime(a: AlphaParam, y: complex, rule: QuadratureRule | None = None) -> complex:
+    """d/dy g_alpha(y) = -g_{alpha, 2 alpha}(y): the second value of
+    ``g_alpha_pair``, by the same path without g."""
+    y = complex(y)
+    if a.alpha_two_mode:
+        return -1.0 / (1.0 + y) ** 2
+    return -_g_moments(a, a.alpha, y, rule, (1,))[0]
 
 
 def g_alpha_second(a: AlphaParam, y: complex, rule: QuadratureRule | None = None) -> complex:

@@ -222,11 +222,8 @@ class _ConstantMap(solver._System):
         super().__init__(a)
         self.root = np.array([root], dtype=complex)
 
-    def apply(self, z, y):
-        return self.root.copy()
-
-    def jacobian(self, z, y):
-        return np.eye(1)
+    def linearize(self, z, y):
+        return self.root.copy(), np.eye(1)
 
 
 def test_polish_raises_outside_the_cone():
@@ -245,14 +242,14 @@ def test_arithmetic_failure_becomes_solver_error(monkeypatch):
     # certified: Newton gives up, and the quadrature error of the Picard
     # fallback must surface as a SolverError chained to its cause
     system = wishart_system(AlphaParam(1.5), 0.5)
-    real = system.apply
+    real = system.linearize
 
-    def apply(z, y):
+    def linearize(z, y):
         if z.real != 0.0:
             raise QuadratureError("injected failure")
         return real(z, y)
 
-    monkeypatch.setattr(system, "apply", apply)
+    monkeypatch.setattr(system, "linearize", linearize)
     with pytest.raises(SolverError) as exc_info:
         solver._solve(system, 0.4 + 0.05j)
     assert isinstance(exc_info.value.__cause__, ArithmeticError)
@@ -265,10 +262,10 @@ def test_arithmetic_failure_at_contraction_radius_becomes_solver_error(
     # it started from, not a bare ArithmeticError
     system = wigner_system(AlphaParam(1.5))
 
-    def apply(z, y):
+    def linearize(z, y):
         raise QuadratureError("injected failure")
 
-    monkeypatch.setattr(system, "apply", apply)
+    monkeypatch.setattr(system, "linearize", linearize)
     with pytest.raises(SolverError) as exc_info:
         solver._solve(system, 0.4 + 0.05j)
     assert isinstance(exc_info.value.__cause__, QuadratureError)
@@ -415,10 +412,10 @@ PICARD_POINTS = (0.7 + 3.0j, -1.3 + 0.5j, 2.5 + 0.05j)
 
 
 def _plain_picard(system, z, y):
-    """y <- apply(z, y) from y until the residual reaches the solver's
+    """y <- F(z, y) from y until the residual reaches the solver's
     tolerance, in at most 4000 steps."""
     for _ in range(4000):
-        fy = system.apply(z, y)
+        fy = np.array(system.linearize(z, y)[0])
         if system.residual(z, y, fy) <= solver.TOL:
             return y
         y = fy
@@ -455,20 +452,24 @@ def test_newton_continuation_matches_pure_picard(alpha, name):
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 @pytest.mark.parametrize("alpha", [0.7, 1.3, 1.8])
 def test_jacobian_matches_central_differences(alpha, name):
-    """jacobian(z, y) is the derivative of y - apply(z, y); the map is
-    holomorphic, so real and imaginary steps give the same derivative."""
+    """The Jacobian of linearize(z, y) is the derivative of y - F(z, y);
+    the map is holomorphic, so real and imaginary steps give the same
+    derivative."""
     system = SYSTEMS[name](AlphaParam(alpha))
     y = solver._solve(system, 0.6 + 0.8j).unknowns
     z = 0.9 + 0.7j
-    jac = system.jacobian(z, y)
+    jac = np.array(system.linearize(z, y)[1])
     assert jac.shape == (system.q, system.q)
+
+    def apply(y):
+        return np.array(system.linearize(z, y)[0])
+
     for step in (1e-6, 1e-6j):
         for j in range(system.q):
             e = np.zeros(system.q, dtype=complex)
             e[j] = step
             up, down = y + e, y - e
-            col = ((up - system.apply(z, up)) - (down - system.apply(z, down))) \
-                / (2.0 * step)
+            col = ((up - apply(up)) - (down - apply(down))) / (2.0 * step)
             assert np.max(np.abs(col - jac[:, j])) <= 1e-7 * max(
                 1.0, np.max(np.abs(jac)))
 
@@ -599,7 +600,7 @@ def test_eps_walk_failed_correction_halves_the_step(monkeypatch):
 def test_eps_walk_spent_halvings_raise_with_the_partial_path(monkeypatch):
     system = wigner_system(AlphaParam(1.5))
     want = continue_to_real_axis(system, 1.2, EPS_SCHEDULE)
-    apply = system.apply
+    linearize = system.linearize
     tries = []
 
     def failing(z, y):
@@ -607,9 +608,9 @@ def test_eps_walk_spent_halvings_raise_with_the_partial_path(monkeypatch):
         if 0.05 <= z.imag < 0.5:
             tries.append(z.imag)
             raise FloatingPointError("injected failure")
-        return apply(z, y)
+        return linearize(z, y)
 
-    monkeypatch.setattr(system, "apply", failing)
+    monkeypatch.setattr(system, "linearize", failing)
     with pytest.raises(SolverError) as info:
         continue_to_real_axis(system, 1.2, EPS_SCHEDULE)
     # the first try and SWEEP_HALVINGS halvings, then one last Newton at
@@ -674,8 +675,15 @@ def reference_perturbed_map(system, z, x):
         vals[s] = acc
     d = np.array([sum(w * p * p * g_alpha_prime(a, p * xs)
                       for w, p in phases) for xs in x])
+    # combined in Python complex arithmetic, as the map combines them:
+    # numpy's vectorised complex product can fuse multiply-adds and differ
+    # from it in the last bit
     c = c_alpha_bar(a)
-    return c * (system.kw @ vals), np.eye(system.q) - c * system.kw * d[None, :]
+    kw, vals, d = system.kw.tolist(), vals.tolist(), d.tolist()
+    fx = [c * sum(k * v for k, v in zip(row, vals)) for row in kw]
+    jac = [[float(r == s) - c * k * d[s] for s, k in enumerate(row)]
+           for r, row in enumerate(kw)]
+    return np.array(fx), np.array(jac)
 
 
 def reference_band_G(system, z, y):
@@ -705,9 +713,13 @@ def test_perturbed_map_matches_per_atom_reference(law):
         for z in MAP_POINTS:
             x = solver._solve(system, z).unknowns
             fx, jac = reference_perturbed_map(system, z, x)
-            assert np.array_equal(system.apply(z, x), fx), (alpha, z)
-            assert np.array_equal(system.jacobian(z, x), jac), (alpha, z)
-            assert system.residual(z, x) == float(np.max(np.abs(x - fx)))
+            got_fx, got_jac = system.linearize(z, x)
+            assert np.array_equal(got_fx, fx), (alpha, z)
+            assert np.array_equal(got_jac, jac), (alpha, z)
+            # |.| of Python complexes, which is hypot like the residual's;
+            # numpy's vectorised abs can differ from it in the last bit
+            assert system.residual(z, x) == max(
+                abs(u - f) for u, f in zip(x.tolist(), fx.tolist()))
             want = reference_perturbed_G(system, z, x)
             assert abs(system.G(z, x) - want) <= 1e-15 * abs(want)
 
@@ -741,19 +753,16 @@ def test_eps_path_rejects_t_off_the_positive_axis():
 
 
 class _ExpandingSystem(solver._System):
-    """y = apply(z, y) with root 0 and a Jacobian ten times too small, so
-    every Newton step multiplies y by -9; counts its apply calls."""
+    """y = F(z, y) with root 0 and a Jacobian ten times too small, so
+    every Newton step multiplies y by -9; counts its linearize calls."""
 
     def __init__(self):
         super().__init__(AlphaParam(1.0))
         self.applied = 0
 
-    def apply(self, z, y):
+    def linearize(self, z, y):
         self.applied += 1
-        return np.zeros_like(y)
-
-    def jacobian(self, z, y):
-        return 0.1 * np.eye(self.q)
+        return np.zeros(len(y)), 0.1 * np.eye(self.q)
 
 
 def test_polish_gives_up_when_the_residual_grows():
@@ -766,3 +775,112 @@ def test_polish_gives_up_when_the_residual_grows():
     err = info.value
     assert err.residual > 100.0
     assert np.array_equal(np.abs(err.unknowns), [err.residual])
+
+
+# ---------------------------------------------------------------------------
+# one linearization per Newton step, its step in closed form
+
+
+def _step_systems():
+    """(I - F'(U), U - F(U)) of the one- and two-unknown systems at solved
+    and perturbed unknowns, over alpha and z."""
+    for alpha in (0.5, 1.0, 1.5, 1.9):
+        a = AlphaParam(alpha)
+        for system in (wigner_system(a), wishart_system(a, 0.5),
+                       band_system(a, PIECEWISE2)):
+            for z in MAP_POINTS:
+                y = solver._solve(system, z).unknowns * (1.0 + 0.05j)
+                fy, jac = system.linearize(z, y)
+                yield jac, [f - u for f, u in zip(fy, y.tolist())]
+
+
+def test_closed_form_step_matches_linalg_solve():
+    rng = np.random.default_rng(7)
+    cases = list(_step_systems())
+    for q in (1, 2):
+        # random systems, pivoting included: cond below 10
+        while sum(len(r) == q for _, r in cases) < 60:
+            m = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+            if np.linalg.cond(m) < 10.0:
+                r = rng.normal(size=q) + 1j * rng.normal(size=q)
+                cases.append((m.tolist(), r.tolist()))
+    for jac, r in cases:
+        want = np.linalg.solve(np.array(jac), np.array(r))
+        got = np.array(solver._newton_step(jac, r))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_singular_step_is_an_arithmetic_error():
+    # _newton turns it into a SolverError like every failure of a step
+    for jac in ([[0j]], [[0j, 1.0], [0j, 2.0]]):
+        with pytest.raises(ArithmeticError):
+            solver._newton_step(jac, [1.0] * len(jac))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_one_pair_per_cell_and_term_per_newton_step(monkeypatch, name):
+    """A solve linearizes once per Newton step, with one g_alpha_pair per
+    cell and term, and evaluates no g or g' of its own: every g of the
+    solve is one of a pair's moments (0, 1)."""
+    system = SYSTEMS[name](AlphaParam(1.3))
+    terms = len(system._terms(1j)[1])
+    pairs, moments, newtons, linearized = [], [], [], []
+    pair = solver.g_alpha_pair
+    g_moments = special._g_moments
+    newton = solver._newton
+    linearize = system.linearize
+
+    def counted_pair(*args, **kwargs):
+        pairs.append(None)
+        return pair(*args, **kwargs)
+
+    def counted_moments(a, beta, y, rule, js):
+        moments.append(tuple(js))
+        return g_moments(a, beta, y, rule, js)
+
+    def counted_newton(*args, **kwargs):
+        sol = newton(*args, **kwargs)
+        newtons.append(sol.iterations + 1)
+        return sol
+
+    def counted_linearize(z, y):
+        linearized.append(None)
+        return linearize(z, y)
+
+    monkeypatch.setattr(solver, "g_alpha_pair", counted_pair)
+    monkeypatch.setattr(special, "_g_moments", counted_moments)
+    monkeypatch.setattr(solver, "_newton", counted_newton)
+    monkeypatch.setattr(system, "linearize", counted_linearize)
+    solver._solve(system, 0.8 + 0.6j)
+    assert len(linearized) == sum(newtons) > len(newtons)
+    assert len(pairs) == len(linearized) * system.q * terms
+    assert moments == [(0, 1)] * len(pairs)
+
+
+def test_settling_step_reuses_the_last_linearization(monkeypatch):
+    # the sweep's extra Newton step starts from the (F, I - F') that the
+    # polish left at its unknowns: one linearization, at the new point,
+    # and the same step as from a fresh one
+    system = wishart_system(AlphaParam(1.5), 0.5)
+    path = continue_to_real_axis(system, 1.2, [0.3, 0.1, 0.03, 0.01, 3e-3])
+    # a loose tolerance stops Newton a step short of roundoff
+    sol = polish_on_axis(system, 1.2, path[-1].unknowns, tol=1e-6)
+    assert sol.residual > 1e-12
+    assert sol.linearization == system.linearize(sol.z, sol.unknowns)
+    calls = []
+    linearize = system.linearize
+
+    def counted(z, y):
+        calls.append(z)
+        return linearize(z, y)
+
+    monkeypatch.setattr(system, "linearize", counted)
+    from htspectra import density
+
+    settled = density._settled(system, sol)
+    assert calls == [sol.z]
+    fresh = polish_on_axis(system, 1.2, sol.unknowns,
+                           tol=0.5 * sol.residual, max_iter=1)
+    assert np.array_equal(settled.unknowns, fresh.unknowns)
+    assert settled.residual == fresh.residual < 0.5 * sol.residual
+    assert settled.iterations == sol.iterations + 1

@@ -27,6 +27,7 @@ from htspectra.special import (
     cone_contains,
     g_alpha,
     g_alpha_beta,
+    g_alpha_pair,
     g_alpha_prime,
     g_alpha_second,
     h_alpha,
@@ -206,7 +207,7 @@ def _scratch_level_sum(alpha, beta, y, level):
 ])
 def test_nested_levels_match_scratch_sums(alpha, beta, y):
     nested = itertools.islice(special._nested_de_sums(alpha, beta, y), 4)
-    for level, (value, _) in zip((3, 4, 5, 6), nested):
+    for level, [(value, _)] in zip((3, 4, 5, 6), nested):
         ref = _scratch_level_sum(alpha, beta, y, level)
         assert abs(value - ref) <= 1e-14 * abs(ref)
 
@@ -322,7 +323,7 @@ def _certified(alpha, beta, y):
 
 
 def _quadrature(alpha, beta, y):
-    value = special._de_eval(alpha, beta, y, special._AUTO_ADAPTIVE)
+    value, = special._de_eval(alpha, beta, y, special._AUTO_ADAPTIVE)
     if value is None:
         value = special._adaptive_eval(alpha, beta, y, special._AUTO_ADAPTIVE)
     return value
@@ -484,3 +485,127 @@ def test_steep_middle_ray_matches_frozen_values(alpha, r, vr, vi):
     want = complex(vr, vi)
     got = g_alpha_beta(AlphaParam(alpha), 3.0 * alpha, y)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# g and g' from one evaluation
+
+
+def _cone_grid():
+    """(a, y) of ``test_default_path_agrees_with_adaptive_rule``: radii
+    0.01 to 30 at angles up to 0.95 of the cone edge."""
+    for al in (0.5, 1.0, 1.5, 1.9):
+        for r in (0.01, 0.5, 5.0, 30.0):
+            for frac in (-0.95, -0.5, 0.0, 0.5, 0.95):
+                yield AlphaParam(al), r * cmath.exp(1j * frac * al * math.pi
+                                                    / 2.0)
+
+
+def test_pair_g_is_g_alpha_bit_for_bit():
+    for a, y in _cone_grid():
+        g, _ = g_alpha_pair(a, y)
+        assert g == g_alpha(a, y), (a.alpha, y)
+
+
+def test_pair_derivative_matches_g_alpha_two_alpha():
+    # bit for bit where the series of g_{a,2a} certifies; elsewhere the
+    # pair integrates g' on g's substitution, so it agrees with the
+    # adaptive rule as the default path of g_{a,2a} does
+    oracle = QuadratureRule(kind="adaptive-subdivision", abs_tol=5e-12,
+                            rel_tol=5e-12)
+    series = quadrature = 0
+    for a, y in _cone_grid():
+        _, gp = g_alpha_pair(a, y)
+        assert gp == g_alpha_prime(a, y)
+        if _certified(a.alpha, 2.0 * a.alpha, y):
+            series += 1
+            assert gp == -g_alpha_beta(a, 2.0 * a.alpha, y), (a.alpha, y)
+        else:
+            quadrature += 1
+            ref = -g_alpha_beta(a, 2.0 * a.alpha, y, oracle)
+            assert abs(gp - ref) <= 1e-11 * (1.0 + abs(ref)), (a.alpha, y)
+    assert series and quadrature
+
+
+def test_pair_at_zero_and_in_alpha_two_mode():
+    for alpha in (0.5, 1.2, 1.9):
+        a = AlphaParam(alpha)
+        assert g_alpha_pair(a, 0.0) == (g_alpha(a, 0.0),
+                                        -g_alpha_beta(a, 2.0 * alpha, 0.0))
+        assert g_alpha_pair(a, 0.0)[1] == -math.gamma(alpha)
+    a = AlphaParam(2.0, alpha_two_mode=True)
+    for y in (0.0, 0.5, 1.0 + 2.0j, -0.3 + 0.1j):
+        g, gp = g_alpha_pair(a, y)
+        assert g == g_alpha(a, y) == 1.0 / (1.0 + y)
+        assert gp == g_alpha_prime(a, y) == -1.0 / (1.0 + y) ** 2
+
+
+def test_pair_with_explicit_rule_runs_the_rule():
+    a = AlphaParam(1.3)
+    y = 0.3 + 0.2j
+    rule = QuadratureRule()
+    assert g_alpha_pair(a, y, rule) == (
+        g_alpha(a, y, rule), -g_alpha_beta(a, 2.0 * a.alpha, y, rule))
+
+
+def test_pair_falls_back_per_value(monkeypatch):
+    # off the series both values share the tanh-sinh levels; a value whose
+    # levels do not settle, here g' alone, goes to adaptive subdivision
+    # alone, and g keeps its tanh-sinh value
+    alpha = 1.5
+    a = AlphaParam(alpha)
+    y = 4.0 * cmath.exp(0.5j * alpha * math.pi / 2.0)
+    assert not _certified(alpha, alpha, y)
+    assert not _certified(alpha, 2.0 * alpha, y)
+    de_eval = special._de_eval
+    adaptive = special._adaptive_eval
+    runs, betas = [], []
+
+    def unsettled_derivative(alpha, beta, y, rule, moments=(0,)):
+        runs.append(tuple(moments))
+        return [None if j else v
+                for j, v in zip(moments, de_eval(alpha, beta, y, rule,
+                                                 moments))]
+
+    def counted(alpha, beta, y, rule):
+        betas.append(beta)
+        return adaptive(alpha, beta, y, rule)
+
+    monkeypatch.setattr(special, "_de_eval", unsettled_derivative)
+    monkeypatch.setattr(special, "_adaptive_eval", counted)
+    g, gp = g_alpha_pair(a, y)
+    assert runs == [(0, 1)]
+    assert betas == [2.0 * alpha]
+    assert g == g_alpha(a, y)
+    assert gp == -adaptive(alpha, 2.0 * alpha, y, special._AUTO_ADAPTIVE)
+
+
+
+def test_derivative_alone_evaluates_no_g(monkeypatch):
+    # g_alpha_prime takes the pair's path for g' only: off the series one
+    # tanh-sinh run of moment 1, and with an explicit rule one integral
+    alpha = 1.5
+    a = AlphaParam(alpha)
+    y = 4.0 * cmath.exp(0.5j * alpha * math.pi / 2.0)
+    assert not _certified(alpha, 2.0 * alpha, y)
+    de_eval = special._de_eval
+    adaptive = special._adaptive_eval
+    runs, betas = [], []
+
+    def counted_de(alpha, beta, y, rule, moments=(0,)):
+        runs.append(tuple(moments))
+        return de_eval(alpha, beta, y, rule, moments)
+
+    def counted(alpha, beta, y, rule):
+        betas.append(beta)
+        return adaptive(alpha, beta, y, rule)
+
+    monkeypatch.setattr(special, "_de_eval", counted_de)
+    monkeypatch.setattr(special, "_adaptive_eval", counted)
+    assert g_alpha_prime(a, y) == g_alpha_pair(a, y)[1]
+    assert runs == [(1,), (0, 1)]
+    rule = QuadratureRule()
+    betas.clear()
+    assert g_alpha_prime(a, y, rule) == -adaptive(alpha, 2.0 * alpha, y,
+                                                  rule)
+    assert betas == [2.0 * alpha]
