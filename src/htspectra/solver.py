@@ -18,6 +18,13 @@ eps path towards the real axis in log eps between the points of its
 schedule.  This keeps the iteration on the branch that tends to zero at
 infinity, which is the one describing the spectral measure.
 
+Every returned solution has residual at most TOL.  The cold path's
+stepping stones, its Newton start and the walk points before z, stop at
+the looser PATH_TOL: each only seeds a secant prediction whose error at
+the next point is far above PATH_TOL, so converging it further buys the
+target nothing.  Every point of an eps path and of a polish is returned,
+so each keeps its own target.
+
 Each Newton step takes one linearization of the system, (F(U), I - F'(U)),
 from one ``special.g_alpha_pair`` per cell and term, which gives g and
 g' = -g_{a,2a} from one evaluation.  The step solves I - F' in closed form
@@ -90,6 +97,10 @@ NEWTON_STEPS = 12
 SWEEP_HALVINGS = 3
 # residual target of every solve off the real axis
 TOL = 1e-12
+# residual target of the cold path's stepping stones, the Newton start and
+# the walk points before z, which only seed the secant prediction of the
+# next point
+PATH_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -372,30 +383,30 @@ def _log_walk(x: float, pos: float, last, before, correct):
 
 def _walk(system: _System, point: Callable[[float], complex], x: float,
           pos: float, last: FixedPointSolution,
-          before: Optional[FixedPointSolution]):
+          before: Optional[FixedPointSolution], tol: float = TOL):
     """(last, before) with last the solution at point(x), walked by
-    ``_log_walk`` from last at point(pos): each point z is ``_newton`` from
-    the secant prediction _secant(z, last, before), and a SolverError is a
-    failed correction.  When the halvings run out, point(x) takes one more
-    ``_newton`` from the prediction off the last point reached, and its
-    SolverError is the walk's."""
+    ``_log_walk`` from last at point(pos): each point z is ``_newton`` to
+    residual tol from the secant prediction _secant(z, last, before), and a
+    SolverError is a failed correction.  When the halvings run out,
+    point(x) takes one more ``_newton`` to tol from the prediction off the
+    last point reached, and its SolverError is the walk's."""
 
     def correct(at, last, before):
         z = point(at)
         try:
-            return _newton(system, z, _secant(z, last, before), TOL)
+            return _newton(system, z, _secant(z, last, before), tol)
         except SolverError:
             return None
 
     last, before, pos, _, _ = _log_walk(x, pos, last, before, correct)
     if pos != x:
         z = point(x)
-        before, last = last, _newton(system, z, _secant(z, last, before), TOL)
+        before, last = last, _newton(system, z, _secant(z, last, before), tol)
     return last, before
 
 
 def _solve(system: _System, z: complex) -> FixedPointSolution:
-    """The decaying-branch solution at z.
+    """The decaying-branch solution at z, to residual TOL.
 
     The path starts with ``_newton`` from 0 at the contraction radius
     ``start_z(z)``, where the map contracts by 1/3.  It then heads
@@ -403,18 +414,23 @@ def _solve(system: _System, z: complex) -> FixedPointSolution:
     point to point, each point reached by ``_walk`` with the secant
     predictor, until the next one would lie within 0.05|z| of z; the last
     step, to z itself, is one ``_newton`` from the secant through the last
-    two solutions.
+    two solutions.  The points before z, the start among them, are
+    corrected only to PATH_TOL: each seeds a prediction whose error at the
+    next point is far larger, so a tighter correction buys the target
+    nothing.  A start that is z itself is corrected to TOL.  Every point
+    passes the cone check and the divergence guards of ``_newton``.
     """
     if z.imag <= 0:
         raise ValueError("z must lie in the open upper half-plane")
     start = system.start_z(z)
-    sol = _newton(system, start, np.zeros(system.q, dtype=complex), TOL)
+    sol = _newton(system, start, np.zeros(system.q, dtype=complex),
+                  TOL if start == z else PATH_TOL)
     pos = dist = abs(start - z)
     before = None
     while CONTINUATION_FACTOR * pos >= 0.05 * abs(z):
         x = CONTINUATION_FACTOR * pos
         sol, before = _walk(system, lambda d: z + (d / dist) * (start - z),
-                            x, pos, sol, before)
+                            x, pos, sol, before, PATH_TOL)
         pos = x
     if sol.z != z:
         sol = _newton(system, z, _secant(z, sol, before), TOL)

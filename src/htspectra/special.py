@@ -25,8 +25,10 @@ rule's quadrature and never the series.
 
 ``g_alpha_pair`` returns g_a and its derivative g_a' = -g_{a,2a} from one
 evaluation, as every Newton step of the solvers needs both at the same
-point: each value is its own series where that certifies, and the values
-left share one tanh-sinh run whose exp per node serves both integrands.
+point: on the series both come from one pass of Horner's rule with
+derivative over the coefficients of g_a, with one rung certificate that
+bounds each, and the values the series does not certify share one
+tanh-sinh run whose exp per node serves both integrands.
 """
 
 from __future__ import annotations
@@ -405,7 +407,9 @@ class _SeriesTable:
     mono: np.ndarray        # k >= k_mono, where that bound decreases in k
     weight: np.ndarray      # roundoff of term k, in ulps
     tol: float              # the adaptive rule's tolerance on the cone
+    slope_tol: float        # the same for g_{a,b+a}
     rungs: dict             # rung -> (terms, bound), certified on first use
+    slopes: dict            # rung -> bound of the derivative's sum, or inf
 
 
 @lru_cache(maxsize=64)
@@ -424,8 +428,10 @@ def _series_table(alpha: float, beta: float) -> _SeriesTable:
     k, x = k[x < 171.0], x[x < 171.0]
     if not len(k):   # Gamma(beta/2) overflows: quadrature decides
         empty = np.empty(0)
-        return _SeriesTable([], empty, empty, empty, empty, empty, 0.0, {
-            rung: (0, math.inf) for rung in range(_RUNG_MIN, _RUNG_MAX + 1)})
+        every = range(_RUNG_MIN, _RUNG_MAX + 1)
+        return _SeriesTable([], empty, empty, empty, empty, empty, 0.0, 0.0,
+                            {rung: (0, math.inf) for rung in every},
+                            dict.fromkeys(every, math.inf))
     from scipy.special import digamma, gamma
 
     coef = gamma(x) / _FACTORIALS[:len(k)]
@@ -444,20 +450,36 @@ def _series_table(alpha: float, beta: float) -> _SeriesTable:
     # |g| <= cone_bound on K_alpha, so a rung whose bound exceeds the
     # tolerance there can never certify; it gets 0 terms and its calls go
     # straight to quadrature.
-    tol = _AUTO_ADAPTIVE.abs_tol + _AUTO_ADAPTIVE.rel_tol * cone_bound(
-        AlphaParam(alpha), beta)
+    a = AlphaParam(alpha)
+    rule = _AUTO_ADAPTIVE
+    tol = rule.abs_tol + rule.rel_tol * cone_bound(a, beta)
+    slope_tol = rule.abs_tol + rule.rel_tol * cone_bound(a, beta + alpha)
     return _SeriesTable(coef[::-1].tolist(), np.log(coef), k, ratio,
-                        k >= k_mono, weight, tol, {})
+                        k >= k_mono, weight, tol, slope_tol, {}, {})
 
 
-def _certify_rung(table: _SeriesTable, rung: int) -> tuple[int, float]:
-    """(terms, bound) of rung R = 2^(rung/8): the fewest terms whose tail is
-    below one unit of roundoff on the mass summed so far, or 0 terms where
-    no count reaches that or the bound exceeds the table's tolerance."""
+def _certify_rung(table: _SeriesTable, rung: int) -> tuple[int, float,
+                                                           float]:
+    """(terms, bound, slope bound) of rung R = 2^(rung/8): the fewest terms
+    n whose tail is below one unit of roundoff on the mass summed so far,
+    or 0 terms where no count reaches that or the bound exceeds the table's
+    tolerance; and the bound of the derivative summed on terms 1..n, inf
+    where it exceeds the tolerance of g_{a,b+a}.
+
+    The derivative's term k is k c_k R^(k-1).  Its ratio to the term
+    before is Wendel's ratio times (k+1)/k, which also decreases in k, so
+    its tail after term n is at most n c_n R^(n-1) rho'/(1-rho') with
+    rho' = rho (n+1)/n.  It takes one term more than the value because its
+    mass starts at c_1, not c_0: at small |y| the value's last term is
+    far above roundoff on the derivative's mass.  Along Horner's rule with
+    derivative, term k of the derivative is k paths of k-1 complex
+    products and at most k+1 sums each, so the roundoff weight of term k
+    of the value covers it."""
     log_r = rung * (math.log(2.0) / _RUNGS_PER_OCTAVE)
     # terms beyond e^600 can never certify; the cap keeps every sum finite
     size = np.exp(np.minimum(table.log_coef + table.k * log_r, 600.0))
-    rho = table.ratio * np.exp(log_r)
+    r = math.exp(log_r)
+    rho = table.ratio * r
     ok = (rho < 1.0) & table.mono
     rho = np.where(ok, rho, 0.0)
     tail = np.where(ok, size * rho / (1.0 - rho), np.inf)
@@ -465,14 +487,29 @@ def _certify_rung(table: _SeriesTable, rung: int) -> tuple[int, float]:
     n = int(reached[0]) + 1 if len(reached) else 0
     bound = float(_UNIT_ROUNDOFF * np.dot(size[:n], table.weight[:n])
                   + tail[max(n - 1, 0)])
-    return (n if bound <= table.tol else 0), bound
+    if bound > table.tol:
+        return 0, bound, math.inf
+    slope = math.inf
+    if 0 < n < len(size) and ok[n] and rho[n] * (n + 1) < n:
+        last = rho[n] * (n + 1) / n
+        slope = (_UNIT_ROUNDOFF * np.dot(table.k[:n + 1] * size[:n + 1],
+                                         table.weight[:n + 1])
+                 + n * size[n] * last / (1.0 - last)) / r
+    return n, bound, float(slope) if slope <= table.slope_tol else math.inf
 
 
-def _series_eval(alpha: float, beta: float, y: complex):
+def _series_eval(alpha: float, beta: float, y: complex, slope=False):
     """(value, bound) of the power series sum_k c_k (-y)^k by Horner's
     rule, with the error bound of the smallest rung R >= |y|, or None where
     that rung cannot certify the adaptive rule's tolerance on the cone.
-    A rung is certified the first time a call lands on it."""
+    A rung is certified the first time a call lands on it.
+
+    With slope, (value, bound, next, next bound) from one pass of Horner's
+    rule with derivative: next is g_{alpha, beta+alpha} = -d/dy
+    g_{alpha,beta} = sum_k (k+1) c_{k+1} (-y)^k, as (k+1) c_{k+1} is the
+    coefficient c_k of beta + alpha, summed to one term beyond the value
+    (see ``_certify_rung``).  Its bound is inf where the rung does not
+    certify it.  The value is bit for bit the one without slope."""
     table = _series_table(alpha, beta)
     rung = max(_RUNG_MIN, math.ceil(_RUNGS_PER_OCTAVE * math.log2(abs(y))))
     if rung > _RUNG_MAX:
@@ -480,14 +517,26 @@ def _series_eval(alpha: float, beta: float, y: complex):
     try:
         n, bound = table.rungs[rung]
     except KeyError:
-        n, bound = table.rungs[rung] = _certify_rung(table, rung)
+        n, bound, table.slopes[rung] = _certify_rung(table, rung)
+        table.rungs[rung] = n, bound
     if n == 0:
         return None
     minus_y = -y
-    value = 0j
-    for c in table.reversed_coef[-n:]:
+    coef = table.reversed_coef
+    if not slope:
+        value = 0j
+        for c in coef[-n:]:
+            value = value * minus_y + c
+        return value, bound
+    # the first step of the value's loop, with the derivative started at
+    # its term n, n c_n, which the value does not sum
+    terms = iter(coef[-n:])
+    value = 0j * minus_y + next(terms)
+    deriv = n * coef[-n - 1] if n < len(coef) else 0.0
+    for c in terms:
+        deriv = deriv * minus_y + value
         value = value * minus_y + c
-    return value, bound
+    return value, bound, deriv, table.slopes[rung]
 
 
 def _check_domain(a: AlphaParam, y: complex) -> None:
@@ -543,11 +592,13 @@ def _certified(series):
 
 def _auto_eval(alpha: float, beta: float, y: complex, moments) -> list:
     # The default path for each g_{alpha, beta + j alpha}: the power
-    # series where its bound certifies the adaptive rule's tolerance, else
-    # nested tanh-sinh on the ray of g_{alpha,beta} (one run for all the
-    # moments left), then adaptive subdivision for a moment whose
+    # series of g_{alpha,beta} where its bound certifies the adaptive
+    # rule's tolerance, moment 1 from the derivative of the same pass,
+    # else nested tanh-sinh on the ray of g_{alpha,beta} (one run for all
+    # the moments left), then adaptive subdivision for a moment whose
     # tanh-sinh levels do not settle before the cap.
-    values = [_certified(_series_eval(alpha, beta + j * alpha, y))
+    series = _series_eval(alpha, beta, y, 1 in moments)
+    values = [None if series is None else _certified(series[2 * j:2 * j + 2])
               for j in moments]
     todo = [i for i, value in enumerate(values) if value is None]
     if todo:
@@ -572,12 +623,15 @@ def g_alpha_pair(a: AlphaParam, y: complex,
     """(g_alpha(y), g_alpha'(y)) from one evaluation, with
     g_alpha' = -g_{alpha, 2 alpha}.
 
-    g is bit for bit ``g_alpha``.  On the default path each value is its
-    series where that certifies; the values left come from one nested
-    tanh-sinh run on g's ray and substitution, one exp per node for both
-    (``_nested_de_sums``), and a value whose levels do not settle from
-    adaptive subdivision alone.  An explicit rule evaluates each by that
-    rule."""
+    g is bit for bit ``g_alpha`` and g' bit for bit ``g_alpha_prime``.  On
+    the default path both come from one pass of Horner's rule with
+    derivative over the series of g, each value where its own rung bound
+    certifies it (see ``_certify_rung``), so g stays on its series wherever
+    that certifies g alone; the series of g_{alpha, 2 alpha} is never
+    built.  The values left come from one nested tanh-sinh run on g's ray
+    and substitution, one exp per node for both (``_nested_de_sums``), and
+    a value whose levels do not settle from adaptive subdivision alone.  An
+    explicit rule evaluates each by that rule."""
     y = complex(y)
     if a.alpha_two_mode:
         return 1.0 / (1.0 + y), -1.0 / (1.0 + y) ** 2
@@ -587,7 +641,8 @@ def g_alpha_pair(a: AlphaParam, y: complex,
 
 def g_alpha_prime(a: AlphaParam, y: complex, rule: QuadratureRule | None = None) -> complex:
     """d/dy g_alpha(y) = -g_{alpha, 2 alpha}(y): the second value of
-    ``g_alpha_pair``, by the same path without g."""
+    ``g_alpha_pair``, by the same path; off the series it integrates g'
+    alone."""
     y = complex(y)
     if a.alpha_two_mode:
         return -1.0 / (1.0 + y) ** 2

@@ -509,8 +509,8 @@ def test_wishart_gap_sweep_point_records():
     curve = _curve("wishart", AlphaParam(1.5), 1e-2, 1e4, 16)
     got = [(p.method, p.halvings, p.newton_iterations) for p in curve.points]
     assert got == [("sweep", 0, 7), ("sweep", 0, 6), ("sweep", 1, 10),
-                   ("sweep", 1, 12), ("sweep", 0, 5), ("sweep", 0, 4),
-                   ("sweep", 0, 5), ("sweep", 0, 5), ("sweep", 0, 4),
+                   ("sweep", 1, 12), ("sweep", 0, 5), ("sweep", 0, 5),
+                   ("sweep", 0, 4), ("sweep", 0, 5), ("sweep", 0, 4),
                    ("sweep", 0, 4), ("sweep", 0, 3), ("sweep", 0, 4)] \
         + [("sweep", 0, 3)] * 3 + [("eps", 0, 1)]
 

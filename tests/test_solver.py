@@ -884,3 +884,98 @@ def test_settling_step_reuses_the_last_linearization(monkeypatch):
     assert np.array_equal(settled.unknowns, fresh.unknowns)
     assert settled.residual == fresh.residual < 0.5 * sol.residual
     assert settled.iterations == sol.iterations + 1
+
+
+# ---------------------------------------------------------------------------
+# the cold path's stepping stones stop at PATH_TOL, the target at TOL
+
+
+def _linearizations(system, z):
+    calls = []
+    linearize = system.linearize
+
+    def counted(z, y):
+        calls.append(z)
+        return linearize(z, y)
+
+    system.linearize = counted
+    sol = solver._solve(system, z)
+    return len(calls), sol
+
+
+def test_cold_solve_linearizes_less_and_still_reaches_tol():
+    # a converged Newton on a stepping stone buys the target nothing: with
+    # every point at TOL these solves took 23 and 22 linearizations
+    a = AlphaParam(1.3)
+    counts = []
+    for system in (wigner_system(a), wishart_system(a, 0.5)):
+        n, sol = _linearizations(system, 0.8 + 0.6j)
+        counts.append(n)
+        assert sol.z == 0.8 + 0.6j
+        assert sol.residual <= solver.TOL
+    assert counts == [18, 17]
+    assert solver.PATH_TOL > solver.TOL
+
+
+def test_eps_path_points_reach_tol():
+    a = AlphaParam(1.5)
+    for system in (wigner_system(a), wishart_system(a, 0.5)):
+        path = continue_to_real_axis(system, 0.9, EPS_SCHEDULE)
+        assert [p.z.imag for p in path] == EPS_SCHEDULE
+        assert all(p.residual <= solver.TOL for p in path)
+
+
+def test_start_on_the_target_reaches_tol():
+    # on the imaginary axis at or above the start radius the Newton start
+    # is the target itself, so it must not stop at PATH_TOL
+    for alpha in (0.5, 1.2, 1.9):
+        a = AlphaParam(alpha)
+        for make in (wigner_system, lambda a: wishart_system(a, 0.5)):
+            system = make(a)
+            for scale in (1.0, 3.0):
+                z = 1j * max(system.start_radius(), 1.0) * scale
+                assert system.start_z(z) == z
+                sol = solver._solve(system, z)
+                assert sol.z == z
+                assert sol.residual <= solver.TOL, (alpha, z, sol.residual)
+
+
+PATH_GRID_SYSTEMS = {
+    "wigner": wigner_system,
+    "wishart": lambda a: wishart_system(a, 0.5),
+    "piecewise": lambda a: band_system(a, PIECEWISE2),
+    "perturbed": lambda a: perturbed_system(
+        a, SigmaProfile("constant", c=1.0), TWO_ATOMS),
+}
+PATH_GRID_POINTS = (0.8 + 0.6j, -1.5 + 0.2j, 0.3 + 0.05j, 2.5 + 2.0j)
+
+
+def _path_grid():
+    out = {}
+    for alpha in (0.5, 1.2, 1.9):
+        for name, make in PATH_GRID_SYSTEMS.items():
+            system = make(AlphaParam(alpha))
+            for z in PATH_GRID_POINTS:
+                try:
+                    out[alpha, name, z] = solver._solve(system, z)
+                except SolverError:
+                    out[alpha, name, z] = None
+    return out
+
+
+def test_path_tol_moves_no_solution(monkeypatch):
+    # the stepping stones change only the path, not where it ends: with
+    # every point at TOL the grid fails at the same points and lands on
+    # the same solutions
+    loose = _path_grid()
+    monkeypatch.setattr(solver, "PATH_TOL", solver.TOL)
+    tight = _path_grid()
+    assert [k for k, v in loose.items() if v is None] == \
+        [k for k, v in tight.items() if v is None]
+    for key, sol in loose.items():
+        if sol is None:
+            continue
+        want = tight[key].unknowns
+        assert sol.residual <= solver.TOL, key
+        assert np.max(np.abs(sol.unknowns - want)) <= \
+            1e-11 * np.max(np.abs(want)), key
