@@ -42,6 +42,7 @@ from .matrices import (
 from .eig import (
     DistanceReport,
     EmpiricalSpectrum,
+    distance_grid,
     distribution_distance,
     eigenvalues_symmetric,
     spectra_from_csv,
@@ -79,6 +80,7 @@ from .density import (
     tail_constant,
 )
 from .montecarlo import (
+    CampaignAborted,
     CampaignResult,
     CampaignSpec,
     CovarianceParams,

@@ -51,7 +51,7 @@ def identity(radii, fracs, tol):
 
 def semicircle(points, tol, g_tol=None):
     """alpha=2 density against the semicircle; with g_tol also G(3i)."""
-    a = AlphaParam(2.0, alpha_two_mode=True)
+    a = AlphaParam(2.0)
     worst = max(abs(density_wigner_formula(a, float(t))
                     - semicircle_density(float(t)))
                 for t in np.linspace(-1.9, 1.9, points))

@@ -8,7 +8,8 @@ configuration to ``config-<command>.json`` so runs are reproducible from
 the outputs.
 
 Exit codes: 0 success, 1 configuration or usage error (the message names
-the offending flag), 2 numerical failure (partial outputs are kept).
+the offending flag), 2 numerical failure, an aborted campaign among them
+(partial outputs are kept).
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import sys
 import time
 
 from .density import DensityCurve, build_density_curve, density_point
-from .eig import distribution_distance, spectra_from_csv, spectra_to_csv
+from .eig import (distance_grid, distribution_distance, spectra_from_csv,
+                  spectra_to_csv)
 from .matrices import DiagonalLaw, EnsembleSpec, SigmaProfile
-from .montecarlo import CampaignSpec, CovarianceParams, run_campaign
+from .montecarlo import (CampaignAborted, CampaignSpec, CovarianceParams,
+                         run_campaign)
 from .sampling import StableTailLaw
 from .solver import SolverError, find_critical_set
 from .special import AlphaParam, QuadratureError
@@ -99,24 +102,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_window(text: str):
+def _comparison(args):
+    """(window, excluded0) from --window 'a:b' and --exclude-zero, each
+    checked by ``distance_grid``: finite a < b, and a finite
+    neighbourhood of 0, radius >= 0, that leaves part of the window."""
     try:
-        lo_s, hi_s = text.split(":")
-        lo, hi = float(lo_s), float(hi_s)
+        lo_s, hi_s = args.window.split(":")
+        window = float(lo_s), float(hi_s)
     except ValueError:
-        raise ConfigError(f"--window must be 'a:b', got {text!r}")
-    if not lo < hi:
-        raise ConfigError("--window is empty")
-    return lo, hi
+        raise ConfigError(f"--window must be 'a:b', got {args.window!r}")
+    try:
+        distance_grid(window, 0.0)
+    except ValueError as exc:
+        raise ConfigError(f"--window {args.window!r} invalid: {exc}")
+    try:
+        distance_grid(window, args.exclude_zero)
+    except ValueError as exc:
+        raise ConfigError(f"--exclude-zero {args.exclude_zero} invalid: {exc}")
+    return window, args.exclude_zero
 
 
 def _alpha_param(args) -> AlphaParam:
     al = args.alpha
     if al is None:
         raise ConfigError("--alpha is required")
-    if al == 2.0:
-        return AlphaParam(2.0, alpha_two_mode=True)
-    if not 0.0 < al < 2.0:
+    if not 0.0 < al <= 2.0:
         raise ConfigError(f"--alpha must lie in (0, 2], got {al}")
     return AlphaParam(al)
 
@@ -258,7 +268,7 @@ def _simulation_spec(args) -> CampaignSpec:
         raise ConfigError("--alpha 2 has no heavy-tailed entry law; "
                           "simulate with alpha < 2")
     law = StableTailLaw(a.alpha)
-    window = _parse_window(args.window)
+    window, excluded0 = _comparison(args)
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     if args.trials < 1:
@@ -274,7 +284,7 @@ def _simulation_spec(args) -> CampaignSpec:
         ensemble = EnsembleSpec(N=args.n, law=law,
                                 profile=_load_profile(args), diagonal=diag)
     return CampaignSpec(ensemble=ensemble, trials=args.trials, window=window,
-                        excluded0=args.exclude_zero, master_seed=args.seed)
+                        excluded0=excluded0, master_seed=args.seed)
 
 
 def _wishart_m(args) -> int:
@@ -307,7 +317,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     out = args.out
-    window = _parse_window(args.window)
+    window, excluded0 = _comparison(args)
     sidecar_path = os.path.splitext(args.theory)[0] + ".json"
     sidecar = _read("--theory", sidecar_path, json.loads)
     curve = _read("--theory", args.theory,
@@ -328,7 +338,7 @@ def cmd_compare(args) -> int:
                   f"simulated {kind} ensemble", file=sys.stderr)
     _echo_config(args, out)
     report = distribution_distance(spectra, curve.cdf(), window,
-                                   excluded0=args.exclude_zero)
+                                   excluded0=excluded0)
     _write(os.path.join(out, "distance.json"),
            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     print(f"ks = {report.ks:.5f}, windowed W1 = {report.w1_window:.5f}")
@@ -389,7 +399,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, QuadratureError, ArithmeticError) as exc:
+    except (SolverError, QuadratureError, ArithmeticError,
+            CampaignAborted) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

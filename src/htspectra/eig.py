@@ -10,6 +10,7 @@ on a fixed evaluation grid.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -19,6 +20,7 @@ __all__ = [
     "EmpiricalSpectrum",
     "DistanceReport",
     "eigenvalues_symmetric",
+    "distance_grid",
     "distribution_distance",
     "spectra_to_csv",
     "spectra_from_csv",
@@ -29,17 +31,25 @@ class EigenDecompositionError(RuntimeError):
     """The symmetric eigensolver failed to converge."""
 
 
+class NonFiniteMatrixError(ValueError):
+    """The matrix holds a NaN or an infinity, as when its entries
+    overflow."""
+
+
 def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, sorted ascending.
 
-    The input must be symmetric to 1e-12 relative; this is checked rather
-    than silently symmetrized so that assembly bugs surface here.
+    The input must be finite and symmetric to 1e-12 relative; this is
+    checked rather than silently symmetrized so that assembly bugs surface
+    here.  LAPACK returns wrong eigenvalues for a NaN or an infinity
+    without an error.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    # exact symmetry, the assemblers' output, skips the tolerance test; a
-    # NaN never compares equal, so it still meets the test below
+    if not np.isfinite(m).all():
+        raise NonFiniteMatrixError("matrix has non-finite entries")
+    # exact symmetry, the assemblers' output, skips the tolerance test
     if not np.array_equal(m, m.T):
         scale = max(float(np.max(np.abs(m))), 1e-300)
         if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
@@ -56,19 +66,15 @@ class EmpiricalSpectrum:
     """Eigenvalue multiset of one trial matrix."""
 
     eigenvalues: np.ndarray
-    n: int
     trial_id: int = 0
 
     def __post_init__(self):
         ev = np.sort(np.asarray(self.eigenvalues, dtype=float))
         object.__setattr__(self, "eigenvalues", ev)
-        if ev.size != self.n:
-            raise ValueError("eigenvalue count must equal matrix dimension")
 
     @staticmethod
     def from_matrix(m: np.ndarray, trial_id: int = 0) -> "EmpiricalSpectrum":
-        ev = eigenvalues_symmetric(m)
-        return EmpiricalSpectrum(ev, m.shape[0], trial_id)
+        return EmpiricalSpectrum(eigenvalues_symmetric(m), trial_id)
 
 
 def _pool(spectra) -> np.ndarray:
@@ -92,23 +98,38 @@ class DistanceReport:
                 "excluded_neighborhood": self.excluded_neighborhood}
 
 
-def distribution_distance(spectra, theory_cdf: Callable[[float], float],
-                          window: Tuple[float, float],
-                          excluded0: float = 0.0,
-                          grid_points: int = 2001) -> DistanceReport:
-    """KS and windowed-W1 between an empirical spectrum and a theory CDF.
+# points of the uniform grid over a distance window
+GRID_POINTS = 2001
 
-    Both are evaluated on a uniform grid over the window with the open
-    neighborhood (-excluded0, excluded0) removed.
-    """
+
+def distance_grid(window: Tuple[float, float],
+                  excluded0: float) -> np.ndarray:
+    """The grid of ``distribution_distance``: GRID_POINTS uniform points
+    over the window, less the open neighborhood (-excluded0, excluded0).
+    Raises ValueError unless the window has finite ends lo < hi, excluded0
+    is finite and >= 0, and at least two points are left."""
     lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("window ends must be finite")
     if not lo < hi:
         raise ValueError("empty window")
-    ts = np.linspace(lo, hi, grid_points)
+    if not (math.isfinite(excluded0) and excluded0 >= 0):
+        raise ValueError("excluded neighborhood must be finite and >= 0")
+    ts = np.linspace(lo, hi, GRID_POINTS)
     if excluded0 > 0:
         ts = ts[np.abs(ts) >= excluded0]
         if ts.size < 2:
             raise ValueError("window is entirely excluded")
+    return ts
+
+
+def distribution_distance(spectra, theory_cdf: Callable[[float], float],
+                          window: Tuple[float, float],
+                          excluded0: float = 0.0) -> DistanceReport:
+    """KS and windowed-W1 between an empirical spectrum and a theory CDF,
+    both evaluated on ``distance_grid(window, excluded0)``."""
+    lo, hi = window
+    ts = distance_grid(window, excluded0)
     ev = _pool(spectra)
     femp = np.searchsorted(ev, ts, side="right") / ev.size
     fth = np.array([float(theory_cdf(t)) for t in ts])
@@ -140,5 +161,5 @@ def spectra_from_csv(text: str) -> list:
             by_trial.setdefault(int(trial_s), []).append(float(lam_s))
         except ValueError as exc:
             raise ValueError(f"bad eigenvalue row at line {ln}: {line!r}") from exc
-    return [EmpiricalSpectrum(np.array(v), len(v), trial_id=k)
+    return [EmpiricalSpectrum(np.array(v), trial_id=k)
             for k, v in sorted(by_trial.items())]

@@ -34,6 +34,11 @@ __all__ = [
 _VARIANTS = ("constant", "piecewise", "band", "grid")
 
 
+def _check_finite(name: str, values: np.ndarray):
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+
+
 def _step_index(b: np.ndarray, x):
     """Index of the interval [b_k, b_{k+1}) holding x, clipped to the ends."""
     return np.clip(np.searchsorted(b, x, side="right") - 1, 0, b.size - 2)
@@ -62,23 +67,30 @@ class SigmaProfile:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown profile variant {self.variant!r}")
-        if self.variant == "piecewise":
+        if self.variant == "constant":
+            if not math.isfinite(self.c):
+                raise ValueError(f"c must be finite, got {self.c}")
+        elif self.variant == "piecewise":
             b = np.asarray(self.breaks, dtype=float)
-            if b.size < 2 or b[0] != 0.0 or b[-1] != 1.0 or np.any(np.diff(b) <= 0):
+            if b.size < 2 or b[0] != 0.0 or b[-1] != 1.0 \
+                    or not np.all(np.diff(b) > 0):
                 raise ValueError("breaks must increase strictly from 0 to 1")
             m = np.asarray(self.matrix, dtype=float)
             q = b.size - 1
             if m.shape != (q, q):
                 raise ValueError(f"matrix must be {q}x{q}")
+            _check_finite("matrix", m)
             if not np.array_equal(m, m.T):
                 raise ValueError("piecewise matrix must be symmetric")
         elif self.variant == "band":
             b = np.asarray(self.breakpoints, dtype=float)
             v = np.asarray(self.values, dtype=float)
-            if b.size < 2 or b[0] != 0.0 or b[-1] != 1.0 or np.any(np.diff(b) <= 0):
+            if b.size < 2 or b[0] != 0.0 or b[-1] != 1.0 \
+                    or not np.all(np.diff(b) > 0):
                 raise ValueError("breakpoints must increase strictly from 0 to 1")
             if v.size != b.size - 1:
                 raise ValueError("need one value per breakpoint interval")
+            _check_finite("values", v)
             # phi must be even: phi(1 - x) = phi(-x) = phi(x) by periodicity.
             xs = 0.5 * (b[:-1] + b[1:])
             mirrored = v[_step_index(b, (1.0 - xs) % 1.0)]
@@ -89,6 +101,7 @@ class SigmaProfile:
             p = self.resolution
             if p < 1 or v.shape != (p, p):
                 raise ValueError(f"grid values must be {p}x{p}")
+            _check_finite("values", v)
             if not np.array_equal(v, v.T):
                 raise ValueError("grid values must be symmetric")
 
@@ -188,6 +201,7 @@ class DiagonalLaw:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("need at least one atom")
+        _check_finite("atom locations and weights", np.array(self.atoms))
         w = sum(wi for _, wi in self.atoms)
         if any(wi <= 0 for _, wi in self.atoms):
             raise ValueError("weights must be positive")
@@ -210,36 +224,23 @@ class DiagonalLaw:
         return {"atoms": [{"lambda": l, "w": w} for l, w in self.atoms]}
 
 
-def _validate_truncation(truncation):
-    if truncation is None:
-        return
-    if truncation[0] != "fixed_B":
-        raise ValueError(f"unknown truncation {truncation[0]!r}")
-    if truncation[1] <= 0:
-        raise ValueError("truncation level B must be positive")
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Everything needed to build one band-matrix sample."""
+    """Everything needed to build one band-matrix sample; truncation B,
+    when given, keeps the entries |x| < B a_N."""
 
     N: int
     law: StableTailLaw
     profile: SigmaProfile
-    truncation: Optional[tuple] = None  # ("fixed_B", B)
+    truncation: Optional[float] = None
     diagonal: Optional[DiagonalLaw] = None
     seed: RngStreamSpec = field(default_factory=lambda: RngStreamSpec(0))
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        _validate_truncation(self.truncation)
-
-
-def _truncation_level(spec: EnsembleSpec, a_N: float) -> Optional[float]:
-    if spec.truncation is None:
-        return None
-    return spec.truncation[1] * a_N
+        if self.truncation is not None and not self.truncation > 0:
+            raise ValueError("truncation level B must be positive")
 
 
 def assemble_band_matrix(packed: np.ndarray, profile: SigmaProfile,
@@ -292,8 +293,8 @@ def build_band_matrix(spec: EnsembleSpec) -> np.ndarray:
     diag = None
     if spec.diagonal is not None:
         diag = spec.diagonal.sample(rng, spec.N)
-    return assemble_band_matrix(x, spec.profile, a_N,
-                                truncate_at=_truncation_level(spec, a_N),
+    cut = None if spec.truncation is None else spec.truncation * a_N
+    return assemble_band_matrix(x, spec.profile, a_N, truncate_at=cut,
                                 diagonal=diag)
 
 

@@ -2,9 +2,10 @@
 
 A campaign draws independent matrices on counter-based RNG substreams (one
 per trial index), so the pooled spectrum is bit-identical for a given
-master seed no matter how many worker threads run the trials.  Failed
-eigendecompositions abort only their own trial; a campaign fails when more
-than 5% of trials abort.
+master seed no matter how many worker threads run the trials.  A failed
+eigendecomposition, or a matrix whose entries overflow, aborts only its
+own trial; a campaign fails, with a ``CampaignAborted``, when more than 5%
+of trials abort.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .eig import EigenDecompositionError, EmpiricalSpectrum
+from .eig import (EigenDecompositionError, EmpiricalSpectrum,
+                  NonFiniteMatrixError, distance_grid)
 from .matrices import (
     EnsembleSpec,
     SigmaProfile,
@@ -26,6 +28,7 @@ from .matrices import (
 from .sampling import RngStreamSpec, StableTailLaw
 
 __all__ = [
+    "CampaignAborted",
     "CovarianceParams",
     "CampaignSpec",
     "CampaignResult",
@@ -33,6 +36,10 @@ __all__ = [
     "truncated_moment_experiment",
     "atom_fraction",
 ]
+
+
+class CampaignAborted(RuntimeError):
+    """More than 5% of a campaign's trials aborted."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,7 @@ class CampaignSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.window[0] < self.window[1]:
-            raise ValueError("empty comparison window")
+        distance_grid(self.window, self.excluded0)
 
     def echo(self) -> dict:
         # "family" names the one entry law, kept so that campaign files
@@ -78,7 +84,7 @@ class CampaignSpec:
             desc = {"kind": "band", "N": ens.N, "alpha": ens.law.alpha,
                     "family": "symmetric-pareto",
                     "profile": ens.profile.to_json(),
-                    "truncation": list(ens.truncation) if ens.truncation else None,
+                    "truncation": ens.truncation,
                     "diagonal": ens.diagonal.to_json() if ens.diagonal else None}
         else:
             desc = {"kind": "covariance", "N": ens.n, "M": ens.m,
@@ -133,8 +139,9 @@ def run_campaign(spec: CampaignSpec, threads: int = 1) -> CampaignResult:
 
     Trials run on a pool of ``threads`` threads (the eigensolver releases
     the GIL), or in this thread when threads is 1; the merge is a reduction by trial index, so the result does
-    not depend on scheduling.  Trials whose eigendecomposition fails are
-    dropped and counted; more than 5% aborted trials fails the campaign.
+    not depend on scheduling.  Trials whose eigendecomposition fails or whose
+    matrix is not finite are dropped and counted; more than 5% aborted
+    trials fails the campaign with a ``CampaignAborted``.
     A spectrum is compared with a theory CDF by
     ``eig.distribution_distance``, on the spec's window.
     """
@@ -145,7 +152,7 @@ def run_campaign(spec: CampaignSpec, threads: int = 1) -> CampaignResult:
     def attempt(k):
         try:
             return (k, *_one_trial(spec, k))
-        except EigenDecompositionError:
+        except (EigenDecompositionError, NonFiniteMatrixError):
             return k, None, None
 
     if threads > 1:
@@ -165,20 +172,23 @@ def run_campaign(spec: CampaignSpec, threads: int = 1) -> CampaignResult:
             results[k] = s
             timing.append(t)
     if aborted > 0.05 * spec.trials:
-        raise RuntimeError(
+        raise CampaignAborted(
             f"{aborted} of {spec.trials} trials aborted (> 5%)")
     spectra = tuple(results[k] for k in sorted(results))
     pooled_ev = np.sort(np.concatenate([s.eigenvalues for s in spectra]))
-    pooled = EmpiricalSpectrum(pooled_ev, pooled_ev.size, trial_id=-1)
+    pooled = EmpiricalSpectrum(pooled_ev, trial_id=-1)
     return CampaignResult(pooled=pooled, spectra=spectra,
                           aborted_trials=aborted,
                           runtime_seconds=time.perf_counter() - start,
                           spec=spec, trial_timing=tuple(timing))
 
 
-def atom_fraction(spectrum: EmpiricalSpectrum,
-                  rel_threshold: float = 1e-12) -> float:
-    """Fraction of eigenvalues below rel_threshold times the largest one.
+# eigenvalues below this fraction of the largest one count as the atom at 0
+ATOM_THRESHOLD = 1e-12
+
+
+def atom_fraction(spectrum: EmpiricalSpectrum) -> float:
+    """Fraction of eigenvalues below ATOM_THRESHOLD times the largest one.
 
     The exact zeros of a rank-deficient covariance matrix are perturbed
     only at eigensolver roundoff scale (~1e-16 relative to the largest
@@ -190,7 +200,7 @@ def atom_fraction(spectrum: EmpiricalSpectrum,
     top = float(np.max(np.abs(ev)))
     if top == 0.0:
         return 1.0
-    return float(np.mean(np.abs(ev) < rel_threshold * top))
+    return float(np.mean(np.abs(ev) < ATOM_THRESHOLD * top))
 
 
 def truncated_moment_experiment(law: StableTailLaw, profile: SigmaProfile,
@@ -207,7 +217,7 @@ def truncated_moment_experiment(law: StableTailLaw, profile: SigmaProfile,
     total = 0.0
     for k in range(trials):
         a = build_band_matrix(EnsembleSpec(
-            N, law, profile, truncation=("fixed_B", B),
+            N, law, profile, truncation=B,
             seed=RngStreamSpec(master_seed, k)))
         # (1/N) tr(A^2) = (1/N) sum_ij A_ij^2
         total += float(np.sum(a * a)) / N

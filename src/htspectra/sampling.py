@@ -1,8 +1,9 @@
 """Heavy-tailed entry laws, their quantile normalization and RNG streams.
 
-The entry law is the symmetric Pareto law P(|x| >= u) = min(1, (scale/u)^alpha),
-so the matrix normalization a_N = inf{u : P(|x| >= u) <= 1/N} is an exact
-quantile.
+The entry law is the symmetric Pareto law P(|x| >= u) = min(1, u^-alpha), so
+the matrix normalization a_N = inf{u : P(|x| >= u) <= 1/N} is an exact
+quantile.  A scale factor on the entries would cancel in every normalized
+matrix, so the law has none.
 Randomness comes from counter-based Philox streams keyed by (master_seed,
 stream_id), which makes parallel Monte Carlo reproducible regardless of
 thread schedule.
@@ -25,16 +26,13 @@ __all__ = [
 @dataclass(frozen=True)
 class StableTailLaw:
     """Symmetric Pareto law with tail index alpha in (0, 2):
-    P(|x| >= u) = min(1, (scale/u)^alpha)."""
+    P(|x| >= u) = min(1, u^-alpha)."""
 
     alpha: float
-    scale: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -56,16 +54,16 @@ class RngStreamSpec:
 
 def normalizer_a_N(law: StableTailLaw, N: int) -> float:
     """Quantile normalization a_N = inf{u : P(|x| >= u) <= 1/N}:
-    (scale/u)^alpha = 1/N gives u = scale * N^(1/alpha)."""
+    u^-alpha = 1/N gives u = N^(1/alpha)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return law.scale * N ** (1.0 / law.alpha)
+    return N ** (1.0 / law.alpha)
 
 
 def sample_entries(law: StableTailLaw, rng: np.random.Generator, size) -> np.ndarray:
-    """Draw an array of i.i.d. entries from the law: sign * scale *
-    exp(E/alpha) with E standard exponential, the Pareto law, since
-    E = -log U turns scale * U^(-1/alpha) into this form.
+    """Draw an array of i.i.d. entries from the law: sign * exp(E/alpha)
+    with E standard exponential, the Pareto law, since E = -log U turns
+    U^(-1/alpha) into this form.
 
     The magnitudes take one ziggurat draw each; the signs are independent
     bits drawn after them, so a stream's signs do not depend on alpha.
@@ -75,5 +73,5 @@ def sample_entries(law: StableTailLaw, rng: np.random.Generator, size) -> np.nda
                          count=x.size).reshape(x.shape)
     x /= law.alpha
     np.exp(x, out=x)
-    x *= np.take([law.scale, -law.scale], bits)
+    x *= np.take([1.0, -1.0], bits)
     return x

@@ -109,7 +109,6 @@ class FixedPointSolution:
     unknowns: np.ndarray
     residual: float
     iterations: int
-    cone: str = K_ALPHA
     # (F, I - F') at the unknowns, as the last Newton step left it
     linearization: Optional[tuple] = field(default=None, repr=False,
                                            compare=False)
@@ -327,8 +326,7 @@ def _newton(system: _System, z: complex, y0: np.ndarray, tol: float,
             "Newton steps", unknowns=y, residual=res)
     _check_cone(system, y, residual=res)
     return FixedPointSolution(z=z, unknowns=y, residual=res,
-                              iterations=steps, cone=system.cone,
-                              linearization=linearization)
+                              iterations=steps, linearization=linearization)
 
 
 def _secant(z: complex, last: FixedPointSolution,

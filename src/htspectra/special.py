@@ -20,8 +20,9 @@ successive levels agree, with adaptive subdivision as the fallback when
 the level cap is reached.  The series bound is certified per rung
 |y| <= 2^(j/8), by the first call that lands on the rung, so a new (a, b)
 pays for its coefficients and only the rungs it reaches; the factorials
-are one array, built once per process.  An explicit rule always runs that
-rule's quadrature and never the series.
+are one array, built once per process.  An explicit rule, which
+``g_alpha_beta``, ``g_alpha`` and ``h_alpha`` take as the reference,
+always runs that rule's quadrature and never the series.
 
 ``g_alpha_pair`` returns g_a and its derivative g_a' = -g_{a,2a} from one
 evaluation, as every Newton step of the solvers needs both at the same
@@ -70,22 +71,23 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class AlphaParam:
-    """Tail index, with an explicit flag for the closed-form limit branch.
+    """Tail index alpha in (0, 2].
 
-    For ``alpha_two_mode`` the Gamma-ratio constant is singular and the
-    functions collapse to g(y) = h(y) = 1/(1+y); that branch is kept
-    separate instead of being approached as a limit.
+    At alpha = 2 (``alpha_two_mode``) the Gamma-ratio constant is singular
+    and the functions collapse to g(y) = h(y) = 1/(1+y); that branch is
+    kept separate instead of being approached as a limit.
     """
 
     alpha: float
-    alpha_two_mode: bool = False
 
     def __post_init__(self):
-        if self.alpha_two_mode:
-            if self.alpha != 2.0:
-                raise ValueError("alpha_two_mode requires alpha == 2")
-        elif not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+        if not 0.0 < self.alpha <= 2.0:
+            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
+
+    @property
+    def alpha_two_mode(self) -> bool:
+        """The closed-form limit branch, alpha == 2."""
+        return self.alpha == 2.0
 
 
 @dataclass(frozen=True)
@@ -408,8 +410,9 @@ class _SeriesTable:
     weight: np.ndarray      # roundoff of term k, in ulps
     tol: float              # the adaptive rule's tolerance on the cone
     slope_tol: float        # the same for g_{a,b+a}
-    rungs: dict             # rung -> (terms, bound), certified on first use
-    slopes: dict            # rung -> bound of the derivative's sum, or inf
+    # rung -> (terms, bound, bound of the derivative's sum or inf),
+    # certified on first use
+    rungs: dict
 
 
 @lru_cache(maxsize=64)
@@ -430,8 +433,7 @@ def _series_table(alpha: float, beta: float) -> _SeriesTable:
         empty = np.empty(0)
         every = range(_RUNG_MIN, _RUNG_MAX + 1)
         return _SeriesTable([], empty, empty, empty, empty, empty, 0.0, 0.0,
-                            {rung: (0, math.inf) for rung in every},
-                            dict.fromkeys(every, math.inf))
+                            dict.fromkeys(every, (0, math.inf, math.inf)))
     from scipy.special import digamma, gamma
 
     coef = gamma(x) / _FACTORIALS[:len(k)]
@@ -455,7 +457,7 @@ def _series_table(alpha: float, beta: float) -> _SeriesTable:
     tol = rule.abs_tol + rule.rel_tol * cone_bound(a, beta)
     slope_tol = rule.abs_tol + rule.rel_tol * cone_bound(a, beta + alpha)
     return _SeriesTable(coef[::-1].tolist(), np.log(coef), k, ratio,
-                        k >= k_mono, weight, tol, slope_tol, {}, {})
+                        k >= k_mono, weight, tol, slope_tol, {})
 
 
 def _certify_rung(table: _SeriesTable, rung: int) -> tuple[int, float,
@@ -498,36 +500,31 @@ def _certify_rung(table: _SeriesTable, rung: int) -> tuple[int, float,
     return n, bound, float(slope) if slope <= table.slope_tol else math.inf
 
 
-def _series_eval(alpha: float, beta: float, y: complex, slope=False):
-    """(value, bound) of the power series sum_k c_k (-y)^k by Horner's
-    rule, with the error bound of the smallest rung R >= |y|, or None where
-    that rung cannot certify the adaptive rule's tolerance on the cone.
+def _series_eval(alpha: float, beta: float, y: complex):
+    """(value, bound, next, next bound) of the power series
+    sum_k c_k (-y)^k from one pass of Horner's rule with derivative, with
+    the error bounds of the smallest rung R >= |y|, or None where that rung
+    cannot certify the value to the adaptive rule's tolerance on the cone.
     A rung is certified the first time a call lands on it.
 
-    With slope, (value, bound, next, next bound) from one pass of Horner's
-    rule with derivative: next is g_{alpha, beta+alpha} = -d/dy
-    g_{alpha,beta} = sum_k (k+1) c_{k+1} (-y)^k, as (k+1) c_{k+1} is the
-    coefficient c_k of beta + alpha, summed to one term beyond the value
-    (see ``_certify_rung``).  Its bound is inf where the rung does not
-    certify it.  The value is bit for bit the one without slope."""
+    next is g_{alpha, beta+alpha} = -d/dy g_{alpha,beta} =
+    sum_k (k+1) c_{k+1} (-y)^k, as (k+1) c_{k+1} is the coefficient c_k of
+    beta + alpha, summed to one term beyond the value (see
+    ``_certify_rung``).  Its bound is inf where the rung does not certify
+    it.  The value takes the steps of plain Horner's rule, so it is bit
+    for bit that sum."""
     table = _series_table(alpha, beta)
     rung = max(_RUNG_MIN, math.ceil(_RUNGS_PER_OCTAVE * math.log2(abs(y))))
     if rung > _RUNG_MAX:
         return None
     try:
-        n, bound = table.rungs[rung]
+        n, bound, slope = table.rungs[rung]
     except KeyError:
-        n, bound, table.slopes[rung] = _certify_rung(table, rung)
-        table.rungs[rung] = n, bound
+        n, bound, slope = table.rungs[rung] = _certify_rung(table, rung)
     if n == 0:
         return None
     minus_y = -y
     coef = table.reversed_coef
-    if not slope:
-        value = 0j
-        for c in coef[-n:]:
-            value = value * minus_y + c
-        return value, bound
     # the first step of the value's loop, with the derivative started at
     # its term n, n c_n, which the value does not sum
     terms = iter(coef[-n:])
@@ -536,7 +533,7 @@ def _series_eval(alpha: float, beta: float, y: complex, slope=False):
     for c in terms:
         deriv = deriv * minus_y + value
         value = value * minus_y + c
-    return value, bound, deriv, table.slopes[rung]
+    return value, bound, deriv, slope
 
 
 def _check_domain(a: AlphaParam, y: complex) -> None:
@@ -597,7 +594,7 @@ def _auto_eval(alpha: float, beta: float, y: complex, moments) -> list:
     # else nested tanh-sinh on the ray of g_{alpha,beta} (one run for all
     # the moments left), then adaptive subdivision for a moment whose
     # tanh-sinh levels do not settle before the cap.
-    series = _series_eval(alpha, beta, y, 1 in moments)
+    series = _series_eval(alpha, beta, y)
     values = [None if series is None else _certified(series[2 * j:2 * j + 2])
               for j in moments]
     todo = [i for i, value in enumerate(values) if value is None]
@@ -618,42 +615,41 @@ def h_alpha(a: AlphaParam, y: complex, rule: QuadratureRule | None = None) -> co
     return g_alpha_beta(a, 2.0, y, rule)
 
 
-def g_alpha_pair(a: AlphaParam, y: complex,
-                 rule: QuadratureRule | None = None) -> tuple:
+def g_alpha_pair(a: AlphaParam, y: complex) -> tuple:
     """(g_alpha(y), g_alpha'(y)) from one evaluation, with
     g_alpha' = -g_{alpha, 2 alpha}.
 
     g is bit for bit ``g_alpha`` and g' bit for bit ``g_alpha_prime``.  On
-    the default path both come from one pass of Horner's rule with
-    derivative over the series of g, each value where its own rung bound
-    certifies it (see ``_certify_rung``), so g stays on its series wherever
-    that certifies g alone; the series of g_{alpha, 2 alpha} is never
-    built.  The values left come from one nested tanh-sinh run on g's ray
-    and substitution, one exp per node for both (``_nested_de_sums``), and
-    a value whose levels do not settle from adaptive subdivision alone.  An
-    explicit rule evaluates each by that rule."""
+    the series both come from one pass of Horner's rule with derivative
+    over the series of g, each value where its own rung bound certifies it
+    (see ``_certify_rung``), so g stays on its series wherever that
+    certifies g alone; the series of g_{alpha, 2 alpha} is never built.
+    The values left come from one nested tanh-sinh run on g's ray and
+    substitution, one exp per node for both (``_nested_de_sums``), and a
+    value whose levels do not settle from adaptive subdivision alone.  The
+    explicit-rule reference of g' is -g_alpha_beta(a, 2 alpha, y, rule)."""
     y = complex(y)
     if a.alpha_two_mode:
         return 1.0 / (1.0 + y), -1.0 / (1.0 + y) ** 2
-    g, g2 = _g_moments(a, a.alpha, y, rule, (0, 1))
+    g, g2 = _g_moments(a, a.alpha, y, None, (0, 1))
     return g, -g2
 
 
-def g_alpha_prime(a: AlphaParam, y: complex, rule: QuadratureRule | None = None) -> complex:
+def g_alpha_prime(a: AlphaParam, y: complex) -> complex:
     """d/dy g_alpha(y) = -g_{alpha, 2 alpha}(y): the second value of
     ``g_alpha_pair``, by the same path; off the series it integrates g'
     alone."""
     y = complex(y)
     if a.alpha_two_mode:
         return -1.0 / (1.0 + y) ** 2
-    return -_g_moments(a, a.alpha, y, rule, (1,))[0]
+    return -_g_moments(a, a.alpha, y, None, (1,))[0]
 
 
-def g_alpha_second(a: AlphaParam, y: complex, rule: QuadratureRule | None = None) -> complex:
+def g_alpha_second(a: AlphaParam, y: complex) -> complex:
     """d^2/dy^2 g_alpha(y) = g_{alpha, 3 alpha}(y)."""
     if a.alpha_two_mode:
         return 2.0 / (1.0 + complex(y)) ** 3
-    return g_alpha_beta(a, 3.0 * a.alpha, y, rule)
+    return g_alpha_beta(a, 3.0 * a.alpha, y)
 
 
 def c_alpha(a: AlphaParam) -> complex:

@@ -76,6 +76,62 @@ BAD_POINT_IDS = ["t-zero", "t-nan", "t-inf", "wishart-t-negative",
                  "t-max-inf"]
 
 
+# a comparison window or excluded neighbourhood of 0 that compare and
+# simulate reject before they write anything
+BAD_WINDOWS = [
+    (["--window=-inf:inf"], "--window"),
+    (["--window=0:nan"], "--window"),
+    (["--exclude-zero", "100"], "--exclude-zero"),
+    (["--exclude-zero", "-1"], "--exclude-zero"),
+    (["--exclude-zero", "nan"], "--exclude-zero"),
+    (["--window=0.1:20", "--exclude-zero", "inf"], "--exclude-zero")]
+BAD_WINDOW_IDS = ["window-infinite", "window-nan", "exclude-all",
+                  "exclude-negative", "exclude-nan", "exclude-infinite"]
+_SIMULATE = ["simulate", "--alpha", "1.5", "--n", "10", "--trials", "1"]
+
+
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+@pytest.mark.parametrize("flags,named", BAD_WINDOWS, ids=BAD_WINDOW_IDS)
+def test_bad_window_names_its_flag(command, flags, named, capsys, tmp_path):
+    # compare reads valid inputs, so only the flags can stop it
+    _write_inputs(tmp_path, {})
+    out = tmp_path / "out"
+    argv = _COMPARE if command == "compare" else _SIMULATE
+    code = run([a.format(dir=tmp_path) for a in argv] + flags
+               + ["--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {named} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--window=-10:10", "--exclude-zero", "0.2"],
+    ["--window=0.1:20.0", "--exclude-zero", "0.0"]],
+    ids=["symmetric", "positive"])
+def test_simulate_accepts_comparison_windows(flags, tmp_path):
+    assert run(_SIMULATE + flags + ["--out", str(tmp_path)]) == 0
+    campaign = json.loads((tmp_path / "campaign.json").read_text())
+    assert campaign["spec"]["excluded0"] == float(flags[-1])
+
+
+def test_aborted_campaign_is_a_numerical_failure(capsys, tmp_path,
+                                                 monkeypatch):
+    # more than 5% of trials aborted: one line and exit 2, as for every
+    # numerical failure, never a traceback
+    from htspectra import montecarlo
+    from htspectra.eig import EigenDecompositionError
+
+    def failing(spec, trial):
+        raise EigenDecompositionError("synthetic failure")
+
+    monkeypatch.setattr(montecarlo, "_one_trial", failing)
+    code = run(_SIMULATE + ["--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: 1 of 1 trials aborted (> 5%)"]
+    assert not (tmp_path / "eigenvalues.csv").exists()
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--t-min", "0"], "--t-min"),
     (["--t-min", "10", "--t-max", "1"], "--t-max"),
@@ -112,10 +168,12 @@ def test_simulate_rejects_bad_sizes(flags, named, capsys, tmp_path):
     ["compare", "--theory", "no.csv", "--spectra", "no2.csv"],
     ["compare", "--theory", "no.csv", "--spectra", "no2.csv",
      "--window", "oops"]]
-    + [["theory", "--alpha", "1.5"] + flags for flags, _ in BAD_POINTS],
+    + [["theory", "--alpha", "1.5"] + flags for flags, _ in BAD_POINTS]
+    + [_SIMULATE + flags for flags, _ in BAD_WINDOWS],
     ids=["t-min-zero", "t-max-below-t-min", "points-one",
          "perturbed", "wishart-no-gamma", "missing-profile",
-         "compare-missing-inputs", "compare-bad-window"] + BAD_POINT_IDS)
+         "compare-missing-inputs", "compare-bad-window"] + BAD_POINT_IDS
+    + [f"simulate-{name}" for name in BAD_WINDOW_IDS])
 def test_rejected_run_leaves_no_config_echo(argv, tmp_path):
     assert run(argv + ["--out", str(tmp_path)]) == 1
     assert os.listdir(tmp_path) == []
@@ -430,6 +488,7 @@ def _write_inputs(tmp_path, replaced):
 
 _COMPARE = ["compare", "--theory", "{dir}/density.csv",
             "--spectra", "{dir}/eigenvalues.csv"]
+_NAN_PROFILE = '{"type": "constant", "c": NaN}'
 
 
 @pytest.mark.parametrize("argv,files,flag", [
@@ -446,10 +505,28 @@ _COMPARE = ["compare", "--theory", "{dir}/density.csv",
     (_COMPARE, {"density.csv": "1.0,0.25\n"}, "--theory"),
     (_COMPARE, {"density.json": "not json"}, "--theory"),
     (_COMPARE, {"density.json": "{}"}, "--theory"),
-    (_COMPARE, {"eigenvalues.csv": "0,0.5\n"}, "--spectra")],
+    (_COMPARE, {"eigenvalues.csv": "0,0.5\n"}, "--spectra"),
+    (["theory", "--model", "band", "--alpha", "1.5", "--t-min", "0.1",
+      "--t-max", "10", "--points", "4", "--profile", "{dir}/input.json"],
+     {"input.json": _NAN_PROFILE}, "--profile"),
+    (_SIMULATE + ["--model", "band", "--profile", "{dir}/input.json"],
+     {"input.json": _NAN_PROFILE}, "--profile"),
+    (_SIMULATE + ["--model", "band", "--profile", "{dir}/input.json"],
+     {"input.json": '{"type": "piecewise", "breaks": [0.0, NaN, 1.0], '
+                    '"matrix": [[1.0, 1.0], [1.0, 1.0]]}'}, "--profile"),
+    (_SIMULATE + ["--model", "perturbed", "--diag", "{dir}/input.json"],
+     {"input.json": '{"atoms": [{"lambda": NaN, "w": 1.0}]}'}, "--diag"),
+    (_SIMULATE + ["--model", "perturbed", "--diag", "{dir}/input.json"],
+     {"input.json": '{"atoms": [{"lambda": Infinity, "w": 1.0}]}'},
+     "--diag"),
+    (_SIMULATE + ["--model", "perturbed", "--diag", "{dir}/input.json"],
+     {"input.json": '{"atoms": [{"lambda": -1.0, "w": NaN}, '
+                    '{"lambda": 1.0, "w": 0.5}]}'}, "--diag")],
     ids=["diag-atom-pairs", "profile-list", "profile-scalar-breakpoints",
          "theory-csv-header", "theory-sidecar-not-json",
-         "theory-sidecar-empty", "spectra-csv-header"])
+         "theory-sidecar-empty", "spectra-csv-header", "theory-nan-profile",
+         "simulate-nan-profile", "simulate-nan-break", "diag-nan-lambda",
+         "diag-infinite-lambda", "diag-nan-weight"])
 def test_malformed_input_file_is_a_config_error(argv, files, flag, tmp_path):
     """A file that parses wrongly ends in one error line naming its flag
     and exit 1, never a traceback, and the run writes nothing."""

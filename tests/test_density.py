@@ -40,13 +40,13 @@ def test_semicircle_closed_form():
 
 
 def test_alpha_two_reduces_to_semicircle():
-    a = AlphaParam(2.0, alpha_two_mode=True)
+    a = AlphaParam(2.0)
     for t in (0.3, 1.0, 1.7):
         got = density_wigner_formula(a, t)
         assert abs(got - semicircle_density(t)) < 1e-8
 
 
-ALPHA_TWO = AlphaParam(2.0, alpha_two_mode=True)
+ALPHA_TWO = AlphaParam(2.0)
 
 
 def test_alpha_two_wigner_curve_has_no_tail():
@@ -202,7 +202,7 @@ def test_single_point_clips_roundoff_and_rejects_a_wrong_branch(monkeypatch):
 
 
 def test_wishart_gamma_one_alpha_two_is_marchenko_pastur():
-    a = AlphaParam(2.0, alpha_two_mode=True)
+    a = AlphaParam(2.0)
     # W = X X^t / a_{N+M}^2 with a_{2N}^2 = 2N: half of X X^t / N, whose
     # law is MP(1) on [0, 4], so rho(t) = sqrt(2/t - 1)/pi on [0, 2]
     for t in (0.5, 1.0, 1.5):
@@ -235,7 +235,7 @@ def test_wishart_density_is_continuous_at_gamma_one(alpha):
     # gamma = 1 solves the same pair as every gamma < 1; at alpha = 2 a
     # separate gamma = 1 route that scaled by 1 instead of 2^(1/2) read
     # 0.2757 here against 0.3183 just below
-    a = AlphaParam(alpha, alpha_two_mode=alpha == 2.0)
+    a = AlphaParam(alpha)
     for t in (0.3, 1.0):
         at_one = density_wishart(a, 1.0, t)
         below = density_wishart(a, 1.0 - 1e-9, t)

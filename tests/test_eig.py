@@ -7,7 +7,9 @@ import pytest
 
 from htspectra.eig import (
     DistanceReport,
+    GRID_POINTS,
     EmpiricalSpectrum,
+    distance_grid,
     distribution_distance,
     eigenvalues_symmetric,
     spectra_from_csv,
@@ -32,6 +34,17 @@ def test_symmetry_rejection():
         eigenvalues_symmetric(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrix_is_rejected(bad):
+    # LAPACK returns [0, -0] for a NaN and [nan, nan] for an infinity here,
+    # with no error
+    m = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenvalues_symmetric(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenvalues_symmetric(np.array([[1.0, bad], [bad, 1.0]]))
+
+
 def test_symmetry_tolerance_is_1e_12_relative():
     # max |m| is 3, so the gate on |m - m^T| sits at 3e-12
     m = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -46,26 +59,24 @@ def test_symmetry_tolerance_is_1e_12_relative():
 
 
 def test_spectrum_sorted_and_validated():
-    s = EmpiricalSpectrum(np.array([3.0, -1.0, 2.0]), 3, trial_id=4)
+    s = EmpiricalSpectrum(np.array([3.0, -1.0, 2.0]), trial_id=4)
     assert np.array_equal(s.eigenvalues, [-1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        EmpiricalSpectrum(np.array([1.0, 2.0]), 3)
 
 
 def test_empirical_cdf_pooling():
     """distribution_distance pools the spectra into one right-continuous
     empirical CDF: against the zero CDF its gap is that CDF itself."""
-    a = EmpiricalSpectrum(np.array([-1.0, 0.0]), 2, trial_id=0)
-    b = EmpiricalSpectrum(np.array([1.0, 2.0]), 2, trial_id=1)
+    a = EmpiricalSpectrum(np.array([-1.0, 0.0]), trial_id=0)
+    b = EmpiricalSpectrum(np.array([1.0, 2.0]), trial_id=1)
     for t, want in ((-2.0, 0.0), (0.0, 0.5), (0.5, 0.5), (1.5, 0.75),
                     (2.0, 1.0)):
-        # the grid of a window (t - 1, t) with two points ends at t
-        rep = distribution_distance([a, b], lambda s: 0.0, (t - 1.0, t),
-                                    grid_points=2)
+        # the grid of a window (t - 1, t) ends at t, where the gap to the
+        # zero CDF, the empirical CDF itself, is largest
+        rep = distribution_distance([a, b], lambda s: 0.0, (t - 1.0, t))
         assert rep.ks == want
 def test_distance_exact_on_matched_cdf():
     ev = np.linspace(-1.0, 1.0, 2001)
-    s = EmpiricalSpectrum(ev, ev.size)
+    s = EmpiricalSpectrum(ev)
 
     def uniform_cdf(t):
         return min(1.0, max(0.0, 0.5 * (t + 1.0)))
@@ -78,7 +89,7 @@ def test_distance_exact_on_matched_cdf():
 def test_distance_excluded_neighborhood():
     # a point mass at zero must be invisible once |t| < 0.5 is excluded
     ev = np.concatenate([np.zeros(500), np.linspace(1.0, 2.0, 500)])
-    s = EmpiricalSpectrum(ev, ev.size)
+    s = EmpiricalSpectrum(ev)
 
     def cdf_with_atom(t):
         if t < 1.0:
@@ -94,6 +105,23 @@ def test_distance_excluded_neighborhood():
         distribution_distance(s, cdf_with_atom, (-0.1, 0.1), excluded0=1.0)
 
 
+@pytest.mark.parametrize("window,excluded0", [
+    ((-math.inf, math.inf), 0.0), ((0.0, math.nan), 0.0),
+    ((-1.0, 1.0), -0.1), ((-1.0, 1.0), math.nan), ((-1.0, 1.0), math.inf)],
+    ids=["infinite-window", "nan-end", "negative-excluded",
+         "nan-excluded", "infinite-excluded"])
+def test_distance_grid_rejects_non_finite_or_negative(window, excluded0):
+    with pytest.raises(ValueError):
+        distance_grid(window, excluded0)
+
+
+def test_distance_grid_keeps_the_ends_beyond_the_excluded_neighborhood():
+    ts = distance_grid((-10.0, 10.0), 0.2)
+    assert ts[0] == -10.0 and ts[-1] == 10.0
+    assert np.all(np.abs(ts) >= 0.2)
+    assert distance_grid((0.1, 20.0), 0.0).size == GRID_POINTS
+
+
 def test_report_json():
     rep = DistanceReport(ks=0.1, w1_window=0.2, window=(-1.0, 1.0))
     d = rep.to_json()
@@ -101,8 +129,8 @@ def test_report_json():
 
 
 def test_csv_round_trip():
-    a = EmpiricalSpectrum(np.array([0.5, -0.5]), 2, trial_id=1)
-    b = EmpiricalSpectrum(np.array([2.0]), 1, trial_id=0)
+    a = EmpiricalSpectrum(np.array([0.5, -0.5]), trial_id=1)
+    b = EmpiricalSpectrum(np.array([2.0]), trial_id=0)
     text = spectra_to_csv([a, b])
     lines = text.strip().splitlines()
     assert lines[0] == "trial,lambda"

@@ -147,12 +147,8 @@ def test_truncation_validation():
     law = StableTailLaw(1.5)
     prof = SigmaProfile("constant", c=1.0)
     with pytest.raises(ValueError):
-        EnsembleSpec(N=8, law=law, profile=prof, truncation=("fixed_B", -1.0))
-    with pytest.raises(ValueError):
-        # fixed_B is the one truncation
-        EnsembleSpec(N=8, law=law, profile=prof,
-                     truncation=("polynomial_kappa", 0.2))
-    EnsembleSpec(N=8, law=law, profile=prof, truncation=("fixed_B", 2.0))
+        EnsembleSpec(N=8, law=law, profile=prof, truncation=-1.0)
+    EnsembleSpec(N=8, law=law, profile=prof, truncation=2.0)
 
 
 def test_covariance_matrix_rank_and_psd():

@@ -123,6 +123,24 @@ def test_campaign_records_trial_timing(threads):
         assert t["build_s"] > 0.0 and t["eig_s"] > 0.0
 
 
+def test_overflowing_trial_aborts(monkeypatch):
+    # a trial whose matrix overflows is dropped and counted like a failed
+    # eigensolve, never pooled as wrong eigenvalues
+    real = montecarlo.build_band_matrix
+
+    def overflowing(spec):
+        m = real(spec)
+        if spec.seed.stream_id == 3:
+            m[0, 0] = np.inf
+        return m
+
+    monkeypatch.setattr(montecarlo, "build_band_matrix", overflowing)
+    r = run_campaign(band_spec(trials=40, n=8))
+    assert r.aborted_trials == 1
+    assert [s.trial_id for s in r.spectra] == [k for k in range(40) if k != 3]
+    assert np.all(np.isfinite(r.pooled.eigenvalues))
+
+
 def test_trial_timing_skips_aborted_trials(monkeypatch):
     real = montecarlo._one_trial
 
@@ -141,9 +159,9 @@ def test_trial_timing_skips_aborted_trials(monkeypatch):
 def test_atom_fraction():
     ev = np.concatenate([np.zeros(30), np.full(10, 1e-11),
                          np.linspace(0.1, 30000.0, 60)])
-    s = EmpiricalSpectrum(ev, ev.size)
+    s = EmpiricalSpectrum(ev)
     assert atom_fraction(s) == 0.4
-    zero = EmpiricalSpectrum(np.zeros(3), 3)
+    zero = EmpiricalSpectrum(np.zeros(3))
     assert atom_fraction(zero) == 1.0
 
 
@@ -168,7 +186,7 @@ def test_truncated_moment_b_scaling():
 
 
 def test_truncated_moment_builds_band_matrices(monkeypatch):
-    # each sample is one fixed_B band build: N(N+1)/2 draws, cut at B a_N
+    # each sample is one truncated band build: N(N+1)/2 draws, cut at B a_N
     sizes = []
     real = matrices.sample_entries
 
@@ -184,7 +202,7 @@ def test_truncated_moment_builds_band_matrices(monkeypatch):
     want = 0.0
     for k in range(2):
         a = build_band_matrix(EnsembleSpec(N=30, law=law, profile=CONST,
-                                           truncation=("fixed_B", 2.0),
+                                           truncation=2.0,
                                            seed=RngStreamSpec(4, k)))
         want += float(np.sum(a * a)) / 30
     assert got == want / 2

@@ -14,14 +14,12 @@ from htspectra.sampling import (
 def test_law_validation():
     with pytest.raises(ValueError):
         StableTailLaw(2.0)
-    with pytest.raises(ValueError):
-        StableTailLaw(1.0, scale=-1.0)
 
 
 def test_normalizer_pareto_exact():
-    law = StableTailLaw(1.25, scale=0.7)
+    law = StableTailLaw(1.25)
     n = 321
-    assert abs(normalizer_a_N(law, n) - 0.7 * n ** (1.0 / 1.25)) < 1e-12
+    assert abs(normalizer_a_N(law, n) - n ** (1.0 / 1.25)) < 1e-12
 
 
 def test_normalizer_monotone_in_n():
@@ -36,26 +34,25 @@ def test_pareto_sample_tail_frequency():
     x = sample_entries(law, rng, 200000)
     for u in (1.0, 2.0, 5.0):
         emp = np.mean(np.abs(x) >= u)
-        # P(|x| >= u) = min(1, (scale/u)^alpha)
-        assert abs(emp - min(1.0, (law.scale / u) ** law.alpha)) < 5e-3
+        # P(|x| >= u) = min(1, u^-alpha)
+        assert abs(emp - min(1.0, u ** -law.alpha)) < 5e-3
 
 
 def test_pareto_exponential_form():
-    """|x| = scale * exp(E/alpha) with E standard exponential (the Pareto
-    law, since E = -log U), and the sign an independent bit drawn after
-    the magnitudes, so it does not depend on alpha."""
+    """|x| = exp(E/alpha) with E standard exponential (the Pareto law,
+    since E = -log U), and the sign an independent bit drawn after the
+    magnitudes, so it does not depend on alpha."""
     from scipy import stats
     n = 200000
-    law = StableTailLaw(1.5, scale=2.0)
+    law = StableTailLaw(1.5)
     x = sample_entries(law, RngStreamSpec(17).generator(), n)
     e = RngStreamSpec(17).generator().standard_exponential(n)
-    np.testing.assert_allclose(np.abs(x), law.scale * np.exp(e / law.alpha),
+    np.testing.assert_allclose(np.abs(x), np.exp(e / law.alpha),
                                rtol=1e-15, atol=0.0)
-    # |x| against the exact Pareto CDF 1 - (scale/u)^alpha on u >= scale
-    _, p = stats.kstest(np.abs(x),
-                        lambda u: 1.0 - (law.scale / u) ** law.alpha)
+    # |x| against the exact Pareto CDF 1 - u^-alpha on u >= 1
+    _, p = stats.kstest(np.abs(x), lambda u: 1.0 - u ** -law.alpha)
     assert p > 1e-3
-    other = sample_entries(StableTailLaw(0.7, scale=2.0),
+    other = sample_entries(StableTailLaw(0.7),
                            RngStreamSpec(17).generator(), n)
     assert np.array_equal(x < 0, other < 0)
 

@@ -88,7 +88,7 @@ def test_derivatives_match_finite_differences():
 
 
 def test_alpha_two_mode_closed_form():
-    a = AlphaParam(2.0, alpha_two_mode=True)
+    a = AlphaParam(2.0)
     for y in (0.0, 0.5, 1.0 + 2.0j, -0.3 + 0.1j):
         assert abs(g_alpha(a, y) - 1.0 / (1.0 + y)) < 1e-15
         assert abs(h_alpha(a, y) - 1.0 / (1.0 + y)) < 1e-15
@@ -97,13 +97,18 @@ def test_alpha_two_mode_closed_form():
         g_alpha_beta(a, 3.0, 0.5)
 
 
+def test_alpha_two_mode_is_alpha_two():
+    assert AlphaParam(2.0).alpha_two_mode
+    assert not AlphaParam(1.99).alpha_two_mode
+    with pytest.raises(ValueError):
+        AlphaParam(2.5)
+    with pytest.raises(ValueError):
+        AlphaParam(math.nan)
+
+
 def test_alpha_param_validation():
     with pytest.raises(ValueError):
-        AlphaParam(2.0)
-    with pytest.raises(ValueError):
         AlphaParam(0.0)
-    with pytest.raises(ValueError):
-        AlphaParam(1.5, alpha_two_mode=True)
 
 
 def test_c_alpha_values():
@@ -379,8 +384,7 @@ def test_explicit_rule_never_takes_the_series(monkeypatch):
     assert _certified(1.3, 1.3, y)
     monkeypatch.setattr(special, "_series_eval", fail)
     rule = QuadratureRule()
-    for got in (g_alpha(a, y, rule), h_alpha(a, y, rule),
-                g_alpha_prime(a, y, rule), g_alpha_second(a, y, rule)):
+    for got in (g_alpha(a, y, rule), h_alpha(a, y, rule)):
         assert np.isfinite(got)
     with pytest.raises(AssertionError):
         g_alpha(a, y)
@@ -441,7 +445,7 @@ def test_lazy_rungs_match_eager_reference(alpha):
         for name in ("a", "2", "2a", "3a"):
             beta = _beta(alpha, name)
             terms, bound = reference_series_table(alpha, beta)
-            for j, (n, b) in enumerate(_lazy_rungs(alpha, beta)):
+            for j, (n, b, _) in enumerate(_lazy_rungs(alpha, beta)):
                 assert n == terms[j], (alpha, beta, j)
                 assert b == bound[j] or abs(b - bound[j]) <= 1e-15 * bound[j], \
                     (alpha, beta, j, b, bound[j])
@@ -452,7 +456,7 @@ def test_overflowing_gamma_declines_every_rung():
     # every rung declines, and quadrature decides
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _lazy_rungs(1.5, 400.0) == [(0, math.inf)] * len(
+        assert _lazy_rungs(1.5, 400.0) == [(0, math.inf, math.inf)] * len(
             reference_series_table(1.5, 400.0)[0])
 
 
@@ -521,7 +525,7 @@ def test_pair_derivative_matches_g_alpha_two_alpha():
         if _certified(a.alpha, 2.0 * a.alpha, y):
             series += 1
             assert abs(gp + g_alpha_beta(a, 2.0 * a.alpha, y)) <= (
-                special._series_eval(a.alpha, a.alpha, y, True)[3]
+                special._series_eval(a.alpha, a.alpha, y)[3]
                 + special._series_eval(a.alpha, 2.0 * a.alpha, y)[1]), (
                     a.alpha, y)
         else:
@@ -579,7 +583,7 @@ def test_pair_derivative_within_its_certified_bound():
     rule = special._AUTO_ADAPTIVE
     for alpha, r, frac, vr, vi in PAIR_SERIES_ORACLE:
         y = r * cmath.exp(1j * frac * alpha * math.pi / 2)
-        _, _, value, bound = special._series_eval(alpha, alpha, y, True)
+        _, _, value, bound = special._series_eval(alpha, alpha, y)
         assert bound <= rule.abs_tol + rule.rel_tol * abs(value), (alpha, y)
         _, gp = g_alpha_pair(AlphaParam(alpha), y)
         assert gp == -value
@@ -592,19 +596,11 @@ def test_pair_at_zero_and_in_alpha_two_mode():
         assert g_alpha_pair(a, 0.0) == (g_alpha(a, 0.0),
                                         -g_alpha_beta(a, 2.0 * alpha, 0.0))
         assert g_alpha_pair(a, 0.0)[1] == -math.gamma(alpha)
-    a = AlphaParam(2.0, alpha_two_mode=True)
+    a = AlphaParam(2.0)
     for y in (0.0, 0.5, 1.0 + 2.0j, -0.3 + 0.1j):
         g, gp = g_alpha_pair(a, y)
         assert g == g_alpha(a, y) == 1.0 / (1.0 + y)
         assert gp == g_alpha_prime(a, y) == -1.0 / (1.0 + y) ** 2
-
-
-def test_pair_with_explicit_rule_runs_the_rule():
-    a = AlphaParam(1.3)
-    y = 0.3 + 0.2j
-    rule = QuadratureRule()
-    assert g_alpha_pair(a, y, rule) == (
-        g_alpha(a, y, rule), -g_alpha_beta(a, 2.0 * a.alpha, y, rule))
 
 
 def test_pair_falls_back_per_value(monkeypatch):
@@ -642,29 +638,18 @@ def test_pair_falls_back_per_value(monkeypatch):
 
 def test_derivative_alone_evaluates_no_g(monkeypatch):
     # g_alpha_prime takes the pair's path for g' only: off the series one
-    # tanh-sinh run of moment 1, and with an explicit rule one integral
+    # tanh-sinh run of moment 1
     alpha = 1.5
     a = AlphaParam(alpha)
     y = 4.0 * cmath.exp(0.5j * alpha * math.pi / 2.0)
     assert not _certified(alpha, 2.0 * alpha, y)
     de_eval = special._de_eval
-    adaptive = special._adaptive_eval
-    runs, betas = [], []
+    runs = []
 
     def counted_de(alpha, beta, y, rule, moments=(0,)):
         runs.append(tuple(moments))
         return de_eval(alpha, beta, y, rule, moments)
 
-    def counted(alpha, beta, y, rule):
-        betas.append(beta)
-        return adaptive(alpha, beta, y, rule)
-
     monkeypatch.setattr(special, "_de_eval", counted_de)
-    monkeypatch.setattr(special, "_adaptive_eval", counted)
     assert g_alpha_prime(a, y) == g_alpha_pair(a, y)[1]
     assert runs == [(1,), (0, 1)]
-    rule = QuadratureRule()
-    betas.clear()
-    assert g_alpha_prime(a, y, rule) == -adaptive(alpha, 2.0 * alpha, y,
-                                                  rule)
-    assert betas == [2.0 * alpha]
