@@ -304,12 +304,16 @@ def build_covariance_matrix(law: StableTailLaw, N: int, M: int,
     """W = X X^t / a_{N+M}^2 with X an N x M matrix of i.i.d. draws."""
     if not 1 <= M <= N:
         raise ValueError("need 1 <= M <= N")
-    if entries is None:
-        rng = seed.generator()
-        entries = sample_entries(law, rng, (N, M))
-    x = np.asarray(entries, dtype=float)
+    # scaled before the product: at small alpha a product of two entries
+    # exp(E/alpha) overflows where the normalized matrix is finite; sampled
+    # entries are scaled in place, so the scaling allocates nothing
     a = normalizer_a_N(law, N + M)
-    return x @ x.T / (a * a)
+    if entries is None:
+        x = sample_entries(law, seed.generator(), (N, M))
+        x /= a
+    else:
+        x = np.asarray(entries, dtype=float) / a
+    return x @ x.T
 
 
 def alpha_kernel(profile: SigmaProfile, alpha: float):

@@ -27,9 +27,10 @@ so each keeps its own target.
 
 Each Newton step takes one linearization of the system, (F(U), I - F'(U)),
 from one ``special.g_alpha_pair`` per cell and term, which gives g and
-g' = -g_{a,2a} from one evaluation.  The step solves I - F' in closed form
-in Python complex arithmetic for one or two unknowns and by
-``np.linalg.solve`` for more; a converged solution keeps its
+g' = -g_{a,2a} from one evaluation; what depends on z alone, z^alpha or
+an atom's (lam - z)^(-alpha/2), a system computes once per z.  The step
+solves I - F' in closed form in Python complex arithmetic for one or two
+unknowns and by ``np.linalg.solve`` for more; a converged solution keeps its
 linearization, so one more step from it (the real-axis sweep's settling
 step) evaluates no g at its start.
 """
@@ -116,13 +117,19 @@ class FixedPointSolution:
 
 class _System:
     """One fixed-point system: linearization, residual, cone and startup
-    radius."""
+    radius.
+
+    What the map needs of z alone comes from ``_at(z)``, which a system
+    computes once per z: a Newton call passes its one z object to every
+    ``linearize`` and ``residual``, so z^alpha is raised once per call,
+    not once per step."""
 
     cone = K_ALPHA
 
     def __init__(self, a: AlphaParam):
         self.a = a
         self.q = 1
+        self._last_z = self._last_at = None
 
     def linearize(self, z: complex, y):
         """(F(y), I - F'(y)) at z: the map at y as a sequence of q values
@@ -137,7 +144,7 @@ class _System:
         gaps = [abs(u - f) for u, f in zip(y, fy)]
         # max() passes over a nan that is not first; the sum keeps it
         gap = math.nan if math.isnan(sum(gaps)) else max(gaps)
-        return self._scale(z) * float(gap)
+        return self._at(z)[0] * float(gap)
 
     def start_radius(self) -> float:
         raise NotImplementedError
@@ -145,10 +152,20 @@ class _System:
     def start_z(self, z_target: complex) -> complex:
         return 1j * max(self.start_radius(), abs(z_target), 1.0)
 
-    def _scale(self, z: complex) -> float:
-        """Residual scale |z^alpha|, which turns the gap |y - F(y)| of a
-        map with prefactor z^-alpha into the gap of its defining equation."""
-        return abs(principal_power(z, self.a.alpha))
+    def _at(self, z: complex) -> tuple:
+        """``_per_z(z)``, kept for the last z object asked for.  The key
+        is the object, not its value, so a z equal in value but not in
+        its zero signs cannot reuse another's quantities."""
+        if z is not self._last_z:
+            self._last_at = self._per_z(z)
+            self._last_z = z
+        return self._last_at
+
+    def _per_z(self, z: complex) -> tuple:
+        """The quantities of z alone, first the residual scale |z^alpha|,
+        which turns the gap |y - F(y)| of a map with prefactor z^-alpha
+        into the gap of its defining equation."""
+        return (abs(principal_power(z, self.a.alpha)),)
 
 
 # the one term (w, lam, p) = (1, 0, 1) of the unperturbed systems
@@ -168,7 +185,10 @@ class _BandSystem(_System):
     and the one term is (w, lam, p) = (1, 0, 1): the Wigner system and a
     band profile are one cell, the covariance pair is the two cells of
     ``covariance_profile(gamma)``.  ``_PerturbedSystem`` supplies its own
-    prefactor, scale and terms."""
+    prefactor, scale and terms.  The scale, P and the terms are the
+    system's quantities of z alone (``_System._at``): one z^alpha, or one
+    (lam_i - z)^(-alpha/2) per atom, serves every ``linearize`` and
+    ``residual`` at the same z."""
 
     def __init__(self, a: AlphaParam, weights: np.ndarray, kernel: np.ndarray):
         super().__init__(a)
@@ -179,9 +199,14 @@ class _BandSystem(_System):
         self.kw = np.asarray(kernel, dtype=float) * self.weights[None, :]
         self.kw_rows = self.kw.tolist()
 
+    def _per_z(self, z):
+        """(scale |z^alpha|, P(z) = C_alpha z^-alpha, the one plain term)."""
+        power = principal_power(z, self.a.alpha)
+        return abs(power), self.c / power, _PLAIN_TERMS
+
     def _terms(self, z):
-        """(P(z), terms (w_i, lam_i, p_i)) of the map at z."""
-        return self.c / principal_power(z, self.a.alpha), _PLAIN_TERMS
+        """The terms (w_i, lam_i, p_i) of the map at z."""
+        return _PLAIN_TERMS
 
     def linearize(self, z, y):
         """(F(U), I - F'(U)) from one ``g_alpha_pair`` per cell and term:
@@ -189,7 +214,7 @@ class _BandSystem(_System):
         F'_rs = P K_rs Delta_s sum_i w_i p_i^2 g'(p_i U_s), in Python
         complex arithmetic for the one or two cells that ``_newton_step``
         solves in closed form, and as arrays beyond."""
-        pre, terms = self._terms(z)
+        _, pre, terms = self._at(z)
         a = self.a
         cells = [complex(u) for u in y]
         gs = [0.0] * self.q
@@ -218,7 +243,7 @@ class _BandSystem(_System):
 
     def G(self, z: complex, y: np.ndarray) -> complex:
         """The Stieltjes transform at z from the unknowns y at z."""
-        _, terms = self._terms(z)
+        terms = self._terms(z)
         cells = y.tolist()
         total = 0.0 + 0.0j
         for w, lam, p in terms:
@@ -231,7 +256,14 @@ class _BandSystem(_System):
         # force it below 1/3.
         mass = float(np.max(np.sum(self.kw, axis=1)))
         lip = abs(self.c) * cone_bound(self.a, 2.0 * self.a.alpha) * mass
-        return (3.0 * max(lip, 1e-300)) ** (1.0 / self.a.alpha)
+        try:
+            return (3.0 * max(lip, 1e-300)) ** (1.0 / self.a.alpha)
+        except OverflowError:
+            digits = math.log10(3.0 * max(lip, 1e-300)) / self.a.alpha
+            raise SolverError(
+                f"the contraction radius 10^{digits:.4g} at "
+                f"alpha={self.a.alpha} exceeds the floating-point range"
+            ) from None
 
 
 class _PerturbedSystem(_BandSystem):
@@ -250,13 +282,14 @@ class _PerturbedSystem(_BandSystem):
         self.c = c_alpha_bar(a)
         self.atoms = tuple(diag.atoms)
 
-    def _terms(self, z):
+    def _per_z(self, z):
+        """(scale 1, P = conj(C_alpha), one term per atom)."""
         half = -0.5 * self.a.alpha
-        return self.c, [(w, lam, principal_power(lam - z, half))
-                        for lam, w in self.atoms]
+        return 1.0, self.c, [(w, lam, principal_power(lam - z, half))
+                             for lam, w in self.atoms]
 
-    def _scale(self, z):
-        return 1.0
+    def _terms(self, z):
+        return self._at(z)[2]
 
 
 # ---------------------------------------------------------------------------

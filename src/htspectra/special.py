@@ -18,9 +18,10 @@ see ``_series_eval``), and otherwise by nested tanh-sinh quadrature on the
 rotated, power-substituted integral, refined level by level until two
 successive levels agree, with adaptive subdivision as the fallback when
 the level cap is reached.  The series bound is certified per rung
-|y| <= 2^(j/8), by the first call that lands on the rung, so a new (a, b)
-pays for its coefficients and only the rungs it reaches; the factorials
-are one array, built once per process.  An explicit rule, which
+|y| <= 2^(j/8), by the first call that lands on the rung, in one scalar
+pass over the terms that stops where the tail bound is reached, so a new
+(a, b) pays for its coefficients and only the rungs it reaches; the
+factorials are one array, built once per process.  An explicit rule, which
 ``g_alpha_beta``, ``g_alpha`` and ``h_alpha`` take as the reference,
 always runs that rule's quadrature and never the series.
 
@@ -39,6 +40,7 @@ import itertools
 import math
 import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -403,11 +405,10 @@ _FACTORIALS = np.array([float(f) for f in itertools.accumulate(
 @dataclass(frozen=True)
 class _SeriesTable:
     reversed_coef: list     # c_k = Gamma(b/2 + k a/2) / k!, highest k first
-    log_coef: np.ndarray    # log c_k
-    k: np.ndarray           # term indices, as floats
-    ratio: np.ndarray       # Wendel's bound on |c_{k+1}/c_k|
-    mono: np.ndarray        # k >= k_mono, where that bound decreases in k
-    weight: np.ndarray      # roundoff of term k, in ulps
+    log_coef: array         # log c_k
+    ratio: array            # Wendel's bound on |c_{k+1}/c_k|
+    weight: array           # roundoff of term k, in ulps
+    mono: int               # k_mono, from which that bound decreases in k
     tol: float              # the adaptive rule's tolerance on the cone
     slope_tol: float        # the same for g_{a,b+a}
     # rung -> (terms, bound, bound of the derivative's sum or inf),
@@ -421,18 +422,21 @@ def _series_table(alpha: float, beta: float) -> _SeriesTable:
     to certify a rung R = 2^(j/8); built once per (alpha, beta), with the
     rungs left empty for ``_series_eval`` to certify on first use.
 
-    A rung's bound is the tail bound after the last summed term plus a
-    first-order roundoff bound: u times the L1 mass of the summed terms,
-    each weighted by its own roundoff.  Both grow with |y|, so they hold
-    for every |y| <= R.
+    The per-term values that ``_certify_rung`` reads, log c_k, Wendel's
+    ratio bound and the roundoff weight, are held as ``array.array``s,
+    which its one scalar pass iterates, and the term k_mono from which the
+    ratio bound decreases as one index.  A rung's bound is the tail bound
+    after the last summed term plus a first-order roundoff bound: u times
+    the L1 mass of the summed terms, each weighted by its own roundoff.
+    Both grow with |y|, so they hold for every |y| <= R.
     """
     k = np.arange(_SERIES_MAX_TERMS, dtype=float)
     x = beta / 2.0 + k * alpha / 2.0
     k, x = k[x < 171.0], x[x < 171.0]
     if not len(k):   # Gamma(beta/2) overflows: quadrature decides
-        empty = np.empty(0)
         every = range(_RUNG_MIN, _RUNG_MAX + 1)
-        return _SeriesTable([], empty, empty, empty, empty, empty, 0.0, 0.0,
+        return _SeriesTable([], array("d"), array("d"), array("d"), 0,
+                            0.0, 0.0,
                             dict.fromkeys(every, (0, math.inf, math.inf)))
     from scipy.special import digamma, gamma
 
@@ -456,8 +460,9 @@ def _series_table(alpha: float, beta: float) -> _SeriesTable:
     rule = _AUTO_ADAPTIVE
     tol = rule.abs_tol + rule.rel_tol * cone_bound(a, beta)
     slope_tol = rule.abs_tol + rule.rel_tol * cone_bound(a, beta + alpha)
-    return _SeriesTable(coef[::-1].tolist(), np.log(coef), k, ratio,
-                        k >= k_mono, weight, tol, slope_tol, {})
+    return _SeriesTable(coef[::-1].tolist(), array("d", np.log(coef)),
+                        array("d", ratio), array("d", weight),
+                        max(0, math.ceil(k_mono)), tol, slope_tol, {})
 
 
 def _certify_rung(table: _SeriesTable, rung: int) -> tuple[int, float,
@@ -467,6 +472,12 @@ def _certify_rung(table: _SeriesTable, rung: int) -> tuple[int, float,
     or 0 terms where no count reaches that or the bound exceeds the table's
     tolerance; and the bound of the derivative summed on terms 1..n, inf
     where it exceeds the tolerance of g_{a,b+a}.
+
+    One scalar pass over the table's terms, in order, sums the mass and
+    the two roundoff masses as it goes and stops at term n, one beyond the
+    value's last, which only the derivative's tail reads.  A rung that no
+    count reaches scans every term, and its bound is the tail after the
+    first term.
 
     The derivative's term k is k c_k R^(k-1).  Its ratio to the term
     before is Wendel's ratio times (k+1)/k, which also decreases in k, so
@@ -478,26 +489,39 @@ def _certify_rung(table: _SeriesTable, rung: int) -> tuple[int, float,
     products and at most k+1 sums each, so the roundoff weight of term k
     of the value covers it."""
     log_r = rung * (math.log(2.0) / _RUNGS_PER_OCTAVE)
-    # terms beyond e^600 can never certify; the cap keeps every sum finite
-    size = np.exp(np.minimum(table.log_coef + table.k * log_r, 600.0))
     r = math.exp(log_r)
-    rho = table.ratio * r
-    ok = (rho < 1.0) & table.mono
-    rho = np.where(ok, rho, 0.0)
-    tail = np.where(ok, size * rho / (1.0 - rho), np.inf)
-    reached = np.flatnonzero(tail <= _UNIT_ROUNDOFF * np.cumsum(size))
-    n = int(reached[0]) + 1 if len(reached) else 0
-    bound = float(_UNIT_ROUNDOFF * np.dot(size[:n], table.weight[:n])
-                  + tail[max(n - 1, 0)])
-    if bound > table.tol:
-        return 0, bound, math.inf
-    slope = math.inf
-    if 0 < n < len(size) and ok[n] and rho[n] * (n + 1) < n:
-        last = rho[n] * (n + 1) / n
-        slope = (_UNIT_ROUNDOFF * np.dot(table.k[:n + 1] * size[:n + 1],
-                                         table.weight[:n + 1])
-                 + n * size[n] * last / (1.0 - last)) / r
-    return n, bound, float(slope) if slope <= table.slope_tol else math.inf
+    exp, mono, inf = math.exp, table.mono, math.inf
+    summed = mass = slope_mass = 0.0
+    n = 0
+    for k, (log_c, ratio, weight) in enumerate(
+            zip(table.log_coef, table.ratio, table.weight)):
+        # terms beyond e^600 can never certify; the cap keeps every sum
+        # finite
+        log_size = log_c + k * log_r
+        size = exp(600.0 if log_size > 600.0 else log_size)
+        rho = ratio * r
+        ok = rho < 1.0 and k >= mono
+        if n:   # term n: the derivative's tail
+            slope = inf
+            if ok and rho * (n + 1) < n:
+                last = rho * (n + 1) / n
+                slope = (_UNIT_ROUNDOFF * (slope_mass + k * size * weight)
+                         + n * size * last / (1.0 - last)) / r
+            return n, bound, slope if slope <= table.slope_tol else inf
+        tail = size * rho / (1.0 - rho) if ok else inf
+        if not k:
+            first = tail
+        summed += size
+        mass += size * weight
+        slope_mass += k * size * weight
+        if tail <= _UNIT_ROUNDOFF * summed:
+            n = k + 1
+            bound = _UNIT_ROUNDOFF * mass + tail
+            if bound > table.tol:
+                return 0, bound, inf
+    if n:   # the value sums every term: no derivative's tail
+        return n, bound, inf
+    return 0, first, inf
 
 
 def _series_eval(alpha: float, beta: float, y: complex):
@@ -576,17 +600,6 @@ def _g_moments(a: AlphaParam, beta: float, y: complex,
 _AUTO_ADAPTIVE = QuadratureRule(kind="adaptive-subdivision")
 
 
-def _certified(series):
-    """The value of a ``_series_eval`` result whose bound meets the
-    adaptive rule's tolerance, else None."""
-    if series is None:
-        return None
-    value, bound = series
-    if bound <= _AUTO_ADAPTIVE.abs_tol + _AUTO_ADAPTIVE.rel_tol * abs(value):
-        return value
-    return None
-
-
 def _auto_eval(alpha: float, beta: float, y: complex, moments) -> list:
     # The default path for each g_{alpha, beta + j alpha}: the power
     # series of g_{alpha,beta} where its bound certifies the adaptive
@@ -595,15 +608,22 @@ def _auto_eval(alpha: float, beta: float, y: complex, moments) -> list:
     # the moments left), then adaptive subdivision for a moment whose
     # tanh-sinh levels do not settle before the cap.
     series = _series_eval(alpha, beta, y)
-    values = [None if series is None else _certified(series[2 * j:2 * j + 2])
-              for j in moments]
+    if series is None:
+        values = [None] * len(moments)
+    else:
+        value, bound, deriv, slope = series
+        abs_tol, rel_tol = _AUTO_ADAPTIVE.abs_tol, _AUTO_ADAPTIVE.rel_tol
+        sums = (value if bound <= abs_tol + rel_tol * abs(value) else None,
+                deriv if slope <= abs_tol + rel_tol * abs(deriv) else None)
+        values = [sums[j] for j in moments]
+        if None not in values:
+            return values
     todo = [i for i, value in enumerate(values) if value is None]
-    if todo:
-        quad = _de_eval(alpha, beta, y, _AUTO_ADAPTIVE,
-                        [moments[i] for i in todo])
-        for i, value in zip(todo, quad):
-            values[i] = value if value is not None else _adaptive_eval(
-                alpha, beta + moments[i] * alpha, y, _AUTO_ADAPTIVE)
+    quad = _de_eval(alpha, beta, y, _AUTO_ADAPTIVE,
+                    [moments[i] for i in todo])
+    for i, value in zip(todo, quad):
+        values[i] = value if value is not None else _adaptive_eval(
+            alpha, beta + moments[i] * alpha, y, _AUTO_ADAPTIVE)
     return values
 
 

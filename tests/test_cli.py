@@ -259,6 +259,19 @@ def test_theory_wrong_branch_curve_exits_2(capsys, tmp_path):
     assert "t=0.231" in err
 
 
+def test_theory_at_tiny_alpha_names_the_contraction_radius(capsys,
+                                                            tmp_path):
+    # the contraction radius (3 L)^(1/alpha) exceeds the floating-point
+    # range at alpha = 1e-5: a numerical failure that names alpha and the
+    # radius, not a bare OverflowError
+    code = run(["theory", "--alpha", "1e-5", "--points", "3",
+                "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "contraction radius" in err and "alpha=1e-05" in err
+
+
 def test_theory_single_point_negative_density_exits_2(capsys, tmp_path,
                                                       monkeypatch):
     # a single point shares the curve's check: a density below -1e-9 is a
@@ -556,6 +569,17 @@ def _simulated_m(tmp_path, flags):
     assert code == 0
     campaign = json.loads((out / "campaign.json").read_text())
     return campaign["spec"]["ensemble"]["M"]
+
+
+def test_simulate_wishart_at_tiny_alpha_keeps_its_trial(tmp_path):
+    # entries exp(E/alpha) at alpha = 0.02 are finite, but a product of
+    # two of them is not: X X^t overflowed before its division by a^2 and
+    # the one trial aborted; the normalized matrix is finite
+    assert run(["simulate", "--model", "wishart", "--alpha", "0.02",
+                "--n", "60", "--trials", "1", "--seed", "1",
+                "--out", str(tmp_path)]) == 0
+    campaign = json.loads((tmp_path / "campaign.json").read_text())
+    assert campaign["aborted_trials"] == 0
 
 
 def test_simulate_wishart_takes_m_from_gamma(tmp_path):

@@ -165,7 +165,7 @@ def test_covariance_matrix_from_entries():
     law = StableTailLaw(1.5)
     a = normalizer_a_N(law, 8)
     w = build_covariance_matrix(law, 5, 3, RngStreamSpec(0), entries=x)
-    assert np.array_equal(w, x @ x.T / (a * a))
+    assert np.array_equal(w, (x / a) @ (x / a).T)
 
 
 def riemann_alpha_norm(profile, alpha, n=4000):

@@ -823,7 +823,7 @@ def test_one_pair_per_cell_and_term_per_newton_step(monkeypatch, name):
     cell and term, and evaluates no g or g' of its own: every g of the
     solve is one of a pair's moments (0, 1)."""
     system = SYSTEMS[name](AlphaParam(1.3))
-    terms = len(system._terms(1j)[1])
+    terms = len(system._terms(1j))
     pairs, moments, newtons, linearized = [], [], [], []
     pair = solver.g_alpha_pair
     g_moments = special._g_moments
@@ -855,6 +855,35 @@ def test_one_pair_per_cell_and_term_per_newton_step(monkeypatch, name):
     assert len(linearized) == sum(newtons) > len(newtons)
     assert len(pairs) == len(linearized) * system.q * terms
     assert moments == [(0, 1)] * len(pairs)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_newton_raises_each_power_of_z_once(monkeypatch, name):
+    """One Newton call at a fixed z evaluates z^alpha once, or, for a
+    perturbed system, (lam - z)^(-alpha/2) once per atom, however many
+    steps it takes; the powers are those the map's formula names."""
+    a = AlphaParam(1.3)
+    z = 0.8 + 0.6j
+    y0 = solver._solve(SYSTEMS[name](a), z).unknowns * (1.0 + 0.05j)
+    system = SYSTEMS[name](a)
+    powers = []
+    principal_power = solver.principal_power
+
+    def counted(x, p):
+        powers.append((x, p))
+        return principal_power(x, p)
+
+    monkeypatch.setattr(solver, "principal_power", counted)
+    sol = solver._newton(system, z, y0, solver.TOL)
+    assert sol.iterations >= 2
+    if name == "perturbed":
+        assert powers == [(lam - z, -0.5 * a.alpha)
+                          for lam, _ in system.atoms]
+    else:
+        assert powers == [(z, a.alpha)]
+    # the transform at the solution's z raises nothing again
+    system.G(sol.z, sol.unknowns)
+    assert len(powers) == (len(system.atoms) if name == "perturbed" else 1)
 
 
 def test_settling_step_reuses_the_last_linearization(monkeypatch):

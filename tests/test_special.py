@@ -391,15 +391,16 @@ def test_explicit_rule_never_takes_the_series(monkeypatch):
 
 
 def reference_series_table(alpha, beta):
-    """(terms, bound) of every rung of the power series of g_{alpha,beta},
-    all at once: the eager 2-D form of the certificate that
-    ``special._series_eval`` makes one rung at a time."""
+    """(terms, bound, slope bound) of every rung of the power series of
+    g_{alpha,beta}, all at once: the eager 2-D form of the certificate that
+    ``special._certify_rung`` makes one rung at a time, its masses summed
+    in term order as the certificate's one pass sums them."""
     rungs = special._RUNG_MAX - special._RUNG_MIN + 1
     k = np.arange(special._SERIES_MAX_TERMS, dtype=float)
     x = beta / 2.0 + k * alpha / 2.0
     k, x = k[x < 171.0], x[x < 171.0]
     if not len(k):
-        return [0] * rungs, [math.inf] * rungs
+        return [0] * rungs, [math.inf] * rungs, [math.inf] * rungs
     from scipy.special import digamma, gamma
 
     coef = gamma(x) / np.array([float(math.factorial(int(i))) for i in k])
@@ -408,6 +409,7 @@ def reference_series_table(alpha, beta):
     weight = 34.0 + 4.0 * x * np.abs(digamma(x)) + 4.0 * k
     log_r = np.arange(special._RUNG_MIN, special._RUNG_MAX + 1)[:, None] * (
         math.log(2.0) / special._RUNGS_PER_OCTAVE)
+    r = np.exp(log_r[:, 0])
     size = np.exp(np.minimum(np.log(coef) + k * log_r, 600.0))
     rho = ratio * np.exp(log_r)
     ok = (rho < 1.0) & (k >= k_mono)
@@ -415,13 +417,28 @@ def reference_series_table(alpha, beta):
     tail = np.where(ok, size * rho / (1.0 - rho), np.inf)
     reached = tail <= special._UNIT_ROUNDOFF * np.cumsum(size, axis=1)
     n = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, 0)
-    summed = np.arange(len(k)) < n[:, None]
-    bound = (special._UNIT_ROUNDOFF * (np.where(summed, size, 0.0) @ weight)
-             + tail[np.arange(len(n)), np.maximum(n - 1, 0)])
-    tol = special._AUTO_ADAPTIVE.abs_tol + special._AUTO_ADAPTIVE.rel_tol \
-        * cone_bound(AlphaParam(alpha), beta)
+    rows = np.arange(len(n))
+    last_summed = np.maximum(n - 1, 0)
+    mass = np.where(n > 0, np.cumsum(size * weight, axis=1)[
+        rows, last_summed], 0.0)
+    bound = special._UNIT_ROUNDOFF * mass + tail[rows, last_summed]
+    a = AlphaParam(alpha)
+    rule = special._AUTO_ADAPTIVE
+    tol = rule.abs_tol + rule.rel_tol * cone_bound(a, beta)
+    slope_tol = rule.abs_tol + rule.rel_tol * cone_bound(a, beta + alpha)
+    # the derivative's tail after term n, where the value stops short of
+    # the last term and the ratio bound of term n, times (n+1)/n, is below 1
+    nxt = np.minimum(n, len(k) - 1)
+    rho_n = rho[rows, nxt]
+    has_tail = (n > 0) & (n < len(k)) & ok[rows, nxt] \
+        & (rho_n * (n + 1) < n) & (bound <= tol)
+    last = np.where(has_tail, rho_n * (n + 1) / np.maximum(n, 1), 0.0)
+    slope_mass = np.cumsum(k * size * weight, axis=1)[rows, nxt]
+    slope = (special._UNIT_ROUNDOFF * slope_mass
+             + n * size[rows, nxt] * last / (1.0 - last)) / r
+    slope = np.where(has_tail & (slope <= slope_tol), slope, np.inf)
     n = np.where(bound <= tol, n, 0)
-    return n.tolist(), bound.tolist()
+    return n.tolist(), bound.tolist(), slope.tolist()
 
 
 def _lazy_rungs(alpha, beta):
@@ -438,17 +455,22 @@ def _lazy_rungs(alpha, beta):
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 1.0, 1.3, 1.5, 1.7, 1.9,
                                    1.99])
 def test_lazy_rungs_match_eager_reference(alpha):
-    # a dot product replaces the reference's matrix-vector product, so the
-    # bounds agree to roundoff and the term counts exactly
+    # the reference takes its exponentials from numpy and the certificate
+    # from math, which differ in the last bit; so the bounds agree to
+    # roundoff, declined rungs and slope bounds included, and the term
+    # counts and every infinite bound exactly
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name in ("a", "2", "2a", "3a"):
             beta = _beta(alpha, name)
-            terms, bound = reference_series_table(alpha, beta)
-            for j, (n, b, _) in enumerate(_lazy_rungs(alpha, beta)):
-                assert n == terms[j], (alpha, beta, j)
-                assert b == bound[j] or abs(b - bound[j]) <= 1e-15 * bound[j], \
-                    (alpha, beta, j, b, bound[j])
+            want = reference_series_table(alpha, beta)
+            for j, got in enumerate(_lazy_rungs(alpha, beta)):
+                n, b, s = got
+                assert n == want[0][j], (alpha, beta, j)
+                for value, ref in ((b, want[1][j]), (s, want[2][j])):
+                    assert value == ref or math.isfinite(ref) and abs(
+                        value - ref) <= 1e-15 * ref, \
+                        (alpha, beta, j, got, [w[j] for w in want])
 
 
 def test_overflowing_gamma_declines_every_rung():

@@ -12,7 +12,10 @@ counted:
 - ``series_passes``: power-series sums of g, each one Horner loop
   (``special._series_eval`` calls that return a value);
 - ``rung_certifications``: ``special._certify_rung`` calls;
-- ``tanh_sinh_runs``: ``special._de_eval`` calls.
+- ``tanh_sinh_runs``: ``special._de_eval`` calls;
+- ``z_powers``: ``principal_power`` calls made by ``solver`` and
+  ``density``, such as z^alpha of a band system or (lam - z)^(-alpha/2)
+  of a perturbed system's atom.
 
 The last line of standard output is one JSON object with the counts per
 item.  No timing is taken, so the figures repeat exactly for a seed.
@@ -29,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import htspectra.density as density  # noqa: E402
 import htspectra.solver as solver  # noqa: E402
 import htspectra.special as special  # noqa: E402
 import spans  # noqa: E402
@@ -56,6 +60,8 @@ def _install(counts):
          lambda result: result is not None)
     wrap(special, "_certify_rung", "rung_certifications")
     wrap(special, "_de_eval", "tanh_sinh_runs")
+    for module in (solver, density):
+        wrap(module, "principal_power", "z_powers")
     return undo
 
 
@@ -82,7 +88,7 @@ def count(workload, seed, rounds):
             "items": items, "failed": failed,
             "per_item": {key: counts[key] / items for key in (
                 "linearizations", "series_passes", "rung_certifications",
-                "tanh_sinh_runs")}}
+                "tanh_sinh_runs", "z_powers")}}
 
 
 def main(argv=None):
