@@ -47,7 +47,7 @@ from .solver import (
     wigner_system,
     wishart_system,
 )
-from .special import AlphaParam, c_alpha, h_alpha, principal_power
+from .special import AlphaParam, c_alpha, h_alpha
 
 __all__ = [
     "DensityCurve",
@@ -136,12 +136,9 @@ def _wigner_rho(system, t: float, y: np.ndarray) -> float:
     yv = y[0]
     al = a.alpha
     expr1 = -system.G(t, y).imag / math.pi
-    if a.alpha_two_mode:
-        i_pow = -1.0 + 0.0j
-        c_abs = 1.0
-    else:
-        i_pow = principal_power(1j, -al)
-        c_abs = abs(c_alpha(a))
+    c = c_alpha(a)
+    c_abs = abs(c)
+    i_pow = c.conjugate() / c_abs   # i^-alpha; exactly -1 at alpha = 2
     expr2 = al * t ** (al - 1.0) / (2.0 * c_abs * math.pi) \
         * (i_pow * yv * yv).imag
     if abs(expr1 - expr2) > WIGNER_AGREEMENT * max(1.0, abs(expr1)):

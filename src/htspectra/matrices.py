@@ -2,10 +2,10 @@
 
 Band matrices A(i,j) = sigma(i/N, j/N) x_ij / a_N with optional entry
 truncation and diagonal perturbation, sample covariance matrices
-W = X X^t / a_{N+M}^2.  Variance profiles sigma come in four variants
-(constant, piecewise-constant on a grid of intervals, band phi(x-y), and a
-sampled grid); ``alpha_kernel`` turns each into the cell weights and
-kernel of its limit system.
+W = X X^t / a_{N+M}^2.  Variance profiles sigma come in three variants
+(constant, piecewise-constant on a grid of intervals, and band phi(x-y));
+``alpha_kernel`` turns each into the cell weights and kernel of its limit
+system.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = [
     "covariance_profile",
 ]
 
-_VARIANTS = ("constant", "piecewise", "band", "grid")
+_VARIANTS = ("constant", "piecewise", "band")
 
 
 def _check_finite(name: str, values: np.ndarray):
@@ -53,7 +53,9 @@ class SigmaProfile:
                0 = b_0 < b_1 < ... < b_q = 1.
     band:      sigma(x, y) = phi(x - y) for an even period-1 step
                function phi, given by breakpoints and values on [0, 1].
-    grid:      values sampled on a p x p uniform lattice.
+
+    ``from_json`` reads a p x p grid of values, {"type": "grid"}, as the
+    piecewise profile with breaks k/p.
     """
 
     variant: str
@@ -62,7 +64,6 @@ class SigmaProfile:
     matrix: tuple = ()
     breakpoints: tuple = ()
     values: tuple = ()
-    resolution: int = 0
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -96,14 +97,6 @@ class SigmaProfile:
             mirrored = v[_step_index(b, (1.0 - xs) % 1.0)]
             if np.any(np.abs(mirrored - v) > 1e-12):
                 raise ValueError("band profile phi must be even")
-        elif self.variant == "grid":
-            v = np.asarray(self.values, dtype=float)
-            p = self.resolution
-            if p < 1 or v.shape != (p, p):
-                raise ValueError(f"grid values must be {p}x{p}")
-            _check_finite("values", v)
-            if not np.array_equal(v, v.T):
-                raise ValueError("grid values must be symmetric")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -117,15 +110,9 @@ class SigmaProfile:
             b = np.asarray(self.breaks, dtype=float)
             m = np.asarray(self.matrix, dtype=float)
             return m[_step_index(b, x), _step_index(b, y)]
-        if self.variant == "band":
-            b = np.asarray(self.breakpoints, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            return v[_step_index(b, np.mod(x - y, 1.0))]
-        p = self.resolution
+        b = np.asarray(self.breakpoints, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        r = np.clip((np.asarray(x) * p).astype(int), 0, p - 1)
-        s = np.clip((np.asarray(y) * p).astype(int), 0, p - 1)
-        return v[r, s]
+        return v[_step_index(b, np.mod(x - y, 1.0))]
 
     def lattice(self, N: int) -> np.ndarray:
         """sigma sampled at ((i+1)/N, (j+1)/N), i, j = 0..N-1."""
@@ -138,10 +125,9 @@ class SigmaProfile:
         """Partition (breaks, matrix) of a profile constant on product cells.
 
         Returns (breaks b_0..b_q, q x q matrix, weights Delta_r): a constant
-        is a single cell, the piecewise and grid variants are exact on their
-        own breaks and lattice.  phi(x - y) is constant on no product cells,
-        so a band profile raises ValueError: its limit system comes from
-        ``alpha_kernel``.
+        is a single cell, a piecewise profile is exact on its own breaks.
+        phi(x - y) is constant on no product cells, so a band profile
+        raises ValueError: its limit system comes from ``alpha_kernel``.
         """
         if self.variant == "constant":
             b = np.array([0.0, 1.0])
@@ -149,13 +135,9 @@ class SigmaProfile:
         elif self.variant == "piecewise":
             b = np.asarray(self.breaks, dtype=float)
             m = np.asarray(self.matrix, dtype=float)
-        elif self.variant == "band":
+        else:
             raise ValueError("a band profile has no product cells; use "
                              "alpha_kernel for its limit system")
-        else:
-            p = self.resolution
-            b = np.arange(p + 1) / p
-            m = np.asarray(self.values, dtype=float)
         weights = np.diff(b)
         return b, m, weights
 
@@ -174,9 +156,13 @@ class SigmaProfile:
         if kind == "band":
             return SigmaProfile("band", breakpoints=tuple(obj["breakpoints"]),
                                 values=tuple(obj["values"]))
-        if kind == "grid":
-            return SigmaProfile("grid", resolution=int(obj["resolution"]),
-                                values=tuple(tuple(row) for row in obj["values"]))
+        if kind == "grid":   # the piecewise profile on breaks k/p
+            p = int(obj["resolution"])
+            if p < 1:
+                raise ValueError(f"grid resolution must be >= 1, got {p}")
+            return SigmaProfile("piecewise",
+                                breaks=tuple((np.arange(p + 1) / p).tolist()),
+                                matrix=tuple(tuple(row) for row in obj["values"]))
         raise ValueError(f"unknown profile type {kind!r}")
 
     def to_json(self) -> dict:
@@ -185,11 +171,8 @@ class SigmaProfile:
         if self.variant == "piecewise":
             return {"type": "piecewise", "breaks": list(self.breaks),
                     "matrix": [list(r) for r in self.matrix]}
-        if self.variant == "band":
-            return {"type": "band", "breakpoints": list(self.breakpoints),
-                    "values": list(self.values)}
-        return {"type": "grid", "resolution": self.resolution,
-                "values": [list(r) for r in self.values]}
+        return {"type": "band", "breakpoints": list(self.breakpoints),
+                "values": list(self.values)}
 
 
 @dataclass(frozen=True)

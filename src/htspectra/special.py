@@ -11,19 +11,20 @@ quadrature is catastrophically ill-conditioned near the cone boundary
 with negative real part the contour is rotated onto a ray where every
 factor decays; see ``_rotation_angle``.
 
-With no explicit rule, g is evaluated by the power series
+With no explicit rule, g is evaluated in two tiers: by the power series
 g_{a,b}(y) = sum_k Gamma(b/2 + k a/2)/k! (-y)^k wherever a truncation and
 roundoff bound certifies it to the adaptive rule's tolerance (small |y|;
 see ``_series_eval``), and otherwise by nested tanh-sinh quadrature on the
 rotated, power-substituted integral, refined level by level until two
-successive levels agree, with adaptive subdivision as the fallback when
-the level cap is reached.  The series bound is certified per rung
+successive levels agree; a value whose levels reach the cap raises
+``QuadratureError``.  The series bound is certified per rung
 |y| <= 2^(j/8), by the first call that lands on the rung, in one scalar
-pass over the terms that stops where the tail bound is reached, so a new
-(a, b) pays for its coefficients and only the rungs it reaches; the
-factorials are one array, built once per process.  An explicit rule, which
+pass over the terms that stops where the rung is decided, so a new (a, b)
+pays for its coefficients and only the rungs it reaches; the factorials
+are one array, built once per process.  An explicit rule, which
 ``g_alpha_beta``, ``g_alpha`` and ``h_alpha`` take as the reference,
-always runs that rule's quadrature and never the series.
+always runs adaptive subdivision and never the series.  At a = 2 every
+path is the closed form g_{2,b}(y) = Gamma(b/2) (1+y)^(-b/2).
 
 ``g_alpha_pair`` returns g_a and its derivative g_a' = -g_{a,2a} from one
 evaluation, as every Newton step of the solvers needs both at the same
@@ -68,7 +69,7 @@ K_HAT_ALPHA = "K_hat_alpha"
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to meet the requested tolerance."""
+    """Quadrature of g failed to meet the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,9 @@ class AlphaParam:
     """Tail index alpha in (0, 2].
 
     At alpha = 2 (``alpha_two_mode``) the Gamma-ratio constant is singular
-    and the functions collapse to g(y) = h(y) = 1/(1+y); that branch is
-    kept separate instead of being approached as a limit.
+    and the functions collapse to g_{2,b}(y) = Gamma(b/2) (1+y)^(-b/2),
+    so g(y) = h(y) = 1/(1+y); that branch is kept separate instead of
+    being approached as a limit.
     """
 
     alpha: float
@@ -334,20 +336,19 @@ def _nested_de_sums(alpha: float, beta: float, y: complex,
                for pre, total, mass in zip(prefs, totals, masses)]
 
 
-def _de_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule,
-             moments=(0,)) -> list:
+def _de_eval(alpha: float, beta: float, y: complex, moments=(0,)) -> list:
     """Nested tanh-sinh quadrature of g_{alpha, beta + j alpha} for j in
     moments (see ``_nested_de_sums``): each value is the first level that
-    agrees with the level before it.  A value is None when its levels hit
-    the cap (strong oscillation), so the caller can fall back."""
+    agrees with the level before it to the adaptive rule's tolerance.  A
+    value is None when its levels hit the cap (strong oscillation)."""
+    abs_tol, rel_tol = _AUTO_ADAPTIVE.abs_tol, _AUTO_ADAPTIVE.rel_tol
     values = [None] * len(moments)
     prev = [None] * len(moments)
     for sums in _nested_de_sums(alpha, beta, y, moments):
         for i, (cur, mass) in enumerate(sums):
             if values[i] is None:
                 if prev[i] is not None and abs(cur - prev[i]) <= (
-                        2e-15 * mass + 0.5 * (rule.abs_tol
-                                              + rule.rel_tol * abs(cur))):
+                        2e-15 * mass + 0.5 * (abs_tol + rel_tol * abs(cur))):
                     values[i] = cur
                 prev[i] = cur
         if None not in values:
@@ -469,15 +470,16 @@ def _certify_rung(table: _SeriesTable, rung: int) -> tuple[int, float,
                                                            float]:
     """(terms, bound, slope bound) of rung R = 2^(rung/8): the fewest terms
     n whose tail is below one unit of roundoff on the mass summed so far,
-    or 0 terms where no count reaches that or the bound exceeds the table's
-    tolerance; and the bound of the derivative summed on terms 1..n, inf
-    where it exceeds the tolerance of g_{a,b+a}.
+    and the bound of the derivative summed on terms 1..n, inf where it
+    exceeds the tolerance of g_{a,b+a}; (0, inf, inf) where no count
+    reaches that or the bound exceeds the table's tolerance.
 
     One scalar pass over the table's terms, in order, sums the mass and
     the two roundoff masses as it goes and stops at term n, one beyond the
-    value's last, which only the derivative's tail reads.  A rung that no
-    count reaches scans every term, and its bound is the tail after the
-    first term.
+    value's last, which only the derivative's tail reads.  It stops as
+    soon as the rung is declined: at the first term where u times the
+    roundoff mass exceeds the tolerance, since every later bound holds
+    that mass, or where a count's bound does.
 
     The derivative's term k is k c_k R^(k-1).  Its ratio to the term
     before is Wendel's ratio times (k+1)/k, which also decreases in k, so
@@ -508,20 +510,20 @@ def _certify_rung(table: _SeriesTable, rung: int) -> tuple[int, float,
                 slope = (_UNIT_ROUNDOFF * (slope_mass + k * size * weight)
                          + n * size * last / (1.0 - last)) / r
             return n, bound, slope if slope <= table.slope_tol else inf
-        tail = size * rho / (1.0 - rho) if ok else inf
-        if not k:
-            first = tail
         summed += size
         mass += size * weight
+        if _UNIT_ROUNDOFF * mass > table.tol:
+            return 0, inf, inf
         slope_mass += k * size * weight
+        tail = size * rho / (1.0 - rho) if ok else inf
         if tail <= _UNIT_ROUNDOFF * summed:
             n = k + 1
             bound = _UNIT_ROUNDOFF * mass + tail
             if bound > table.tol:
-                return 0, bound, inf
+                return 0, inf, inf
     if n:   # the value sums every term: no derivative's tail
         return n, bound, inf
-    return 0, first, inf
+    return 0, inf, inf
 
 
 def _series_eval(alpha: float, beta: float, y: complex):
@@ -573,21 +575,23 @@ def g_alpha_beta(
     """Evaluate g_{alpha,beta}(y) for y in (a neighborhood of) K_alpha."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    y = complex(y)
-    if a.alpha_two_mode:
-        # Closed-form limit branch, defined for Re(y) > -1.
-        if beta == 2.0 or beta == a.alpha:
-            return 1.0 / (1.0 + y)
-        raise ValueError("alpha_two_mode supports beta in {alpha, 2} only")
     return _g_moments(a, beta, y, rule, (0,))[0]
 
 
 def _g_moments(a: AlphaParam, beta: float, y: complex,
                rule: QuadratureRule | None, moments) -> list:
-    """[g_{alpha, beta + j alpha}(y) for j in moments (each 0 or 1)]: by
-    the explicit rule when one is given, else by ``_auto_eval``."""
-    _check_domain(a, y)
+    """[g_{alpha, beta + j alpha}(y) for j in moments (each 0 or 1)]: the
+    closed form at alpha = 2, else by the explicit rule when one is given,
+    else by ``_auto_eval``."""
+    y = complex(y)
     alpha = a.alpha
+    if a.alpha_two_mode:
+        # g_{2,b}(y) = Gamma(b/2) (1+y)^(-b/2), defined for Re(y) > -1;
+        # at b = 2 the power would flip the sign of a zero imaginary part
+        return [1.0 / (1.0 + y) if b == 2.0
+                else math.gamma(b / 2.0) / (1.0 + y) ** (b / 2.0)
+                for b in (beta + j * alpha for j in moments)]
+    _check_domain(a, y)
     if y == 0:
         return [complex(math.gamma((beta + j * alpha) / 2.0))
                 for j in moments]
@@ -601,12 +605,12 @@ _AUTO_ADAPTIVE = QuadratureRule(kind="adaptive-subdivision")
 
 
 def _auto_eval(alpha: float, beta: float, y: complex, moments) -> list:
-    # The default path for each g_{alpha, beta + j alpha}: the power
-    # series of g_{alpha,beta} where its bound certifies the adaptive
-    # rule's tolerance, moment 1 from the derivative of the same pass,
-    # else nested tanh-sinh on the ray of g_{alpha,beta} (one run for all
-    # the moments left), then adaptive subdivision for a moment whose
-    # tanh-sinh levels do not settle before the cap.
+    # The default path for each g_{alpha, beta + j alpha}, in two tiers:
+    # the power series of g_{alpha,beta} where its bound certifies the
+    # adaptive rule's tolerance, moment 1 from the derivative of the same
+    # pass, else nested tanh-sinh on the ray of g_{alpha,beta}, one run for
+    # all the moments left.  A moment whose levels do not settle before
+    # the cap raises QuadratureError.
     series = _series_eval(alpha, beta, y)
     if series is None:
         values = [None] * len(moments)
@@ -619,11 +623,13 @@ def _auto_eval(alpha: float, beta: float, y: complex, moments) -> list:
         if None not in values:
             return values
     todo = [i for i, value in enumerate(values) if value is None]
-    quad = _de_eval(alpha, beta, y, _AUTO_ADAPTIVE,
-                    [moments[i] for i in todo])
+    quad = _de_eval(alpha, beta, y, [moments[i] for i in todo])
     for i, value in zip(todo, quad):
-        values[i] = value if value is not None else _adaptive_eval(
-            alpha, beta + moments[i] * alpha, y, _AUTO_ADAPTIVE)
+        if value is None:
+            b = beta + moments[i] * alpha
+            raise QuadratureError(f"tanh-sinh levels of g_{{{alpha}, {b}}} "
+                                  f"do not settle at y={y}")
+        values[i] = value
     return values
 
 
@@ -645,12 +651,8 @@ def g_alpha_pair(a: AlphaParam, y: complex) -> tuple:
     (see ``_certify_rung``), so g stays on its series wherever that
     certifies g alone; the series of g_{alpha, 2 alpha} is never built.
     The values left come from one nested tanh-sinh run on g's ray and
-    substitution, one exp per node for both (``_nested_de_sums``), and a
-    value whose levels do not settle from adaptive subdivision alone.  The
+    substitution, one exp per node for both (``_nested_de_sums``).  The
     explicit-rule reference of g' is -g_alpha_beta(a, 2 alpha, y, rule)."""
-    y = complex(y)
-    if a.alpha_two_mode:
-        return 1.0 / (1.0 + y), -1.0 / (1.0 + y) ** 2
     g, g2 = _g_moments(a, a.alpha, y, None, (0, 1))
     return g, -g2
 
@@ -659,16 +661,11 @@ def g_alpha_prime(a: AlphaParam, y: complex) -> complex:
     """d/dy g_alpha(y) = -g_{alpha, 2 alpha}(y): the second value of
     ``g_alpha_pair``, by the same path; off the series it integrates g'
     alone."""
-    y = complex(y)
-    if a.alpha_two_mode:
-        return -1.0 / (1.0 + y) ** 2
     return -_g_moments(a, a.alpha, y, None, (1,))[0]
 
 
 def g_alpha_second(a: AlphaParam, y: complex) -> complex:
     """d^2/dy^2 g_alpha(y) = g_{alpha, 3 alpha}(y)."""
-    if a.alpha_two_mode:
-        return 2.0 / (1.0 + complex(y)) ** 3
     return g_alpha_beta(a, 3.0 * a.alpha, y)
 
 

@@ -52,3 +52,20 @@ def test_simulate_and_compare_load_no_scipy(tmp_path):
         f"{str(theory / 'density.csv')!r}, '--spectra', "
         f"{str(sim / 'eigenvalues.csv')!r}, '--out', {str(tmp_path)!r}]) == 0")
     assert not loaded
+
+
+def test_unsettled_g_raises_without_adaptive_subdivision():
+    # near the cone edge at alpha = 1.8 the tanh-sinh levels of
+    # g_{1.8, 3.6} do not settle: the default path raises, and no scipy
+    # quadrature is loaded to try again
+    loaded = _loaded(
+        "from htspectra.special import AlphaParam, QuadratureError, "
+        "g_alpha_beta\n"
+        "try:\n"
+        "    g_alpha_beta(AlphaParam(1.8), 3.6, "
+        "-14.488131010388765+4.743930421628935j)\n"
+        "except QuadratureError as exc:\n"
+        "    print('raised', exc)\n"
+        "else:\n"
+        "    raise SystemExit('no QuadratureError')\n")
+    assert "scipy.integrate" not in loaded

@@ -61,10 +61,27 @@ def test_lattice_shape_and_symmetry():
 
 def test_json_round_trip():
     for prof in (SigmaProfile("constant", c=1.5), PIECE, BAND,
-                 SigmaProfile("grid", resolution=2,
-                              values=((1.0, 2.0), (2.0, 1.0)))):
+                 SigmaProfile.from_json({"type": "grid", "resolution": 2,
+                                         "values": [[1.0, 2.0], [2.0, 1.0]]})):
         again = SigmaProfile.from_json(json.dumps(prof.to_json()))
         assert again == prof
+
+
+@pytest.mark.parametrize("p, n", [(100, 100), (25, 1200), (7, 300)])
+def test_grid_profile_is_the_piecewise_profile_on_its_cells(p, n):
+    # a p x p grid of values is the piecewise profile on breaks k/p: the
+    # same cells, and the same value at every lattice point, those on a
+    # break included (at p = n = 100 flooring x p misplaced 591 of them)
+    values = np.random.default_rng(p).random((p, p))
+    values = values + values.T
+    grid = SigmaProfile.from_json({"type": "grid", "resolution": p,
+                                   "values": values.tolist()})
+    piece = SigmaProfile("piecewise",
+                         breaks=tuple(k / p for k in range(p + 1)),
+                         matrix=tuple(map(tuple, values.tolist())))
+    for got, want in zip(grid.cells(), piece.cells()):
+        assert np.array_equal(got, want)
+    assert np.array_equal(grid.lattice(n), piece.lattice(n))
     law = DiagonalLaw(atoms=((-1.0, 0.5), (1.0, 0.5)))
     assert DiagonalLaw.from_json(json.dumps(law.to_json())) == law
 

@@ -93,8 +93,12 @@ def test_alpha_two_mode_closed_form():
         assert abs(g_alpha(a, y) - 1.0 / (1.0 + y)) < 1e-15
         assert abs(h_alpha(a, y) - 1.0 / (1.0 + y)) < 1e-15
     assert c_alpha(a) == -1.0
-    with pytest.raises(ValueError):
-        g_alpha_beta(a, 3.0, 0.5)
+    # g_{2,b}(y) = int t^(b/2-1) e^{-t(1+y)} dt = Gamma(b/2) (1+y)^(-b/2)
+    for beta, y in itertools.product((1.0, 3.0, 5.0),
+                                     (0.0, 0.5, 1.0 + 2.0j, -0.3 + 0.1j)):
+        want = math.gamma(beta / 2.0) * cmath.exp(
+            -beta / 2.0 * cmath.log(1.0 + y))
+        assert abs(g_alpha_beta(a, beta, y) - want) <= 1e-15 * abs(want)
 
 
 def test_alpha_two_mode_is_alpha_two():
@@ -328,7 +332,7 @@ def _certified(alpha, beta, y):
 
 
 def _quadrature(alpha, beta, y):
-    value, = special._de_eval(alpha, beta, y, special._AUTO_ADAPTIVE)
+    value, = special._de_eval(alpha, beta, y)
     if value is None:
         value = special._adaptive_eval(alpha, beta, y, special._AUTO_ADAPTIVE)
     return value
@@ -456,9 +460,11 @@ def _lazy_rungs(alpha, beta):
                                    1.99])
 def test_lazy_rungs_match_eager_reference(alpha):
     # the reference takes its exponentials from numpy and the certificate
-    # from math, which differ in the last bit; so the bounds agree to
-    # roundoff, declined rungs and slope bounds included, and the term
-    # counts and every infinite bound exactly
+    # from math, which differ in the last bit; so on a certified rung the
+    # bounds agree to roundoff, slope bounds included, and the term counts
+    # and every infinite bound exactly.  A declined rung has 0 terms on
+    # both sides; the certificate stops where it declines, so its bounds
+    # are inf and the reference's tail bound is not compared.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name in ("a", "2", "2a", "3a"):
@@ -467,6 +473,9 @@ def test_lazy_rungs_match_eager_reference(alpha):
             for j, got in enumerate(_lazy_rungs(alpha, beta)):
                 n, b, s = got
                 assert n == want[0][j], (alpha, beta, j)
+                if n == 0:
+                    assert got == (0, math.inf, math.inf), (alpha, beta, j)
+                    continue
                 for value, ref in ((b, want[1][j]), (s, want[2][j])):
                     assert value == ref or math.isfinite(ref) and abs(
                         value - ref) <= 1e-15 * ref, \
@@ -625,37 +634,33 @@ def test_pair_at_zero_and_in_alpha_two_mode():
         assert gp == g_alpha_prime(a, y) == -1.0 / (1.0 + y) ** 2
 
 
-def test_pair_falls_back_per_value(monkeypatch):
-    # off the series both values share the tanh-sinh levels; a value whose
-    # levels do not settle, here g' alone, goes to adaptive subdivision
-    # alone, and g keeps its tanh-sinh value
+def test_pair_raises_when_a_value_does_not_settle(monkeypatch):
+    # off the series both values share one tanh-sinh run; a value whose
+    # levels do not settle, here g' alone, raises QuadratureError naming
+    # g_{alpha, 2 alpha} and y, and no adaptive subdivision runs
     alpha = 1.5
     a = AlphaParam(alpha)
     y = 4.0 * cmath.exp(0.5j * alpha * math.pi / 2.0)
     assert not _certified(alpha, alpha, y)
     assert not _certified(alpha, 2.0 * alpha, y)
     de_eval = special._de_eval
-    adaptive = special._adaptive_eval
-    runs, betas = [], []
+    runs = []
 
-    def unsettled_derivative(alpha, beta, y, rule, moments=(0,)):
+    def unsettled_derivative(alpha, beta, y, moments=(0,)):
         runs.append(tuple(moments))
         return [None if j else v
-                for j, v in zip(moments, de_eval(alpha, beta, y, rule,
-                                                 moments))]
+                for j, v in zip(moments, de_eval(alpha, beta, y, moments))]
 
-    def counted(alpha, beta, y, rule):
-        betas.append(beta)
-        return adaptive(alpha, beta, y, rule)
+    def never(*args):
+        raise AssertionError("adaptive subdivision on the default path")
 
     monkeypatch.setattr(special, "_de_eval", unsettled_derivative)
-    monkeypatch.setattr(special, "_adaptive_eval", counted)
-    g, gp = g_alpha_pair(a, y)
+    monkeypatch.setattr(special, "_adaptive_eval", never)
+    with pytest.raises(QuadratureError) as err:
+        g_alpha_pair(a, y)
     assert runs == [(0, 1)]
-    assert betas == [2.0 * alpha]
-    assert g == g_alpha(a, y)
-    assert gp == -adaptive(alpha, 2.0 * alpha, y, special._AUTO_ADAPTIVE)
-
+    assert f"g_{{{alpha}, {2.0 * alpha}}}" in str(err.value)
+    assert str(y) in str(err.value)
 
 
 def test_derivative_alone_evaluates_no_g(monkeypatch):
@@ -668,9 +673,9 @@ def test_derivative_alone_evaluates_no_g(monkeypatch):
     de_eval = special._de_eval
     runs = []
 
-    def counted_de(alpha, beta, y, rule, moments=(0,)):
+    def counted_de(alpha, beta, y, moments=(0,)):
         runs.append(tuple(moments))
-        return de_eval(alpha, beta, y, rule, moments)
+        return de_eval(alpha, beta, y, moments)
 
     monkeypatch.setattr(special, "_de_eval", counted_de)
     assert g_alpha_prime(a, y) == g_alpha_pair(a, y)[1]

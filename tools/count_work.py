@@ -14,8 +14,8 @@ counted:
 - ``rung_certifications``: ``special._certify_rung`` calls;
 - ``tanh_sinh_runs``: ``special._de_eval`` calls;
 - ``z_powers``: ``principal_power`` calls made by ``solver`` and
-  ``density``, such as z^alpha of a band system or (lam - z)^(-alpha/2)
-  of a perturbed system's atom.
+  ``density`` (each module that imports it), such as z^alpha of a band
+  system or (lam - z)^(-alpha/2) of a perturbed system's atom.
 
 The last line of standard output is one JSON object with the counts per
 item.  No timing is taken, so the figures repeat exactly for a seed.
@@ -61,7 +61,8 @@ def _install(counts):
     wrap(special, "_certify_rung", "rung_certifications")
     wrap(special, "_de_eval", "tanh_sinh_runs")
     for module in (solver, density):
-        wrap(module, "principal_power", "z_powers")
+        if hasattr(module, "principal_power"):
+            wrap(module, "principal_power", "z_powers")
     return undo
 
 
