@@ -18,7 +18,6 @@ from .special import (
     g_alpha,
     g_alpha_pair,
     g_alpha_prime,
-    g_alpha_second,
     h_alpha,
     principal_power,
 )

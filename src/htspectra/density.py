@@ -35,7 +35,6 @@ import numpy as np
 
 from .matrices import DiagonalLaw, SigmaProfile, alpha_kernel
 from .solver import (
-    SWEEP_HALVINGS,
     SolverError,
     _log_walk,
     _System,

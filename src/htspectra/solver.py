@@ -16,7 +16,9 @@ run out makes one last Newton correction at the target, whose failure is
 the path's SolverError.  The cold path walks in the distance to z, the
 eps path towards the real axis in log eps between the points of its
 schedule.  This keeps the iteration on the branch that tends to zero at
-infinity, which is the one describing the spectral measure.
+infinity, which is the one describing the spectral measure.  The
+critical-set search is one more system for the same loop: Newton on
+phi(y) = g(y) - y g'(y) from a grid of seeds (``find_critical_set``).
 
 Every returned solution has residual at most TOL.  The cold path's
 stepping stones, its Newton start and the walk points before z, stop at
@@ -54,8 +56,8 @@ from .special import (
     c_alpha_bar,
     cone_bound,
     cone_contains,
+    g_alpha_beta,
     g_alpha_pair,
-    g_alpha_second,
     h_alpha,
     principal_power,
 )
@@ -318,7 +320,7 @@ def _newton(system: _System, z: complex, y0: np.ndarray, tol: float,
             max_steps: int = NEWTON_STEPS,
             linearization=None) -> FixedPointSolution:
     """Newton's method for y = F(z, y) from y0, the one iteration of
-    every path.
+    every path and of the critical-set search.
 
     Each step takes one ``linearize`` at the iterate, (F(y), I - F'(y)),
     whose F(y) gives the residual and whose system ``_newton_step``
@@ -357,7 +359,11 @@ def _newton(system: _System, z: complex, y0: np.ndarray, tol: float,
         raise SolverError(
             f"no convergence at z={z}: residual {res:.3e} after {steps} "
             "Newton steps", unknowns=y, residual=res)
-    _check_cone(system, y, residual=res)
+    for u in y:
+        if not cone_contains(system.cone, system.a, u, 1e-9):
+            raise SolverError(
+                f"iterate {u} left the cone {system.cone} "
+                "(branch loss during continuation)", unknowns=y, residual=res)
     return FixedPointSolution(z=z, unknowns=y, residual=res,
                               iterations=steps, linearization=linearization)
 
@@ -370,17 +376,6 @@ def _secant(z: complex, last: FixedPointSolution,
         return last.unknowns
     ratio = (z - last.z) / (last.z - before.z)
     return last.unknowns + ratio * (last.unknowns - before.unknowns)
-
-
-def _check_cone(system: _System, y: np.ndarray,
-                residual: Optional[float] = None):
-    a = system.a
-    for yi in y:
-        if not cone_contains(system.cone, a, yi, 1e-9):
-            raise SolverError(
-                f"iterate {yi} left the cone {system.cone} "
-                "(branch loss during continuation)", unknowns=y,
-                residual=residual)
 
 
 def _log_walk(x: float, pos: float, last, before, correct):
@@ -449,22 +444,33 @@ def _solve(system: _System, z: complex) -> FixedPointSolution:
     corrected only to PATH_TOL: each seeds a prediction whose error at the
     next point is far larger, so a tighter correction buys the target
     nothing.  A start that is z itself is corrected to TOL.  Every point
-    passes the cone check and the divergence guards of ``_newton``.
+    passes the cone check and the divergence guards of ``_newton``.  A
+    SolverError carries ``partial_path``, the stepping stones reached, and
+    ``failure_index``, the index of the point that failed.
     """
     if z.imag <= 0:
         raise ValueError("z must lie in the open upper half-plane")
     start = system.start_z(z)
-    sol = _newton(system, start, np.zeros(system.q, dtype=complex),
-                  TOL if start == z else PATH_TOL)
-    pos = dist = abs(start - z)
-    before = None
-    while CONTINUATION_FACTOR * pos >= 0.05 * abs(z):
-        x = CONTINUATION_FACTOR * pos
-        sol, before = _walk(system, lambda d: z + (d / dist) * (start - z),
-                            x, pos, sol, before, PATH_TOL)
-        pos = x
-    if sol.z != z:
-        sol = _newton(system, z, _secant(z, sol, before), TOL)
+    path = []
+    try:
+        sol = _newton(system, start, np.zeros(system.q, dtype=complex),
+                      TOL if start == z else PATH_TOL)
+        path.append(sol)
+        pos = dist = abs(start - z)
+        before = None
+        while CONTINUATION_FACTOR * pos >= 0.05 * abs(z):
+            x = CONTINUATION_FACTOR * pos
+            sol, before = _walk(system,
+                                lambda d: z + (d / dist) * (start - z),
+                                x, pos, sol, before, PATH_TOL)
+            path.append(sol)
+            pos = x
+        if sol.z != z:
+            sol = _newton(system, z, _secant(z, sol, before), TOL)
+    except SolverError as exc:
+        exc.failure_index = len(path)
+        exc.partial_path = path
+        raise
     return sol
 
 
@@ -582,64 +588,52 @@ def polish_on_axis(system, t: float, y: np.ndarray,
 # critical set
 
 
-def find_critical_set(a: AlphaParam, box_radius: float = 6.0,
-                      seeds_per_axis: int = 12) -> list:
-    """Real points t > 0 where boundary analyticity may fail.
+# the critical-set search's seeds: CRITICAL_SEEDS radii up to
+# CRITICAL_RADIUS times CRITICAL_SEEDS angles across K_alpha, edges included
+CRITICAL_RADIUS = 6.0
+CRITICAL_SEEDS = 12
 
-    Newton search for y in the cone with g(y) = y g'(y), from a polar grid
-    of seeds in |y| <= box_radius; a seed is abandoned once its iterate
-    leaves |y| <= 10 box_radius.  Each root whose t^alpha = C_alpha g'(y)
-    is real and positive contributes t.
-    """
-    al = a.alpha
-    half = al * math.pi / 2.0
-    roots = []
-    for i in range(seeds_per_axis):
-        r = box_radius * (i + 1) / seeds_per_axis
-        for j in range(seeds_per_axis):
-            th = half * (2.0 * j / max(seeds_per_axis - 1, 1) - 1.0)
-            y = r * cmath.exp(1j * th)
-            y = _newton_degenerate(a, y, 10.0 * box_radius)
-            if y is None or not cone_contains(K_ALPHA, a, y, 1e-9):
-                continue
-            if abs(y) < 1e-8:
-                continue
-            roots.append(y)
+
+class _CriticalSystem(_System):
+    """phi(y) = g(y) - y g'(y) = 0 as a one-unknown system: F(y) = y -
+    phi(y), I - F' = phi'(y) = -y g_{alpha,3alpha}(y), residual scale 1,
+    and no z.  Its linearization raises ValueError once the iterate leaves
+    |y| <= 10 CRITICAL_RADIUS or K_alpha widened by 0.15."""
+
+    def linearize(self, z, y):
+        (u,) = y
+        a = self.a
+        if abs(u) > 10.0 * CRITICAL_RADIUS \
+                or not cone_contains(K_ALPHA, a, u, 0.15):
+            raise ValueError(f"iterate {u} left the search region")
+        g, gp = g_alpha_pair(a, u)
+        return [u - (g - u * gp)], [[-u * g_alpha_beta(a, 3.0 * a.alpha, u)]]
+
+    def _per_z(self, z):
+        return (1.0,)
+
+
+def find_critical_set(a: AlphaParam) -> list:
+    """Real points t > 0 where boundary analyticity may fail: ``_newton``
+    to TOL on ``_CriticalSystem`` from a polar grid of seeds, dropping a
+    seed on SolverError; each root whose t^alpha = C_alpha g'(y) is real
+    and positive contributes t."""
+    system = _CriticalSystem(a)
+    half = a.alpha * math.pi / 2.0
+    c = c_alpha(a)
     ts = []
-    for y in roots:
-        g, gp = g_alpha_pair(a, y)
-        val = c_alpha(a) * gp
-        if val.real <= 0 or abs(val.imag) > 1e-8 * abs(val):
-            continue
-        t = val.real ** (1.0 / al)
-        # self-check both defining equations
-        eq1 = abs(g - y * gp)
-        eq2 = abs(principal_power(t, al) - val)
-        if eq1 > 1e-8 or eq2 > 1e-8 * max(1.0, abs(val)):
-            continue
-        if all(abs(t - t0) > 1e-8 for t0 in ts):
-            ts.append(t)
+    for i in range(CRITICAL_SEEDS):
+        r = CRITICAL_RADIUS * (i + 1) / CRITICAL_SEEDS
+        for j in range(CRITICAL_SEEDS):
+            th = half * (2.0 * j / (CRITICAL_SEEDS - 1) - 1.0)
+            try:
+                sol = _newton(system, 0j, [r * cmath.exp(1j * th)], TOL)
+            except SolverError:
+                continue
+            val = c * g_alpha_pair(a, sol.unknowns[0])[1]
+            if val.real <= 0 or abs(val.imag) > 1e-8 * abs(val):
+                continue
+            t = val.real ** (1.0 / a.alpha)
+            if all(abs(t - t0) > 1e-8 for t0 in ts):
+                ts.append(t)
     return sorted(ts)
-
-
-def _newton_degenerate(a: AlphaParam, y: complex, limit: float,
-                       max_iter: int = 60):
-    """Newton for g(y) = y g'(y) from y, or None when an iterate leaves
-    the cone or the disc |y| <= limit, or after max_iter steps."""
-    for _ in range(max_iter):
-        try:
-            g, gp = g_alpha_pair(a, y)
-            f = g - y * gp
-            fp = -y * g_alpha_second(a, y)
-        except (ValueError, ArithmeticError):
-            return None
-        if abs(fp) < 1e-300:
-            return None
-        step = f / fp
-        y_new = y - step
-        if abs(y_new) > limit or not cone_contains(K_ALPHA, a, y_new, 0.15):
-            return None
-        if abs(step) < 1e-12 * max(1.0, abs(y_new)):
-            return y_new
-        y = y_new
-    return None

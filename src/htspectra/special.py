@@ -56,7 +56,6 @@ __all__ = [
     "g_alpha",
     "g_alpha_pair",
     "g_alpha_prime",
-    "g_alpha_second",
     "h_alpha",
     "c_alpha",
     "c_alpha_bar",
@@ -143,6 +142,16 @@ def cone_contains(cone: str, a: AlphaParam, y: complex, slack: float = 0.0) -> b
 # quadrature
 
 
+def _growth_peak(alpha: float, c: float) -> tuple[float, float]:
+    """(u*, peak): where -u + c u^(a/2), c > 0, peaks and its value there;
+    both inf where u* overflows (the cone edge for alpha close to 2)."""
+    try:
+        u_star = (c * alpha / 2.0) ** (2.0 / (2.0 - alpha))
+    except OverflowError:
+        return math.inf, math.inf
+    return u_star, -u_star + c * u_star ** (alpha / 2.0)
+
+
 def _clamped_angle(alpha: float, y: complex) -> tuple[float, bool]:
     """Ray angle psi for the rotated contour t = s e^{i psi}, and whether
     exp(-t^(a/2) y) still grows along it.
@@ -174,10 +183,9 @@ def _clamped_angle(alpha: float, y: complex) -> tuple[float, bool]:
         c = -y_eff.real
         if c <= 0.0:
             return clamped, False
-        u_star = (c * alpha / 2.0) ** (2.0 / (2.0 - alpha))
         # the peak bounds the cancellation mass exp(peak); keep it small
         # enough that double precision still resolves order-one results
-        if -u_star + c * u_star ** (alpha / 2.0) <= 5.0:
+        if _growth_peak(alpha, c)[1] <= 5.0:
             return clamped, True
     return math.copysign(math.pi / 2.0 - 0.1, psi), True
 
@@ -255,8 +263,7 @@ def _transformed_setup(alpha: float, beta: float, y: complex,
         # alpha close to 2 that peak can exceed the double range, in which
         # case the value itself is not representable.
         c = -y_eff.real
-        u_star = (c * alpha / 2.0) ** (2.0 / (2.0 - alpha))
-        peak = -u_star + c * u_star ** (alpha / 2.0)
+        u_star, peak = _growth_peak(alpha, c)
         if peak > 600.0:
             raise QuadratureError(
                 f"value of order exp({peak:.3g}) exceeds floating-point range "
@@ -662,11 +669,6 @@ def g_alpha_prime(a: AlphaParam, y: complex) -> complex:
     ``g_alpha_pair``, by the same path; off the series it integrates g'
     alone."""
     return -_g_moments(a, a.alpha, y, None, (1,))[0]
-
-
-def g_alpha_second(a: AlphaParam, y: complex) -> complex:
-    """d^2/dy^2 g_alpha(y) = g_{alpha, 3 alpha}(y)."""
-    return g_alpha_beta(a, 3.0 * a.alpha, y)
 
 
 def c_alpha(a: AlphaParam) -> complex:

@@ -568,7 +568,7 @@ def test_exhausted_halvings_fall_back_to_eps(monkeypatch):
     curve = build_density_curve(a, "wigner", t_min=1e-2, t_max=1e3,
                                 points=8)
     rec = curve.points[5]
-    assert (rec.method, rec.halvings) == ("eps", density.SWEEP_HALVINGS)
+    assert (rec.method, rec.halvings) == ("eps", solver.SWEEP_HALVINGS)
     assert curve.rho[8 + 5] == density_wigner_formula(a, ts[5])
     # the sweep continues below the fallback point
     assert [p.method for p in curve.points[:5]] == ["sweep"] * 5

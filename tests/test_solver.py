@@ -317,28 +317,74 @@ def test_solver_error_carries_partial_path(monkeypatch):
     assert [p.z for p in err.partial_path] == [1.2 + 0.3j]
 
 
+def test_cold_solve_error_carries_its_stepping_stones():
+    # near alpha = 2 the last Newton at z reaches y = -42.3 - 9.0i, where
+    # the tanh-sinh levels of g do not settle
+    z = -1.3 + 0.05j
+    with pytest.raises(SolverError) as exc_info:
+        solve_wishart_pair(AlphaParam(1.99), 0.5, z)
+    err = exc_info.value
+    path = err.partial_path
+    assert err.failure_index == len(path) > 1
+    assert path[0].z.real == 0.0     # the start on the imaginary axis
+    dists = [abs(p.z - z) for p in path]
+    assert all(b < a for a, b in zip(dists, dists[1:]))
+    assert all(p.residual <= solver.PATH_TOL for p in path)
+
+
+def test_overflowing_growth_peak_fails_as_a_g_failure():
+    # at y = -44.7, on the cone edge, g's growth peak overflows; the solve
+    # fails on the QuadratureError that says so, not a bare OverflowError
+    with pytest.raises(SolverError, match="exceeds floating-point range") \
+            as exc_info:
+        solve_wishart_pair(AlphaParam(1.995), 0.9, 1j)
+    assert isinstance(exc_info.value.__cause__, QuadratureError)
+
+
 def test_critical_set_alpha_large_empty():
     # close to alpha=2 the degenerate system has no admissible root and
     # the boundary value is analytic on all of (0, inf)
-    assert find_critical_set(AlphaParam(1.9), box_radius=4.0,
-                             seeds_per_axis=6) == []
+    assert find_critical_set(AlphaParam(1.9)) == []
 
 
 def test_critical_set_seeds_stop_when_they_leave_the_box(monkeypatch):
-    # every seed's Newton iterate runs off to infinity; each is abandoned
-    # once it leaves |y| <= 10 box_radius instead of taking all 60 steps
-    # (3 g-evaluations each) out to |y| ~ 1e19
+    # every seed's Newton iterate runs off to infinity; each is dropped
+    # once it leaves |y| <= 10 CRITICAL_RADIUS, and each step evaluates
+    # g, g' and g'' in two calls of _g_moments
     calls = 0
-    g = special.g_alpha_beta
+    g = special._g_moments
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return g(*args, **kwargs)
 
-    monkeypatch.setattr(special, "g_alpha_beta", counted)
+    monkeypatch.setattr(special, "_g_moments", counted)
     assert find_critical_set(AlphaParam(1.2)) == []
     assert 0 < calls <= 3000
+
+
+@pytest.mark.parametrize("alpha, y0, s", [
+    (1.0, 1.0 + 0.5j, 2.0),
+    # -y0 is a root in the cone too, but its C g'(-y0) is not real
+    (1.5, 0.8 - 1.1j, 3.0),
+])
+def test_critical_set_finds_a_planted_root(monkeypatch, alpha, y0, s):
+    # g(y) = m y + k (y - y0)^2 gives phi = g - y g' = -k (y - y0)(y + y0),
+    # and m = s / C_alpha makes t^alpha = C_alpha g'(y0) = s
+    a = AlphaParam(alpha)
+    m, k = s / c_alpha(a), 1.0
+    derivs = {1: lambda y: m * y + k * (y - y0) ** 2,       # g_{a,a} = g
+              2: lambda y: -(m + 2.0 * k * (y - y0)),       # g_{a,2a} = -g'
+              3: lambda y: 2.0 * k + 0j}                    # g_{a,3a} = g''
+
+    def planted(a_, beta, y, rule, moments):
+        return [derivs[round((beta + j * alpha) / alpha)](complex(y))
+                for j in moments]
+
+    monkeypatch.setattr(special, "_g_moments", planted)
+    assert find_critical_set(a) == pytest.approx([s ** (1.0 / alpha)],
+                                                 rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ series, and frozen here.
 import cmath
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -29,7 +30,6 @@ from htspectra.special import (
     g_alpha_beta,
     g_alpha_pair,
     g_alpha_prime,
-    g_alpha_second,
     h_alpha,
     principal_power,
 )
@@ -84,7 +84,7 @@ def test_derivatives_match_finite_differences():
     fd1 = (g_alpha(a, y + h) - g_alpha(a, y - h)) / (2.0 * h)
     assert abs(g_alpha_prime(a, y) - fd1) < 1e-8
     fd2 = (g_alpha(a, y + h) - 2.0 * g_alpha(a, y) + g_alpha(a, y - h)) / h**2
-    assert abs(g_alpha_second(a, y) - fd2) < 1e-5
+    assert abs(g_alpha_beta(a, 3.0 * a.alpha, y) - fd2) < 1e-5
 
 
 def test_alpha_two_mode_closed_form():
@@ -171,6 +171,17 @@ def test_unrepresentable_boundary_raises():
     y = 60.0 * cmath.exp(1j * 0.999 * 1.95 * math.pi / 2.0)
     with pytest.raises((QuadratureError, ValueError)):
         g_alpha(a, y)
+
+
+@pytest.mark.parametrize("alpha, r", [(1.99, 40.0), (1.995, 7.0)])
+def test_overflowing_growth_peak_raises_quadrature_error(alpha, r):
+    # at 0.999 of the cone edge the clamp's peak (c a/2)^(2/(2-a))
+    # overflows for every margin, and the value is not representable
+    a = AlphaParam(alpha)
+    y = r * cmath.exp(1j * 0.999 * alpha * math.pi / 2.0)
+    for value in (lambda: g_alpha(a, y), lambda: g_alpha_pair(a, y)):
+        with pytest.raises(QuadratureError, match=re.escape(f"y={y}")):
+            value()
 
 
 def test_explicit_rules_agree():
