@@ -37,6 +37,7 @@ from .matrices import DiagonalLaw, SigmaProfile, alpha_kernel
 from .solver import (
     SolverError,
     _log_walk,
+    _newton,
     _System,
     band_system,
     continue_to_real_axis,
@@ -453,9 +454,8 @@ def _settled(system, sol):
     imaginary part of order-one unknowns (the covariance density near 0).
     """
     try:
-        step = polish_on_axis(system, sol.z.real, sol.unknowns,
-                              tol=0.5 * sol.residual, max_iter=1,
-                              linearization=sol.linearization)
+        step = _newton(system, complex(sol.z.real), sol.unknowns,
+                       0.5 * sol.residual, 1, sol.linearization)
     except SolverError:
         return sol
     return replace(step, iterations=sol.iterations + step.iterations)

@@ -55,10 +55,9 @@ def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
         if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
             raise ValueError("matrix is not symmetric within 1e-12 relative")
     try:
-        ev = np.linalg.eigvalsh(m)
+        return np.linalg.eigvalsh(m)   # in ascending order
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError(str(exc)) from exc
-    return np.sort(ev)
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,6 @@ class EmpiricalSpectrum:
 def _pool(spectra) -> np.ndarray:
     if isinstance(spectra, EmpiricalSpectrum):
         return spectra.eigenvalues
-    if isinstance(spectra, np.ndarray):
-        return np.sort(spectra)
     return np.sort(np.concatenate([s.eigenvalues for s in spectra]))
 
 

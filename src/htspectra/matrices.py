@@ -119,28 +119,6 @@ class SigmaProfile:
         t = np.arange(1, N + 1) / N
         return self.evaluate(t[:, None], t[None, :])
 
-    # -- piecewise-constant normal form ------------------------------------
-
-    def cells(self):
-        """Partition (breaks, matrix) of a profile constant on product cells.
-
-        Returns (breaks b_0..b_q, q x q matrix, weights Delta_r): a constant
-        is a single cell, a piecewise profile is exact on its own breaks.
-        phi(x - y) is constant on no product cells, so a band profile
-        raises ValueError: its limit system comes from ``alpha_kernel``.
-        """
-        if self.variant == "constant":
-            b = np.array([0.0, 1.0])
-            m = np.array([[float(self.c)]])
-        elif self.variant == "piecewise":
-            b = np.asarray(self.breaks, dtype=float)
-            m = np.asarray(self.matrix, dtype=float)
-        else:
-            raise ValueError("a band profile has no product cells; use "
-                             "alpha_kernel for its limit system")
-        weights = np.diff(b)
-        return b, m, weights
-
     # -- JSON ---------------------------------------------------------------
 
     @staticmethod
@@ -300,18 +278,22 @@ def build_covariance_matrix(law: StableTailLaw, N: int, M: int,
 
 
 def alpha_kernel(profile: SigmaProfile, alpha: float):
-    """Weights and kernel of the limiting q-component system.
+    """Weights and kernel of the limiting q-component system, the normal
+    form of a profile.
 
-    Returns (weights Delta_s, K) with K_rs the cell value of |sigma|^alpha.
-    A band profile phi(x - y) is one cell of int_0^1 |phi|^alpha: every
-    row of sigma carries the same law, so the decaying solution is
-    constant in x and is that of the constant profile
+    Returns (weights Delta_s, K) with K_rs the value of |sigma|^alpha on
+    the product cell I_r x I_s: a constant is one cell, a piecewise profile
+    has the cells of its breaks.  A band profile phi(x - y) is one cell of
+    int_0^1 |phi|^alpha: every row of sigma carries the same law, so the
+    decaying solution is constant in x and is that of the constant profile
     (int_0^1 |phi|^alpha)^(1/alpha) (band equivalence).
     """
     if profile.variant == "band":
         return np.ones(1), np.array([[band_alpha_integral(profile, alpha)]])
-    _, m, w = profile.cells()
-    return w, np.abs(m) ** alpha
+    if profile.variant == "constant":
+        return np.ones(1), np.abs(np.array([[float(profile.c)]])) ** alpha
+    return (np.diff(np.asarray(profile.breaks, dtype=float)),
+            np.abs(np.asarray(profile.matrix, dtype=float)) ** alpha)
 
 
 def band_alpha_integral(profile: SigmaProfile, alpha: float) -> float:

@@ -175,8 +175,8 @@ def run_campaign(spec: CampaignSpec, threads: int = 1) -> CampaignResult:
         raise CampaignAborted(
             f"{aborted} of {spec.trials} trials aborted (> 5%)")
     spectra = tuple(results[k] for k in sorted(results))
-    pooled_ev = np.sort(np.concatenate([s.eigenvalues for s in spectra]))
-    pooled = EmpiricalSpectrum(pooled_ev, trial_id=-1)
+    pooled = EmpiricalSpectrum(
+        np.concatenate([s.eigenvalues for s in spectra]), trial_id=-1)
     return CampaignResult(pooled=pooled, spectra=spectra,
                           aborted_trials=aborted,
                           runtime_seconds=time.perf_counter() - start,

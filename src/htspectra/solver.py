@@ -104,6 +104,8 @@ TOL = 1e-12
 # the walk points before z, which only seed the secant prediction of the
 # next point
 PATH_TOL = 1e-4
+# residual target of a solution on the real axis (``polish_on_axis``)
+AXIS_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -118,13 +120,15 @@ class FixedPointSolution:
 
 
 class _System:
-    """One fixed-point system: linearization, residual, cone and startup
-    radius.
+    """One fixed-point system y = F(z, y) in q unknowns, whose subclass
+    gives ``linearize(z, y)``, the pair (F(y), I - F'(y)) as q values and
+    q rows of q values, and ``_per_z(z)``, its quantities of z alone,
+    first the residual scale that turns the gap |y - F(y)| of a map with
+    prefactor z^-alpha into the gap of its defining equation.
 
-    What the map needs of z alone comes from ``_at(z)``, which a system
-    computes once per z: a Newton call passes its one z object to every
-    ``linearize`` and ``residual``, so z^alpha is raised once per call,
-    not once per step."""
+    ``_at(z)`` keeps the quantities of the last z asked for: a Newton call
+    passes its one z object to every ``linearize`` and ``residual``, so
+    z^alpha is raised once per call, not once per step."""
 
     cone = K_ALPHA
 
@@ -132,11 +136,6 @@ class _System:
         self.a = a
         self.q = 1
         self._last_z = self._last_at = None
-
-    def linearize(self, z: complex, y):
-        """(F(y), I - F'(y)) at z: the map at y as a sequence of q values
-        and the derivative of y - F(y) as q rows of q values."""
-        raise NotImplementedError
 
     def residual(self, z: complex, y, fy=None) -> float:
         """scale(z) max|y - F(y)|, from F(y) when the caller has it; nan
@@ -148,12 +147,6 @@ class _System:
         gap = math.nan if math.isnan(sum(gaps)) else max(gaps)
         return self._at(z)[0] * float(gap)
 
-    def start_radius(self) -> float:
-        raise NotImplementedError
-
-    def start_z(self, z_target: complex) -> complex:
-        return 1j * max(self.start_radius(), abs(z_target), 1.0)
-
     def _at(self, z: complex) -> tuple:
         """``_per_z(z)``, kept for the last z object asked for.  The key
         is the object, not its value, so a z equal in value but not in
@@ -162,12 +155,6 @@ class _System:
             self._last_at = self._per_z(z)
             self._last_z = z
         return self._last_at
-
-    def _per_z(self, z: complex) -> tuple:
-        """The quantities of z alone, first the residual scale |z^alpha|,
-        which turns the gap |y - F(y)| of a map with prefactor z^-alpha
-        into the gap of its defining equation."""
-        return (abs(principal_power(z, self.a.alpha)),)
 
 
 # the one term (w, lam, p) = (1, 0, 1) of the unperturbed systems
@@ -266,6 +253,9 @@ class _BandSystem(_System):
                 f"the contraction radius 10^{digits:.4g} at "
                 f"alpha={self.a.alpha} exceeds the floating-point range"
             ) from None
+
+    def start_z(self, z_target: complex) -> complex:
+        return 1j * max(self.start_radius(), abs(z_target), 1.0)
 
 
 class _PerturbedSystem(_BandSystem):
@@ -568,12 +558,9 @@ def continue_to_real_axis(system: _System, t: float,
     return out
 
 
-def polish_on_axis(system, t: float, y: np.ndarray,
-                   tol: float = 1e-13, max_iter: int = NEWTON_STEPS,
-                   linearization=None) -> FixedPointSolution:
+def polish_on_axis(system, t: float, y: np.ndarray) -> FixedPointSolution:
     """Newton solution of the defining equation at real z = t > 0, from y:
-    ``_newton`` on the real axis, in at most max_iter steps, reusing the
-    linearization at (t, y) when the caller has it.
+    ``_newton`` on the real axis to AXIS_TOL.
 
     The boundary values extend continuously to the real axis; a few Newton
     steps turn an iterate near the axis (the end of an eps path, or a
@@ -581,7 +568,7 @@ def polish_on_axis(system, t: float, y: np.ndarray,
     machine-precision fixed point, making the algebraically equivalent
     density formulas agree at full accuracy.
     """
-    return _newton(system, complex(t), y, tol, max_iter, linearization)
+    return _newton(system, complex(t), y, AXIS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +579,9 @@ def polish_on_axis(system, t: float, y: np.ndarray,
 # CRITICAL_RADIUS times CRITICAL_SEEDS angles across K_alpha, edges included
 CRITICAL_RADIUS = 6.0
 CRITICAL_SEEDS = 12
+# Newton steps of one seed: near alpha = 2 a seed on the cone edge takes
+# more than NEWTON_STEPS to settle on its root
+CRITICAL_NEWTON_STEPS = 60
 
 
 class _CriticalSystem(_System):
@@ -615,9 +605,9 @@ class _CriticalSystem(_System):
 
 def find_critical_set(a: AlphaParam) -> list:
     """Real points t > 0 where boundary analyticity may fail: ``_newton``
-    to TOL on ``_CriticalSystem`` from a polar grid of seeds, dropping a
-    seed on SolverError; each root whose t^alpha = C_alpha g'(y) is real
-    and positive contributes t."""
+    to TOL in at most CRITICAL_NEWTON_STEPS steps on ``_CriticalSystem``
+    from a polar grid of seeds, dropping a seed on SolverError; each root
+    whose t^alpha = C_alpha g'(y) is real and positive contributes t."""
     system = _CriticalSystem(a)
     half = a.alpha * math.pi / 2.0
     c = c_alpha(a)
@@ -627,7 +617,8 @@ def find_critical_set(a: AlphaParam) -> list:
         for j in range(CRITICAL_SEEDS):
             th = half * (2.0 * j / (CRITICAL_SEEDS - 1) - 1.0)
             try:
-                sol = _newton(system, 0j, [r * cmath.exp(1j * th)], TOL)
+                sol = _newton(system, 0j, [r * cmath.exp(1j * th)], TOL,
+                              CRITICAL_NEWTON_STEPS)
             except SolverError:
                 continue
             val = c * g_alpha_pair(a, sol.unknowns[0])[1]

@@ -241,13 +241,10 @@ def _rotated_form(alpha: float, beta: float, y: complex, psi: float):
     return pref, math.tan(psi), y_eff
 
 
-def _transformed_setup(alpha: float, beta: float, y: complex,
-                       psi: float | None = None):
-    """Rotated form plus the power substitution u = v^p and a truncation
-    point; shared by the nested tanh-sinh rule and adaptive subdivision.
-    The ray psi defaults to the nested tanh-sinh rule's."""
-    if psi is None:
-        psi = _rotation_angle(alpha, y)
+def _transformed_setup(alpha: float, beta: float, y: complex, psi: float):
+    """Rotated form on the ray psi plus the power substitution u = v^p and
+    a truncation point; shared by the nested tanh-sinh rule and adaptive
+    subdivision."""
     pref, tanpsi, y_eff = _rotated_form(alpha, beta, y, psi)
     # u = v^p removes the endpoint singularity when beta < 2.
     p = max(1.0, 2.0 / beta)

@@ -6,9 +6,11 @@ criteria that ``htspectra selftest`` also runs call the check bodies in
 ``htspectra.acceptance`` with the full sizes and gates listed here.
 """
 
+import inspect
 import time
 
 import numpy as np
+import pytest
 
 from htspectra import acceptance
 from htspectra.density import (
@@ -188,3 +190,28 @@ def test_criterion_10_solver_contracts():
 def test_criterion_11_alpha_to_two_continuity():
     _check(11, "alpha->2 continuity", 120.0, acceptance.alpha_two_continuity,
            points=80, tol=0.08)
+
+
+# ---------------------------------------------------------------------------
+# htspectra selftest's own sizes
+
+
+def test_selftest_sizes_fit_their_checks():
+    # each entry's sizes are the keyword arguments of its check, so a
+    # renamed or dropped size fails here and not only in the command
+    for name, check, sizes in acceptance.SELFTEST:
+        inspect.signature(check).bind(**sizes)
+
+
+_FAST_CHECKS = (acceptance.identity, acceptance.semicircle,
+                acceptance.heavy_tail, acceptance.band_equivalence)
+
+
+@pytest.mark.parametrize("name,check,sizes", [
+    pytest.param(*entry, id=entry[0]) for entry in acceptance.SELFTEST
+    if entry[1] in _FAST_CHECKS])
+def test_fast_selftest_entries_pass_at_their_sizes(name, check, sizes):
+    # the semicircle entry runs without g_tol, a branch the full-size
+    # criterion 02 does not take
+    ok, detail = check(**sizes)
+    assert ok, f"{name}: {detail}"

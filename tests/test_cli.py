@@ -364,6 +364,29 @@ def test_simulate_echoes_the_seed_it_used(seed_flag, tmp_path):
     assert echo["seed"] == (int(seed_flag[1]) if seed_flag else 0)
 
 
+_DIAG_LAW = {"atoms": [{"lambda": -1.0, "w": 0.5}, {"lambda": 1.0, "w": 0.5}]}
+
+
+def test_simulate_perturbed_echoes_its_diagonal_law(tmp_path):
+    diag = tmp_path / "diag.json"
+    diag.write_text(json.dumps(_DIAG_LAW))
+    out = tmp_path / "out"
+    assert run(["simulate", "--model", "perturbed", "--diag", str(diag),
+                "--alpha", "1.5", "--n", "40", "--trials", "2", "--seed", "1",
+                "--out", str(out)]) == 0
+    camp = json.loads((out / "campaign.json").read_text())
+    assert camp["spec"]["ensemble"]["diagonal"] == _DIAG_LAW
+    assert len((out / "eigenvalues.csv").read_text().splitlines()) == 1 + 80
+
+
+def test_simulate_perturbed_needs_diag(capsys, tmp_path):
+    out = tmp_path / "out"
+    assert run(["simulate", "--model", "perturbed", "--alpha", "1.5",
+                "--n", "40", "--trials", "2", "--out", str(out)]) == 1
+    assert "--diag" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_round_trip(capsys, tmp_path):
     theory_dir = tmp_path / "theory"
     sim_dir = tmp_path / "sim"

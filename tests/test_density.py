@@ -535,12 +535,12 @@ def _failing_polish(monkeypatch, fails):
     real = density.polish_on_axis
     calls = []
 
-    def polish(system, t, y, **kwargs):
+    def polish(system, t, y):
         if fails(t) and t not in calls:
             calls.append(t)
             raise SolverError("injected failure")
         calls.append(t)
-        return real(system, t, y, **kwargs)
+        return real(system, t, y)
 
     monkeypatch.setattr(density, "polish_on_axis", polish)
     return calls

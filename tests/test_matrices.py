@@ -79,7 +79,7 @@ def test_grid_profile_is_the_piecewise_profile_on_its_cells(p, n):
     piece = SigmaProfile("piecewise",
                          breaks=tuple(k / p for k in range(p + 1)),
                          matrix=tuple(map(tuple, values.tolist())))
-    for got, want in zip(grid.cells(), piece.cells()):
+    for got, want in zip(alpha_kernel(grid, 1.5), alpha_kernel(piece, 1.5)):
         assert np.array_equal(got, want)
     assert np.array_equal(grid.lattice(n), piece.lattice(n))
     law = DiagonalLaw(atoms=((-1.0, 0.5), (1.0, 0.5)))
@@ -160,6 +160,27 @@ def test_build_band_matrix_reproducible():
     assert np.array_equal(build_band_matrix(spec), build_band_matrix(spec))
 
 
+def test_diagonal_perturbation_adds_one_atom_per_diagonal_entry():
+    # the diagonal draws come after the entries from the same stream: the
+    # perturbed matrix is the plain one plus an atom on each diagonal entry
+    n = 50
+    law = StableTailLaw(1.5)
+    prof = SigmaProfile("constant", c=1.0)
+    diag = DiagonalLaw(((-1.0, 0.5), (1.0, 0.5)))
+    plain = build_band_matrix(EnsembleSpec(N=n, law=law, profile=prof,
+                                           seed=RngStreamSpec(3)))
+    perturbed = build_band_matrix(EnsembleSpec(N=n, law=law, profile=prof,
+                                               diagonal=diag,
+                                               seed=RngStreamSpec(3)))
+    off = ~np.eye(n, dtype=bool)
+    assert np.array_equal(perturbed[off], plain[off])
+    shift = np.diag(perturbed) - np.diag(plain)
+    atom = np.where(shift > 0.0, 1.0, -1.0)
+    assert np.all(np.abs(shift - atom) <= 1e-15)
+    assert np.array_equal(np.diag(perturbed), np.diag(plain) + atom)
+    assert set(atom) == {-1.0, 1.0}
+
+
 def test_truncation_validation():
     law = StableTailLaw(1.5)
     prof = SigmaProfile("constant", c=1.0)
@@ -225,17 +246,11 @@ def test_equivalent_constant_value():
     assert alpha_kernel(PIECE, 1.5)[1].shape == (2, 2)
 
 
-def test_band_profile_has_no_cells():
-    with pytest.raises(ValueError, match="alpha_kernel"):
-        BAND.cells()
-
-
 def test_covariance_profile_shape():
     prof = covariance_profile(0.5)
-    b, m, w = prof.cells()
-    assert np.allclose(b, [0.0, 2.0 / 3.0, 1.0])
-    assert np.allclose(m, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.allclose(prof.breaks, [0.0, 2.0 / 3.0, 1.0])
+    assert np.allclose(prof.matrix, [[0.0, 1.0], [1.0, 0.0]])
     # tail integral (alpha/2) * 2 gamma / (1+gamma)^2 via the cells
-    alpha = 1.0
-    integral = float(w @ (np.abs(m) ** alpha) @ w)
+    w, k = alpha_kernel(prof, 1.0)
+    integral = float(w @ k @ w)
     assert abs(integral - 2.0 * 0.5 / 1.5**2) < 1e-14

@@ -209,14 +209,16 @@ def test_polish_raises_when_unconverged():
     # two Newton steps from far away leave a residual of order one
     sys = wigner_system(AlphaParam(1.5))
     with pytest.raises(SolverError) as exc_info:
-        polish_on_axis(sys, 1.2, np.array([5.0 + 0.0j]), max_iter=2)
+        solver._newton(sys, 1.2 + 0j, np.array([5.0 + 0.0j]),
+                       solver.AXIS_TOL, 2)
     err = exc_info.value
     assert err.residual > 1e-3
     assert err.unknowns is not None and err.unknowns.shape == (1,)
 
 
 class _ConstantMap(solver._System):
-    """y = root: Newton lands on root in one step, wherever root lies."""
+    """y = root with residual scale 1: Newton lands on root in one step,
+    wherever root lies."""
 
     def __init__(self, a, root):
         super().__init__(a)
@@ -224,6 +226,9 @@ class _ConstantMap(solver._System):
 
     def linearize(self, z, y):
         return self.root.copy(), np.eye(1)
+
+    def _per_z(self, z):
+        return (1.0,)
 
 
 def test_polish_raises_outside_the_cone():
@@ -362,6 +367,32 @@ def test_critical_set_seeds_stop_when_they_leave_the_box(monkeypatch):
     monkeypatch.setattr(special, "_g_moments", counted)
     assert find_critical_set(AlphaParam(1.2)) == []
     assert 0 < calls <= 3000
+
+
+def test_critical_set_seeds_on_the_cone_edge_end_on_the_cone_check(
+        monkeypatch):
+    # at alpha = 1.99 the two seeds of radius 1 on the cone's edges need
+    # more than NEWTON_STEPS steps; within the search's own budget they
+    # converge to y = -0.505, just outside the cone, where the cone check
+    # rejects them, instead of being dropped on the step budget
+    a = AlphaParam(1.99)
+    newton = solver._newton
+    outcomes = {}
+
+    def recorded(system, z, y0, tol, *args):
+        try:
+            return newton(system, z, y0, tol, *args)
+        except SolverError as exc:
+            outcomes[complex(y0[0])] = str(exc)
+            raise
+
+    monkeypatch.setattr(solver, "_newton", recorded)
+    assert find_critical_set(a) == []
+    half = a.alpha * math.pi / 2.0
+    for seed in (cmath.exp(-1j * half), cmath.exp(1j * half)):
+        (message,) = [m for y0, m in outcomes.items()
+                      if abs(y0 - seed) < 1e-12]
+        assert "left the cone" in message, message
 
 
 @pytest.mark.parametrize("alpha, y0, s", [
@@ -800,7 +831,8 @@ def test_eps_path_rejects_t_off_the_positive_axis():
 
 class _ExpandingSystem(solver._System):
     """y = F(z, y) with root 0 and a Jacobian ten times too small, so
-    every Newton step multiplies y by -9; counts its linearize calls."""
+    every Newton step multiplies y by -9; residual scale 1; counts its
+    linearize calls."""
 
     def __init__(self):
         super().__init__(AlphaParam(1.0))
@@ -810,13 +842,17 @@ class _ExpandingSystem(solver._System):
         self.applied += 1
         return np.zeros(len(y)), 0.1 * np.eye(self.q)
 
+    def _per_z(self, z):
+        return (1.0,)
+
 
 def test_polish_gives_up_when_the_residual_grows():
     # the residual grows ninefold per step: Newton stops once it exceeds
     # 100 times its best value instead of spending all 40 steps
     system = _ExpandingSystem()
     with pytest.raises(SolverError) as info:
-        polish_on_axis(system, 1.0, np.array([1.0 + 0.0j]), max_iter=40)
+        solver._newton(system, 1.0 + 0j, np.array([1.0 + 0.0j]),
+                       solver.AXIS_TOL, 40)
     assert system.applied <= 5
     err = info.value
     assert err.residual > 100.0
@@ -939,7 +975,7 @@ def test_settling_step_reuses_the_last_linearization(monkeypatch):
     system = wishart_system(AlphaParam(1.5), 0.5)
     path = continue_to_real_axis(system, 1.2, [0.3, 0.1, 0.03, 0.01, 3e-3])
     # a loose tolerance stops Newton a step short of roundoff
-    sol = polish_on_axis(system, 1.2, path[-1].unknowns, tol=1e-6)
+    sol = solver._newton(system, 1.2 + 0j, path[-1].unknowns, 1e-6)
     assert sol.residual > 1e-12
     assert sol.linearization == system.linearize(sol.z, sol.unknowns)
     calls = []
@@ -954,8 +990,8 @@ def test_settling_step_reuses_the_last_linearization(monkeypatch):
 
     settled = density._settled(system, sol)
     assert calls == [sol.z]
-    fresh = polish_on_axis(system, 1.2, sol.unknowns,
-                           tol=0.5 * sol.residual, max_iter=1)
+    fresh = solver._newton(system, 1.2 + 0j, sol.unknowns,
+                           0.5 * sol.residual, 1)
     assert np.array_equal(settled.unknowns, fresh.unknowns)
     assert settled.residual == fresh.residual < 0.5 * sol.residual
     assert settled.iterations == sol.iterations + 1

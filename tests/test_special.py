@@ -204,7 +204,8 @@ def test_rule_validation():
 def _scratch_level_sum(alpha, beta, y, level):
     """Level-k tanh-sinh sum over the full grid t = -3.8 + i 2^-k, built
     from scratch with no reuse of coarser levels."""
-    pref, tanpsi, y_eff, p, v_max = special._transformed_setup(alpha, beta, y)
+    pref, tanpsi, y_eff, p, v_max = special._transformed_setup(
+        alpha, beta, y, special._rotation_angle(alpha, y))
     h = 0.5**level
     t = np.arange(-3.8 / h, 3.8 / h + 1) * h
     s = 0.5 * math.pi * np.sinh(t)
@@ -530,6 +531,33 @@ def test_steep_middle_ray_matches_frozen_values(alpha, r, vr, vi):
     y = r * cmath.exp(1j * 0.98 * alpha * math.pi / 2.0)
     want = complex(vr, vi)
     got = g_alpha_beta(AlphaParam(alpha), 3.0 * alpha, y)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# (alpha, beta, |y|, Re g, Im g) at y = |y| e^{0.9 i pi}, on the edge of
+# K_1.8, from 45-digit quadrature on the decaying rays psi = -0.46 pi and
+# -0.48 pi, which agree to 1e-30 or better; the reference rule raises at
+# each, with error estimates 4.7e-8, 8.3e-10 and 8.3e-9
+CONE_EDGE_ORACLE = [
+    (1.8, 5.4, 3.0, -0.1832618775575014, -0.252238334981747),
+    (1.8, 3.6, 3.0, 0.23272072400088695, 0.16908150313484244),
+    (1.8, 3.6, 4.76, 0.06223113561818742, 0.04521356659268237),
+]
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the default path is off by up to 4.9e-8 "
+                   "relative on the cone edge near alpha = 2")
+@pytest.mark.parametrize("sign", [1, -1], ids=["upper", "lower"])
+@pytest.mark.parametrize("alpha,beta,r,vr,vi", CONE_EDGE_ORACLE)
+def test_cone_edge_matches_frozen_values(alpha, beta, r, vr, vi, sign):
+    # g(conj y) = conj g(y); the default path returns 4.1e-8, 5.9e-10 and
+    # 4.9e-8 relative away from these values, and raises nothing
+    y = r * cmath.exp(0.9j * math.pi)
+    want = complex(vr, vi)
+    if sign < 0:
+        y, want = y.conjugate(), want.conjugate()
+    got = g_alpha_beta(AlphaParam(alpha), beta, y)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
