@@ -448,13 +448,16 @@ def _settled(system, sol):
     residual; the step starts from the linearization that sol's last
     Newton step left at its unknowns.
 
+    The step runs at sol's own z object, so the system reuses the
+    quantities per z that the polish computed there.
+
     Newton stops as soon as the residual passes tol.  From a sweep
     prediction that can be a step short of the accuracy the per-point
     polish reaches from eps = 1e-6, which shows where rho is a small
     imaginary part of order-one unknowns (the covariance density near 0).
     """
     try:
-        step = _newton(system, complex(sol.z.real), sol.unknowns,
+        step = _newton(system, sol.z, sol.unknowns,
                        0.5 * sol.residual, 1, sol.linearization)
     except SolverError:
         return sol

@@ -3,12 +3,16 @@
 pytest itself loads scipy, so every check runs in a fresh interpreter.
 """
 
+import cmath
+import math
 import os
 import subprocess
 import sys
 
 import htspectra
+from htspectra import special
 from htspectra.cli import main
+from htspectra.special import AlphaParam
 
 SCIPY_SUBPACKAGES = {"scipy.special", "scipy.stats", "scipy.integrate",
                      "scipy.optimize"}
@@ -33,10 +37,43 @@ def test_import_loads_no_scipy_subpackage():
     assert not loaded & SCIPY_SUBPACKAGES
 
 
-def test_series_g_loads_only_scipy_special():
+def test_series_g_loads_no_scipy():
     loaded = _loaded("from htspectra import AlphaParam, g_alpha\n"
                      "g_alpha(AlphaParam(1.5), 0.1 + 0.05j)")
-    assert loaded & SCIPY_SUBPACKAGES == {"scipy.special"}
+    assert not loaded
+
+
+def test_g_on_a_growing_contour_loads_no_scipy(monkeypatch):
+    # on the cone edge at alpha = 1.8 the contour keeps a growth peak, and
+    # its truncation point is the one root that _brentq finds
+    y = 4.76 * cmath.exp(0.9j * math.pi)
+    calls = []
+    brentq = special._brentq
+    monkeypatch.setattr(special, "_brentq",
+                        lambda *args: calls.append(args) or brentq(*args))
+    special.g_alpha_beta(AlphaParam(1.8), 3.6, y)
+    assert len(calls) == 1
+    loaded = _loaded("from htspectra.special import AlphaParam, "
+                     "g_alpha_beta\n"
+                     f"g_alpha_beta(AlphaParam(1.8), 3.6, {y!r})")
+    assert not loaded
+
+
+def test_theory_loads_no_scipy(tmp_path):
+    loaded = _loaded(
+        "from htspectra.cli import main\n"
+        "assert main(['theory', '--alpha', '1.5', '--points', '40', "
+        f"'--out', {str(tmp_path)!r}]) == 0")
+    assert not loaded
+
+
+def test_critical_set_loads_no_scipy(tmp_path):
+    # at alpha = 1.9 seeds near the cone edge reach growing contours
+    loaded = _loaded(
+        "from htspectra.cli import main\n"
+        "assert main(['critical-set', '--alpha', '1.9', "
+        f"'--out', {str(tmp_path)!r}]) == 0")
+    assert not loaded
 
 
 def test_simulate_and_compare_load_no_scipy(tmp_path):

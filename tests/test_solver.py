@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from htspectra import solver, special
+from htspectra import density, solver, special
 from htspectra.density import build_density_curve
 from htspectra.matrices import DiagonalLaw, SigmaProfile, band_alpha_integral
 from htspectra.solver import (
@@ -986,8 +986,6 @@ def test_settling_step_reuses_the_last_linearization(monkeypatch):
         return linearize(z, y)
 
     monkeypatch.setattr(system, "linearize", counted)
-    from htspectra import density
-
     settled = density._settled(system, sol)
     assert calls == [sol.z]
     fresh = solver._newton(system, 1.2 + 0j, sol.unknowns,
@@ -995,6 +993,27 @@ def test_settling_step_reuses_the_last_linearization(monkeypatch):
     assert np.array_equal(settled.unknowns, fresh.unknowns)
     assert settled.residual == fresh.residual < 0.5 * sol.residual
     assert settled.iterations == sol.iterations + 1
+
+
+def test_settled_point_computes_its_z_powers_once(monkeypatch):
+    # the polish, a Newton at complex(t), and the settling step after it
+    # run at one z object, so z^alpha and the rest of _per_z are computed
+    # once per settled point
+    system = wishart_system(AlphaParam(1.5), 0.5)
+    path = continue_to_real_axis(system, 1.2, [0.3, 0.1, 0.03, 0.01, 3e-3])
+    calls = []
+    per_z = system._per_z
+
+    def counted(z):
+        calls.append(z)
+        return per_z(z)
+
+    monkeypatch.setattr(system, "_per_z", counted)
+    # a loose tolerance leaves the settling step a step to take
+    point = solver._newton(system, complex(1.2), path[-1].unknowns, 1e-6)
+    settled = density._settled(system, point)
+    assert settled.iterations == point.iterations + 1
+    assert calls == [1.2 + 0j]
 
 
 # ---------------------------------------------------------------------------

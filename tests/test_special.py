@@ -417,9 +417,12 @@ def reference_series_table(alpha, beta):
     k, x = k[x < 171.0], x[x < 171.0]
     if not len(k):
         return [0] * rungs, [math.inf] * rungs, [math.inf] * rungs
-    from scipy.special import digamma, gamma
+    from scipy.special import digamma
 
-    coef = gamma(x) / np.array([float(math.factorial(int(i))) for i in k])
+    # Gamma from math.gamma, the library's source; psi from scipy, an
+    # independent one, within 4.5e-16 relative of the library's weight
+    coef = np.array([math.gamma(v) for v in x.tolist()]) \
+        / np.array([float(math.factorial(int(i))) for i in k])
     ratio = x ** (alpha / 2.0) / (k + 1.0)
     k_mono = (alpha**2 / 4.0 - beta / 2.0) / (alpha / 2.0 * (1.0 - alpha / 2.0))
     weight = 34.0 + 4.0 * x * np.abs(digamma(x)) + 4.0 * k
@@ -501,6 +504,66 @@ def test_overflowing_gamma_declines_every_rung():
         warnings.simplefilter("error")
         assert _lazy_rungs(1.5, 400.0) == [(0, math.inf, math.inf)] * len(
             reference_series_table(1.5, 400.0)[0])
+
+
+def _table_grid():
+    """(alpha, beta, x_k, k) of the series tables on the roundoff weight's
+    grid: alpha in [0.05, 1.99], beta in {a, 2, 2a, 3a}."""
+    for alpha in np.linspace(0.05, 1.99, 40).tolist():
+        for name in ("a", "2", "2a", "3a"):
+            beta = _beta(alpha, name)
+            k = np.arange(special._SERIES_MAX_TERMS, dtype=float)
+            x = beta / 2.0 + k * alpha / 2.0
+            yield alpha, beta, x[x < 171.0], k[x < 171.0]
+
+
+def test_series_coefficients_are_within_16_ulps_of_scipy_gamma():
+    # the coefficients take Gamma from math.gamma, which differs from
+    # scipy's Gamma by up to 10 ulps here
+    from scipy.special import gamma
+
+    for alpha, beta, x, k in _table_grid():
+        table = special._series_table(alpha, beta)
+        got = np.array(table.reversed_coef[::-1])
+        want = gamma(x) / special._FACTORIALS[:len(k)]
+        assert np.all(np.abs(got - want) <= 16 * np.spacing(want)), \
+            (alpha, beta)
+
+
+def test_series_weights_match_scipy_digamma():
+    # the roundoff weight takes psi from the library's own series; scipy's
+    # psi gives the same weight to 1e-15 relative
+    from scipy.special import digamma
+
+    for alpha, beta, x, k in _table_grid():
+        got = np.array(special._series_table(alpha, beta).weight)
+        want = 34.0 + 4.0 * x * np.abs(digamma(x)) + 4.0 * k
+        assert np.all(np.abs(got - want) <= 1e-15 * want), (alpha, beta)
+
+
+def test_truncation_root_is_scipy_brentq_bit_for_bit(monkeypatch):
+    # every bracket that _transformed_setup hands _brentq on real y < 0
+    # with psi = 0, where the exponent -u + c u^(a/2) with c = -y grows
+    from scipy.optimize import brentq
+
+    brackets = []
+    root = special._brentq
+
+    def recorded(f, lo, hi):
+        got = root(f, lo, hi)
+        brackets.append((f, lo, hi, got))
+        return got
+
+    monkeypatch.setattr(special, "_brentq", recorded)
+    for alpha in np.linspace(0.3, 1.995, 40).tolist():
+        for c in np.geomspace(0.01, 60.0, 40).tolist():
+            try:
+                special._transformed_setup(alpha, alpha, complex(-c), 0.0)
+            except QuadratureError:   # the peak exceeds the double range
+                pass
+    assert len(brackets) > 1000
+    for f, lo, hi, got in brackets:
+        assert got == brentq(f, lo, hi), (lo, hi)
 
 
 def test_one_g_call_certifies_one_rung():
