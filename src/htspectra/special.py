@@ -8,8 +8,9 @@ The two workhorses are
 evaluated on the cone K_a = {r e^{i th} : |th| <= a pi/2}.  Direct
 quadrature is catastrophically ill-conditioned near the cone boundary
 (the integrand peaks exponentially before cancelling), so for arguments
-with negative real part the contour is rotated onto a ray where every
-factor decays; see ``_rotation_angle``.
+with negative real part the default path rotates the contour onto a ray
+where every factor decays, and raises where none does; see
+``_rotation_angle``.
 
 With no explicit rule, g is evaluated in two tiers: by the power series
 g_{a,b}(y) = sum_k Gamma(b/2 + k a/2)/k! (-y)^k wherever a truncation and
@@ -24,12 +25,12 @@ pays for its coefficients and only the rungs it reaches; the factorials
 are one array, built once per process.  The coefficients take Gamma from
 ``math.gamma`` (at most 6.81 ulps from 40-digit values at the 205,195
 points x_k of 300 alpha on the roundoff weight's grid, where scipy's Gamma
-reaches 9.00), the weight takes psi from ``_digamma``, and a growing
-contour's truncation point comes from ``_brentq``, so the default path
-imports no scipy.  An explicit rule, which ``g_alpha_beta``, ``g_alpha``
-and ``h_alpha`` take as the reference, always runs adaptive subdivision,
-through ``scipy.integrate``, and never the series.  At a = 2 every path
-is the closed form g_{2,b}(y) = Gamma(b/2) (1+y)^(-b/2).
+reaches 9.00), and the weight takes psi from ``_digamma``, so the default
+path imports no scipy.  An explicit rule, which ``g_alpha_beta``,
+``g_alpha`` and ``h_alpha`` take as the reference, always runs adaptive
+subdivision, through ``scipy``, and never the series; near the cone edge
+its ray keeps a modest growth peak (``_clamped_angle``).  At a = 2 every
+path is the closed form g_{2,b}(y) = Gamma(b/2) (1+y)^(-b/2).
 
 ``g_alpha_pair`` returns g_a and its derivative g_a' = -g_{a,2a} from one
 evaluation, as every Newton step of the solvers needs both at the same
@@ -157,76 +158,68 @@ def _growth_peak(alpha: float, c: float) -> tuple[float, float]:
     return u_star, -u_star + c * u_star ** (alpha / 2.0)
 
 
-def _clamped_angle(alpha: float, y: complex) -> tuple[float, bool]:
-    """Ray angle psi for the rotated contour t = s e^{i psi}, and whether
-    exp(-t^(a/2) y) still grows along it.
+# The steepest effective argument of y, and the steepest full rotation
+_STEEPEST = math.pi / 2.0 - 0.3
 
-    The smallest rotation that pulls the effective argument of y inside
-    +-(pi/2 - margin), so exp(-t^(a/2) y) decays instead of blowing up
-    before exp(-t) wins.  Rotating further than necessary is harmful: it
-    trades cancellation for fast oscillation exp(-i u tan psi).
+
+def _full_rotation(alpha: float, theta: float) -> float:
+    """The smallest rotation psi of the contour t = s e^{i psi} that brings
+    the effective argument theta + psi a/2 of y = r e^{i theta} inside
+    +-``_STEEPEST``.  Rotating further than necessary trades cancellation
+    for the oscillation exp(-i u tan psi)."""
+    if abs(theta) <= _STEEPEST:
+        return 0.0
+    return (math.copysign(_STEEPEST, theta) - theta) * 2.0 / alpha
+
+
+def _clamped_angle(alpha: float, y: complex) -> float:
+    """Ray angle psi of the reference rule's contour t = s e^{i psi}.
+
+    The full rotation where it is no steeper than ``_STEEPEST``, as on the
+    default path.  Steeper (arg y near the cone edge, which for alpha > 1
+    exceeds pi/2 by a lot), the mildest clamp whose leftover growth term
+    exp(c u^(a/2)) peaks harmlessly: adaptive subdivision resolves a
+    modest peak better than the oscillation from tan psi.
     """
-    theta = cmath.phase(y)
-    target = math.pi / 2.0 - 0.3
-    if abs(theta) <= target:
-        return 0.0, False
-    psi = (math.copysign(target, theta) - theta) * 2.0 / alpha
-    if abs(psi) <= target:
-        return psi, False
-    # The full rotation is too steep (arg y near the cone edge, which for
-    # alpha > 1 exceeds pi/2 by a lot).  Prefer the mildest clamp whose
-    # leftover growth term exp(c u^(a/2)) peaks harmlessly: oscillation
-    # from tan psi is far more damaging to quadrature than a modest peak.
+    psi = _full_rotation(alpha, cmath.phase(y))
+    if abs(psi) <= _STEEPEST:
+        return psi
     for margin in (0.8, 0.6, 0.45, 0.3, 0.2, 0.1):
         cap = math.pi / 2.0 - margin
         if abs(psi) <= cap:
-            return psi, False
+            return psi
         clamped = math.copysign(cap, psi)
         cpsi = math.cos(clamped)
         y_eff = complex(y) * cmath.exp(1j * clamped * alpha / 2.0) \
             / cpsi ** (alpha / 2.0)
         c = -y_eff.real
-        if c <= 0.0:
-            return clamped, False
         # the peak bounds the cancellation mass exp(peak); keep it small
         # enough that double precision still resolves order-one results
-        if _growth_peak(alpha, c)[1] <= 5.0:
-            return clamped, True
-    return math.copysign(math.pi / 2.0 - 0.1, psi), True
-
-
-# The middle ray replaces a growing clamp only up to this steepness.
-# Measured against 40-digit values over 288 growing-clamp points (alpha
-# 1.5-1.95, arg y 0.9-1 of the cone edge, |y| 1-60, beta in {a, 2, 2a, 3a}),
-# nested tanh-sinh on the middle ray stays within 5.3e-13 up to
-# pi/2 - 0.1, where the clamp exceeds 1e-12 at 60 of 204 points and goes
-# wrong silently (1.4e-6 relative at alpha=1.7, |y|=10, beta=3a, with no
-# error raised).  Steeper than that, the 30- and 40-digit references on
-# the middle ray disagree, so nothing beyond it was verified.
-_MIDDLE_RAY_MAX = math.pi / 2.0 - 0.1
+        if c <= 0.0 or _growth_peak(alpha, c)[1] <= 5.0:
+            return clamped
+    return math.copysign(math.pi / 2.0 - 0.1, psi)
 
 
 def _rotation_angle(alpha: float, y: complex) -> float:
-    """Ray of the nested tanh-sinh rule.
+    """Ray psi of the nested tanh-sinh rule, on which both exp(-t) and
+    exp(-t^(a/2) y) decay: psi in (-pi/2, (pi/2 - |theta|) 2/alpha),
+    signed against theta = arg y.
 
-    Where the clamp of ``_clamped_angle`` leaves a growth peak, the rays
-    psi in (-pi/2, (pi/2 - |theta|) 2/alpha), signed against theta, make
-    both exp(-t) and exp(-t^(a/2) y) decay; that interval is non-empty on
-    K_alpha for alpha < 2.  Its middle ray replaces the clamp when it is no
-    steeper than ``_MIDDLE_RAY_MAX``, trading the cancellation mass
-    exp(peak) for the oscillation exp(-i u tan psi).  On the cone edge at
-    alpha=1.5, |y|=9.6 this takes the mass/|g| ratio from 6.9e3
-    (beta=alpha) and 5.7e5 (beta=2 alpha) to 4.3 and 17.
+    The full rotation where it is no steeper than ``_STEEPEST``, else the
+    middle of those rays.  They exist where |theta| < pi/2 + alpha pi/4,
+    on all of K_alpha for alpha < 2; beyond, in the slack of
+    ``_check_domain`` for alpha > 1.745, this raises ``QuadratureError``.
     """
-    psi, grows = _clamped_angle(alpha, y)
-    if not grows:
-        return psi
     theta = cmath.phase(y)
+    psi = _full_rotation(alpha, theta)
+    if abs(psi) <= _STEEPEST:
+        return psi
     upper = (math.pi / 2.0 - abs(theta)) * 2.0 / alpha
+    if upper <= -math.pi / 2.0:
+        raise QuadratureError(f"no ray on which g's integrand decays at "
+                              f"y={y}")
     middle = (math.pi / 2.0 - upper) / 2.0
-    if middle <= _MIDDLE_RAY_MAX:
-        return -math.copysign(middle, theta)
-    return psi
+    return -math.copysign(middle, theta)
 
 
 def _rotated_form(alpha: float, beta: float, y: complex, psi: float):
@@ -260,8 +253,9 @@ def _transformed_setup(alpha: float, beta: float, y: complex, psi: float):
     if y_eff.real > 0:
         u_max = min(u_max, (48.0 / y_eff.real) ** (2.0 / alpha))
     elif y_eff.real < 0:
-        # The exponent -u + c u^(a/2) rises to an interior peak before
-        # decaying; integrate through it.  Near the cone boundary with
+        # Only the reference rule's clamped rays come here: the exponent
+        # -u + c u^(a/2) rises to an interior peak before decaying;
+        # integrate through it.  Near the cone boundary with
         # alpha close to 2 that peak can exceed the double range, in which
         # case the value itself is not representable.
         c = -y_eff.real
@@ -274,60 +268,12 @@ def _transformed_setup(alpha: float, beta: float, y: complex, psi: float):
         lo, hi = max(u_star, 1.0), max(u_star, 1.0) * 2.0
         while -hi + c * hi ** (alpha / 2.0) > peak - 48.0:
             hi *= 2.0
-        u_max = _brentq(
+        from scipy.optimize import brentq
+
+        u_max = brentq(
             lambda u: -u + c * u ** (alpha / 2.0) - (peak - 48.0), lo, hi
         )
     return pref, tanpsi, y_eff, p, u_max ** (1.0 / p)
-
-
-def _brentq(f, xa: float, xb: float) -> float:
-    """A root of f in the bracket [xa, xb], where f changes sign: Brent's
-    method (Brent 1973, ch. 4), step for step the loop of scipy's C
-    ``brentq`` with its defaults, so that it returns the same root."""
-    xtol, rtol, iterations = 2e-12, 2.0**-50, 100   # rtol = 4 eps
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise QuadratureError(f"no sign change of the truncation function "
-                              f"on [{xa}, {xb}]")
-    for _ in range(iterations):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:   # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:              # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry   # good short step
-            else:
-                spre = scur = sbis        # bisect
-        else:
-            spre = scur = sbis            # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise QuadratureError(f"the truncation point did not converge in "
-                          f"{iterations} steps on [{xa}, {xb}]")
 
 
 # Levels of the nested tanh-sinh rule, coarsest first.
@@ -416,9 +362,7 @@ def _de_eval(alpha: float, beta: float, y: complex, moments=(0,)) -> list:
 def _adaptive_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule) -> complex:
     from scipy.integrate import IntegrationWarning, quad
 
-    # Subdivision resolves the clamp's modest growth peak better than the
-    # oscillation of the steeper middle ray, so it keeps the clamp.
-    psi, _ = _clamped_angle(alpha, y)
+    psi = _clamped_angle(alpha, y)
     pref, tanpsi, y_eff, p, v_max = _transformed_setup(alpha, beta, y, psi)
 
     def integrand(v: float) -> complex:

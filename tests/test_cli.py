@@ -247,8 +247,8 @@ def test_theory_single_point_reports_clipped_density(capsys, tmp_path):
 
 
 def test_theory_wrong_branch_curve_exits_2(capsys, tmp_path):
-    # this sweep accepts a solution off the density's branch at t = 0.0811,
-    # where rho would read -0.0628: a numerical failure, not a usage error
+    # this sweep accepts a solution off the density's branch at t = 0.01,
+    # where rho would read -0.0610: a numerical failure, not a usage error
     # or a traceback
     code = run(["theory", "--model", "wishart", "--gamma", "0.5",
                 "--alpha", "1.8", "--t-min", "1e-2", "--t-max", "1e3",
@@ -256,7 +256,7 @@ def test_theory_wrong_branch_curve_exits_2(capsys, tmp_path):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: negative density")
-    assert "t=0.0811" in err
+    assert "t=0.01:" in err
 
 
 def test_theory_at_tiny_alpha_names_the_contraction_radius(capsys,

@@ -186,7 +186,7 @@ def test_density_point_rejects_points_off_the_support():
 
 def test_negative_density_is_a_numerical_failure():
     # the sweep of this curve accepts a solution off the density's branch
-    # at t = 0.0811, where rho reads -0.0628
+    # at t = 0.01, where rho reads -0.0610
     with pytest.raises(ArithmeticError, match="negative density"):
         build_density_curve(AlphaParam(1.8), "wishart", gamma=0.5,
                             t_min=1e-2, t_max=1e3, points=12)
@@ -474,12 +474,12 @@ def test_sweep_matches_per_point_path(model, alpha, gamma, t_min, t_max,
         assert _agrees(got, want), (t, got, want)
 
 
-@pytest.mark.xfail(raises=SolverError, strict=True)
+@pytest.mark.xfail(raises=ArithmeticError, strict=True)
 def test_wishart_curve_near_alpha_two_solves():
-    # the adaptive rule cannot certify g to 1e-12 near the cone edge at
-    # alpha >= 1.8: on the eps path at z = 0.4217+0.0005i its error is
-    # 6.3e-11 at Y = -14.49+4.74i, so this curve raises SolverError and
-    # ``theory`` exits 2 on it
+    # the sweep of this curve leaves the density's branch at t = 0.01
+    # (rho = -0.0610), so it raises "negative density" and ``theory``
+    # exits 2 on it (ROADMAP item 2); g settles at Y = -14.49+4.74i on its
+    # eps path, where it once raised SolverError
     build_density_curve(AlphaParam(1.8), "wishart", gamma=0.5, t_min=1e-2,
                         t_max=1e3, points=9)
 

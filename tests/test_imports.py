@@ -10,9 +10,7 @@ import subprocess
 import sys
 
 import htspectra
-from htspectra import special
 from htspectra.cli import main
-from htspectra.special import AlphaParam
 
 SCIPY_SUBPACKAGES = {"scipy.special", "scipy.stats", "scipy.integrate",
                      "scipy.optimize"}
@@ -43,16 +41,10 @@ def test_series_g_loads_no_scipy():
     assert not loaded
 
 
-def test_g_on_a_growing_contour_loads_no_scipy(monkeypatch):
-    # on the cone edge at alpha = 1.8 the contour keeps a growth peak, and
-    # its truncation point is the one root that _brentq finds
+def test_g_on_the_cone_edge_loads_no_scipy():
+    # on the cone edge at alpha = 1.8 the default path integrates on the
+    # middle of the decaying rays; no growing contour, and no root finder
     y = 4.76 * cmath.exp(0.9j * math.pi)
-    calls = []
-    brentq = special._brentq
-    monkeypatch.setattr(special, "_brentq",
-                        lambda *args: calls.append(args) or brentq(*args))
-    special.g_alpha_beta(AlphaParam(1.8), 3.6, y)
-    assert len(calls) == 1
     loaded = _loaded("from htspectra.special import AlphaParam, "
                      "g_alpha_beta\n"
                      f"g_alpha_beta(AlphaParam(1.8), 3.6, {y!r})")
@@ -68,7 +60,7 @@ def test_theory_loads_no_scipy(tmp_path):
 
 
 def test_critical_set_loads_no_scipy(tmp_path):
-    # at alpha = 1.9 seeds near the cone edge reach growing contours
+    # at alpha = 1.9 seeds reach the cone edge
     loaded = _loaded(
         "from htspectra.cli import main\n"
         "assert main(['critical-set', '--alpha', '1.9', "
@@ -92,15 +84,15 @@ def test_simulate_and_compare_load_no_scipy(tmp_path):
 
 
 def test_unsettled_g_raises_without_adaptive_subdivision():
-    # near the cone edge at alpha = 1.8 the tanh-sinh levels of
-    # g_{1.8, 3.6} do not settle: the default path raises, and no scipy
+    # at 0.999 of the cone edge at alpha = 1.99 the tanh-sinh levels of
+    # g_{1.99, 1.99} do not settle: the default path raises, and no scipy
     # quadrature is loaded to try again
+    y = 40.0 * cmath.exp(0.999j * 1.99 * math.pi / 2.0)
     loaded = _loaded(
         "from htspectra.special import AlphaParam, QuadratureError, "
-        "g_alpha_beta\n"
+        "g_alpha\n"
         "try:\n"
-        "    g_alpha_beta(AlphaParam(1.8), 3.6, "
-        "-14.488131010388765+4.743930421628935j)\n"
+        f"    g_alpha(AlphaParam(1.99), {y!r})\n"
         "except QuadratureError as exc:\n"
         "    print('raised', exc)\n"
         "else:\n"

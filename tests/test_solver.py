@@ -300,14 +300,26 @@ def test_wishart_pair_near_alpha_two_solves(alpha, gamma, z):
                - (1 - gamma + gamma * h_alpha(a, y2, rule))) <= 1e-10
 
 
-def test_arithmetic_failure_carries_partial_path():
-    sys = wishart_system(AlphaParam(1.95), 0.5)
+def test_arithmetic_failure_carries_partial_path(monkeypatch):
+    # g fails below eps = 0.05, as where its tanh-sinh levels do not
+    # settle: the walk spends its halvings, and the SolverError of its last
+    # Newton chains the QuadratureError
+    sys = wishart_system(AlphaParam(1.5), 0.5)
+    linearize = sys.linearize
+
+    def failing(z, y):
+        if z.imag < 0.05:
+            raise QuadratureError(f"injected failure at z={z}")
+        return linearize(z, y)
+
+    monkeypatch.setattr(sys, "linearize", failing)
     eps = [0.5 * 0.8 ** k for k in range(60)]
     with pytest.raises(SolverError) as exc_info:
         continue_to_real_axis(sys, 0.1, [e for e in eps if e >= 1e-6])
     err = exc_info.value
-    assert isinstance(err.__cause__, ArithmeticError)
-    assert err.failure_index == len(err.partial_path)
+    assert isinstance(err.__cause__, QuadratureError)
+    assert err.failure_index == len(err.partial_path) > 0
+    assert all(p.z.imag >= 0.05 for p in err.partial_path)
 
 
 def test_solver_error_carries_partial_path(monkeypatch):
@@ -323,11 +335,11 @@ def test_solver_error_carries_partial_path(monkeypatch):
 
 
 def test_cold_solve_error_carries_its_stepping_stones():
-    # near alpha = 2 the last Newton at z reaches y = -42.3 - 9.0i, where
-    # the tanh-sinh levels of g do not settle
-    z = -1.3 + 0.05j
-    with pytest.raises(SolverError) as exc_info:
-        solve_wishart_pair(AlphaParam(1.99), 0.5, z)
+    # on the imaginary axis near alpha = 2 the last Newton at z ends with
+    # residual 9.2: the continuation fails there, not g
+    z = 0.05j
+    with pytest.raises(SolverError, match="no convergence") as exc_info:
+        solve_wishart_pair(AlphaParam(1.95), 0.9, z)
     err = exc_info.value
     path = err.partial_path
     assert err.failure_index == len(path) > 1
@@ -337,10 +349,23 @@ def test_cold_solve_error_carries_its_stepping_stones():
     assert all(p.residual <= solver.PATH_TOL for p in path)
 
 
-def test_overflowing_growth_peak_fails_as_a_g_failure():
-    # at y = -44.7, on the cone edge, g's growth peak overflows; the solve
-    # fails on the QuadratureError that says so, not a bare OverflowError
-    with pytest.raises(SolverError, match="exceeds floating-point range") \
+def test_wishart_pair_at_alpha_199_matches_frozen_unknowns():
+    # Y2 = -38.3 - 3.6i lies at 0.975 of the cone edge, where g takes the
+    # middle of the decaying rays and the reference rule cannot evaluate
+    # it.  Unknowns from a 40-digit Newton solve with g by 45-digit
+    # quadrature, whose residual on a second ray is 7e-55
+    sol = solve_wishart_pair(AlphaParam(1.99), 0.5, -1.3 + 0.05j)
+    want = np.array([1.0521312492953143 - 0.004466891117575366j,
+                     -38.31716394442506 - 3.6272153028927514j])
+    assert np.all(np.abs(sol.unknowns - want) <= 1e-11 * np.abs(want))
+
+
+def test_no_decaying_ray_fails_as_a_g_failure():
+    # Newton at z = i reaches y = -44.7, beyond the cone edge at
+    # alpha = 1.995, where no ray makes g's integrand decay; the solve
+    # fails on the QuadratureError that says so
+    with pytest.raises(SolverError,
+                       match="no ray on which g's integrand decays") \
             as exc_info:
         solve_wishart_pair(AlphaParam(1.995), 0.9, 1j)
     assert isinstance(exc_info.value.__cause__, QuadratureError)

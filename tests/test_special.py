@@ -161,27 +161,45 @@ def test_domain_rejection():
         g_alpha(a, -1.0 + 0.05j)    # far outside K_0.5
 
 
-def test_unrepresentable_boundary_raises():
-    # near the cone edge for alpha close to 2 the value itself is bounded
-    # by cone_bound, but the cancellation mass of the clamped contour
-    # (e^peak, peak > 600) exceeds double range, and no reference value
-    # on another contour is verified there; this must be an explicit
-    # error, not garbage
-    a = AlphaParam(1.95)
-    y = 60.0 * cmath.exp(1j * 0.999 * 1.95 * math.pi / 2.0)
-    with pytest.raises((QuadratureError, ValueError)):
-        g_alpha(a, y)
-
-
 @pytest.mark.parametrize("alpha, r", [(1.99, 40.0), (1.995, 7.0)])
-def test_overflowing_growth_peak_raises_quadrature_error(alpha, r):
-    # at 0.999 of the cone edge the clamp's peak (c a/2)^(2/(2-a))
-    # overflows for every margin, and the value is not representable
+def test_unsettled_edge_value_raises_quadrature_error(alpha, r):
+    # at 0.999 of the cone edge the tanh-sinh levels on the middle ray do
+    # not settle: g and the pair raise QuadratureError naming y
     a = AlphaParam(alpha)
     y = r * cmath.exp(1j * 0.999 * alpha * math.pi / 2.0)
     for value in (lambda: g_alpha(a, y), lambda: g_alpha_pair(a, y)):
         with pytest.raises(QuadratureError, match=re.escape(f"y={y}")):
             value()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 1.2, 1.5, 1.7, 1.745,
+                                   1.8, 1.9, 1.95, 1.99, 1.995, 1.999])
+def test_every_default_ray_decays(alpha):
+    # on all of K_alpha, up to and on its edge, the default path's ray
+    # keeps exp(-t) decaying (|psi| < pi/2) and exp(-t^(a/2) y) decaying
+    # (Re y_eff > 0)
+    for theta in (np.linspace(0.0, 1.0, 41) * alpha * math.pi / 2.0).tolist():
+        for sign in (1, -1):
+            y = cmath.exp(1j * sign * theta)
+            psi = special._rotation_angle(alpha, y)
+            _, _, y_eff = special._rotated_form(alpha, alpha, y, psi)
+            assert abs(psi) < math.pi / 2.0 and y_eff.real > 0.0, (
+                alpha, theta, psi)
+
+
+@pytest.mark.parametrize("alpha", [1.8, 1.9, 1.99, 1.999])
+def test_no_decaying_ray_raises_quadrature_error(alpha):
+    # beyond arg y = pi/2 + alpha pi/4, in the slack that g accepts beyond
+    # the cone edge, no ray decays: g raises QuadratureError naming y
+    a = AlphaParam(alpha)
+    start = math.pi / 2.0 + alpha * math.pi / 4.0
+    stop = min(math.pi, alpha * math.pi / 2.0 + 0.2)
+    for theta in np.linspace(start, stop, 5)[1:].tolist():
+        for y in (3.0 * cmath.exp(1j * theta), 3.0 * cmath.exp(-1j * theta)):
+            with pytest.raises(QuadratureError,
+                               match="no ray on which g's integrand decays "
+                               + re.escape(f"at y={y}")):
+                g_alpha(a, y)
 
 
 def test_explicit_rules_agree():
@@ -541,31 +559,6 @@ def test_series_weights_match_scipy_digamma():
         assert np.all(np.abs(got - want) <= 1e-15 * want), (alpha, beta)
 
 
-def test_truncation_root_is_scipy_brentq_bit_for_bit(monkeypatch):
-    # every bracket that _transformed_setup hands _brentq on real y < 0
-    # with psi = 0, where the exponent -u + c u^(a/2) with c = -y grows
-    from scipy.optimize import brentq
-
-    brackets = []
-    root = special._brentq
-
-    def recorded(f, lo, hi):
-        got = root(f, lo, hi)
-        brackets.append((f, lo, hi, got))
-        return got
-
-    monkeypatch.setattr(special, "_brentq", recorded)
-    for alpha in np.linspace(0.3, 1.995, 40).tolist():
-        for c in np.geomspace(0.01, 60.0, 40).tolist():
-            try:
-                special._transformed_setup(alpha, alpha, complex(-c), 0.0)
-            except QuadratureError:   # the peak exceeds the double range
-                pass
-    assert len(brackets) > 1000
-    for f, lo, hi, got in brackets:
-        assert got == brentq(f, lo, hi), (lo, hi)
-
-
 def test_one_g_call_certifies_one_rung():
     alpha = 1.2345   # no other test builds this table
     a = AlphaParam(alpha)
@@ -608,18 +601,48 @@ CONE_EDGE_ORACLE = [
 ]
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="the default path is off by up to 4.9e-8 "
-                   "relative on the cone edge near alpha = 2")
 @pytest.mark.parametrize("sign", [1, -1], ids=["upper", "lower"])
 @pytest.mark.parametrize("alpha,beta,r,vr,vi", CONE_EDGE_ORACLE)
 def test_cone_edge_matches_frozen_values(alpha, beta, r, vr, vi, sign):
-    # g(conj y) = conj g(y); the default path returns 4.1e-8, 5.9e-10 and
-    # 4.9e-8 relative away from these values, and raises nothing
+    # g(conj y) = conj g(y); a clamped contour that kept a growth peak
+    # returned 4.1e-8, 5.9e-10 and 4.9e-8 relative away from these values,
+    # and raised nothing
     y = r * cmath.exp(0.9j * math.pi)
     want = complex(vr, vi)
     if sign < 0:
         y, want = y.conjugate(), want.conjugate()
+    got = g_alpha_beta(AlphaParam(alpha), beta, y)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# (alpha, beta, y, Re g, Im g) near the cone edge for alpha close to 2,
+# from 40-digit quadrature on two decaying rays that agree to 1e-49 or
+# better (5e-22 at the last).  A clamped contour that kept a growth peak
+# was off by 4.3e-9, 3.2e-10 and 2.6e-10 relative at the first three and
+# raised at the other four: at the fourth and the last its peak, of order
+# exp(5e5) and exp(6e57), exceeded the double range, and at the fifth and
+# sixth its tanh-sinh levels did not settle.
+NEAR_ALPHA_TWO_ORACLE = [
+    (1.9, 3.8, 2.0 * cmath.exp(1j * 1.9 * math.pi / 2.0),
+     1.1223950597138785, 0.3646882618555484),
+    (1.95, 3.9, 1.4 * cmath.exp(1j * 1.95 * math.pi / 2.0),
+     8.444620755227046, 1.3374965320696037),
+    (1.9, 3.8, 4.76 * cmath.exp(1j * 0.98 * 1.9 * math.pi / 2.0),
+     0.06570094991757855, 0.03308783700352542),
+    (1.9, 1.9, 16.0 * cmath.exp(1j * 1.9 * math.pi / 2.0),
+     -0.06879414791388914, -0.010895922614944707),
+    (1.95, 3.9, 32.0 * cmath.exp(1j * 0.98 * 1.95 * math.pi / 2.0),
+     0.0010204625573562735, 0.00029719369398276244),
+    (1.8, 3.6, -14.488131010388765 + 4.743930421628935j,
+     0.004308335921022461, 0.0031621581274289498),
+    (1.95, 1.95, 60.0 * cmath.exp(1j * 0.999 * 1.95 * math.pi / 2.0),
+     -0.01729964719921689, -0.0014156863186821672),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,y,vr,vi", NEAR_ALPHA_TWO_ORACLE)
+def test_near_alpha_two_matches_frozen_values(alpha, beta, y, vr, vi):
+    want = complex(vr, vi)
     got = g_alpha_beta(AlphaParam(alpha), beta, y)
     assert abs(got - want) <= 1e-12 * abs(want)
 
