@@ -8,9 +8,8 @@ The two workhorses are
 evaluated on the cone K_a = {r e^{i th} : |th| <= a pi/2}.  Direct
 quadrature is catastrophically ill-conditioned near the cone boundary
 (the integrand peaks exponentially before cancelling), so for arguments
-with negative real part the default path rotates the contour onto a ray
-where every factor decays, and raises where none does; see
-``_rotation_angle``.
+with negative real part both rules rotate the contour onto a ray where
+every factor decays, and raise where none does; see ``_rotation_angle``.
 
 With no explicit rule, g is evaluated in two tiers: by the power series
 g_{a,b}(y) = sum_k Gamma(b/2 + k a/2)/k! (-y)^k wherever a truncation and
@@ -28,9 +27,9 @@ points x_k of 300 alpha on the roundoff weight's grid, where scipy's Gamma
 reaches 9.00), and the weight takes psi from ``_digamma``, so the default
 path imports no scipy.  An explicit rule, which ``g_alpha_beta``,
 ``g_alpha`` and ``h_alpha`` take as the reference, always runs adaptive
-subdivision, through ``scipy``, and never the series; near the cone edge
-its ray keeps a modest growth peak (``_clamped_angle``).  At a = 2 every
-path is the closed form g_{2,b}(y) = Gamma(b/2) (1+y)^(-b/2).
+subdivision, through ``scipy``, and never the series, on the default
+path's ray.  At a = 2 every path is the closed form
+g_{2,b}(y) = Gamma(b/2) (1+y)^(-b/2).
 
 ``g_alpha_pair`` returns g_a and its derivative g_a' = -g_{a,2a} from one
 evaluation, as every Newton step of the solvers needs both at the same
@@ -148,70 +147,28 @@ def cone_contains(cone: str, a: AlphaParam, y: complex, slack: float = 0.0) -> b
 # quadrature
 
 
-def _growth_peak(alpha: float, c: float) -> tuple[float, float]:
-    """(u*, peak): where -u + c u^(a/2), c > 0, peaks and its value there;
-    both inf where u* overflows (the cone edge for alpha close to 2)."""
-    try:
-        u_star = (c * alpha / 2.0) ** (2.0 / (2.0 - alpha))
-    except OverflowError:
-        return math.inf, math.inf
-    return u_star, -u_star + c * u_star ** (alpha / 2.0)
-
-
 # The steepest effective argument of y, and the steepest full rotation
 _STEEPEST = math.pi / 2.0 - 0.3
 
 
-def _full_rotation(alpha: float, theta: float) -> float:
-    """The smallest rotation psi of the contour t = s e^{i psi} that brings
-    the effective argument theta + psi a/2 of y = r e^{i theta} inside
-    +-``_STEEPEST``.  Rotating further than necessary trades cancellation
-    for the oscillation exp(-i u tan psi)."""
-    if abs(theta) <= _STEEPEST:
-        return 0.0
-    return (math.copysign(_STEEPEST, theta) - theta) * 2.0 / alpha
-
-
-def _clamped_angle(alpha: float, y: complex) -> float:
-    """Ray angle psi of the reference rule's contour t = s e^{i psi}.
-
-    The full rotation where it is no steeper than ``_STEEPEST``, as on the
-    default path.  Steeper (arg y near the cone edge, which for alpha > 1
-    exceeds pi/2 by a lot), the mildest clamp whose leftover growth term
-    exp(c u^(a/2)) peaks harmlessly: adaptive subdivision resolves a
-    modest peak better than the oscillation from tan psi.
-    """
-    psi = _full_rotation(alpha, cmath.phase(y))
-    if abs(psi) <= _STEEPEST:
-        return psi
-    for margin in (0.8, 0.6, 0.45, 0.3, 0.2, 0.1):
-        cap = math.pi / 2.0 - margin
-        if abs(psi) <= cap:
-            return psi
-        clamped = math.copysign(cap, psi)
-        cpsi = math.cos(clamped)
-        y_eff = complex(y) * cmath.exp(1j * clamped * alpha / 2.0) \
-            / cpsi ** (alpha / 2.0)
-        c = -y_eff.real
-        # the peak bounds the cancellation mass exp(peak); keep it small
-        # enough that double precision still resolves order-one results
-        if c <= 0.0 or _growth_peak(alpha, c)[1] <= 5.0:
-            return clamped
-    return math.copysign(math.pi / 2.0 - 0.1, psi)
-
-
 def _rotation_angle(alpha: float, y: complex) -> float:
-    """Ray psi of the nested tanh-sinh rule, on which both exp(-t) and
+    """Ray psi of the contour t = s e^{i psi}, on which both exp(-t) and
     exp(-t^(a/2) y) decay: psi in (-pi/2, (pi/2 - |theta|) 2/alpha),
-    signed against theta = arg y.
+    signed against theta = arg y.  Both quadrature rules integrate on it.
 
-    The full rotation where it is no steeper than ``_STEEPEST``, else the
-    middle of those rays.  They exist where |theta| < pi/2 + alpha pi/4,
-    on all of K_alpha for alpha < 2; beyond, in the slack of
-    ``_check_domain`` for alpha > 1.745, this raises ``QuadratureError``.
+    No rotation where |theta| <= ``_STEEPEST``.  Else the full rotation,
+    the smallest psi that brings the effective argument theta + psi a/2
+    to +-``_STEEPEST``, where it is itself no steeper than that: rotating
+    further than necessary trades cancellation for the oscillation
+    exp(-i u tan psi).  Else the middle of the decaying rays.  They exist
+    where |theta| < pi/2 + alpha pi/4, on all of K_alpha for alpha < 2;
+    beyond, in the slack of ``_check_domain`` for alpha > 1.745, this
+    raises ``QuadratureError``.
     """
     theta = cmath.phase(y)
-    psi = _full_rotation(alpha, theta)
+    if abs(theta) <= _STEEPEST:
+        return 0.0
+    psi = (math.copysign(_STEEPEST, theta) - theta) * 2.0 / alpha
     if abs(psi) <= _STEEPEST:
         return psi
     upper = (math.pi / 2.0 - abs(theta)) * 2.0 / alpha
@@ -240,9 +197,10 @@ def _rotated_form(alpha: float, beta: float, y: complex, psi: float):
 
 
 def _transformed_setup(alpha: float, beta: float, y: complex, psi: float):
-    """Rotated form on the ray psi plus the power substitution u = v^p and
-    a truncation point; shared by the nested tanh-sinh rule and adaptive
-    subdivision."""
+    """Rotated form on the ray psi of ``_rotation_angle`` plus the power
+    substitution u = v^p and a truncation point; shared by the nested
+    tanh-sinh rule and adaptive subdivision.  On that ray Re y_eff > 0, so
+    both exponentials decay and the truncation point is closed-form."""
     pref, tanpsi, y_eff = _rotated_form(alpha, beta, y, psi)
     # u = v^p removes the endpoint singularity when beta < 2.
     p = max(1.0, 2.0 / beta)
@@ -252,27 +210,6 @@ def _transformed_setup(alpha: float, beta: float, y: complex, psi: float):
     u_max = 48.0
     if y_eff.real > 0:
         u_max = min(u_max, (48.0 / y_eff.real) ** (2.0 / alpha))
-    elif y_eff.real < 0:
-        # Only the reference rule's clamped rays come here: the exponent
-        # -u + c u^(a/2) rises to an interior peak before decaying;
-        # integrate through it.  Near the cone boundary with
-        # alpha close to 2 that peak can exceed the double range, in which
-        # case the value itself is not representable.
-        c = -y_eff.real
-        u_star, peak = _growth_peak(alpha, c)
-        if peak > 600.0:
-            raise QuadratureError(
-                f"value of order exp({peak:.3g}) exceeds floating-point range "
-                f"for y={y}"
-            )
-        lo, hi = max(u_star, 1.0), max(u_star, 1.0) * 2.0
-        while -hi + c * hi ** (alpha / 2.0) > peak - 48.0:
-            hi *= 2.0
-        from scipy.optimize import brentq
-
-        u_max = brentq(
-            lambda u: -u + c * u ** (alpha / 2.0) - (peak - 48.0), lo, hi
-        )
     return pref, tanpsi, y_eff, p, u_max ** (1.0 / p)
 
 
@@ -362,7 +299,7 @@ def _de_eval(alpha: float, beta: float, y: complex, moments=(0,)) -> list:
 def _adaptive_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule) -> complex:
     from scipy.integrate import IntegrationWarning, quad
 
-    psi = _clamped_angle(alpha, y)
+    psi = _rotation_angle(alpha, y)
     pref, tanpsi, y_eff, p, v_max = _transformed_setup(alpha, beta, y, psi)
 
     def integrand(v: float) -> complex:
@@ -371,7 +308,10 @@ def _adaptive_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule) 
         return pre * cmath.exp(-u - 1j * tanpsi * u - u ** (alpha / 2.0) * y_eff)
 
     for limit in (800, 3000):
-        tol = dict(epsabs=0.1 * rule.abs_tol, epsrel=0.1 * rule.rel_tol, limit=limit)
+        # the value is pref times the integral: on a steep ray |pref|
+        # reaches 50-2,000, so the integral's absolute target is scaled down
+        tol = dict(epsabs=0.1 * rule.abs_tol / abs(pref),
+                   epsrel=0.1 * rule.rel_tol, limit=limit)
         with warnings.catch_warnings():
             # the returned error estimate is checked explicitly below
             warnings.simplefilter("ignore", IntegrationWarning)

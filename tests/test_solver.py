@@ -282,13 +282,16 @@ def test_arithmetic_failure_at_contraction_radius_becomes_solver_error(
     for z in (0.4 + 0.05j, 1.2 + 0.05j, 1.5 + 0.1j)] + [
     pytest.param(alpha, gamma, z, id=f"{alpha}-{gamma}-{z}")
     for alpha in (0.7, 1.3) for gamma in (0.2, 0.9)
-    for z in (0.6 + 0.4j, -2.0 + 0.2j)])
+    for z in (0.6 + 0.4j, -2.0 + 0.2j)] + [
+    pytest.param(1.99, 0.5, -1.3 + 0.05j, id="1.99-0.5-(-1.3+0.05j)")])
 def test_wishart_pair_near_alpha_two_solves(alpha, gamma, z):
     # at alpha=1.95 the first three solves used to fail: at 0.4+0.05i
     # Picard met points near the solution's Y2 = -74+25i where g on the
     # clamped contour could not be certified, at 1.2+0.05i it stalled at
     # residual 2.2e-12; the solutions must satisfy both pair equations
-    # under the adaptive rule, whatever alpha and gamma
+    # under the adaptive rule, whatever alpha and gamma.  At alpha=1.99 a
+    # clamped contour raised on the solution's Y2 = -38.3-3.6i, with a
+    # growth peak of order exp(1.19e+136)
     a = AlphaParam(alpha)
     y1, y2 = solve_wishart_pair(a, gamma, z).unknowns
     rule = QuadratureRule(kind="adaptive-subdivision")
@@ -350,14 +353,26 @@ def test_cold_solve_error_carries_its_stepping_stones():
 
 
 def test_wishart_pair_at_alpha_199_matches_frozen_unknowns():
-    # Y2 = -38.3 - 3.6i lies at 0.975 of the cone edge, where g takes the
-    # middle of the decaying rays and the reference rule cannot evaluate
-    # it.  Unknowns from a 40-digit Newton solve with g by 45-digit
-    # quadrature, whose residual on a second ray is 7e-55
+    # Y2 = -38.3 - 3.6i lies at 0.975 of the cone edge, where g, by either
+    # rule, takes the middle of the decaying rays.  Unknowns from a
+    # 40-digit Newton solve with g by 45-digit quadrature, whose residual
+    # on a second ray is 7e-55
     sol = solve_wishart_pair(AlphaParam(1.99), 0.5, -1.3 + 0.05j)
     want = np.array([1.0521312492953143 - 0.004466891117575366j,
                      -38.31716394442506 - 3.6272153028927514j])
     assert np.all(np.abs(sol.unknowns - want) <= 1e-11 * np.abs(want))
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError,
+                   reason="Newton at z = 0.05i reaches Y = -34.6 on the "
+                          "negative real axis, outside K_alpha")
+def test_wishart_pair_on_imaginary_axis_stays_in_cone():
+    # at alpha = 1.8, gamma = 0.9 the cold solve on the imaginary axis
+    # must return the decaying branch inside the cone; g is not at fault,
+    # the continuation is
+    a = AlphaParam(1.8)
+    sol = solve_wishart_pair(a, 0.9, 0.05j)
+    assert all(cone_contains(K_ALPHA, a, y) for y in sol.unknowns)
 
 
 def test_no_decaying_ray_fails_as_a_g_failure():
