@@ -51,14 +51,11 @@ from .solver import (
     FixedPointSolution,
     SolverError,
     band_system,
-    continue_to_real_axis,
     find_critical_set,
     perturbed_system,
     polish_on_axis,
     solve,
     solve_band,
-    solve_perturbed,
-    solve_wigner,
     solve_wishart_pair,
     wigner_system,
     wishart_system,
@@ -71,7 +68,6 @@ from .density import (
     density_band,
     density_point,
     density_wigner_formula,
-    density_wishart,
     semicircle_cdf,
     semicircle_density,
     stieltjes_band,

@@ -12,17 +12,18 @@ gamma=1 identity with the constant-profile density is a test oracle.
 One model table (``_MODELS``) gives each model its system, the abscissa
 x(t) it is solved at, its density formula and its tail law, and every
 density, a single point (``density_point``) or a curve
-(``build_density_curve``), is solved through one helper around
-``_sweep_real_axis``.  Its first (largest) point takes the per-point path:
-an eps continuation towards the real axis along ``EPS_SCHEDULE``, walked by
-Newton in log eps between its points, then a Newton polish on the axis.
-The sweep then runs down the grid on the real axis: each point is
-predicted by a secant in log x through the last two solutions and
-corrected by the same Newton polish, with the log step halved on failure
-(``solver._log_walk``) and the per-point path as the fallback.  Every
-computed point carries a ``PointRecord`` of how it was obtained.  The
-Wishart atom at zero is the closed form 1 - gamma
-(``atom_at_zero_wishart`` gives the derivation); no solve computes it.
+(``build_density_curve``), is solved by ``_sweep_real_axis``.  The sweep
+starts on the real axis at the contraction radius (or the largest point,
+when that lies beyond it) by Newton from 0, and runs down the grid: each
+point is predicted by a secant in log x through the last two solutions
+and corrected by a Newton polish, with the log step halved on failure
+(``solver._log_walk``).  A correction whose density is negative beyond
+roundoff has left the density's branch and fails too.  A point that the
+walk cannot reach takes one cold solve next to the real axis, at
+x + i COLD_EPS, then the polish.  Every computed point carries a
+``PointRecord`` of how it was obtained.  The Wishart atom at zero is the
+closed form 1 - gamma (``atom_at_zero_wishart`` gives the derivation); no
+solve computes it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .solver import (
     _newton,
     _System,
     band_system,
-    continue_to_real_axis,
     perturbed_system,
     polish_on_axis,
     solve,
@@ -52,12 +52,10 @@ from .special import AlphaParam, c_alpha, h_alpha
 __all__ = [
     "DensityCurve",
     "PointRecord",
-    "EPS_SCHEDULE",
     "stieltjes_band",
     "density_point",
     "density_band",
     "density_wigner_formula",
-    "density_wishart",
     "atom_at_zero_wishart",
     "stieltjes_perturbed",
     "tail_constant",
@@ -66,13 +64,9 @@ __all__ = [
     "semicircle_cdf",
 ]
 
-# The eps values of the per-point path: 0.5, then a tenth of the last one
-# (as the product in floating point, hence the trailing digits), down to
-# 1e-6, the floor of ``continue_to_real_axis``.  They are the path's coarse
-# points: it walks between neighbours in log eps and halves the step where
-# Newton fails, so a hard case still gets short steps.
-EPS_SCHEDULE = (0.5, 0.05, 0.005000000000000001, 0.0005000000000000001,
-                5.0000000000000016e-05, 5.000000000000002e-06, 1e-06)
+# the imaginary part of a cold point's solve, x + i COLD_EPS, whose
+# unknowns the polish on the real axis then starts from
+COLD_EPS = 1e-6
 # relative agreement demanded of the two constant-profile density formulas
 WIGNER_AGREEMENT = 1e-8
 # a density down to -RHO_ROUNDOFF is roundoff and reads 0; below it, the
@@ -120,13 +114,6 @@ def stieltjes_perturbed(a: AlphaParam, profile: SigmaProfile,
 
 # ---------------------------------------------------------------------------
 # Plemelj boundary values
-
-
-def _boundary_solution(system, t: float):
-    """The per-point path at real t > 0: (eps continuation path along
-    ``EPS_SCHEDULE``, polished solution at t)."""
-    path = continue_to_real_axis(system, t, EPS_SCHEDULE)
-    return path, polish_on_axis(system, t, path[-1].unknowns)
 
 
 def _wigner_rho(system, t: float, y: np.ndarray) -> float:
@@ -244,14 +231,14 @@ def density_point(a: AlphaParam, model: str, t: float,
                   profile: Optional[SigmaProfile] = None,
                   gamma: float = 1.0):
     """(rho(t), PointRecord) of one model (wigner | band | wishart) at
-    real t, by the per-point path at x(t): a symmetric density at t != 0
-    is the one at |t|, the covariance density needs t > 0.  rho is clipped
-    at 0; a density below -RHO_ROUNDOFF is an ArithmeticError."""
+    real t, by ``_sweep_real_axis`` at x(t) alone: a symmetric density at
+    t != 0 is the one at |t|, the covariance density needs t > 0.  rho is
+    clipped at 0; a density below -RHO_ROUNDOFF is an ArithmeticError."""
     m = _model(a, model, profile, gamma)
     if not math.isfinite(t) or t == 0 or (t < 0 and not m.symmetric):
         raise ValueError(f"t={t} is not a point of the {model} density, "
                          f"which lives on t {'!= 0' if m.symmetric else '> 0'}")
-    rho, records = _solve_density(m, [float(t)])
+    _, rho, records = _sweep_real_axis(m, [t])
     return float(rho[0]), records[0]
 
 
@@ -264,11 +251,6 @@ def density_wigner_formula(a: AlphaParam, t: float) -> float:
     """Density of the constant-profile limit at real t != 0, whose two
     algebraically equivalent expressions must agree (``density_point``)."""
     return density_point(a, "wigner", t)[0]
-
-
-def density_wishart(a: AlphaParam, gamma: float, t: float) -> float:
-    """Density of the covariance limit at t > 0 (``density_point``)."""
-    return density_point(a, "wishart", t, gamma=gamma)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +398,18 @@ class PointRecord:
     """How one density point at t > 0 was obtained.
 
     ``method`` is "sweep" (Newton on the real axis from neighbouring
-    solutions) or "eps" (the per-point eps path, then the polish);
-    ``newton_iterations`` counts the Newton steps of the polishes accepted
-    on the way to the point (intermediate points of halved steps, the
-    settling step), ``residual`` is its final residual, ``halvings``
-    counts the failed corrections that halved the log-t step, and
-    ``eps_reached`` is the last eps of an eps point.
+    solutions, or from 0 at the sweep's start) or "cold" (one cold solve
+    next to the axis, then the polish); ``newton_iterations`` counts the
+    Newton steps of the polishes accepted on the way to the point (the
+    sweep's start, intermediate points of halved steps, the settling
+    step), ``residual`` is its final residual, and ``halvings`` counts the
+    failed corrections that halved the log-t step.
     """
 
     method: str
     newton_iterations: int
     residual: float
     halvings: int = 0
-    eps_reached: Optional[float] = None
 
     def to_json(self, t: float) -> dict:
         return {"t": float(t), **asdict(self)}
@@ -452,9 +433,9 @@ def _settled(system, sol):
     quantities per z that the polish computed there.
 
     Newton stops as soon as the residual passes tol.  From a sweep
-    prediction that can be a step short of the accuracy the per-point
-    polish reaches from eps = 1e-6, which shows where rho is a small
-    imaginary part of order-one unknowns (the covariance density near 0).
+    prediction that can be a step short of the accuracy a polish from a
+    closer start reaches, which shows where rho is a small imaginary part
+    of order-one unknowns (the covariance density near 0).
     """
     try:
         step = _newton(system, sol.z, sol.unknowns,
@@ -464,68 +445,95 @@ def _settled(system, sol):
     return replace(step, iterations=sol.iterations + step.iterations)
 
 
-def _sweep_real_axis(system, xs):
-    """(polished solutions, PointRecords) at the increasing grid xs > 0.
+def _sweep_real_axis(m: _Model, ts):
+    """(solutions, rho, PointRecords) of model m at the grid ts, whose
+    abscissae x(t) > 0 increase; rho is clipped at 0.
 
     Predictor-corrector continuation along the real axis (Allgower-Georg).
-    The largest point takes the per-point path: the eps continuation, then
-    the polish.  Walking down, each point is predicted by the log-x secant
-    and corrected by ``polish_on_axis`` in at most NEWTON_STEPS
-    Newton steps, which accepts only a residual within its tolerance and
-    unknowns inside the cone, then ``_settled`` by one more Newton step;
+    The sweep starts at max(x of the largest t, ``start_radius()``) by
+    ``polish_on_axis`` from 0: the radius bounds the contraction of the map
+    through |z| alone, so it contracts on the real axis there too, and its
+    one fixed point is the boundary value of the decaying branch.  Walking
+    down, each point is predicted by the log-x secant and corrected by
+    ``polish_on_axis`` in at most NEWTON_STEPS Newton steps, which accepts
+    only a residual within its tolerance and unknowns inside the cone; a
+    grid point reached from a prediction is then ``_settled`` by one more
+    Newton step, and a density there below -RHO_ROUNDOFF, the sign of a
+    solution off the density's branch, fails its correction.
     ``_log_walk`` halves the log step on a failed correction.  When the
-    halvings run out, the point takes the per-point path and the sweep
-    continues from there.
+    halvings run out, or the start fails, the point takes one cold
+    ``solve`` at x + i COLD_EPS and the polish, and the sweep continues
+    from there; a cold point's density below -RHO_ROUNDOFF is an
+    ArithmeticError.  The start fails where the radius
+    exceeds the floating-point range (tiny alpha, where the cold solve
+    raises the same SolverError) and at alpha = 2 inside the compact
+    support, where Newton from real unknowns stays real and the solution
+    is not; a walk into the support from outside it fails there likewise.
     """
-    sols = [None] * len(xs)
-    records = [None] * len(xs)
-    last = before = None
+    system = m.system
+    # a numpy scalar x would carry numpy complex arithmetic into the
+    # solver, whose powers differ from Python's in the last bit: the same
+    # x must give the same solution whatever its type
+    ts = [float(t) for t in ts]
+    xs = [float(m.x(t)) for t in ts]
+    n = len(xs)
+    sols, rho, records = [None] * n, [0.0] * n, [None] * n
+    i = n - 1   # the grid point whose correction correct() checks
+    checked = 0.0   # rho of the last accepted correction at a grid point
 
     def correct(at, last, before):
+        nonlocal checked
+        y = np.zeros(system.q, dtype=complex) if last is None \
+            else _log_secant(at, last, before)
         try:
-            point = polish_on_axis(system, at, _log_secant(at, last, before))
+            point = polish_on_axis(system, at, y)
         except SolverError:
             return None
-        return _settled(system, point) if at == x else point
-
-    for i in range(len(xs) - 1, -1, -1):
-        # a numpy scalar x would carry numpy complex arithmetic into the
-        # solver, whose powers differ from Python's in the last bit: the
-        # same x must give the same solution whatever its type
-        x = float(xs[i])
-        sol = None
-        halvings = newton = 0
+        if at != xs[i]:
+            return point
+        # the start, Newton from 0 where the map contracts, has no
+        # prediction to stop a step short of
         if last is not None:
-            last, before, reached, halvings, newton = _log_walk(
-                x, last.z.real, last, before, correct)
-            if reached == x:
-                sol = last
-        if sol is None:
-            path, sol = _boundary_solution(system, x)
-            before, last = last, sol
-            records[i] = PointRecord("eps", newton + sol.iterations,
-                                     sol.residual, halvings,
-                                     path[-1].z.imag)
-        else:
-            records[i] = PointRecord("sweep", newton, sol.residual,
-                                     halvings)
-        sols[i] = sol
-    return sols, records
-
-
-def _solve_density(m: _Model, ts):
-    """(rho, PointRecords) of model m at the grid ts, whose abscissae x(t)
-    increase, solved by ``_sweep_real_axis``.  Roundoff below 0 is clipped;
-    a density below -RHO_ROUNDOFF is an ArithmeticError."""
-    xs = [m.x(t) for t in ts]
-    sols, records = _sweep_real_axis(m.system, xs)
-    rho = np.array([m.rho(t, x, sol.unknowns)
-                    for t, x, sol in zip(ts, xs, sols)])
-    for t, r in zip(ts, rho):
+            point = _settled(system, point)
+        r = m.rho(ts[i], at, point.unknowns)
         if r < -RHO_ROUNDOFF:
-            raise ArithmeticError(f"negative density {r:.3e} at t={t}: "
-                                  "the solution left the density's branch")
-    return np.maximum(rho, 0.0), records
+            return None
+        checked = r
+        return point
+
+    last = before = None
+    newton = 0
+    try:
+        top = max(xs[-1], system.start_radius())
+    except SolverError:
+        pass
+    else:
+        last = correct(top, None, None)
+        newton = last.iterations if last is not None else 0
+    for i in range(n - 1, -1, -1):
+        x = xs[i]
+        halvings, reached = 0, False
+        if last is not None:
+            last, before, pos, halvings, walked = _log_walk(
+                x, last.z.real, last, before, correct)
+            newton += walked
+            reached = pos == x
+        if reached:
+            method, r = "sweep", checked
+        else:
+            cold = solve(system, complex(x, COLD_EPS))
+            before, last = last, polish_on_axis(system, x, cold.unknowns)
+            r = m.rho(ts[i], x, last.unknowns)
+            if r < -RHO_ROUNDOFF:
+                raise ArithmeticError(
+                    f"negative density {r:.3e} at t={ts[i]}: the solution "
+                    "left the density's branch")
+            method = "cold"
+            newton += last.iterations
+        sols[i], rho[i] = last, r
+        records[i] = PointRecord(method, newton, last.residual, halvings)
+        newton = 0
+    return sols, np.maximum(rho, 0.0), records
 
 
 def build_density_curve(a: AlphaParam, model: str,
@@ -540,14 +548,13 @@ def build_density_curve(a: AlphaParam, model: str,
     the pair in sqrt(t) at every gamma (the gamma = 1 reduction to the
     constant-profile density is a test oracle, not a code path).
     (Perturbed ensembles expose transforms, not densities, at this
-    surface.)  The grid is solved by ``_sweep_real_axis``: one per-point
-    eps path along ``EPS_SCHEDULE``, then Newton on the real axis from
-    point to point.  The curve's ``points`` record how each t > 0 was
-    solved.
+    surface.)  The grid is solved by ``_sweep_real_axis``, Newton on the
+    real axis from point to point.  The curve's ``points`` record how each
+    t > 0 was solved.
     """
     m = _model(a, model, profile, gamma)
     ts = np.geomspace(t_min, t_max, points)
-    rho, records = _solve_density(m, ts)
+    _, rho, records = _sweep_real_axis(m, ts)
     grid = ts
     if m.symmetric:
         grid = np.concatenate([-ts[::-1], ts])

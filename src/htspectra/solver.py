@@ -9,23 +9,22 @@ derivative, so that I - F' is invertible there, and solves by Newton from
 continuation.  Every path uses the same two pieces: one Newton loop
 (``_newton``), which starts the cold path, corrects every path point and
 polishes solutions on the real axis (``polish_on_axis``), and one point
-walker (``_walk``), which takes coarse steps in the logarithm of a path
-coordinate, predicts each point from the last two solutions, corrects it
-by Newton, halves the log step when Newton fails, and when the halvings
-run out makes one last Newton correction at the target, whose failure is
-the path's SolverError.  The cold path walks in the distance to z, the
-eps path towards the real axis in log eps between the points of its
-schedule.  This keeps the iteration on the branch that tends to zero at
-infinity, which is the one describing the spectral measure.  The
-critical-set search is one more system for the same loop: Newton on
+walker (``_log_walk``), which takes coarse steps in the logarithm of a
+path coordinate, predicts each point from the last two solutions, corrects
+it by Newton and halves the log step when Newton fails.  The cold path
+(``_walk``) walks in the distance to z and, when the halvings run out,
+makes one last Newton correction at the target, whose failure is the
+path's SolverError; the real-axis sweep of ``density`` walks in log x.
+This keeps the iteration on the branch that tends to zero at infinity,
+which is the one describing the spectral measure.  The critical-set
+search is one more system for the same loop: Newton on
 phi(y) = g(y) - y g'(y) from a grid of seeds (``find_critical_set``).
 
 Every returned solution has residual at most TOL.  The cold path's
 stepping stones, its Newton start and the walk points before z, stop at
 the looser PATH_TOL: each only seeds a secant prediction whose error at
 the next point is far above PATH_TOL, so converging it further buys the
-target nothing.  Every point of an eps path and of a polish is returned,
-so each keeps its own target.
+target nothing.  A polish on the real axis stops at AXIS_TOL.
 
 Each Newton step takes one linearization of the system, (F(U), I - F'(U)),
 from one ``special.g_alpha_pair`` per cell and term, which gives g and
@@ -42,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -66,11 +65,8 @@ __all__ = [
     "FixedPointSolution",
     "SolverError",
     "solve",
-    "solve_wigner",
     "solve_band",
     "solve_wishart_pair",
-    "solve_perturbed",
-    "continue_to_real_axis",
     "polish_on_axis",
     "find_critical_set",
     "wigner_system",
@@ -95,8 +91,9 @@ CONTINUATION_FACTOR = 0.3
 # means a far prediction or g's noise floor
 NEWTON_STEPS = 12
 # log-step halvings of a ``_log_walk`` before its point falls back: on the
-# real axis to the eps path, elsewhere to one last Newton correction at the
-# target
+# real axis to one cold solve next to the axis (also the point where the
+# sweep's real Newton cannot leave the real line, at alpha = 2 inside the
+# compact support), elsewhere to one last Newton correction at the target
 SWEEP_HALVINGS = 3
 # residual target of every solve off the real axis
 TOL = 1e-12
@@ -496,10 +493,6 @@ def solve(system: _System, z: complex) -> FixedPointSolution:
     return _solve(system, complex(z))
 
 
-def solve_wigner(a: AlphaParam, z: complex) -> FixedPointSolution:
-    return _solve(wigner_system(a), complex(z))
-
-
 def solve_band(a: AlphaParam, profile: SigmaProfile,
                z: complex) -> FixedPointSolution:
     return _solve(band_system(a, profile), complex(z))
@@ -510,52 +503,8 @@ def solve_wishart_pair(a: AlphaParam, gamma: float,
     return _solve(wishart_system(a, gamma), complex(z))
 
 
-def solve_perturbed(a: AlphaParam, profile: SigmaProfile, diag: DiagonalLaw,
-                    z: complex) -> FixedPointSolution:
-    return _solve(perturbed_system(a, profile, diag), complex(z))
-
-
 # ---------------------------------------------------------------------------
-# real-axis continuation
-
-
-def continue_to_real_axis(system: _System, t: float,
-                          eps_list: Sequence[float]) -> list:
-    """Solutions at z = t + i eps, one per point of a decreasing eps
-    schedule.
-
-    The first point is a cold solve; the path then walks from each point
-    to the next by ``_walk`` in log eps, Newton from the eps secant
-    through the last two solutions, with the log step halved when Newton
-    fails.  When the halvings run out and a last Newton at the schedule's
-    point fails too, its SolverError is raised with ``failure_index``, the
-    index of that point, and ``partial_path``, the solutions before it.
-    A symmetric density is computed at t > 0 only: the decaying branch
-    satisfies Y(-conj z) = conj Y(z), so rho(-t) = rho(t).
-    """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must decrease strictly")
-    if eps_list[-1] < 1e-6:
-        raise ValueError("eps floor is 1e-6")
-
-    out = []
-    last = before = None
-    for i, eps in enumerate(eps_list):
-        try:
-            if last is None:
-                last = _solve(system, t + 1j * eps)
-            else:
-                last, before = _walk(system, lambda e: t + 1j * e, eps,
-                                     last.z.imag, last, before)
-        except SolverError as exc:
-            exc.failure_index = i
-            exc.partial_path = out
-            raise
-        out.append(last)
-    return out
+# the real axis
 
 
 def polish_on_axis(system, t: float, y: np.ndarray) -> FixedPointSolution:
@@ -563,10 +512,11 @@ def polish_on_axis(system, t: float, y: np.ndarray) -> FixedPointSolution:
     ``_newton`` on the real axis to AXIS_TOL.
 
     The boundary values extend continuously to the real axis; a few Newton
-    steps turn an iterate near the axis (the end of an eps path, or a
+    steps turn an iterate near the axis (a cold solution next to it, or a
     prediction from neighbouring real-axis solutions) into a
     machine-precision fixed point, making the algebraically equivalent
-    density formulas agree at full accuracy.
+    density formulas agree at full accuracy.  At or beyond the contraction
+    radius it converges from 0, as a cold solve's start does.
     """
     return _newton(system, complex(t), y, AXIS_TOL)
 

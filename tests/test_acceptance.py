@@ -13,15 +13,18 @@ import numpy as np
 import pytest
 
 from htspectra import acceptance
+from htspectra import density
 from htspectra.density import (
     atom_at_zero_wishart,
-    density_wishart,
+    density_point,
     stieltjes_band,
     stieltjes_perturbed,
 )
 from htspectra.matrices import DiagonalLaw, SigmaProfile, covariance_profile
 from htspectra.solver import (
-    continue_to_real_axis,
+    perturbed_system,
+    polish_on_axis,
+    solve,
     solve_band,
     solve_wishart_pair,
 )
@@ -87,7 +90,8 @@ def test_criterion_04_wishart_structure():
             h_alpha(a12, y1) - (1.0 - 0.5 + 0.5 * h_alpha(a12, y2))))
     id_ok = worst_id <= 1e-10
     t = 1e4
-    tail = t ** 1.5 * density_wishart(AlphaParam(1.0), 0.5, t)
+    tail = t ** 1.5 * density_point(AlphaParam(1.0), "wishart", t,
+                                    gamma=0.5)[0]
     tail_ok = abs(tail - 1.0 / 6.0) <= 0.1 / 6.0
     _finish(4, "wishart structure", atom_ok and id_ok and tail_ok,
             f"atom {atom:.6f}, pair-identity {worst_id:.2e}, "
@@ -113,8 +117,7 @@ def test_criterion_06_perturbation_reduction():
     # symmetric two-atom diagonal vs an independent plain Picard iteration
     diag = DiagonalLaw(atoms=((-1.0, 0.5), (1.0, 0.5)))
     z = 6j
-    from htspectra.solver import solve_perturbed
-    got = solve_perturbed(a, CONST, diag, z).unknowns[0]
+    got = solve(perturbed_system(a, CONST, diag), z).unknowns[0]
     cbar = c_alpha_bar(a)
     ps = [(w, principal_power(lam - z, -0.75)) for lam, w in diag.atoms]
     x = 0.0 + 0.0j
@@ -173,10 +176,13 @@ def test_criterion_10_solver_contracts():
         worst_conj = max(worst_conj, float(np.max(np.abs(
             mirror.unknowns - np.conj(sol.unknowns)))))
         if case % 10 == 0:
+            # the real-axis walk down from the contraction radius against
+            # a cold solve next to the axis and the polish
             t = float(rng.uniform(0.5, 3.0))
-            s1 = continue_to_real_axis(sys, t, [0.9, 0.3, 0.1, 0.01])[-1]
-            s2 = continue_to_real_axis(sys, t, [1.4, 0.7, 0.35, 0.15,
-                                                0.05, 0.01])[-1]
+            model = density._model(a, "band", prof, 1.0)
+            s1 = density._sweep_real_axis(model, [t])[0][0]
+            near = solve(sys, complex(t, density.COLD_EPS))
+            s2 = polish_on_axis(sys, t, near.unknowns)
             worst_path = max(worst_path, float(np.max(np.abs(
                 s1.unknowns - s2.unknowns))))
     ok = (worst_res <= 1e-10 and cone_ok and worst_conj <= 1e-10

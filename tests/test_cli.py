@@ -228,8 +228,7 @@ def test_theory_single_point_replaces_curve_sidecar(tmp_path):
     # the one point's record, as a curve point carries it, at the t asked
     # for
     assert len(record) == 1 and record[0]["t"] == t == 1.0
-    assert record[0]["method"] == "eps" and record[0]["halvings"] == 0
-    assert record[0]["eps_reached"] == 1e-6
+    assert record[0]["method"] == "sweep" and record[0]["halvings"] == 0
     assert record[0]["residual"] <= 1e-13
     assert record[0]["newton_iterations"] >= 1
 
@@ -246,10 +245,16 @@ def test_theory_single_point_reports_clipped_density(capsys, tmp_path):
     assert json.loads((tmp_path / "density.json").read_text())["rho"] == 0.0
 
 
-def test_theory_wrong_branch_curve_exits_2(capsys, tmp_path):
-    # this sweep accepts a solution off the density's branch at t = 0.01,
-    # where rho would read -0.0610: a numerical failure, not a usage error
-    # or a traceback
+def test_theory_wrong_branch_curve_exits_2(capsys, tmp_path, monkeypatch):
+    # a solution off the density's branch at t = 0.01, where rho reads
+    # -0.0610 at every try and at the cold point after them: a numerical
+    # failure, not a usage error or a traceback
+    from htspectra import density
+
+    rho = density._wishart_rho
+    monkeypatch.setattr(
+        density, "_wishart_rho",
+        lambda a, t, y: -0.061 if t == 0.01 else rho(a, t, y))
     code = run(["theory", "--model", "wishart", "--gamma", "0.5",
                 "--alpha", "1.8", "--t-min", "1e-2", "--t-max", "1e3",
                 "--points", "12", "--out", str(tmp_path)])
@@ -305,8 +310,8 @@ def test_theory_curve_outputs(tmp_path):
 
 
 def test_theory_wishart_cone_edge_curve(tmp_path):
-    # the per-point eps path at t=0.1 passes arguments on the cone edge,
-    # where g's noise can stall the solve (exit 2)
+    # the sweep near t=0.1 passes arguments on the cone edge, where g's
+    # noise can stall the solve (exit 2)
     code = run(["theory", "--model", "wishart", "--alpha", "1.7",
                 "--gamma", "0.9", "--t-min", "1e-2", "--t-max", "1e4",
                 "--points", "8", "--out", str(tmp_path)])
@@ -332,10 +337,10 @@ def test_theory_records_every_point(tmp_path):
     # one record per t > 0, the upper half of the mirrored grid
     assert [r["t"] for r in recs] == [float(r.split(",")[0])
                                       for r in rows[6:]]
-    assert [r["method"] for r in recs] == ["sweep"] * 5 + ["eps"]
+    assert [r["method"] for r in recs] == ["sweep"] * 6
     for r in recs:
         assert set(r) == {"t", "method", "newton_iterations", "residual",
-                          "halvings", "eps_reached"}
+                          "halvings"}
         assert r["residual"] <= 1e-13
 
 

@@ -9,14 +9,12 @@ import pytest
 
 from htspectra import density, solver, special
 from htspectra.density import (
-    EPS_SCHEDULE,
     DensityCurve,
     atom_at_zero_wishart,
     build_density_curve,
     density_band,
     density_point,
     density_wigner_formula,
-    density_wishart,
     semicircle_cdf,
     semicircle_density,
     tail_constant,
@@ -29,6 +27,11 @@ from htspectra.special import AlphaParam, h_alpha
 CONST = SigmaProfile("constant", c=1.0)
 BAND = SigmaProfile("band", breakpoints=(0.0, 0.25, 0.75, 1.0),
                     values=(1.0, 0.0, 1.0))
+
+
+def density_wishart(a, gamma, t):
+    """The covariance density at t > 0 (``density_point``)."""
+    return density_point(a, "wishart", t, gamma=gamma)[0]
 
 
 def test_semicircle_closed_form():
@@ -91,15 +94,14 @@ def test_two_wigner_expressions_cross_check():
 
 def test_plemelj_extrapolation_consistent():
     # the independent Plemelj value -(1/pi) Im G(t + i eps), extrapolated
-    # to eps = 0 by a quadratic through the last three points of the eps
-    # path, against the density at the polished real-axis solution
+    # to eps = 0 by a quadratic through three cold solves next to the axis,
+    # against the density at the polished real-axis solution
     a = AlphaParam(1.5)
     system = solver.band_system(a, CONST)
-    path = solver.continue_to_real_axis(system, 1.3, EPS_SCHEDULE)
-    eps = np.array([p.z.imag for p in path[-3:]])
-    im_g = [system.G(p.z, p.unknowns).imag for p in path[-3:]]
+    path = [solver.solve(system, 1.3 + 1j * e) for e in (5e-5, 5e-6, 1e-6)]
+    eps = np.array([p.z.imag for p in path])
+    im_g = [system.G(p.z, p.unknowns).imag for p in path]
     plemelj = -np.polynomial.polynomial.polyfit(eps, im_g, 2)[0] / math.pi
-    assert eps[-1] <= 1e-5
     assert abs(density_band(a, CONST, 1.3) - plemelj) < 1e-6
 
 
@@ -151,18 +153,15 @@ def test_density_point_is_the_wrappers_bit_for_bit(alpha):
     for t in (-1.3, 0.05, 0.7, 3.1):
         rho, rec = density_point(a, "wigner", t)
         assert rho == density_wigner_formula(a, t)
-        assert rec.method == "eps" and rec.eps_reached == EPS_SCHEDULE[-1]
+        assert rec.method == "sweep"
         assert density_point(a, "band", t, profile=BAND)[0] \
             == density_band(a, BAND, t)
-        if t > 0:
-            assert density_point(a, "wishart", t, gamma=0.5)[0] \
-                == density_wishart(a, 0.5, t)
 
 
 @pytest.mark.parametrize("model", ["wigner", "band", "wishart"])
 def test_curve_top_point_is_density_point(model):
     # a curve and a single point solve through one path: the curve's
-    # largest grid point, which takes the per-point path, is the single
+    # largest grid point, the first that the sweep reaches, is the single
     # point there, value and record
     a = AlphaParam(1.2)
     curve = _curve(model, a, 0.1, 10.0, 4)
@@ -184,10 +183,16 @@ def test_density_point_rejects_points_off_the_support():
         density_point(a, "perturbed", 1.0)
 
 
-def test_negative_density_is_a_numerical_failure():
-    # the sweep of this curve accepts a solution off the density's branch
-    # at t = 0.01, where rho reads -0.0610
-    with pytest.raises(ArithmeticError, match="negative density"):
+def test_negative_density_is_a_numerical_failure(monkeypatch):
+    # a density below -RHO_ROUNDOFF at t = 0.01 fails every correction
+    # there, and the cold point that follows the spent halvings reads it
+    # too: the curve raises, naming the density and t
+    rho = density._wishart_rho
+    monkeypatch.setattr(
+        density, "_wishart_rho",
+        lambda a, t, y: -0.061 if t == 0.01 else rho(a, t, y))
+    with pytest.raises(ArithmeticError,
+                       match="negative density -6.100e-02 at t=0.01:"):
         build_density_curve(AlphaParam(1.8), "wishart", gamma=0.5,
                             t_min=1e-2, t_max=1e3, points=12)
 
@@ -271,19 +276,6 @@ def test_wishart_density_positive_near_zero():
     a = AlphaParam(1.2)
     for t in (0.05, 0.2, 1.0):
         assert density_wishart(a, 0.5, t) > 0.0
-
-
-def test_eps_schedule_shape():
-    # 0.5 and then a tenth of the last value as the floating-point product,
-    # down to the floor 1e-6: rounded literals would move single points in
-    # their last bits
-    assert EPS_SCHEDULE == (0.5, 0.05, 0.005000000000000001,
-                            0.0005000000000000001, 5.0000000000000016e-05,
-                            5.000000000000002e-06, 1e-06)
-    want = [0.5]
-    while want[-1] * 0.1 > 1e-6:
-        want.append(want[-1] * 0.1)
-    assert list(EPS_SCHEDULE) == want + [1e-6]
 
 
 def test_curve_mass_and_cdf():
@@ -466,22 +458,25 @@ def test_sweep_matches_per_point_path(model, alpha, gamma, t_min, t_max,
     a = AlphaParam(alpha)
     curve = _curve(model, a, t_min, t_max, points, gamma=gamma)
     ts = curve.grid[-points:]
-    methods = [p.method for p in curve.points]
-    assert methods == ["sweep"] * (points - 1) + ["eps"]
+    assert [p.method for p in curve.points] == ["sweep"] * points
     for t, got, rec in zip(ts, curve.rho[-points:], curve.points):
         assert rec.residual <= 1e-13
         want = _per_point(model, a, t, gamma)
         assert _agrees(got, want), (t, got, want)
 
 
-@pytest.mark.xfail(raises=ArithmeticError, strict=True)
 def test_wishart_curve_near_alpha_two_solves():
-    # the sweep of this curve leaves the density's branch at t = 0.01
-    # (rho = -0.0610), so it raises "negative density" and ``theory``
-    # exits 2 on it (ROADMAP item 2); g settles at Y = -14.49+4.74i on its
-    # eps path, where it once raised SolverError
-    build_density_curve(AlphaParam(1.8), "wishart", gamma=0.5, t_min=1e-2,
-                        t_max=1e3, points=9)
+    # whether a sweep stays on the density's branch must not depend on its
+    # grid: the 9-point curve, whose every point the 17-point one holds,
+    # once accepted a solution off the branch at t = 0.01 (rho = -0.0610)
+    # and raised "negative density", where the 17-point one passed; such a
+    # correction now fails, and the walk halves its step
+    a = AlphaParam(1.8)
+    coarse = _curve("wishart", a, 1e-2, 1e3, 9)
+    fine = _curve("wishart", a, 1e-2, 1e3, 17)
+    assert np.allclose(coarse.grid, fine.grid[::2], rtol=1e-15, atol=0.0)
+    for t, got, want in zip(coarse.grid, coarse.rho, fine.rho[::2]):
+        assert _agrees(got, want), (t, got, want)
 
 
 def test_wishart_gap_point_newton_stays_at_roundoff():
@@ -492,8 +487,10 @@ def test_wishart_gap_point_newton_stays_at_roundoff():
     a = AlphaParam(1.5)
     t = float(np.geomspace(1e-2, 1e4, 8)[1])
     system = solver.wishart_system(a, 0.5)
-    _, sol = density._boundary_solution(system, math.sqrt(t))
-    z, y = complex(math.sqrt(t)), sol.unknowns
+    x = math.sqrt(t)
+    near = solver.solve(system, complex(x, density.COLD_EPS))
+    sol = solver.polish_on_axis(system, x, near.unknowns)
+    z, y = complex(x), sol.unknowns
     assert abs(y[1] - (-6.8132 + 6.8132j)) < 1e-3
     for _ in range(8):
         fy, jac = system.linearize(z, y)
@@ -505,28 +502,31 @@ def test_wishart_gap_point_newton_stays_at_roundoff():
 def test_wishart_gap_sweep_point_records():
     # the records of this curve's sweep through the gap near 0, where Y2
     # lies on the cone edge; a Newton that gave up on iterates near the
-    # edge would add halvings or fall back to the eps path here
+    # edge would add halvings or fall back to a cold solve here
     curve = _curve("wishart", AlphaParam(1.5), 1e-2, 1e4, 16)
     got = [(p.method, p.halvings, p.newton_iterations) for p in curve.points]
     assert got == [("sweep", 0, 7), ("sweep", 0, 6), ("sweep", 1, 10),
                    ("sweep", 1, 12), ("sweep", 0, 6), ("sweep", 0, 4),
                    ("sweep", 0, 4), ("sweep", 0, 5), ("sweep", 0, 4),
                    ("sweep", 0, 4), ("sweep", 0, 4), ("sweep", 0, 4)] \
-        + [("sweep", 0, 3)] * 3 + [("eps", 0, 1)]
+        + [("sweep", 0, 3)] * 3 + [("sweep", 0, 2)]
 
 
-def test_clean_sweep_runs_one_eps_path(monkeypatch):
+def test_clean_sweep_makes_no_cold_solve(monkeypatch):
+    # the sweep starts on the real axis, by Newton from 0 at the
+    # contraction radius, and reaches every point from there
     calls = []
-    real = density.continue_to_real_axis
+    real = density.solve
 
-    def counted(system, t, *args, **kwargs):
-        calls.append(t)
-        return real(system, t, *args, **kwargs)
+    def counted(system, z):
+        calls.append(z)
+        return real(system, z)
 
-    monkeypatch.setattr(density, "continue_to_real_axis", counted)
+    monkeypatch.setattr(density, "solve", counted)
     curve = build_density_curve(AlphaParam(1.0), "wigner", t_min=1e-3,
                                 t_max=1e2, points=8)
-    assert calls == [curve.grid[-1]]
+    assert calls == []
+    assert [p.method for p in curve.points] == ["sweep"] * 8
 
 
 def _failing_polish(monkeypatch, fails):
@@ -560,16 +560,26 @@ def test_failed_correction_halves_the_step(monkeypatch):
     assert _agrees(curve.rho[8 + 5], density_wigner_formula(a, ts[5]))
 
 
-def test_exhausted_halvings_fall_back_to_eps(monkeypatch):
+def test_exhausted_halvings_fall_back_to_a_cold_solve(monkeypatch):
     a = AlphaParam(1.5)
     ts = np.geomspace(1e-2, 1e3, 8)
     # the direct step to ts[5] and every intermediate point fail once
     _failing_polish(monkeypatch, lambda t: ts[5] <= t < ts[6])
+    solves = []
+    real = density.solve
+
+    def counted(system, z):
+        solves.append(z)
+        return real(system, z)
+
+    monkeypatch.setattr(density, "solve", counted)
     curve = build_density_curve(a, "wigner", t_min=1e-2, t_max=1e3,
                                 points=8)
     rec = curve.points[5]
-    assert (rec.method, rec.halvings) == ("eps", solver.SWEEP_HALVINGS)
-    assert curve.rho[8 + 5] == density_wigner_formula(a, ts[5])
+    assert (rec.method, rec.halvings) == ("cold", solver.SWEEP_HALVINGS)
+    # one cold solve next to the axis at ts[5], then the polish there
+    assert solves == [complex(ts[5], density.COLD_EPS)]
+    assert _agrees(curve.rho[8 + 5], density_wigner_formula(a, ts[5]))
     # the sweep continues below the fallback point
     assert [p.method for p in curve.points[:5]] == ["sweep"] * 5
     for t, got in zip(ts[:5], curve.rho[8:13]):
@@ -582,9 +592,9 @@ def test_point_records_reach_the_sidecar():
     side = json.loads(json.dumps(curve.sidecar()))
     recs = side["points"]
     assert [r["t"] for r in recs] == curve.grid.tolist()
-    assert [r["method"] for r in recs] == ["sweep"] * 3 + ["eps"]
-    assert recs[-1]["eps_reached"] == 1e-6
-    assert all(r["eps_reached"] is None for r in recs[:-1])
+    assert [r["method"] for r in recs] == ["sweep"] * 4
+    assert all(set(r) == {"t", "method", "newton_iterations", "residual",
+                          "halvings"} for r in recs)
     assert all(r["residual"] <= 1e-13 and r["halvings"] == 0
                and r["newton_iterations"] >= 1 for r in recs)
 
@@ -708,9 +718,9 @@ def test_atom_at_gamma_099(alpha):
 
 
 def test_density_point_g_evaluations(monkeypatch):
-    # the eps path walks the default schedule's seven points and the cold
-    # solve its coarse geometric steps; 60 fine eps steps and 0.8 distance
-    # steps took 2,262 evaluations here
+    # the sweep walks from the contraction radius down to t in coarse log
+    # steps; an eps path of 60 fine steps behind a cold solve of 0.8
+    # distance steps took 2,262 evaluations here
     calls = []
     g = special.g_alpha_beta
 
