@@ -309,8 +309,8 @@ def cmd_simulate(args) -> int:
            json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n")
     _write(os.path.join(out, "eigenvalues.plt"),
            _gnuplot_hist("eigenvalues.csv"))
-    print(f"simulated {spec.trials} trials "
-          f"({result.pooled.eigenvalues.size} eigenvalues, "
+    size = sum(s.eigenvalues.size for s in result.spectra)
+    print(f"simulated {spec.trials} trials ({size} eigenvalues, "
           f"{result.aborted_trials} aborted) to {out}")
     return 0
 

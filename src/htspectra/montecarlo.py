@@ -1,8 +1,8 @@
-"""Simulation campaigns: many matrix trials, pooled into one spectrum.
+"""Simulation campaigns: many matrix trials, one spectrum per trial.
 
 A campaign draws independent matrices on counter-based RNG substreams (one
-per trial index), so the pooled spectrum is bit-identical for a given
-master seed no matter how many worker threads run the trials.  A failed
+per trial index), so its spectra are bit-identical for a given master seed
+no matter how many worker threads run the trials.  A failed
 eigendecomposition, or a matrix whose entries overflow, aborts only its
 own trial; a campaign fails, with a ``CampaignAborted``, when more than 5%
 of trials abort.
@@ -96,7 +96,6 @@ class CampaignSpec:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    pooled: EmpiricalSpectrum
     spectra: Tuple[EmpiricalSpectrum, ...]
     aborted_trials: int
     runtime_seconds: float
@@ -135,15 +134,15 @@ def _one_trial(spec: CampaignSpec,
 
 
 def run_campaign(spec: CampaignSpec, threads: int = 1) -> CampaignResult:
-    """Execute all trials and pool their spectra.
+    """Execute all trials and keep their spectra in trial order.
 
     Trials run on a pool of ``threads`` threads (the eigensolver releases
-    the GIL), or in this thread when threads is 1; the merge is a reduction by trial index, so the result does
-    not depend on scheduling.  Trials whose eigendecomposition fails or whose
-    matrix is not finite are dropped and counted; more than 5% aborted
-    trials fails the campaign with a ``CampaignAborted``.
-    A spectrum is compared with a theory CDF by
-    ``eig.distribution_distance``, on the spec's window.
+    the GIL), or in this thread when threads is 1; the merge is a
+    reduction by trial index, so the result does not depend on scheduling.
+    Trials whose eigendecomposition fails or whose matrix is not finite
+    are dropped and counted; more than 5% aborted trials fails the
+    campaign with a ``CampaignAborted``.  The spectra are compared with a
+    theory CDF by ``eig.distribution_distance``, on the spec's window.
     """
     start = time.perf_counter()
     results: dict = {}
@@ -175,9 +174,7 @@ def run_campaign(spec: CampaignSpec, threads: int = 1) -> CampaignResult:
         raise CampaignAborted(
             f"{aborted} of {spec.trials} trials aborted (> 5%)")
     spectra = tuple(results[k] for k in sorted(results))
-    pooled = EmpiricalSpectrum(
-        np.concatenate([s.eigenvalues for s in spectra]), trial_id=-1)
-    return CampaignResult(pooled=pooled, spectra=spectra,
+    return CampaignResult(spectra=spectra,
                           aborted_trials=aborted,
                           runtime_seconds=time.perf_counter() - start,
                           spec=spec, trial_timing=tuple(timing))

@@ -198,8 +198,7 @@ class _BandSystem(_System):
         """(F(U), I - F'(U)) from one ``g_alpha_pair`` per cell and term:
         F_r = P sum_s K_rs Delta_s sum_i w_i p_i g(p_i U_s) and
         F'_rs = P K_rs Delta_s sum_i w_i p_i^2 g'(p_i U_s), in Python
-        complex arithmetic for the one or two cells that ``_newton_step``
-        solves in closed form, and as arrays beyond."""
+        complex arithmetic for any number of cells."""
         _, pre, terms = self._at(z)
         a = self.a
         cells = [complex(u) for u in y]
@@ -212,10 +211,6 @@ class _BandSystem(_System):
                 g, d = g_alpha_pair(a, p * u)
                 gs[s] += wp * g
                 ds[s] += wpp * d
-        if self.q > 2:
-            ds = np.array(ds)
-            return (pre * (self.kw @ np.array(gs)),
-                    np.eye(self.q) - pre * self.kw * ds[None, :])
         fy = []
         jac = []
         for r, row in enumerate(self.kw_rows):

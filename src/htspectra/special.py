@@ -11,9 +11,10 @@ quadrature is catastrophically ill-conditioned near the cone boundary
 with negative real part both rules rotate the contour onto a ray where
 every factor decays, and raise where none does; see ``_rotation_angle``.
 
-With no explicit rule, g is evaluated in two tiers: by the power series
-g_{a,b}(y) = sum_k Gamma(b/2 + k a/2)/k! (-y)^k wherever a truncation and
-roundoff bound certifies it to the adaptive rule's tolerance (small |y|;
+Every path targets one tolerance, ``_ABS_TOL`` + ``_REL_TOL`` |g|, 1e-12
+each.  With no explicit rule, g is evaluated in two tiers: by the power
+series g_{a,b}(y) = sum_k Gamma(b/2 + k a/2)/k! (-y)^k wherever a
+truncation and roundoff bound certifies it to that tolerance (small |y|;
 see ``_series_eval``), and otherwise by nested tanh-sinh quadrature on the
 rotated, power-substituted integral, refined level by level until two
 successive levels agree; a value whose levels reach the cap raises
@@ -25,11 +26,12 @@ are one array, built once per process.  The coefficients take Gamma from
 ``math.gamma`` (at most 6.81 ulps from 40-digit values at the 205,195
 points x_k of 300 alpha on the roundoff weight's grid, where scipy's Gamma
 reaches 9.00), and the weight takes psi from ``_digamma``, so the default
-path imports no scipy.  An explicit rule, which ``g_alpha_beta``,
-``g_alpha`` and ``h_alpha`` take as the reference, always runs adaptive
-subdivision, through ``scipy``, and never the series, on the default
-path's ray.  At a = 2 every path is the closed form
-g_{2,b}(y) = Gamma(b/2) (1+y)^(-b/2).
+path imports no scipy, and numpy is the one runtime dependency.  An
+explicit rule, which ``g_alpha_beta``, ``g_alpha`` and ``h_alpha`` take as
+the reference, always runs adaptive subdivision on the default path's ray,
+and never the series.  It is the one importer of ``scipy``, which comes
+with the ``test`` extra; without scipy it raises ImportError.  At a = 2
+every path is the closed form g_{2,b}(y) = Gamma(b/2) (1+y)^(-b/2).
 
 ``g_alpha_pair`` returns g_a and its derivative g_a' = -g_{a,2a} from one
 evaluation, as every Newton step of the solvers needs both at the same
@@ -100,17 +102,13 @@ class AlphaParam:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tolerances of the adaptive-subdivision rule, the one explicit rule."""
+    """The one explicit rule, adaptive subdivision, at g's one tolerance."""
 
     kind: str = "adaptive-subdivision"
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
 
     def __post_init__(self):
         if self.kind != "adaptive-subdivision":
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 def principal_power(x: complex, p: float) -> complex:
@@ -146,6 +144,11 @@ def cone_contains(cone: str, a: AlphaParam, y: complex, slack: float = 0.0) -> b
 # ---------------------------------------------------------------------------
 # quadrature
 
+
+# g's one tolerance, _ABS_TOL + _REL_TOL |g|, on every path: the series
+# certificate, tanh-sinh's settling test and the reference rule
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-12
 
 # The steepest effective argument of y, and the steepest full rotation
 _STEEPEST = math.pi / 2.0 - 0.3
@@ -279,16 +282,15 @@ def _nested_de_sums(alpha: float, beta: float, y: complex,
 def _de_eval(alpha: float, beta: float, y: complex, moments=(0,)) -> list:
     """Nested tanh-sinh quadrature of g_{alpha, beta + j alpha} for j in
     moments (see ``_nested_de_sums``): each value is the first level that
-    agrees with the level before it to the adaptive rule's tolerance.  A
-    value is None when its levels hit the cap (strong oscillation)."""
-    abs_tol, rel_tol = _AUTO_ADAPTIVE.abs_tol, _AUTO_ADAPTIVE.rel_tol
+    agrees with the level before it to g's tolerance.  A value is None
+    when its levels hit the cap (strong oscillation)."""
     values = [None] * len(moments)
     prev = [None] * len(moments)
     for sums in _nested_de_sums(alpha, beta, y, moments):
         for i, (cur, mass) in enumerate(sums):
             if values[i] is None:
                 if prev[i] is not None and abs(cur - prev[i]) <= (
-                        2e-15 * mass + 0.5 * (abs_tol + rel_tol * abs(cur))):
+                        2e-15 * mass + 0.5 * (_ABS_TOL + _REL_TOL * abs(cur))):
                     values[i] = cur
                 prev[i] = cur
         if None not in values:
@@ -296,7 +298,7 @@ def _de_eval(alpha: float, beta: float, y: complex, moments=(0,)) -> list:
     return values
 
 
-def _adaptive_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule) -> complex:
+def _adaptive_eval(alpha: float, beta: float, y: complex) -> complex:
     from scipy.integrate import IntegrationWarning, quad
 
     psi = _rotation_angle(alpha, y)
@@ -310,8 +312,8 @@ def _adaptive_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule) 
     for limit in (800, 3000):
         # the value is pref times the integral: on a steep ray |pref|
         # reaches 50-2,000, so the integral's absolute target is scaled down
-        tol = dict(epsabs=0.1 * rule.abs_tol / abs(pref),
-                   epsrel=0.1 * rule.rel_tol, limit=limit)
+        tol = dict(epsabs=0.1 * _ABS_TOL / abs(pref),
+                   epsrel=0.1 * _REL_TOL, limit=limit)
         with warnings.catch_warnings():
             # the returned error estimate is checked explicitly below
             warnings.simplefilter("ignore", IntegrationWarning)
@@ -319,7 +321,7 @@ def _adaptive_eval(alpha: float, beta: float, y: complex, rule: QuadratureRule) 
             im, im_err = quad(lambda v: integrand(v).imag, 0.0, v_max, **tol)
         value = pref * complex(re, im)
         err = abs(pref) * math.hypot(re_err, im_err)
-        if err <= rule.abs_tol + rule.rel_tol * abs(value):
+        if err <= _ABS_TOL + _REL_TOL * abs(value):
             return value
     raise QuadratureError(
         f"adaptive quadrature error {err:.3e} exceeds tolerance for y={y}"
@@ -351,7 +353,7 @@ class _SeriesTable:
     ratio: array            # Wendel's bound on |c_{k+1}/c_k|
     weight: array           # roundoff of term k, in ulps
     mono: int               # k_mono, from which that bound decreases in k
-    tol: float              # the adaptive rule's tolerance on the cone
+    tol: float              # g's tolerance on the cone
     slope_tol: float        # the same for g_{a,b+a}
     # rung -> (terms, bound, bound of the derivative's sum or inf),
     # certified on first use
@@ -398,9 +400,8 @@ def _series_table(alpha: float, beta: float) -> _SeriesTable:
     # tolerance there can never certify; it gets 0 terms and its calls go
     # straight to quadrature.
     a = AlphaParam(alpha)
-    rule = _AUTO_ADAPTIVE
-    tol = rule.abs_tol + rule.rel_tol * cone_bound(a, beta)
-    slope_tol = rule.abs_tol + rule.rel_tol * cone_bound(a, beta + alpha)
+    tol = _ABS_TOL + _REL_TOL * cone_bound(a, beta)
+    slope_tol = _ABS_TOL + _REL_TOL * cone_bound(a, beta + alpha)
     return _SeriesTable(coef[::-1].tolist(),
                         array("d", np.log(coef).tobytes()),
                         array("d", ratio.tobytes()),
@@ -496,7 +497,7 @@ def _series_eval(alpha: float, beta: float, y: complex):
     """(value, bound, next, next bound) of the power series
     sum_k c_k (-y)^k from one pass of Horner's rule with derivative, with
     the error bounds of the smallest rung R >= |y|, or None where that rung
-    cannot certify the value to the adaptive rule's tolerance on the cone.
+    cannot certify the value to g's tolerance on the cone.
     A rung is certified the first time a call lands on it.
 
     next is g_{alpha, beta+alpha} = -d/dy g_{alpha,beta} =
@@ -563,28 +564,23 @@ def _g_moments(a: AlphaParam, beta: float, y: complex,
                 for j in moments]
     if rule is None:
         return _auto_eval(alpha, beta, y, moments)
-    return [_adaptive_eval(alpha, beta + j * alpha, y, rule)
-            for j in moments]
-
-
-_AUTO_ADAPTIVE = QuadratureRule(kind="adaptive-subdivision")
+    return [_adaptive_eval(alpha, beta + j * alpha, y) for j in moments]
 
 
 def _auto_eval(alpha: float, beta: float, y: complex, moments) -> list:
     # The default path for each g_{alpha, beta + j alpha}, in two tiers:
-    # the power series of g_{alpha,beta} where its bound certifies the
-    # adaptive rule's tolerance, moment 1 from the derivative of the same
-    # pass, else nested tanh-sinh on the ray of g_{alpha,beta}, one run for
-    # all the moments left.  A moment whose levels do not settle before
+    # the power series of g_{alpha,beta} where its bound certifies g's
+    # tolerance, moment 1 from the derivative of the same pass, else nested
+    # tanh-sinh on the ray of g_{alpha,beta}, one run for all the moments
+    # left.  A moment whose levels do not settle before
     # the cap raises QuadratureError.
     series = _series_eval(alpha, beta, y)
     if series is None:
         values = [None] * len(moments)
     else:
         value, bound, deriv, slope = series
-        abs_tol, rel_tol = _AUTO_ADAPTIVE.abs_tol, _AUTO_ADAPTIVE.rel_tol
-        sums = (value if bound <= abs_tol + rel_tol * abs(value) else None,
-                deriv if slope <= abs_tol + rel_tol * abs(deriv) else None)
+        sums = (value if bound <= _ABS_TOL + _REL_TOL * abs(value) else None,
+                deriv if slope <= _ABS_TOL + _REL_TOL * abs(deriv) else None)
         values = [sums[j] for j in moments]
         if None not in values:
             return values

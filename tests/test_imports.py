@@ -1,4 +1,5 @@
-"""Start-up cost: which scipy subpackages a process loads, and when.
+"""Start-up cost: which scipy subpackages a process loads, and when, and
+that every command runs where scipy cannot be imported at all.
 
 pytest itself loads scipy, so every check runs in a fresh interpreter.
 """
@@ -16,16 +17,21 @@ SCIPY_SUBPACKAGES = {"scipy.special", "scipy.stats", "scipy.integrate",
                      "scipy.optimize"}
 
 
-def _loaded(code: str) -> set:
-    """Modules named scipy or scipy.* that running code leaves loaded."""
+def _run(code: str) -> str:
+    """The standard output of code, run in a fresh interpreter that imports
+    htspectra from this source tree; a nonzero exit fails."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(htspectra.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = (code + "\nimport sys\nprint(' '.join(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))\n")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _loaded(code: str) -> set:
+    """Modules named scipy or scipy.* that running code leaves loaded."""
+    out = _run(code + "\nimport sys\nprint(' '.join(m for m in sys.modules "
+               "if m == 'scipy' or m.startswith('scipy.')))\n")
     # the module list is the last line; code may print lines before it
     return set(out.splitlines()[-1].split()) if out.strip() else set()
 
@@ -98,3 +104,43 @@ def test_unsettled_g_raises_without_adaptive_subdivision():
         "else:\n"
         "    raise SystemExit('no QuadratureError')\n")
     assert "scipy.integrate" not in loaded
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is a test extra, not a runtime dependency: with its import
+    # blocked, the README's commands exit 0 through cli.main, and only the
+    # explicit reference rule, which needs scipy, raises ImportError
+    diag = tmp_path / "diag.json"
+    diag.write_text('{"atoms": [{"lambda": -1.0, "w": 0.5}, '
+                    '{"lambda": 1.0, "w": 0.5}]}')
+    theory, sim, perturbed = (str(tmp_path / d)
+                              for d in ("theory", "sim", "perturbed"))
+    commands = [
+        ["theory", "--alpha", "1.5", "--t-min", "0.1", "--t-max", "10",
+         "--points", "6", "--out", theory],
+        ["simulate", "--alpha", "1.5", "--n", "40", "--trials", "1",
+         "--seed", "1", "--out", sim],
+        ["compare", "--theory", os.path.join(theory, "density.csv"),
+         "--spectra", os.path.join(sim, "eigenvalues.csv"),
+         "--out", str(tmp_path)],
+        ["simulate", "--model", "perturbed", "--diag", str(diag), "--alpha",
+         "1.5", "--n", "40", "--trials", "1", "--seed", "1",
+         "--out", perturbed],
+        ["critical-set", "--alpha", "1.99", "--out", str(tmp_path)],
+        ["selftest"],
+    ]
+    out = _run(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from htspectra.cli import main\n"
+        "from htspectra.special import AlphaParam, QuadratureRule, g_alpha\n"
+        f"for args in {commands!r}:\n"
+        "    rc = main(args)\n"
+        "    assert rc == 0, (args, rc)\n"
+        "try:\n"
+        "    g_alpha(AlphaParam(1.5), 0.4 + 0.3j, QuadratureRule())\n"
+        "except ImportError:\n"
+        "    print('reference rule needs scipy')\n"
+        "else:\n"
+        "    raise SystemExit('the reference rule ran without scipy')\n")
+    assert out.splitlines()[-1] == "reference rule needs scipy"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from htspectra import matrices, montecarlo
+from htspectra import eig, matrices, montecarlo
 from htspectra.eig import EigenDecompositionError, EmpiricalSpectrum
 from htspectra.matrices import (
     DiagonalLaw,
@@ -66,14 +66,21 @@ def test_deterministic_across_thread_counts():
     spec = band_spec(trials=4)
     r1 = run_campaign(spec, threads=1)
     r2 = run_campaign(spec, threads=4)
-    assert np.array_equal(r1.pooled.eigenvalues, r2.pooled.eigenvalues)
+    assert len(r1.spectra) == len(r2.spectra) == 4
+    for s1, s2 in zip(r1.spectra, r2.spectra):
+        assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
     assert [s.trial_id for s in r2.spectra] == [0, 1, 2, 3]
 
 
 def test_single_trial_equals_pool():
+    # a one-trial campaign is that trial, and the pool that a comparison
+    # reads from its spectra is that trial's spectrum
     spec = band_spec(trials=1)
     r = run_campaign(spec)
-    assert np.array_equal(r.pooled.eigenvalues, r.spectra[0].eigenvalues)
+    alone, _ = montecarlo._one_trial(spec, 0)
+    assert len(r.spectra) == 1
+    assert np.array_equal(r.spectra[0].eigenvalues, alone.eigenvalues)
+    assert np.array_equal(eig._pool(r.spectra), alone.eigenvalues)
 
 
 def test_abort_threshold(monkeypatch):
@@ -138,7 +145,7 @@ def test_overflowing_trial_aborts(monkeypatch):
     r = run_campaign(band_spec(trials=40, n=8))
     assert r.aborted_trials == 1
     assert [s.trial_id for s in r.spectra] == [k for k in range(40) if k != 3]
-    assert np.all(np.isfinite(r.pooled.eigenvalues))
+    assert all(np.all(np.isfinite(s.eigenvalues)) for s in r.spectra)
 
 
 def test_trial_timing_skips_aborted_trials(monkeypatch):
@@ -170,8 +177,8 @@ def test_covariance_campaign_atom():
         ensemble=CovarianceParams(StableTailLaw(1.2), 80, 40),
         trials=2, window=(0.0, 10.0), master_seed=1)
     r = run_campaign(spec)
-    frac = atom_fraction(r.pooled)
-    assert abs(frac - 0.5) < 0.02      # exactly N-M zero modes per trial
+    for s in r.spectra:     # exactly N-M zero modes per trial
+        assert abs(atom_fraction(s) - 0.5) < 0.02
 
 
 def test_truncated_moment_b_scaling():
